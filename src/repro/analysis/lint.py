@@ -174,14 +174,13 @@ class LintContext:
     """Shared per-run state: the linted policy, the kernel choice, and
     lazily built reachability aggregates.
 
-    Lint works on the caller's policy directly — deliberately not on a
-    copy, so the compiled sweeps run over the caller's real interner
-    layout (holes, recycled IDs and all; a copy would re-intern
-    densely and launder exactly the layouts fuzz invariant 11 must
-    exercise).  The redundancy rule's probes restore the policy
-    exactly (edges whose removal would garbage-collect a vertex are
-    never probed); the only observable side effect of a lint run is
-    version advancement from those probes.
+    Lint works on the caller's policy directly, so the compiled sweeps
+    run over the caller's real interner layout (holes, recycled IDs
+    and all — the layouts fuzz invariant 11 must exercise).  The
+    redundancy rule's probes restore the policy exactly (edges whose
+    removal would garbage-collect a vertex are never probed); the only
+    observable side effect of a lint run is version advancement from
+    those probes.
     """
 
     def __init__(

@@ -708,8 +708,8 @@ def repair_policy(
 
     By default the caller's policy is left untouched (``work`` is a
     copy); ``in_place=True`` repairs the caller's policy directly —
-    the fuzz harness uses this to keep exercising recycled interner
-    layouts (a copy would re-intern densely).
+    the fuzz harness uses this to carry the repaired policy into its
+    next round of churn.
     """
     rules = list(rules) if rules is not None else None
     work = policy if in_place else policy.copy()

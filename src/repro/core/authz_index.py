@@ -1133,11 +1133,71 @@ class AuthorizationIndex:
         """Capture and retain a review snapshot at the current policy
         version.  Subsequent ``grantable_pairs(..., at_version=v)``
         calls answer from it while mutations continue on the live
-        policy; only the most recent snapshot is retained (the batched
-        submit-queue path captures one per audited batch)."""
-        snapshot = ReviewSnapshot(self.policy, compiled=self.compiled)
-        self._snapshot = snapshot
+        policy; only the most recent snapshot is retained.
+
+        While the policy version has not moved, the retained snapshot
+        is returned unchanged.  Otherwise the capture is a structural
+        policy clone plus a fork of this index (see
+        :class:`ReviewSnapshot`): the index repairs itself
+        incrementally and hands its tables to the snapshot, so no
+        index is ever rebuilt for a snapshot."""
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.version != self.policy.version:
+            snapshot = self._snapshot = ReviewSnapshot(
+                self.policy, compiled=self.compiled, index=self
+            )
         return snapshot
+
+    def _fork(self, policy: Policy) -> "AuthorizationIndex":
+        """This index, validated, over ``policy`` — a structural clone
+        of this index's policy at the current version, so every vertex
+        ID means the same vertex in both.
+
+        Held masks, held frozensets and rectangle rows are immutable
+        and shared; the per-subject dicts are copied, because live
+        repair rebinds their entries in place.  Compiled rectangles
+        decode through their graph, so each distinct one is rebound to
+        the clone's graph once.  The fork indexes the same subjects,
+        gets its own journal cursor and ordering oracle on the clone,
+        and counts no rebuilds; it never repairs (nothing mutates the
+        clone), so it needs no rectangle pool or region cache."""
+        self._validate()
+        fork = AuthorizationIndex.__new__(AuthorizationIndex)
+        fork.policy = policy
+        fork.incremental = self.incremental
+        fork.compiled = self.compiled
+        fork.full_rebuilds = fork.partial_refreshes = 0
+        fork.users_refreshed = 0
+        fork._owns = self._owns
+        fork._cursor = policy.journal_cursor()
+        fork._held = dict(self._held)
+        fork._rect_rows = dict(self._rect_rows)
+        fork._extras_users = set(self._extras_users)
+        if self.compiled:
+            graph = policy.graph
+            rebound: dict[int, BitGrantRectangle] = {}
+
+            def rebind(rectangle):
+                clone = rebound.get(id(rectangle))
+                if clone is None:
+                    clone = rebound[id(rectangle)] = BitGrantRectangle(
+                        rectangle.held, rectangle.source_bits,
+                        rectangle.target_bits, rectangle.extra_sources,
+                        rectangle.extra_targets, graph,
+                    )
+                return clone
+
+            fork._rectangles = {
+                user: tuple(map(rebind, rectangles))
+                for user, rectangles in self._rectangles.items()
+            }
+        else:
+            fork._rectangles = dict(self._rectangles)
+        fork._oracle = OrderingOracle(policy, compiled=self.compiled)
+        fork._pool = None
+        fork._region_cache = None
+        fork._snapshot = None
+        return fork
 
     def _snapshot_at(self, version: int) -> "ReviewSnapshot":
         return retained_snapshot(self._snapshot, version)
@@ -1177,24 +1237,30 @@ def retained_snapshot(
 class ReviewSnapshot:
     """A frozen review-function view of the policy at one version.
 
-    Captures a :meth:`Policy.copy` eagerly (O(V+E), the cost of
-    consistency) and builds an index over it lazily on the first
-    review query — in the retaining index's kernel representation, so
-    a frozenset-oracle index stays frozenset end to end — so a
-    batched submit-queue that retains a snapshot per audited batch
-    pays for the index only if an audit actually reads it.  Answers
-    are immutable: every ``grantable_pairs`` / ``revocable_pairs`` /
-    ``effective_authority`` call sees exactly the captured version,
-    regardless of how far the live policy has moved on.
+    Holds a structural clone of the policy (:meth:`Policy.copy`, a
+    container copy that keeps the vertex-ID layout) and an index over
+    that clone.  Given the live ``index`` over ``policy``, the snapshot
+    forks it: the live index repairs itself incrementally and hands its
+    tables over (:meth:`AuthorizationIndex.snapshot` captures this
+    way, once per version).  Without one, the index is built lazily on
+    the first query, in the ``compiled`` kernel, so a frozenset-oracle
+    caller stays frozenset end to end.  Answers are immutable: every
+    query sees exactly the captured version, however far the live
+    policy has moved on.
     """
 
     __slots__ = ("version", "compiled", "_policy", "_index")
 
-    def __init__(self, policy: Policy, compiled: bool = True):
+    def __init__(
+        self,
+        policy: Policy,
+        compiled: bool = True,
+        index: AuthorizationIndex | None = None,
+    ):
         self.version = policy.version
         self.compiled = compiled
         self._policy = policy.copy()
-        self._index: AuthorizationIndex | None = None
+        self._index = None if index is None else index._fork(self._policy)
 
     def _ensure_index(self) -> AuthorizationIndex:
         index = self._index
@@ -1212,6 +1278,9 @@ class ReviewSnapshot:
 
     def revocable_pairs(self, user: User) -> frozenset:
         return self._ensure_index().revocable_pairs(user)
+
+    def held_privileges_bulk(self, users) -> dict[User, frozenset]:
+        return self._ensure_index().held_privileges_bulk(users)
 
     def authorizes(self, user: User, command: Command) -> Privilege | None:
         """Decide ``command`` for ``user`` at the pinned version — the

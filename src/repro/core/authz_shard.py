@@ -476,10 +476,15 @@ class ShardedAuthorizationIndex:
     def snapshot(self) -> ReviewSnapshot:
         """Capture and retain a review snapshot at the current policy
         version — one snapshot for the whole façade, answered by an
-        (unsharded) index over the frozen copy; shard layout is
-        invisible to review reads either way."""
-        snapshot = ReviewSnapshot(self.policy, compiled=self.compiled)
-        self._snapshot = snapshot
+        (unsharded) index built lazily over the frozen copy; shard
+        layout is invisible to review reads either way.  While the
+        policy version has not moved, the retained snapshot is
+        returned unchanged."""
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.version != self.policy.version:
+            snapshot = self._snapshot = ReviewSnapshot(
+                self.policy, compiled=self.compiled
+            )
         return snapshot
 
     def _snapshot_at(self, version: int) -> ReviewSnapshot:

@@ -226,8 +226,11 @@ class ReferenceMonitor:
         and as :attr:`last_snapshot`: an audit burst run while or after
         the batch applies can pass ``at_version=last_snapshot.version``
         to ``grantable_pairs``/``revocable_pairs`` and see one
-        consistent version.  Costs one policy copy per batch, which is
-        why it is opt-in.
+        consistent version.  The capture is the index's
+        :meth:`~repro.core.authz_index.AuthorizationIndex.snapshot`: free
+        when a snapshot at the entry version is already retained (the
+        PDP publishes one after every batch), otherwise one structural
+        policy clone plus an index fork.
         """
         commands = list(queue)
         if not batched or self._index is None or self.mode is not Mode.REFINED:

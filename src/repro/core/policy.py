@@ -431,11 +431,13 @@ class Policy:
     # Value semantics
     # ------------------------------------------------------------------
     def copy(self) -> "Policy":
-        clone = Policy()
-        for vertex in self._graph.vertices():
-            clone._graph.add_vertex(vertex)
-        for source, target in self._graph.edges():
-            clone._graph.add_edge(source, target)
+        """An independent copy over a structural clone of the graph
+        (:meth:`Digraph.copy`): same version and vertex-ID layout, a
+        fresh journal, and cold caches."""
+        clone = Policy.__new__(Policy)
+        clone._graph = self._graph.copy()
+        clone._cache = ReachabilityCache(clone._graph)
+        clone._bits = None
         return clone
 
     def edge_set(self) -> frozenset[PolicyEdge]:

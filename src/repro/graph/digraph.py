@@ -198,7 +198,8 @@ class Digraph:
     when the journal no longer reaches back that far (the caller must
     then fall back to a full rebuild).  The journal keeps at most
     ``JOURNAL_LIMIT`` entries; policy-churn bursts larger than that are
-    rare and a full rebuild amortizes them.
+    rare and a full rebuild amortizes them.  A :meth:`copy` shares the
+    version but not the journal: its history starts at the copy.
 
     Consumers that repair lazily and independently (e.g. the shards of
     a sharded authorization index) register a :class:`JournalCursor`
@@ -475,12 +476,31 @@ class Digraph:
         return len(self._pred.get(vertex, ()))
 
     def copy(self) -> "Digraph":
-        """An independent copy sharing no mutable state."""
-        clone = Digraph()
-        for vertex in self._succ:
-            clone.add_vertex(vertex)
-        for source, target in self.edges():
-            clone.add_edge(source, target)
+        """An independent structural clone sharing no mutable state.
+
+        The clone copies the containers instead of replaying every
+        vertex and edge through the journaled mutators: it keeps the
+        source's vertex-ID layout (interner, free-list and bitset rows)
+        and its ``version``, and starts an empty journal at that
+        version — ``changes_since`` of any older version is None, and
+        no journal cursor of the source follows it.  Keeping the layout
+        is what lets a compiled index's masks over the source be
+        handed to a clone unchanged
+        (:meth:`repro.core.authz_index.AuthorizationIndex.snapshot`).
+        """
+        clone = Digraph.__new__(Digraph)
+        clone._succ = {vertex: set(out) for vertex, out in self._succ.items()}
+        clone._pred = {vertex: set(into) for vertex, into in self._pred.items()}
+        clone._edge_count = self._edge_count
+        clone.version = self.version
+        clone._journal = deque()
+        clone._journal_base = self.version
+        clone._cursors = weakref.WeakSet()
+        clone._vid = dict(self._vid)
+        clone._vertex_of = list(self._vertex_of)
+        clone._free_vids = list(self._free_vids)
+        clone._succ_bits = list(self._succ_bits)
+        clone._pred_bits = list(self._pred_bits)
         return clone
 
     def __eq__(self, other: object) -> bool:

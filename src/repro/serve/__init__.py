@@ -34,6 +34,7 @@ from .wal import (
     PolicyWal,
     WalError,
     WalRecord,
+    iter_wal,
     read_wal,
     repair_torn_tail,
     replay_wal,
@@ -61,6 +62,7 @@ __all__ = [
     "PolicyWal",
     "WalError",
     "WalRecord",
+    "iter_wal",
     "read_wal",
     "repair_torn_tail",
     "replay_wal",

@@ -20,13 +20,18 @@ Writer side
 Reader side
     :meth:`check` / :meth:`check_many` never touch the writer's index.
     After each batch the writer *publishes* a fresh
-    :class:`~repro.core.authz_index.ReviewSnapshot`; readers decide
-    against whatever snapshot is currently published — an immutable
-    object, so no locks — and requests arriving within one event-loop
-    tick accumulate into a read window answered by a single
-    ``authorizes_batch`` sweep.  A read is therefore pinned to one
-    policy version, reported on its :class:`Decision` along with the
-    snapshot's age (``staleness``).
+    :class:`~repro.core.authz_index.ReviewSnapshot` through the index's
+    ``snapshot()``: the live index repairs itself incrementally, the
+    policy is cloned structurally and the index is forked onto the
+    clone, so publication costs a container copy, not a policy replay
+    and an index build.  That published snapshot is also the next
+    batch's entry snapshot, so ``submit_queue(snapshot=True)`` captures
+    nothing new.  Readers decide against whatever snapshot is currently
+    published — an immutable object, so no locks — and requests
+    arriving within one event-loop tick accumulate into a read window
+    answered by a single ``authorizes_batch`` sweep.  A read is
+    therefore pinned to one policy version, reported on its
+    :class:`Decision` along with the snapshot's age (``staleness``).
 
 Fault tolerance
     With a :class:`~repro.serve.wal.PolicyWal` attached, every
@@ -89,7 +94,7 @@ from .supervisor import (
     WriterFailed,
     WriterSupervisor,
 )
-from .wal import PolicyWal, read_wal, repair_torn_tail, replay_wal, verify_chain
+from .wal import PolicyWal, iter_wal, repair_torn_tail, replay_wal, verify_chain
 
 __all__ = ["Decision", "PolicyDecisionPoint", "as_command"]
 
@@ -211,7 +216,6 @@ class PolicyDecisionPoint:
                 f"queue_limit must be >= 1 or None, got {queue_limit}"
             )
         self.monitor = monitor
-        self.compiled = monitor.compiled
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.limiter = rate_limiter
@@ -236,9 +240,7 @@ class PolicyDecisionPoint:
                 # live policy — never from a silently diverged one.
                 wal.append_rebase(monitor.policy)
             self.wal = wal
-        self._snapshot = ReviewSnapshot(
-            monitor.policy, compiled=self.compiled
-        )
+        self._snapshot = monitor._index.snapshot()
         self._published_at = self.clock()
         if retain_history:
             self.history[self._snapshot.version] = self._snapshot
@@ -334,12 +336,13 @@ class PolicyDecisionPoint:
         The log is reattached with a ``rebase`` anchor, so the chain
         continues across the crash.  ``kwargs`` pass through to the
         constructor (``max_batch``, ``rate_limiter``, ...); call
-        :meth:`start` (or enter the context manager) to serve."""
+        :meth:`start` (or enter the context manager) to serve.  Each
+        pass streams the log, so recovery never holds all of its
+        records in memory at once."""
         path = str(path)
         repair_torn_tail(path)
-        records, _ = read_wal(path)
-        verify_chain(records, expected_head=expected_head)
-        monitor = replay_wal(records, compiled=compiled, shards=shards)
+        verify_chain(iter_wal(path), expected_head=expected_head)
+        monitor = replay_wal(iter_wal(path), compiled=compiled, shards=shards)
         return cls(monitor, wal=PolicyWal(path), **kwargs)
 
     # ------------------------------------------------------------------
@@ -681,18 +684,18 @@ class PolicyDecisionPoint:
                 future.set_exception(error)
 
     def _publish(self, fresh: bool = True) -> None:
-        """Capture and publish a fresh reader snapshot of the current
-        policy, then advance the decision cache to its version by
-        selective journal-driven eviction.
+        """Publish the index's snapshot of the current policy (retained
+        as is when the version did not move, else a clone and an index
+        fork — see :meth:`AuthorizationIndex.snapshot`), then advance
+        the decision cache to its version by selective journal-driven
+        eviction.
 
         ``fresh=True`` (every successful pass through the writer,
         batches and refreshes alike) restamps ``_published_at``; the
         failure path passes False so the staleness clock only resets
         when the version actually advanced — a same-version republish
         from a failing writer proves nothing about freshness."""
-        snapshot = ReviewSnapshot(
-            self.monitor.policy, compiled=self.compiled
-        )
+        snapshot = self.monitor._index.snapshot()
         if fresh or snapshot.version != self._snapshot.version:
             self._published_at = self.clock()
         self._snapshot = snapshot

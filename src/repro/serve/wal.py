@@ -64,6 +64,7 @@ __all__ = [
     "PolicyWal",
     "WalError",
     "WalRecord",
+    "iter_wal",
     "read_wal",
     "repair_torn_tail",
     "replay_wal",
@@ -152,6 +153,35 @@ def _parse_line(data: bytes, line_number: int) -> WalRecord:
     return WalRecord(seq, kind, payload, prev, digest)
 
 
+def _scan_wal(path: str, tolerate_torn_tail: bool):
+    """Parse the log at ``path`` one line at a time, yielding
+    ``(offset, record)``: the byte offset of each record's line, and
+    ``(offset, None)`` last for a tolerated torn tail.  Streaming keeps
+    memory flat in the log's length for callers that need no list."""
+    offset = 0
+    with open(path, "rb") as handle:
+        for line_number, line in enumerate(handle, 1):
+            if not line.endswith(b"\n"):
+                # Unterminated final line: the torn-write artifact.
+                if not tolerate_torn_tail:
+                    raise WalError(
+                        f"WAL has a torn tail at byte {offset} (line "
+                        f"{line_number}): recover with "
+                        "tolerate_torn_tail=True, or the file is corrupt"
+                    )
+                yield offset, None
+                return
+            if line.strip():
+                yield offset, _parse_line(line[:-1], line_number)
+            offset += len(line)
+
+
+def iter_wal(path: str):
+    """The records of the cleanly terminated log at ``path``, parsed
+    lazily (a torn tail raises, as in strict :func:`read_wal`)."""
+    return (record for _, record in _scan_wal(path, False))
+
+
 def read_wal(
     path: str, tolerate_torn_tail: bool = False
 ) -> tuple[list[WalRecord], int | None]:
@@ -164,29 +194,13 @@ def read_wal(
     torn tail raises instead — the strict mode ``verify`` uses.  Any
     malformed *newline-terminated* line is corruption and always
     raises :class:`WalError`."""
-    with open(path, "rb") as handle:
-        data = handle.read()
     records: list[WalRecord] = []
     torn_offset: int | None = None
-    offset = 0
-    line_number = 0
-    while offset < len(data):
-        line_number += 1
-        end = data.find(b"\n", offset)
-        if end == -1:
-            # Unterminated final line: the torn-write artifact.
-            if not tolerate_torn_tail:
-                raise WalError(
-                    f"WAL has a torn tail at byte {offset} (line "
-                    f"{line_number}): recover with "
-                    "tolerate_torn_tail=True, or the file is corrupt"
-                )
+    for offset, record in _scan_wal(path, tolerate_torn_tail):
+        if record is None:
             torn_offset = offset
-            break
-        line = data[offset:end]
-        if line.strip():
-            records.append(_parse_line(line, line_number))
-        offset = end + 1
+        else:
+            records.append(record)
     return records, torn_offset
 
 
@@ -196,7 +210,10 @@ def repair_torn_tail(path: str) -> int | None:
     or None when the file was already cleanly terminated.  The dropped
     batch was never acknowledged (fsync precedes future resolution),
     so no caller was told it survived."""
-    _, torn_offset = read_wal(path, tolerate_torn_tail=True)
+    torn_offset = None
+    for offset, record in _scan_wal(path, tolerate_torn_tail=True):
+        if record is None:
+            torn_offset = offset
     if torn_offset is not None:
         with open(path, "rb+") as handle:
             handle.truncate(torn_offset)
@@ -205,11 +222,10 @@ def repair_torn_tail(path: str) -> int | None:
     return torn_offset
 
 
-def verify_chain(
-    records: list[WalRecord], expected_head: str | None = None
-) -> str:
-    """Verify the full tamper-evidence contract; returns the head
-    digest.  Raises :class:`WalError` naming the first violated link:
+def verify_chain(records, expected_head: str | None = None) -> str:
+    """Verify the full tamper-evidence contract over ``records`` (any
+    iterable, e.g. :func:`iter_wal`); returns the head digest.  Raises
+    :class:`WalError` naming the first violated link:
 
     * the log is non-empty and starts with a ``genesis`` at seq 0
       whose ``prev`` is the all-zero digest;
@@ -225,9 +241,8 @@ def verify_chain(
       consistent, so the head must be anchored outside the file —
       the live WAL's in-memory head, or an operator-recorded anchor).
     """
-    if not records:
-        raise WalError("empty WAL: no genesis record")
     head = GENESIS_PREV
+    position = -1
     for position, record in enumerate(records):
         if record.seq != position:
             raise WalError(
@@ -256,6 +271,8 @@ def verify_chain(
                 f"{recomputed[:12]}... (record mutated)"
             )
         head = record.digest
+    if position < 0:
+        raise WalError("empty WAL: no genesis record")
     if expected_head is not None and head != expected_head:
         raise WalError(
             f"head digest {head[:12]}... does not match expected "
@@ -265,17 +282,17 @@ def verify_chain(
 
 
 def replay_wal(
-    records: list[WalRecord],
+    records,
     compiled: bool = True,
     shards: int = 1,
 ) -> ReferenceMonitor:
     """Deterministically rebuild the pre-crash monitor from verified
-    ``records``: policy document + version fast-forward at genesis and
-    every rebase, one ``submit_queue(batched=True)`` transaction per
-    batch record.  Each batch's recorded executed/noop outcomes and
-    post-batch version are cross-checked — a mismatch means the log
-    does not describe this codebase's deterministic decision function
-    and replay must not silently continue.  ``compiled`` picks the
+    ``records`` (any iterable): policy document + version fast-forward
+    at genesis and every rebase, one ``submit_queue(batched=True)``
+    transaction per batch record.  Each batch's recorded executed/noop
+    outcomes and post-batch version are cross-checked — a mismatch
+    means the log does not describe this codebase's deterministic
+    decision function and replay must not silently continue.  ``compiled`` picks the
     kernel; the rebuilt *state* is kernel-independent (invariant 15
     pins both)."""
     monitor: ReferenceMonitor | None = None
@@ -361,19 +378,22 @@ class PolicyWal:
         #: duplicate a seq and corrupt the chain for good.
         self._poisoned: str | None = None
         if os.path.exists(self.path) and os.path.getsize(self.path):
-            existing, _ = read_wal(self.path, tolerate_torn_tail=False)
-            self.head = verify_chain(existing)
-            self.next_seq = len(existing)
-            self.records = len(existing)
-            self.batches = sum(
-                1 for record in existing if record.kind == "batch"
-            )
+            self.head = verify_chain(self._tally(iter_wal(self.path)))
+            self.next_seq = self.records
             self.bytes_written = os.path.getsize(self.path)
-            for record in reversed(existing):
-                version = record.payload.get("version")
-                if isinstance(version, int):
-                    self.last_version = version
-                    break
+
+    def _tally(self, records):
+        """Pass ``records`` through, counting them (and the batches)
+        and keeping the last recorded policy version — the handle's
+        position in an existing log, read in one streaming pass."""
+        for record in records:
+            self.records += 1
+            if record.kind == "batch":
+                self.batches += 1
+            version = record.payload.get("version")
+            if isinstance(version, int):
+                self.last_version = version
+            yield record
 
     # -- appends -------------------------------------------------------
     def _append(self, kind: str, payload: dict) -> WalRecord:

@@ -531,9 +531,8 @@ def fuzz_lint(
     The comparison runs on the freshly generated policy and again
     after each of ``rounds`` chunks of :func:`_recycling_churn` — so
     the compiled sweeps are exercised over interners with freed and
-    recycled vertex IDs, which lint deliberately does not launder
-    through a dense re-interning copy.  Each comparison also declares
-    an SSD separation set sampled from the live roles, pinning the
+    recycled vertex IDs.  Each comparison also declares an SSD
+    separation set sampled from the live roles, pinning the
     ``constraint-conflict`` rule in both kernels.
     """
     from ..analysis.constraints import SsdConstraint
@@ -588,12 +587,10 @@ def fuzz_repair(
     and self-consistent.
 
     Per round: the compiled run repairs the churned policy **in
-    place** (preserving the recycled interner layout the churn
-    produced — a copy would re-intern densely and launder exactly the
-    layouts this invariant exercises) while the frozenset oracle
-    repairs a value-equal copy.  The two runs must emit identical
-    plan/outcome sequences and value-equal repaired policies; the
-    repaired policy must refine the pre-repair one (Definition 6);
+    place** (over the recycled interner layout the churn produced)
+    while the frozenset oracle repairs a copy.  The two runs must emit
+    identical plan/outcome sequences and value-equal repaired policies;
+    the repaired policy must refine the pre-repair one (Definition 6);
     and the result must be a fixpoint — repairing again applies no
     plan, and a fresh lint equals the run's final report.  Churn then
     continues from the repaired policy into the next round.
@@ -861,9 +858,12 @@ def fuzz_pdp(
     (Which of several covering privileges gets reported follows the
     kernel's internal scan order — frozenset hash order vs ascending
     interned IDs — so the *choice* is deliberately not pinned; its
-    *validity* is.)  Every applied micro-batch is replayed through a
-    fresh synchronous ``submit_queue(batched=True)`` monitor starting
-    from the round-entry policy: the :class:`ExecutionRecord`
+    *validity* is.)  Every retained snapshot — each one a fork of the
+    live index onto a policy clone — must also report, for every user,
+    exactly the held privileges that oracle reports.  Every applied
+    micro-batch is replayed through a fresh synchronous
+    ``submit_queue(batched=True)`` monitor starting from the
+    round-entry policy: the :class:`ExecutionRecord`
     sequences must match on executed/noop element for element, the
     claimed authorizations must validate against the replay monitor's
     batch-entry index the same way, and the replayed policy must
@@ -1076,6 +1076,21 @@ def fuzz_pdp(
             report.violations.append(
                 f"denied decision carries a privilege at version "
                 f"{decision.version}: {command} {decision.authorized_by}"
+            )
+
+    for version, snapshot in pdp.history.items():
+        oracle = oracle_indexes.get(version)
+        if oracle is None:
+            oracle = oracle_indexes[version] = AuthorizationIndex(
+                snapshot.policy_copy(), compiled=False
+            )
+        users = list(oracle.policy.users())
+        if snapshot.held_privileges_bulk(users) != (
+            oracle.held_privileges_bulk(users)
+        ):
+            report.violations.append(
+                f"retained snapshot at version {version}: held "
+                "privileges diverge from a fresh oracle index"
             )
 
     if retries == 0:

@@ -227,3 +227,74 @@ class TestEffectiveAuthority:
         assert index.effective_authority(U) == {
             "grant": frozenset(), "revoke": frozenset()
         }
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["bits", "sets"])
+class TestSnapshotFork:
+    """``snapshot()`` forks the live index onto a structural policy
+    clone; every answer must equal a fresh build over that clone."""
+
+    GHOST = User("ghost")  # named by a held grant, never registered
+
+    @classmethod
+    def _probes(cls, policy):
+        subjects = sorted(policy.users(), key=str) + [cls.GHOST]
+        roles = sorted(policy.roles(), key=str) + [Role("nowhere")]
+        sources = subjects + roles
+        commands = [
+            make(subject, source, target)
+            for subject in subjects
+            for make in (grant_cmd, revoke_cmd)
+            for source in sources
+            for target in roles + [Grant(U, LOW)]
+        ]
+        return subjects, [(command.user, command) for command in commands]
+
+    @classmethod
+    def _answers(cls, reader, policy):
+        subjects, pairs = cls._probes(policy)
+        return (
+            reader.authorizes_batch(pairs),
+            reader.grantable_pairs_bulk(subjects),
+            reader.held_privileges_bulk(subjects),
+        )
+
+    def test_fork_answers_equal_a_fresh_build(self, policy, compiled):
+        policy.assign_privilege(ADM, Grant(self.GHOST, HIGH))
+        index = AuthorizationIndex(policy, compiled=compiled)
+        captured = []
+        for step_mutation in (
+            lambda: None,
+            # Privilege GC frees an ID; the re-grant recycles it.
+            lambda: policy.remove_edge(ADM, Revoke(U, HIGH)),
+            lambda: policy.assign_privilege(ADM, Grant(ADMIN, LOW)),
+            # Deprovision the rectangle's own endpoint (it moves to
+            # the extras), then an RH change dirties the rectangle.
+            lambda: policy.remove_user(U),
+            lambda: policy.add_inheritance(LOW, ADM),
+            lambda: (policy.add_user(U), policy.assign_user(U, MID)),
+        ):
+            step_mutation()
+            snapshot = index.snapshot()
+            assert index.snapshot() is snapshot  # version did not move
+            assert snapshot.version == policy.version
+            assert snapshot._index.full_rebuilds == 0
+            fresh = AuthorizationIndex(
+                snapshot.policy_copy(), compiled=compiled
+            )
+            frozen = snapshot.policy_copy()
+            answers = self._answers(snapshot, frozen)
+            assert answers == self._answers(fresh, frozen)
+            captured.append((snapshot, frozen, answers))
+        # Live churn after capture never reaches a snapshot, even as
+        # the live index repairs and the interner recycles its IDs.
+        policy.remove_edge(ADM, Grant(ADMIN, LOW))
+        policy.assign_privilege(HIGH, Grant(U, MID))
+        low_id = policy.graph.vid(LOW)
+        policy.remove_role(LOW)
+        policy.add_role(Role("fresh"))
+        assert policy.graph.vid(Role("fresh")) == low_id
+        index.refresh()
+        for snapshot, frozen, answers in captured:
+            assert self._answers(snapshot, frozen) == answers
+            assert snapshot.policy_copy() == frozen

@@ -186,6 +186,74 @@ class TestValueSemantics:
         assert not policy.has_edge(R, S)
         assert clone == clone.copy()
 
+    @staticmethod
+    def _churned():
+        """A policy whose interner has a free-list: revoking ``(S, P)``
+        garbage-collects the privilege vertex."""
+        policy = Policy(ua=[(U, R), (V, S)], rh=[(R, S)], pa=[(S, P)])
+        policy.remove_edge(S, P)
+        assert P not in policy.graph
+        return policy
+
+    @staticmethod
+    def _layout(policy):
+        graph = policy.graph
+        return (
+            dict(graph._vid), list(graph._vertex_of),
+            list(graph._free_vids), list(graph._succ_bits),
+            list(graph._pred_bits),
+        )
+
+    def test_copy_keeps_layout_version_and_masks(self):
+        policy = self._churned()
+        bits = policy.bits
+        clone = policy.copy()
+        assert policy.graph._free_vids
+        assert self._layout(clone) == self._layout(policy)
+        assert clone.version == policy.version
+        assert clone.changes_since(policy.version - 1) is None
+        assert clone.changes_since(clone.version) == ()
+        # Same layout, so the clone's sort masks are the same ints.
+        assert clone.bits.privileges_mask == bits.privileges_mask
+        assert clone.bits.users_mask == bits.users_mask
+
+    @pytest.mark.parametrize("side", ["source", "clone"])
+    def test_copy_mutations_stay_on_their_side(self, side):
+        policy = self._churned()
+        clone = policy.copy()
+        mutated, untouched = (
+            (policy, clone) if side == "source" else (clone, policy)
+        )
+        before = (
+            untouched.edge_set(), untouched.vertex_set(), untouched.version,
+            self._layout(untouched), untouched.bits.privileges_mask,
+            untouched.descendants(U),
+        )
+        freed = list(mutated.graph._free_vids)
+        # Re-granting recycles the collected privilege's ID; deleting
+        # a user frees another.
+        mutated.assign_privilege(R, Grant(V, R))
+        assert mutated.graph.vid(Grant(V, R)) in freed
+        mutated.remove_user(V)
+        mutated.remove_edge(U, R)
+        assert (
+            untouched.edge_set(), untouched.vertex_set(), untouched.version,
+            self._layout(untouched), untouched.bits.privileges_mask,
+            untouched.descendants(U),
+        ) == before
+        assert mutated.bits.privileges_mask != before[4]
+
+    def test_copy_does_not_share_journal_cursors(self):
+        policy = self._churned()
+        cursor = policy.journal_cursor()
+        clone = policy.copy()
+        clone.add_role(T)
+        assert not cursor.pending
+        clone_cursor = clone.journal_cursor()
+        policy.add_role(T)
+        assert cursor.pending
+        assert not clone_cursor.pending
+
     def test_equality(self):
         one = Policy(ua=[(U, R)])
         two = Policy(ua=[(U, R)])

@@ -96,6 +96,90 @@ def test_copy_is_independent():
     assert clone.has_edge("a", "b")
 
 
+def _churned():
+    """A graph whose interner has a free-list: ``c`` was removed."""
+    graph = Digraph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    graph.remove_vertex("c")
+    return graph
+
+
+def _layout(graph):
+    return (
+        dict(graph._vid), list(graph._vertex_of), list(graph._free_vids),
+        list(graph._succ_bits), list(graph._pred_bits),
+    )
+
+
+def _state(graph):
+    return (
+        graph.edge_set(), frozenset(graph.vertices()), graph.edge_count,
+        graph.version, _layout(graph),
+        graph.changes_since(0, compact=False),
+    )
+
+
+def test_copy_keeps_the_vertex_id_layout():
+    graph = _churned()
+    clone = graph.copy()
+    assert graph._free_vids  # the free-list is part of what is copied
+    assert _layout(clone) == _layout(graph)
+    assert clone == graph
+    assert clone.edge_count == graph.edge_count
+
+
+def test_copy_keeps_the_version_and_starts_an_empty_journal():
+    graph = _churned()
+    clone = graph.copy()
+    assert clone.version == graph.version
+    assert clone.changes_since(clone.version) == ()
+    assert clone.changes_since(0) is None
+    assert clone.changes_since(graph.version - 1) is None
+    clone.add_edge("x", "y")
+    deltas = clone.changes_since(graph.version)
+    assert [delta.kind for delta in deltas] == [
+        "add-vertex", "add-vertex", "add-edge",
+    ]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda g: g.add_edge("b", "d"),
+    lambda g: g.remove_edge("a", "b"),
+    lambda g: g.remove_vertex("b"),
+    # Recycles the ID ``c`` freed, on whichever side runs it.
+    lambda g: g.add_edge("d", "f"),
+], ids=["add-edge", "remove-edge", "remove-vertex", "recycle-id"])
+@pytest.mark.parametrize("side", ["source", "clone"])
+def test_copy_mutations_stay_on_their_side(mutate, side):
+    graph = _churned()
+    clone = graph.copy()
+    mutated, untouched = (graph, clone) if side == "source" else (clone, graph)
+    before = _state(untouched)
+    free = list(mutated._free_vids)
+    mutate(mutated)
+    assert _state(untouched) == before
+    assert _state(mutated) != before
+    if len(mutated._free_vids) < len(free):
+        assert mutated.vid("f") in free  # the recycled ID
+    # The same mutation on the other side reproduces this one exactly:
+    # the two layouts never diverged.
+    mutate(untouched)
+    assert _layout(untouched) == _layout(mutated)
+
+
+def test_copy_does_not_share_journal_cursors():
+    graph = _churned()
+    cursor = graph.journal_cursor()
+    clone = graph.copy()
+    assert not list(clone._cursors)
+    clone.add_edge("a", "e")
+    assert not cursor.pending
+    clone_cursor = clone.journal_cursor()
+    graph.add_edge("a", "f")
+    assert cursor.pending
+    assert not clone_cursor.pending
+    assert list(graph._cursors) == [cursor]
+
+
 def test_equality_by_structure():
     one = Digraph([("a", "b")])
     two = Digraph([("a", "b")])

@@ -24,6 +24,7 @@ from repro.serve import (
     WalError,
     WriterFailed,
     WriterSupervisor,
+    iter_wal,
     read_wal,
     repair_torn_tail,
     replay_wal,
@@ -86,6 +87,26 @@ class TestChain:
     def test_empty_log_rejected(self):
         with pytest.raises(WalError, match="empty WAL"):
             verify_chain([])
+        with pytest.raises(WalError, match="empty WAL"):
+            verify_chain(iter(()))
+
+    def test_streaming_reader_matches_read_wal(self, tmp_path):
+        """Recovery streams the log: iter_wal yields what read_wal
+        lists, and verify_chain / replay_wal accept the stream."""
+        path = tmp_path / "p.wal"
+        _, version, head = _drive(path)
+        records, _ = read_wal(str(path))
+        assert [
+            (r.seq, r.kind, r.digest, r.payload) for r in iter_wal(str(path))
+        ] == [(r.seq, r.kind, r.digest, r.payload) for r in records]
+        assert verify_chain(iter_wal(str(path)), expected_head=head) == head
+        replayed = replay_wal(iter_wal(str(path)))
+        assert replayed.policy.version == version
+        assert replayed.policy == replay_wal(records).policy
+        with path.open("ab") as handle:
+            handle.write(b'{"torn": ')
+        with pytest.raises(WalError, match="torn tail"):
+            list(iter_wal(str(path)))
 
     def test_genesis_must_be_first(self, tmp_path):
         path = tmp_path / "p.wal"
