@@ -33,9 +33,11 @@ value).
 Run under pytest (``pytest benchmarks/bench_pdp.py -s``) or directly
 (``PYTHONPATH=src python benchmarks/bench_pdp.py``).
 ``PDP_BENCH_PRINCIPALS`` / ``PDP_BENCH_ROUNDS`` / ``PDP_BENCH_USERS``
-/ ``PDP_SPEEDUP_TARGET`` shrink the workload and the assertion bar for
-CI smoke runs; ``tools/bench_report.py`` sets ``PDP_METRICS_OUT`` to
-collect the numbers into the ``BENCH_kernel.json`` trajectory.
+/ ``PDP_SPEEDUP_TARGET`` / ``PDP_P99_TARGET`` shrink the workload and
+the assertion bars for CI smoke runs (a p99 target of 0 records the
+p99 speedup without asserting it); ``tools/bench_report.py`` sets
+``PDP_METRICS_OUT`` to collect the numbers into the
+``BENCH_kernel.json`` trajectory.
 """
 
 import asyncio
@@ -61,6 +63,10 @@ BENCH_USERS = int(os.environ.get("PDP_BENCH_USERS", "2000"))
 #: margin is far wider (the cache short-circuits repeated probes and
 #: the baseline queues every page behind every other principal's).
 SPEEDUP_TARGET = float(os.environ.get("PDP_SPEEDUP_TARGET", "3"))
+#: the tail must not lose to the baseline either: publication blocks
+#: every reader, so a slow publish shows up at p99 first.  0 disables
+#: the assertion (the reduced CI run, whose p99 swings across 1x).
+P99_TARGET = float(os.environ.get("PDP_P99_TARGET", "1"))
 #: probes per page: one principal request carries a review page of
 #: several candidate edges, the RPC shape ``check_many`` exists for.
 PROBES = 8
@@ -361,6 +367,7 @@ def collect_metrics() -> dict:
         "write_batches": pdp.metrics.batches,
         "max_batch_size": pdp.metrics.max_batch_size,
         "speedup_target": SPEEDUP_TARGET,
+        "p99_target": P99_TARGET,
     })
     return _metrics_cache
 
@@ -397,6 +404,12 @@ def test_report_pdp_latency():
         f"serialized baseline (target >={SPEEDUP_TARGET}x at "
         f"{PRINCIPALS} principals)"
     )
+    if P99_TARGET > 0:
+        assert metrics["p99_speedup"] >= P99_TARGET, (
+            f"PDP p99 only {metrics['p99_speedup']:.1f}x the serialized "
+            f"baseline's (target >={P99_TARGET}x at {PRINCIPALS} "
+            "principals)"
+        )
     # The serving machinery must actually be engaged, or the latency
     # story is vacuous.
     assert metrics["cache_hits"] > 0

@@ -54,7 +54,10 @@ behaviour.
 kernel*: held sets are big-int bitmasks over the policy graph's
 interned vertex IDs, rectangles are :class:`BitGrantRectangle` masks
 whose :meth:`~BitGrantRectangle.covers` is two bit-tests, and the
-dirty-subject sweep under churn is a mask intersection.
+dirty sweep under churn is a mask intersection plus one
+*stale-privilege mask*: only the rectangles of stale privileges are
+recompiled, and only their rows are patched into the users holding
+them.
 ``compiled=False`` keeps the frozenset representation as the
 differential oracle — `benchmarks/bench_bitset_kernel.py` pins the
 speedup and :func:`repro.workloads.fuzz.fuzz_compiled_kernel`
@@ -63,7 +66,10 @@ speedup and :func:`repro.workloads.fuzz.fuzz_compiled_kernel`
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import itemgetter, or_
 
 from ..graph import ancestors as graph_ancestors
 from ..graph import (
@@ -99,9 +105,9 @@ class GrantRectangle:
     def pair_count(self) -> int:
         return len(self.sources) * len(self.targets)
 
-    def thaw(self) -> "GrantRectangle":
+    def thaw(self, graph=None) -> "GrantRectangle":
         """Representation-normalized view (identity here; the compiled
-        rectangle decodes itself into this class)."""
+        rectangle decodes itself into this class through ``graph``)."""
         return self
 
 
@@ -110,6 +116,13 @@ class BitGrantRectangle:
     ``targets`` as bitmasks over the policy graph's interned vertex
     IDs, so :meth:`covers` is two bit-tests and a pool's dirty-region
     intersection is a single ``&``.
+
+    A rectangle holds no graph: the decoding methods (:meth:`covers`,
+    :meth:`sources`, :meth:`targets`, :meth:`thaw`) take the graph
+    whose IDs the masks are over — the owning index's.  So one
+    rectangle object serves every graph with the same vertex-ID
+    layout, and a snapshot's index shares the live index's rectangles
+    as they are.
 
     A rectangle may cover entities that are not graph vertices: the
     held grant's own endpoints appear in their region reflexively even
@@ -122,19 +135,18 @@ class BitGrantRectangle:
     """
 
     __slots__ = ("held", "source_bits", "target_bits",
-                 "extra_sources", "extra_targets", "_graph")
+                 "extra_sources", "extra_targets")
 
     def __init__(self, held, source_bits, target_bits,
-                 extra_sources=_EMPTY, extra_targets=_EMPTY, graph=None):
+                 extra_sources=_EMPTY, extra_targets=_EMPTY):
         self.held = held
         self.source_bits = source_bits
         self.target_bits = target_bits
         self.extra_sources = extra_sources
         self.extra_targets = extra_targets
-        self._graph = graph
 
-    def covers(self, source: object, target: object) -> bool:
-        vid = self._graph._vid
+    def covers(self, graph, source: object, target: object) -> bool:
+        vid = graph._vid
         source_id = vid.get(source)
         if source_id is None:
             if source not in self.extra_sources:
@@ -152,26 +164,26 @@ class BitGrantRectangle:
             * (self.target_bits.bit_count() + len(self.extra_targets))
         )
 
-    @property
-    def sources(self) -> frozenset:
+    def sources(self, graph) -> frozenset:
         """Decoded source set (mask bits plus off-graph extras)."""
-        vertex_of = self._graph._vertex_of
+        vertex_of = graph._vertex_of
         return frozenset(
             vertex_of[index] for index in iter_bits(self.source_bits)
         ) | self.extra_sources
 
-    @property
-    def targets(self) -> frozenset:
+    def targets(self, graph) -> frozenset:
         """Decoded target set (mask bits plus off-graph extras)."""
-        vertex_of = self._graph._vertex_of
+        vertex_of = graph._vertex_of
         return frozenset(
             vertex_of[index] for index in iter_bits(self.target_bits)
         ) | self.extra_targets
 
-    def thaw(self) -> GrantRectangle:
+    def thaw(self, graph) -> GrantRectangle:
         """Decode into the frozenset representation (for differential
-        comparison against the oracle)."""
-        return GrantRectangle(self.held, self.sources, self.targets)
+        comparison against the oracle and the review surfaces)."""
+        return GrantRectangle(
+            self.held, self.sources(graph), self.targets(graph)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitGrantRectangle):
@@ -237,9 +249,21 @@ def compile_rectangle(
     source_bits, extra_sources = cached
     target_bits, extra_targets = compile_targets(policy, privilege.target)
     return BitGrantRectangle(
-        privilege, source_bits, target_bits,
-        extra_sources, extra_targets, policy.graph,
+        privilege, source_bits, target_bits, extra_sources, extra_targets
     )
+
+
+_row_pid = itemgetter(3)
+
+
+def _endpoints_in(region: int, endpoints: dict, vertex_of) -> int:
+    """The union of the ``endpoints`` masks (endpoint -> privilege
+    mask) keyed by a vertex of ``region``."""
+    get = endpoints.get
+    stale = 0
+    for index in iter_bits(region):
+        stale |= get(vertex_of[index], 0)
+    return stale
 
 
 class AuthorizationIndex:
@@ -260,9 +284,13 @@ class AuthorizationIndex:
       changed) or whose target lies upstream of ``s`` (its descendant
       set — the rectangle's targets — may have changed).
 
-    Everything else is provably untouched, so per-user entries are
-    rebuilt only for the dirty set.  ``full_rebuilds`` /
-    ``partial_refreshes`` / ``users_refreshed`` expose the maintenance
+    Everything else is provably untouched.  The frozenset kernel
+    rebuilds every user holding a dirty rectangle; the compiled kernel
+    turns the dirty rectangles into one *stale-privilege mask*,
+    recompiles each stale rectangle once, and patches just those rows
+    of the users holding them — only users whose held set can change
+    are rebuilt whole.  ``full_rebuilds`` / ``partial_refreshes`` /
+    ``users_refreshed`` / ``rectangles_built`` expose the maintenance
     behaviour to tests and benchmarks.
     """
 
@@ -276,9 +304,9 @@ class AuthorizationIndex:
     REGION_CACHE_LIMIT = 32
 
     __slots__ = ("policy", "incremental", "compiled", "full_rebuilds",
-                 "partial_refreshes", "users_refreshed",
+                 "partial_refreshes", "users_refreshed", "rectangles_built",
                  "_cursor", "_held", "_rectangles", "_rect_rows",
-                 "_extras_users", "_oracle", "_pool", "_owns",
+                 "_rect_users", "_rect_memo", "_oracle", "_pool", "_owns",
                  "_region_cache", "_snapshot")
 
     def __init__(
@@ -300,6 +328,9 @@ class AuthorizationIndex:
         self.full_rebuilds = 0
         self.partial_refreshes = 0
         self.users_refreshed = 0
+        #: rectangles this instance compiled or built itself (a pooled
+        #: shard's come from the pool and are counted there).
+        self.rectangles_built = 0
         self._cursor = policy.journal_cursor()
         #: per-subject held privileges: frozenset[Privilege] when
         #: ``compiled=False``, an int bitmask over privilege vertex IDs
@@ -314,9 +345,11 @@ class AuthorizationIndex:
         #: for the batch kernel's mask-select verdicts.
         self._rect_rows: dict[User, tuple] = {}
         #: compiled bookkeeping: subjects holding at least one
-        #: rectangle with off-graph extras — usually empty, and the
-        #: only subjects an add-vertex burst can force to migrate.
-        self._extras_users: set[User] = set()
+        #: rectangle — the only ones a stale rectangle can touch.
+        self._rect_users: set[User] = set()
+        #: compiled rectangles by held privilege, valid at the cursor's
+        #: version (repair evicts the stale ones); unused with a pool.
+        self._rect_memo: dict[Grant, BitGrantRectangle] = {}
         self._oracle = OrderingOracle(policy, compiled=compiled)
         #: rectangle-sharing pool (see repro.core.authz_shard); None
         #: means rectangles are built privately per instance.
@@ -373,58 +406,101 @@ class AuthorizationIndex:
             rectangles.append(
                 GrantRectangle(privilege, sources, targets)
             )
+            self.rectangles_built += 1
         self._rectangles[user] = tuple(rectangles)
         self.users_refreshed += 1
 
+    def _rectangle(self, privilege: Grant, ancestor_memo: dict):
+        """The current compiled rectangle of ``privilege``: the pool's,
+        or this index's memoized one, compiled on first demand."""
+        if self._pool is not None:
+            return self._pool.rectangle(privilege)
+        rectangle = self._rect_memo.get(privilege)
+        if rectangle is None:
+            rectangle = self._rect_memo[privilege] = compile_rectangle(
+                self.policy, privilege, ancestor_memo
+            )
+            self.rectangles_built += 1
+        return rectangle
+
     def _build_user_bits(
-        self, user: User, ancestor_memo: dict, rectangle_memo: dict
+        self, user: User, ancestor_memo: dict, profiles: dict
     ) -> None:
         """Compiled :meth:`_build_user`: the held set is one BFS mask
         intersected with the privilege sort mask, and rectangles come
-        from the pool or a per-repair memo (their contents are
-        per-privilege, never per-user)."""
+        from the pool or the memo (their contents are per-privilege,
+        never per-user).  ``profiles`` maps a held mask to the entries
+        already built for it in this pass, so users with the same
+        authority share one rectangle tuple and one row."""
         policy = self.policy
         bits = policy.bits
         held = policy.descendants_bits(user) & bits.privileges_mask
-        self._held[user] = held
-        pool = self._pool
-        vertex_of = policy.graph._vertex_of
-        rectangles = []
-        union_sources = union_targets = 0
-        rows = []
-        # iter_bits yields ascending IDs, so rows are in ascending
-        # privilege-ID order — the batch kernel's lowest-set-bit verdict
-        # selection relies on this to reproduce the scalar first-match.
-        for index in iter_bits(held & bits.grant_entity_mask):
-            privilege = vertex_of[index]
-            if pool is not None:
-                rectangle = pool.rectangle(privilege)
-            else:
-                rectangle = rectangle_memo.get(privilege)
-                if rectangle is None:
-                    rectangle = compile_rectangle(
-                        policy, privilege, ancestor_memo
-                    )
-                    rectangle_memo[privilege] = rectangle
-            rectangles.append(rectangle)
-            union_sources |= rectangle.source_bits
-            union_targets |= rectangle.target_bits
-            rows.append((
-                rectangle.source_bits, rectangle.target_bits,
-                rectangle.held, index,
-            ))
-        self._rectangles[user] = tuple(rectangles)
-        self._rect_rows[user] = (
-            held, union_sources, union_targets, tuple(rows)
-        )
-        if any(
-            rectangle.extra_sources or rectangle.extra_targets
-            for rectangle in rectangles
-        ):
-            self._extras_users.add(user)
-        else:
-            self._extras_users.discard(user)
+        profile = profiles.get(held)
+        if profile is None:
+            vertex_of = policy.graph._vertex_of
+            rectangles = []
+            union_sources = union_targets = 0
+            rows = []
+            # iter_bits yields ascending IDs, so rows are in ascending
+            # privilege-ID order — the batch kernel's lowest-set-bit
+            # verdict selection relies on this to reproduce the scalar
+            # first-match.
+            for index in iter_bits(held & bits.grant_entity_mask):
+                rectangle = self._rectangle(vertex_of[index], ancestor_memo)
+                rectangles.append(rectangle)
+                union_sources |= rectangle.source_bits
+                union_targets |= rectangle.target_bits
+                rows.append((
+                    rectangle.source_bits, rectangle.target_bits,
+                    rectangle.held, index,
+                ))
+            profile = profiles[held] = (
+                tuple(rectangles),
+                (held, union_sources, union_targets, tuple(rows)),
+            )
+        self._set_profile(user, profile)
         self.users_refreshed += 1
+
+    def _patch_user_bits(
+        self, user: User, stale: int, ancestor_memo: dict, profiles: dict
+    ) -> None:
+        """Swap the rows of ``user``'s stale rectangles for current
+        ones; the held set is unchanged, so every other row stands and
+        the rows keep their ascending privilege-ID order."""
+        held, _, _, rows = self._rect_rows[user]
+        profile = profiles.get(held)
+        if profile is None:
+            rows = list(rows)
+            rectangles = list(self._rectangles[user])
+            for pid in iter_bits(held & stale):
+                position = bisect_left(rows, pid, key=_row_pid)
+                rectangle = rectangles[position] = self._rectangle(
+                    rows[position][2], ancestor_memo
+                )
+                rows[position] = (
+                    rectangle.source_bits, rectangle.target_bits,
+                    rectangle.held, pid,
+                )
+            profile = profiles[held] = (
+                tuple(rectangles),
+                (
+                    held,
+                    reduce(or_, map(itemgetter(0), rows), 0),
+                    reduce(or_, map(itemgetter(1), rows), 0),
+                    tuple(rows),
+                ),
+            )
+        self._set_profile(user, profile)
+
+    def _set_profile(self, user: User, profile: tuple) -> None:
+        rectangles, row = profile
+        self._held[user] = row[0]
+        self._rectangles[user] = rectangles
+        self._rect_rows[user] = row
+        if rectangles:
+            self._rect_users.add(user)
+        else:
+            self._rect_users.discard(user)
 
     def _subjects(self):
         """The users this instance indexes (all of them, unless it is a
@@ -439,12 +515,13 @@ class AuthorizationIndex:
         self._held.clear()
         self._rectangles.clear()
         self._rect_rows.clear()
-        self._extras_users.clear()
+        self._rect_users.clear()
+        self._rect_memo.clear()
         if self.compiled:
             ancestor_memo: dict = {}
-            rectangle_memo: dict = {}
+            profiles: dict = {}
             for user in self._subjects():
-                self._build_user_bits(user, ancestor_memo, rectangle_memo)
+                self._build_user_bits(user, ancestor_memo, profiles)
         else:
             entity_ancestors: dict[object, frozenset] = {}
             for user in self._subjects():
@@ -525,7 +602,7 @@ class AuthorizationIndex:
                     self._held.pop(delta.source, None)
                     self._rectangles.pop(delta.source, None)
                     self._rect_rows.pop(delta.source, None)
-                    self._extras_users.discard(delta.source)
+                    self._rect_users.discard(delta.source)
                 fresh_users.discard(delta.source)
             elif isinstance(delta.source, User):
                 if delta.source not in self._held and (
@@ -534,66 +611,33 @@ class AuthorizationIndex:
                     fresh_users.add(delta.source)
 
         dirty: set[User] = set(fresh_users)
-        removed = summary.removed_vertices
-        added = summary.added_vertices
-        if self.compiled and (removed or added):
-            # A vertex that is a rectangle's *own endpoint* can leave
-            # or rejoin the graph with the region staying
-            # set-identical (ancestors(s) ∋ s holds off-graph too), so
-            # the frozenset representation needs no repair — but the
-            # compiled rectangle must migrate the endpoint between its
-            # bitmask (freed/assigned ID) and its extras, in both
-            # directions: on removal unconditionally (the mask bit is
-            # freed), on (re-)addition only when the endpoint actually
-            # sits in the extras.  Any *other* region member's removal
-            # journals edge deltas that dirty the rectangle through
-            # the region sweep below.  Removals (rare) scan every
-            # subject; an addition-only burst — every provisioning
-            # load — scans just the subjects known to hold extras.
-            if removed:
-                candidates = self._rectangles.items()
-            elif self._extras_users:
-                candidates = [
-                    (user, self._rectangles[user])
-                    for user in self._extras_users
-                ]
-            else:
-                candidates = ()
-            for user, rectangles in candidates:
-                if user in dirty:
-                    continue
-                for rectangle in rectangles:
-                    held = rectangle.held
-                    if held.source in removed or held.target in removed:
-                        dirty.add(user)
-                        break
-                    if added and (
-                        (
-                            held.source in added
-                            and held.source in rectangle.extra_sources
-                        )
-                        or (
-                            held.target in added
-                            and held.target in rectangle.extra_targets
-                        )
-                    ):
-                        dirty.add(user)
-                        break
-        if summary.edge_sources:
-            if self.compiled:
-                self._collect_dirty_bits(summary, since, dirty)
-            else:
+        if not self.compiled:
+            if summary.edge_sources:
                 self._collect_dirty(summary, since, dirty)
-
-        if self.compiled:
-            ancestor_memo: dict = {}
-            rectangle_memo: dict = {}
-            for user in dirty:
-                self._build_user_bits(user, ancestor_memo, rectangle_memo)
-        else:
             entity_ancestors: dict[object, frozenset] = {}
             for user in dirty:
                 self._build_user(user, entity_ancestors)
+            return
+
+        stale = self._collect_dirty_bits(summary, since, dirty)
+        vertex_of = self.policy.graph._vertex_of
+        memo = self._rect_memo
+        for index in iter_bits(stale):
+            memo.pop(vertex_of[index], None)
+        for vertex in summary.removed_vertices:
+            memo.pop(vertex, None)
+        ancestor_memo: dict = {}
+        profiles: dict = {}
+        for user in dirty:
+            self._build_user_bits(user, ancestor_memo, profiles)
+        if stale:
+            rect_rows = self._rect_rows
+            patched = [
+                user for user in self._rect_users
+                if user not in dirty and rect_rows[user][0] & stale
+            ]
+            for user in patched:
+                self._patch_user_bits(user, stale, ancestor_memo, profiles)
 
     def _collect_dirty(self, summary, since: int, dirty: set) -> None:
         """Frozenset dirty-subject sweep for one repair window."""
@@ -615,49 +659,59 @@ class AuthorizationIndex:
                     dirty.add(user)
                     break
 
-    def _collect_dirty_bits(self, summary, since: int, dirty: set) -> None:
-        """Compiled dirty-subject sweep: the dirty users are one
-        ``upstream & users_mask`` intersection, and rectangle dirtiness
-        is a bit-test per held endpoint.  Off-graph region members
-        (seeds removed within the window) are checked against the
-        region's absent sets, preserving the frozenset semantics."""
+    def _collect_dirty_bits(self, summary, since: int, dirty: set) -> int:
+        """Compiled dirty sweep: adds the users whose held set can
+        change to ``dirty`` (one ``upstream & users_mask``
+        intersection) and returns the stale-privilege mask — the
+        rectangle-bearing grants whose source lies downstream or whose
+        target lies upstream, looked up through the policy's
+        endpoint-inverted masks.  Off-graph region members (seeds
+        removed within the window) are looked up from the region's
+        absent sets, preserving the frozenset semantics.
+
+        A rectangle's *own endpoint* can also leave or rejoin the
+        graph with its region staying set-identical (``ancestors(s) ∋
+        s`` holds off-graph too): the frozenset representation needs
+        no repair, but the compiled rectangle must migrate the
+        endpoint between its bitmask (freed or assigned ID) and its
+        extras.  So every grant with a removed or added endpoint is
+        stale as well; any *other* region member's removal journals
+        edge deltas that reach it through the region."""
         policy = self.policy
-        graph = policy.graph
         bits = policy.bits
+        grant_sources = bits.grant_sources
+        grant_targets = bits.grant_targets
+        stale = 0
+        for vertex in summary.removed_vertices | summary.added_vertices:
+            stale |= grant_sources.get(vertex, 0) | grant_targets.get(
+                vertex, 0
+            )
+        if not summary.edge_sources:
+            return stale
         upstream, downstream, absent_sources, absent_targets = (
             self._dirty_region_bits(
                 summary.edge_sources, summary.edge_targets, since
             )
         )
         held_map = self._held
+        vertex_of = policy.graph._vertex_of
         if downstream & bits.privileges_mask or any(
             is_privilege(vertex) for vertex in absent_targets
         ):
-            vertex_of = graph._vertex_of
             for index in iter_bits(upstream & bits.users_mask):
                 user = vertex_of[index]
                 if user in held_map:
                     dirty.add(user)
-        vid = graph._vid
-        for user, rectangles in self._rectangles.items():
-            if not rectangles or user in dirty:
-                continue
-            for rectangle in rectangles:
-                held = rectangle.held
-                source_id = vid.get(held.source)
-                if (
-                    downstream >> source_id & 1 if source_id is not None
-                    else held.source in absent_targets
-                ):
-                    dirty.add(user)
-                    break
-                target_id = vid.get(held.target)
-                if (
-                    upstream >> target_id & 1 if target_id is not None
-                    else held.target in absent_sources
-                ):
-                    dirty.add(user)
-                    break
+        entities = bits.entities_mask
+        stale |= _endpoints_in(
+            downstream & entities, grant_sources, vertex_of
+        )
+        stale |= _endpoints_in(upstream & entities, grant_targets, vertex_of)
+        for vertex in absent_targets:
+            stale |= grant_sources.get(vertex, 0)
+        for vertex in absent_sources:
+            stale |= grant_targets.get(vertex, 0)
+        return stale
 
     def refresh(self) -> None:
         """Bring the index up to date with the policy now (the same
@@ -736,7 +790,7 @@ class AuthorizationIndex:
             # Off-graph source or target: the rare slow path through
             # the rectangles' extras.
             for rectangle in self._rectangles.get(user, ()):
-                if rectangle.covers(source, target):
+                if rectangle.covers(graph, source, target):
                     return rectangle.held
             return None
         if not held:
@@ -1016,10 +1070,12 @@ class AuthorizationIndex:
         if at_version is not None:
             return self._snapshot_at(at_version).grantable_pairs(user)
         self._validate()
+        graph = self.policy.graph
         pairs: set[tuple[object, object]] = set()
         for rectangle in self._rectangles.get(user, ()):
-            for source in rectangle.sources:
-                for target in rectangle.targets:
+            thawed = rectangle.thaw(graph)
+            for source in thawed.sources:
+                for target in thawed.targets:
                     pairs.add((source, target))
         pairs |= self._entity_grant_edges(user, Grant)
         return frozenset(pairs)
@@ -1062,8 +1118,9 @@ class AuthorizationIndex:
         decoded: dict[int, tuple] = {}
         out: dict[User, frozenset] = {}
         compiled = self.compiled
+        graph = self.policy.graph
         grant_mask = self.policy.bits.grant_entity_mask if compiled else 0
-        vertex_of = self.policy.graph._vertex_of if compiled else None
+        vertex_of = graph._vertex_of
         for user in users:
             if compiled:
                 row = self._rect_rows.get(user)
@@ -1083,8 +1140,9 @@ class AuthorizationIndex:
                 for rectangle in self._rectangles.get(user, ()):
                     regions = decoded.get(id(rectangle))
                     if regions is None:
+                        thawed = rectangle.thaw(graph)
                         regions = decoded[id(rectangle)] = (
-                            rectangle.sources, rectangle.targets
+                            thawed.sources, thawed.targets
                         )
                     sources, targets = regions
                     for source in sources:
@@ -1153,46 +1211,29 @@ class AuthorizationIndex:
         of this index's policy at the current version, so every vertex
         ID means the same vertex in both.
 
-        Held masks, held frozensets and rectangle rows are immutable
-        and shared; the per-subject dicts are copied, because live
-        repair rebinds their entries in place.  Compiled rectangles
-        decode through their graph, so each distinct one is rebound to
-        the clone's graph once.  The fork indexes the same subjects,
-        gets its own journal cursor and ordering oracle on the clone,
-        and counts no rebuilds; it never repairs (nothing mutates the
-        clone), so it needs no rectangle pool or region cache."""
+        The fork allocates nothing per subject or rectangle: held
+        masks, held frozensets, rectangle tuples and rows are immutable
+        and shared as they are (rectangles decode through the owning
+        index's graph, never their own), and only the four per-subject
+        containers are copied, because live repair rebinds their
+        entries in place.  The fork indexes the same subjects, gets its
+        own journal cursor and ordering oracle on the clone, and counts
+        no rebuilds; it never repairs (nothing mutates the clone), so
+        it needs no rectangle memo, pool or region cache."""
         self._validate()
         fork = AuthorizationIndex.__new__(AuthorizationIndex)
         fork.policy = policy
         fork.incremental = self.incremental
         fork.compiled = self.compiled
         fork.full_rebuilds = fork.partial_refreshes = 0
-        fork.users_refreshed = 0
+        fork.users_refreshed = fork.rectangles_built = 0
         fork._owns = self._owns
         fork._cursor = policy.journal_cursor()
         fork._held = dict(self._held)
+        fork._rectangles = dict(self._rectangles)
         fork._rect_rows = dict(self._rect_rows)
-        fork._extras_users = set(self._extras_users)
-        if self.compiled:
-            graph = policy.graph
-            rebound: dict[int, BitGrantRectangle] = {}
-
-            def rebind(rectangle):
-                clone = rebound.get(id(rectangle))
-                if clone is None:
-                    clone = rebound[id(rectangle)] = BitGrantRectangle(
-                        rectangle.held, rectangle.source_bits,
-                        rectangle.target_bits, rectangle.extra_sources,
-                        rectangle.extra_targets, graph,
-                    )
-                return clone
-
-            fork._rectangles = {
-                user: tuple(map(rebind, rectangles))
-                for user, rectangles in self._rectangles.items()
-            }
-        else:
-            fork._rectangles = dict(self._rectangles)
+        fork._rect_users = set(self._rect_users)
+        fork._rect_memo = {}
         fork._oracle = OrderingOracle(policy, compiled=self.compiled)
         fork._pool = None
         fork._region_cache = None
@@ -1215,6 +1256,7 @@ class AuthorizationIndex:
             "full_rebuilds": self.full_rebuilds,
             "partial_refreshes": self.partial_refreshes,
             "users_refreshed": self.users_refreshed,
+            "rectangles_built": self.rectangles_built,
         }
 
 
@@ -1237,12 +1279,13 @@ def retained_snapshot(
 class ReviewSnapshot:
     """A frozen review-function view of the policy at one version.
 
-    Holds a structural clone of the policy (:meth:`Policy.copy`, a
-    container copy that keeps the vertex-ID layout) and an index over
-    that clone.  Given the live ``index`` over ``policy``, the snapshot
-    forks it: the live index repairs itself incrementally and hands its
-    tables over (:meth:`AuthorizationIndex.snapshot` captures this
-    way, once per version).  Without one, the index is built lazily on
+    Holds a structural clone of the policy (:meth:`Policy.copy`, which
+    shares the adjacency sets copy-on-write and keeps the vertex-ID
+    layout) and an index over that clone.  Given the live ``index``
+    over ``policy``, the snapshot forks it: the live index repairs its
+    dirty region and hands its tables over, sharing every rectangle and
+    row (:meth:`AuthorizationIndex.snapshot` captures this way, once
+    per version).  Without one, the index is built lazily on
     the first query, in the ``compiled`` kernel, so a frozenset-oracle
     caller stays frozenset end to end.  Answers are immutable: every
     query sees exactly the captured version, however far the live

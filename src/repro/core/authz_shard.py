@@ -263,7 +263,7 @@ class RectanglePool:
             )
             built = BitGrantRectangle(
                 privilege, source_bits, target_bits,
-                extra_sources, extra_targets, self.policy.graph,
+                extra_sources, extra_targets,
             )
         else:
             if sources is None:
@@ -550,6 +550,7 @@ class ShardedAuthorizationIndex:
             "full_rebuilds": 0,
             "partial_refreshes": 0,
             "users_refreshed": 0,
+            "rectangles_built": 0,
         }
         for shard in self._shards:
             for key, value in shard.statistics().items():

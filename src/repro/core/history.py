@@ -111,14 +111,20 @@ class PolicyHistory:
         }
         # Mutate the live policy in place so monitors holding a
         # reference observe the rollback.
-        for edge in list(self.policy.edge_set()):
-            if edge not in target.edge_set():
-                self.policy.remove_edge(*edge)
-        for edge in target.edge_set():
+        graph = self.policy.graph
+        target_edges = target.edge_set()
+        for edge in self.policy.edge_set() - target_edges:
+            self.policy.remove_edge(*edge)
+        for edge in target_edges:
             if not self.policy.has_edge(*edge):
                 self.policy.add_edge(*edge)
-        for vertex in target.vertex_set():
-            self.policy.graph.add_vertex(vertex)
+        target_vertices = target.vertex_set()
+        for vertex in target_vertices:
+            graph.add_vertex(vertex)
+        # Vertices created after ``version`` (a user or role a later
+        # grant introduced) have no edges left by now; drop them too.
+        for vertex in self.policy.vertex_set() - target_vertices:
+            graph.remove_vertex(vertex)
         return self.policy
 
     # ------------------------------------------------------------------

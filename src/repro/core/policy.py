@@ -70,6 +70,12 @@ class PolicyBits:
       whose target is a user or role (the rectangle-bearing and
       exact-revocation privileges of the authorization index).
 
+    Two dicts invert the rectangle-bearing grants by endpoint:
+    ``grant_sources[v]`` / ``grant_targets[v]`` is the mask of the
+    ``grant_entity_mask`` privileges whose source / target is ``v``
+    (the endpoint need not be a vertex).  They turn "which rectangles
+    does this dirty region touch" into lookups over the region.
+
     Maintenance follows the change journal through a cursor: edge
     mutations never change a vertex's sort, vertex additions set bits
     incrementally, and any vertex *removal* triggers a full O(V)
@@ -80,7 +86,8 @@ class PolicyBits:
 
     __slots__ = ("_graph", "_cursor", "rebuilds", "users_mask",
                  "roles_mask", "entities_mask", "privileges_mask",
-                 "grant_entity_mask", "revoke_entity_mask")
+                 "grant_entity_mask", "revoke_entity_mask",
+                 "grant_sources", "grant_targets")
 
     def __init__(self, graph: Digraph):
         self._graph = graph
@@ -103,6 +110,9 @@ class PolicyBits:
             ):
                 if isinstance(vertex, Grant):
                     self.grant_entity_mask |= bit
+                    sources, targets = self.grant_sources, self.grant_targets
+                    sources[vertex.source] = sources.get(vertex.source, 0) | bit
+                    targets[vertex.target] = targets.get(vertex.target, 0) | bit
                 elif isinstance(vertex, Revoke):
                     self.revoke_entity_mask |= bit
 
@@ -113,6 +123,8 @@ class PolicyBits:
         self.privileges_mask = 0
         self.grant_entity_mask = 0
         self.revoke_entity_mask = 0
+        self.grant_sources: dict[object, int] = {}
+        self.grant_targets: dict[object, int] = {}
         for vertex, index in self._graph._vid.items():
             self._classify(vertex, index)
         self._cursor.version = self._graph.version
@@ -432,8 +444,8 @@ class Policy:
     # ------------------------------------------------------------------
     def copy(self) -> "Policy":
         """An independent copy over a structural clone of the graph
-        (:meth:`Digraph.copy`): same version and vertex-ID layout, a
-        fresh journal, and cold caches."""
+        (:meth:`Digraph.copy`, copy-on-write adjacency): same version
+        and vertex-ID layout, a fresh journal, and cold caches."""
         clone = Policy.__new__(Policy)
         clone._graph = self._graph.copy()
         clone._cache = ReachabilityCache(clone._graph)

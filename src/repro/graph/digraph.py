@@ -199,7 +199,9 @@ class Digraph:
     then fall back to a full rebuild).  The journal keeps at most
     ``JOURNAL_LIMIT`` entries; policy-churn bursts larger than that are
     rare and a full rebuild amortizes them.  A :meth:`copy` shares the
-    version but not the journal: its history starts at the copy.
+    version but not the journal: its history starts at the copy.  It
+    shares the adjacency sets copy-on-write, so cloning costs two dict
+    copies plus the flat interner, not a copy of every set.
 
     Consumers that repair lazily and independently (e.g. the shards of
     a sharded authorization index) register a :class:`JournalCursor`
@@ -227,7 +229,8 @@ class Digraph:
     #: falls further behind simply pays a full rebuild).
     JOURNAL_HARD_LIMIT = 4 * JOURNAL_LIMIT
 
-    __slots__ = ("_succ", "_pred", "_edge_count", "_journal",
+    __slots__ = ("_succ", "_pred", "_own_succ", "_own_pred",
+                 "_edge_count", "_journal",
                  "_journal_base", "_cursors", "version",
                  "_vid", "_vertex_of", "_free_vids",
                  "_succ_bits", "_pred_bits")
@@ -235,6 +238,14 @@ class Digraph:
     def __init__(self, edges: Iterable[tuple[Vertex, Vertex]] = ()):
         self._succ: dict[Vertex, set[Vertex]] = {}
         self._pred: dict[Vertex, set[Vertex]] = {}
+        #: copy-on-write ownership: the vertices whose ``_succ`` /
+        #: ``_pred`` set this graph may mutate in place.  Every other
+        #: adjacency set may be shared with a :meth:`copy` (or the
+        #: graph it was copied from) and is copied before its first
+        #: mutation here.  None until the first copy: a graph that was
+        #: never copied or copied from owns every set.
+        self._own_succ: set[Vertex] | None = None
+        self._own_pred: set[Vertex] | None = None
         self._edge_count = 0
         self.version = 0
         self._journal: deque[GraphDelta] = deque()
@@ -274,6 +285,9 @@ class Digraph:
             return False
         self._succ[vertex] = set()
         self._pred[vertex] = set()
+        if self._own_succ is not None:
+            self._own_succ.add(vertex)
+            self._own_pred.add(vertex)
         if self._free_vids:
             index = self._free_vids.pop()
             self._vertex_of[index] = vertex
@@ -296,8 +310,12 @@ class Digraph:
         self.add_vertex(target)
         if target in self._succ[source]:
             return False
-        self._succ[source].add(target)
-        self._pred[target].add(source)
+        if self._own_succ is None:
+            self._succ[source].add(target)
+            self._pred[target].add(source)
+        else:
+            self._owned_succ(source).add(target)
+            self._owned_pred(target).add(source)
         source_id, target_id = self._vid[source], self._vid[target]
         self._succ_bits[source_id] |= 1 << target_id
         self._pred_bits[target_id] |= 1 << source_id
@@ -310,8 +328,12 @@ class Digraph:
         """Remove the edge ``source -> target``; return True if present."""
         if source not in self._succ or target not in self._succ[source]:
             return False
-        self._succ[source].discard(target)
-        self._pred[target].discard(source)
+        if self._own_succ is None:
+            self._succ[source].discard(target)
+            self._pred[target].discard(source)
+        else:
+            self._owned_succ(source).discard(target)
+            self._owned_pred(target).discard(source)
         source_id, target_id = self._vid[source], self._vid[target]
         self._succ_bits[source_id] &= ~(1 << target_id)
         self._pred_bits[target_id] &= ~(1 << source_id)
@@ -330,6 +352,9 @@ class Digraph:
             self.remove_edge(source, vertex)
         del self._succ[vertex]
         del self._pred[vertex]
+        if self._own_succ is not None:
+            self._own_succ.discard(vertex)
+            self._own_pred.discard(vertex)
         index = self._vid.pop(vertex)
         self._vertex_of[index] = None
         self._succ_bits[index] = 0  # already zero: all incident edges gone
@@ -338,6 +363,22 @@ class Digraph:
         self.version += 1
         self._record("remove-vertex", vertex)
         return True
+
+    def _owned_succ(self, vertex: Vertex) -> set[Vertex]:
+        """``_succ[vertex]``, first copied if it may be shared."""
+        out = self._succ[vertex]
+        if vertex not in self._own_succ:
+            out = self._succ[vertex] = set(out)
+            self._own_succ.add(vertex)
+        return out
+
+    def _owned_pred(self, vertex: Vertex) -> set[Vertex]:
+        """``_pred[vertex]``, first copied if it may be shared."""
+        into = self._pred[vertex]
+        if vertex not in self._own_pred:
+            into = self._pred[vertex] = set(into)
+            self._own_pred.add(vertex)
+        return into
 
     def fast_forward_version(self, version: int) -> None:
         """Jump the version counter forward to ``version`` without
@@ -476,21 +517,33 @@ class Digraph:
         return len(self._pred.get(vertex, ()))
 
     def copy(self) -> "Digraph":
-        """An independent structural clone sharing no mutable state.
+        """A structural clone that shares the adjacency sets copy-on-write.
 
-        The clone copies the containers instead of replaying every
-        vertex and edge through the journaled mutators: it keeps the
-        source's vertex-ID layout (interner, free-list and bitset rows)
-        and its ``version``, and starts an empty journal at that
-        version — ``changes_since`` of any older version is None, and
-        no journal cursor of the source follows it.  Keeping the layout
-        is what lets a compiled index's masks over the source be
-        handed to a clone unchanged
+        The clone copies the adjacency *dicts* but not the sets in them:
+        both graphs forget which sets they own, so whichever side first
+        mutates a vertex's successor or predecessor set copies that one
+        set (:meth:`_owned_succ` / :meth:`_owned_pred`).  A clone thus
+        copies no set up front — two dict copies — and each later
+        mutation copies at most two.  Mutations on either side stay
+        invisible to the other.
+
+        The interner (``_vid``, ``_vertex_of``, ``_free_vids``) and the
+        bitset rows are copied outright: they are flat containers of
+        immutable values, copied at C speed.  The clone keeps the
+        source's vertex-ID layout and its ``version``, and starts an
+        empty journal at that version — ``changes_since`` of any older
+        version is None, and no journal cursor of the source follows
+        it.  Keeping the layout is what lets a compiled index's masks
+        over the source be handed to a clone unchanged
         (:meth:`repro.core.authz_index.AuthorizationIndex.snapshot`).
         """
         clone = Digraph.__new__(Digraph)
-        clone._succ = {vertex: set(out) for vertex, out in self._succ.items()}
-        clone._pred = {vertex: set(into) for vertex, into in self._pred.items()}
+        clone._succ = dict(self._succ)
+        clone._pred = dict(self._pred)
+        self._own_succ = set()
+        self._own_pred = set()
+        clone._own_succ = set()
+        clone._own_pred = set()
         clone._edge_count = self._edge_count
         clone.version = self.version
         clone._journal = deque()

@@ -21,10 +21,12 @@ Reader side
     :meth:`check` / :meth:`check_many` never touch the writer's index.
     After each batch the writer *publishes* a fresh
     :class:`~repro.core.authz_index.ReviewSnapshot` through the index's
-    ``snapshot()``: the live index repairs itself incrementally, the
-    policy is cloned structurally and the index is forked onto the
-    clone, so publication costs a container copy, not a policy replay
-    and an index build.  That published snapshot is also the next
+    ``snapshot()``: the live index repairs the batch's dirty region
+    (patching only the rectangle rows of stale privileges), the policy
+    is cloned copy-on-write and the index is forked onto the clone
+    sharing every rectangle, so publication costs what the batch
+    touched, not a policy copy, a replay or an index build.  That
+    published snapshot is also the next
     batch's entry snapshot, so ``submit_queue(snapshot=True)`` captures
     nothing new.  Readers decide against whatever snapshot is currently
     published — an immutable object, so no locks — and requests

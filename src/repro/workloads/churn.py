@@ -202,8 +202,10 @@ def differential_churn(
 ) -> list[str]:
     """Randomized differential check: after every mutation the
     incremental index must agree *structurally* (held sets, rectangles,
-    effective authority) and *behaviourally* (sampled authorization
-    probes) with a from-scratch rebuild.
+    effective authority — and, compiled, the rectangle rows the batch
+    kernel reads: held mask, union masks, rows in ascending privilege
+    ID) and *behaviourally* (sampled authorization probes) with a
+    from-scratch rebuild.
 
     Two oracles are compared against.  A fresh index in the *same*
     representation pins incremental maintenance exactly (internal
@@ -277,6 +279,19 @@ def differential_churn(
                     f"of {user} diverged from full rebuild"
                 )
             if compiled:
+                row = index._rect_rows.get(user)
+                if row != fresh._rect_rows.get(user):
+                    violations.append(
+                        f"step {step_number} ({mutation}): rectangle rows "
+                        f"of {user} (held mask, union masks or rows) "
+                        "diverged from full rebuild"
+                    )
+                pids = [] if row is None else [entry[3] for entry in row[3]]
+                if pids != sorted(pids):
+                    violations.append(
+                        f"step {step_number} ({mutation}): rectangle rows "
+                        f"of {user} are not in ascending privilege-ID order"
+                    )
                 if index.held_privileges(user) != oracle.held_privileges(
                     user
                 ):
@@ -285,7 +300,8 @@ def differential_churn(
                         f"set of {user} diverged from the frozenset oracle"
                     )
                 if {
-                    r.thaw() for r in index._rectangles.get(user, ())
+                    r.thaw(policy.graph)
+                    for r in index._rectangles.get(user, ())
                 } != set(oracle._rectangles.get(user, ())):
                     violations.append(
                         f"step {step_number} ({mutation}): compiled "

@@ -298,3 +298,84 @@ class TestSnapshotFork:
         for snapshot, frozen, answers in captured:
             assert self._answers(snapshot, frozen) == answers
             assert snapshot.policy_copy() == frozen
+
+
+class TestRepairFollowsTheDirtyRegion:
+    """Publication work counted, not timed: one delegated-membership
+    toggle recompiles one rectangle, rebuilds one user and unshares two
+    adjacency sets, at either policy size."""
+
+    @staticmethod
+    def _organization(admins, users):
+        from repro.workloads.churn import ChurnShape, churn_policy
+
+        shape = ChurnShape(
+            n_users=users, n_roles=48, n_admins=admins, layers=6,
+            roles_per_user=3, privileges_per_role=8,
+            delegations_per_top_role=40,
+        )
+        return churn_policy(29, shape)
+
+    @pytest.mark.parametrize("admins", [2, 8])
+    @pytest.mark.parametrize("users", [500, 2000])
+    def test_one_toggle_rebuilds_one_rectangle(self, admins, users):
+        policy = self._organization(admins, users)
+        index = AuthorizationIndex(policy)
+        previous = index.snapshot()
+        delegated = sorted(
+            (
+                privilege for privilege in policy.admin_privileges()
+                if isinstance(privilege, Grant)
+                and isinstance(privilege.source, User)
+            ),
+            key=str,
+        )
+        holders = [
+            user for user in policy.users() if user.name.startswith("admin")
+        ]
+        assert len(holders) == admins
+        for privilege in delegated[:4]:
+            before = index.statistics()
+            user, senior = privilege.edge
+            if policy.has_edge(user, senior):
+                policy.remove_edge(user, senior)
+            else:
+                policy.add_edge(user, senior)
+            snapshot = index.snapshot()
+            after = index.statistics()
+            # The senior role's own rectangle ¤(senior, senior) gained
+            # or lost a source; every administrator holds it and is
+            # patched, but only the toggled user is rebuilt whole.
+            assert after["rectangles_built"] - before["rectangles_built"] == 1
+            assert after["users_refreshed"] - before["users_refreshed"] == 1
+            assert after["partial_refreshes"] - before["partial_refreshes"] == 1
+            # The snapshot clone unshared exactly the two adjacency
+            # sets the toggle wrote; the fork shares every rectangle.
+            live, frozen = previous._policy.graph, snapshot._policy.graph
+            unshared = sum(
+                live._succ[vertex] is not frozen._succ[vertex]
+                for vertex in live.vertices()
+            ) + sum(
+                live._pred[vertex] is not frozen._pred[vertex]
+                for vertex in live.vertices()
+            )
+            assert unshared == 2
+            for holder in holders:
+                assert (
+                    snapshot._index._rectangles[holder]
+                    is index._rectangles[holder]
+                )
+            previous = snapshot
+        # An administrator joining a bottom-layer role changes their
+        # held set (rebuilt whole) but no rectangle: every one of their
+        # rectangles is reused, none recompiled.
+        before = index.statistics()
+        assert policy.assign_user(holders[0], Role("r47"))
+        index.refresh()
+        after = index.statistics()
+        assert after["rectangles_built"] == before["rectangles_built"]
+        assert after["users_refreshed"] - before["users_refreshed"] == 1
+        fresh = AuthorizationIndex(policy)
+        toggled = [privilege.source for privilege in delegated[:4]]
+        for user in holders + toggled:
+            assert index._rect_rows[user] == fresh._rect_rows[user]

@@ -176,7 +176,7 @@ class TestRectanglePool:
         assert pool.rectangle(Grant(other, other)) is kept
         rebuilt = pool.rectangle(Grant(U, HIGH))
         assert rebuilt is not dirty
-        assert Role("deeper") in rebuilt.targets
+        assert Role("deeper") in rebuilt.targets(policy.graph)
         assert pool.evictions == 1
         assert pool.full_clears == 0
 

@@ -94,21 +94,21 @@ class TestBitGrantRectangle:
         ][0]
         for source in (U, ADMIN, HIGH, LOW, User("nobody")):
             for target in (HIGH, MID, LOW, ADM, Role("nowhere")):
-                assert compiled.covers(source, target) == frozen.covers(
-                    source, target
-                ), (source, target)
-        assert compiled.sources == frozen.sources
-        assert compiled.targets == frozen.targets
+                assert compiled.covers(
+                    policy.graph, source, target
+                ) == frozen.covers(source, target), (source, target)
+        assert compiled.sources(policy.graph) == frozen.sources
+        assert compiled.targets(policy.graph) == frozen.targets
         assert compiled.pair_count() == frozen.pair_count()
-        assert compiled.thaw() == frozen
+        assert compiled.thaw(policy.graph) == frozen
 
     def test_off_graph_grantor_covered_via_extras(self, policy):
         ghost = User("ghost")  # mentioned by the grant, never registered
         policy.assign_privilege(ADM, Grant(ghost, HIGH))
         compiled = compile_rectangle(policy, Grant(ghost, HIGH))
         assert compiled.extra_sources == {ghost}
-        assert compiled.covers(ghost, MID)
-        assert not compiled.covers(User("other"), MID)
+        assert compiled.covers(policy.graph, ghost, MID)
+        assert not compiled.covers(policy.graph, User("other"), MID)
         # Parity with the frozenset oracle on the whole index surface.
         index = AuthorizationIndex(policy)
         oracle = AuthorizationIndex(policy, compiled=False)
@@ -173,7 +173,8 @@ class TestBitGrantRectangle:
         two = compile_rectangle(policy, Grant(U, HIGH))
         assert one == two and hash(one) == hash(two)
         assert one != GrantRectangle(
-            Grant(U, HIGH), one.sources, one.targets
+            Grant(U, HIGH), one.sources(policy.graph),
+            one.targets(policy.graph),
         )
 
 
@@ -283,7 +284,9 @@ class TestCompiledPool:
         frozen.validate()
         assert compiled.evictions == frozen.evictions == 1
         assert compiled.full_clears == frozen.full_clears == 0
-        assert Role("deeper") in compiled.rectangle(Grant(U, HIGH)).targets
+        assert Role("deeper") in compiled.rectangle(
+            Grant(U, HIGH)
+        ).targets(policy.graph)
 
     def test_sharded_index_shares_compiled_rectangles(self, policy):
         for i in range(8):

@@ -103,6 +103,17 @@ class TestRollback:
         assert live is history.policy
         assert not live.has_edge(U, R)
 
+    def test_rollback_drops_vertices_created_later(self):
+        newbie = User("newbie")
+        policy = Policy(ua=[(ADMIN, ADM)], pa=[(ADM, Grant(newbie, R))])
+        history = PolicyHistory(policy, mode=Mode.REFINED)
+        assert newbie not in policy.graph
+        assert history.submit(grant_cmd(ADMIN, newbie, R)).executed
+        assert newbie in policy.graph  # the grant introduced the user
+        history.rollback(0)
+        assert newbie not in policy.graph
+        assert history.policy == history.state_at(0)
+
     def test_resubmission_after_rollback(self, history):
         history.submit(grant_cmd(ADMIN, U, R))
         history.rollback(0)

@@ -1,6 +1,8 @@
 """Unit tests for the digraph substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import Digraph
 
@@ -178,6 +180,113 @@ def test_copy_does_not_share_journal_cursors():
     assert cursor.pending
     assert not clone_cursor.pending
     assert list(graph._cursors) == [cursor]
+
+
+@pytest.mark.parametrize("side", ["source", "clone"])
+def test_copy_shares_adjacency_until_first_write(side):
+    graph = Digraph([("a", "b"), ("b", "c"), ("c", "a")])
+    clone = graph.copy()
+    for vertex in graph.vertices():
+        assert clone._succ[vertex] is graph._succ[vertex]
+        assert clone._pred[vertex] is graph._pred[vertex]
+    mutated, untouched = (graph, clone) if side == "source" else (clone, graph)
+    before = _state(untouched)
+    mutated.add_edge("a", "c")
+    unshared = {
+        ("succ", vertex) for vertex in graph.vertices()
+        if clone._succ[vertex] is not graph._succ[vertex]
+    } | {
+        ("pred", vertex) for vertex in graph.vertices()
+        if clone._pred[vertex] is not graph._pred[vertex]
+    }
+    assert unshared == {("succ", "a"), ("pred", "c")}
+    assert _state(untouched) == before
+    assert untouched.successors("a") == {"b"}
+    assert mutated.successors("a") == {"b", "c"}
+
+
+def test_copy_resets_ownership_on_both_sides():
+    graph = Digraph([("a", "b")])
+    graph.copy()  # discarded, but it may still have shared the sets
+    owned = graph._succ["a"]
+    graph.add_edge("a", "c")
+    assert graph._succ["a"] is not owned  # copied before the write
+    owned = graph._succ["a"]
+    graph.add_edge("a", "d")
+    assert graph._succ["a"] is owned  # owned now: written in place
+
+
+_NAMES = "abcdef"
+_operation = st.tuples(
+    st.sampled_from(
+        ["add-edge", "remove-edge", "add-vertex", "remove-vertex", "copy"]
+    ),
+    st.integers(min_value=0, max_value=7),  # which graph
+    st.sampled_from(_NAMES),
+    st.sampled_from(_NAMES),
+)
+
+
+def _apply(graph, kind, source, target):
+    if kind == "add-edge":
+        graph.add_edge(source, target)
+    elif kind == "remove-edge":
+        graph.remove_edge(source, target)
+    elif kind == "add-vertex":
+        graph.add_vertex(source)
+    else:
+        graph.remove_vertex(source)
+
+
+def _apply_model(model, kind, source, target):
+    if kind == "add-edge":
+        model.setdefault(source, set()).add(target)
+        model.setdefault(target, set())
+    elif kind == "remove-edge":
+        model.get(source, set()).discard(target)
+    elif kind == "add-vertex":
+        model.setdefault(source, set())
+    elif source in model:
+        del model[source]
+        for targets in model.values():
+            targets.discard(source)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_operation, max_size=60))
+def test_copy_on_write_generations_match_a_model(operations):
+    """A source and every generation of clones (clones of clones,
+    clones taken mid-sequence) stay equal to a plain dict-of-sets
+    model under interleaved mutations, and each keeps the vertex-ID
+    layout a fresh replay of its own history produces (removals free
+    IDs that later additions recycle)."""
+    graphs = [Digraph()]
+    models: list[dict] = [{}]
+    histories: list[list] = [[]]
+    for kind, which, source, target in operations:
+        which %= len(graphs)
+        if kind == "copy":
+            graphs.append(graphs[which].copy())
+            models.append({v: set(out) for v, out in models[which].items()})
+            histories.append(list(histories[which]))
+            continue
+        _apply(graphs[which], kind, source, target)
+        _apply_model(models[which], kind, source, target)
+        histories[which].append((kind, source, target))
+    for graph, model, history in zip(graphs, models, histories):
+        assert {v: set(out) for v, out in graph._succ.items()} == model
+        predecessors = {vertex: set() for vertex in model}
+        for vertex, targets in model.items():
+            for target in targets:
+                predecessors[target].add(vertex)
+        assert {v: set(into) for v, into in graph._pred.items()} == (
+            predecessors
+        )
+        assert graph.edge_count == sum(map(len, model.values()))
+        replayed = Digraph()
+        for step in history:
+            _apply(replayed, *step)
+        assert _layout(graph) == _layout(replayed)
 
 
 def test_equality_by_structure():

@@ -5,8 +5,9 @@ The dual-kernel design rests on two conventions that review alone
 cannot be trusted to hold:
 
 1. **Graph encapsulation** — ``Digraph``'s private structures
-   (``_succ``/``_pred`` adjacency, the change journal, the vertex
-   interner and its bitset adjacency rows) are mutated only inside
+   (``_succ``/``_pred`` adjacency and its copy-on-write ownership
+   sets, the change journal, the vertex interner and its bitset
+   adjacency rows) are mutated only inside
    :mod:`repro.graph`.  Everyone else may *read* them (the compiled
    kernels decode masks via ``_vertex_of``) but must route mutations
    through the public API, or the journal the incremental indexes
@@ -37,7 +38,7 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 #: Digraph internals whose mutation is confined to repro.graph.
 GRAPH_INTERNALS = frozenset({
-    "_succ", "_pred", "_succ_bits", "_pred_bits",
+    "_succ", "_pred", "_own_succ", "_own_pred", "_succ_bits", "_pred_bits",
     "_journal", "_edge_count",
     "_vid", "_vertex_of", "_free_vids",
 })
