@@ -1079,8 +1079,10 @@ def _redundant_delegation(ctx: LintContext) -> Iterator[Finding]:
     policy = ctx.policy
     graph = policy.graph
     index = ctx.index
-    edges = sorted(policy.edge_set(), key=lambda e: (str(e[0]), str(e[1])))
-    for source, target in edges:
+    # A snapshot: each probe below removes and re-adds its edge.  The
+    # order is immaterial — every probe restores the policy exactly,
+    # and lint_policy sorts the findings.
+    for source, target in list(graph.edges()):
         if is_privilege(target) and graph.in_degree(target) == 1:
             # Sole assignment: removal would garbage-collect the
             # privilege vertex; never redundant.

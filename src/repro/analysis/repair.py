@@ -12,11 +12,17 @@ exact apply/undo log in the style of the exploration engine:
   pre-plan policy (Definition 6: no subject reaches a privilege it
   could not reach before).  :func:`repro.core.refinement.
   refinement_counterexample` is the oracle; a violating plan is rolled
-  back and rejected with the counterexample attached.  Shipped
-  planners only ever remove edges and vertices, which refines by
-  construction (the paper's Example 3), so the gate is a safety net —
-  but it runs on the real checker every time, so a future planner
-  that *adds* authority cannot slip through.
+  back and rejected with the counterexample attached.  It checks the
+  *edge difference*: a new subject-to-privilege path must use an edge
+  the pre-plan policy lacks, and its subject reaches that edge's
+  source, so only the entity ancestors of the added edges' sources are
+  compared, and a plan that adds no edge passes after one pass over
+  the adjacency dict (the pre-plan copy shares every untouched
+  adjacency set copy-on-write).  Shipped planners only ever remove
+  edges and vertices, which refines by construction (the paper's
+  Example 3), so the gate is a safety net — but it runs on the real
+  checker every time, so a future planner that *adds* authority
+  cannot slip through.
 * **monotone-shrink gate** — after applying a plan the policy is
   re-linted; the finding set must strictly shrink and must not
   contain any finding absent before the plan.  A plan that resolves

@@ -26,10 +26,13 @@ operations on a **single mutable exploration policy**:
   navigates the BFS frontier by undoing to the common prefix of the
   current and target witness paths and replaying the suffix.
 * **canonical fingerprint** — state identity is a
-  :class:`~repro.graph.fingerprint.StateFingerprint` bitmask covering
-  the vertex *and* edge sets, maintained with one XOR per mutation and
+  :class:`~repro.graph.fingerprint.StateFingerprint` bitmask over the
+  vertex *and* edge atoms in which the current state differs from the
+  initial one (the initial state is 0, so building an engine costs no
+  pass over the policy), maintained with one XOR per mutation and
   stable across interner ID recycling (the slot table is keyed by
-  vertex values, not IDs).
+  vertex values, not IDs).  Values are comparable only between states
+  of one engine.
 * **bitmask candidate pruning** — :meth:`effective_commands` decides
   authorization per candidate with bit tests: one
   ``descendants_bits`` mask per distinct issuer per state (served by
@@ -123,7 +126,8 @@ class ExplorationEngine:
         self._oracle = (
             OrderingOracle(self.policy) if mode is Mode.REFINED else None
         )
-        self._fingerprint = StateFingerprint.of_graph(self._graph)
+        #: relative to the initial state, which therefore has value 0
+        self._fingerprint = StateFingerprint()
         #: bitmask of privilege vertices over current interned IDs,
         #: seeded from the PolicyBits sort masks and maintained by the
         #: undo log (PolicyBits itself rescans on vertex removal, which
@@ -172,8 +176,11 @@ class ExplorationEngine:
     # ------------------------------------------------------------------
     @property
     def fingerprint(self) -> int:
-        """Canonical bitmask identity of the current state (vertex set
-        + edge set; equal iff the states are equal as policies)."""
+        """Canonical bitmask identity of the current state: the vertex
+        and edge atoms in which it differs from the initial state (0 at
+        the initial state).  Two states of this engine have equal
+        fingerprints iff they are equal as policies; values of
+        different engines are not comparable."""
         return self._fingerprint.value
 
     @property

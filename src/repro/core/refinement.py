@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import PolicyError, PrivilegeError
-from ..graph import ancestors
+from ..graph import ancestors, ancestors_bits, descendants_bits, iter_bits
 from .entities import Role, User
 from .ordering import OrderingOracle
 from .policy import Policy
@@ -48,18 +48,45 @@ class RefinementWitness:
 def refinement_counterexample(
     phi: Policy, psi: Policy
 ) -> RefinementWitness | None:
-    """The first witness violating ``φ º ψ``, or None if ψ refines φ.
+    """The least witness violating ``φ º ψ``, or None if ψ refines φ.
 
-    Deterministic: subjects and privileges are visited in sorted order.
+    The check runs over the *edge difference* — ψ's edges absent from
+    φ (:meth:`repro.graph.Digraph.edges_absent_from`).  If subject
+    ``s`` reaches user privilege ``p`` in ψ but not in φ, some edge of
+    the ψ-path from ``s`` to ``p`` is missing from φ (a path made of
+    φ's edges would reach in φ).  Let ``(u, v)`` be the first such
+    edge: ``s`` reaches ``u`` in ψ and ``v`` reaches ``p`` in ψ.  So
+    ψ refines φ when the difference is empty, and otherwise only the
+    entity ancestors in ψ of the new edges' sources can be subjects of
+    a witness, and only the user privileges below the new edges'
+    targets its privileges.  Each candidate pair is checked in φ by
+    vertex value, since the two graphs may intern their vertices
+    differently.
+
+    Deterministic: the witness is the least violating pair by
+    ``(str(privilege), str(subject))``.
     """
-    for privilege in sorted(psi.user_privileges(), key=str):
-        reaching = ancestors(psi.graph, privilege)
-        for subject in sorted(reaching, key=str):
-            if not isinstance(subject, _Entity):
-                continue
-            if not phi.reaches(subject, privilege):
-                return RefinementWitness(subject, privilege)
-    return None
+    graph = psi.graph
+    upstream = downstream = 0
+    for source, target in graph.edges_absent_from(phi.graph):
+        upstream |= ancestors_bits(graph, source)
+        downstream |= descendants_bits(graph, target)
+    vertex_of = graph.vertex_of
+    witnesses = (
+        RefinementWitness(subject, privilege)
+        for subject in map(vertex_of, iter_bits(upstream))
+        if isinstance(subject, _Entity)
+        for privilege in map(
+            vertex_of, iter_bits(psi.descendants_bits(subject) & downstream)
+        )
+        if isinstance(privilege, UserPrivilege)
+        and not phi.reaches(subject, privilege)
+    )
+    return min(
+        witnesses,
+        key=lambda witness: (str(witness.privilege), str(witness.subject)),
+        default=None,
+    )
 
 
 def is_refinement(phi: Policy, psi: Policy) -> bool:

@@ -506,6 +506,33 @@ class Digraph:
             for target in targets:
                 yield (source, target)
 
+    def edges_absent_from(
+        self, other: "Digraph"
+    ) -> Iterator[tuple[Vertex, Vertex]]:
+        """The edges of this graph that ``other`` lacks.
+
+        A successor set this graph shares copy-on-write with ``other``
+        (one is a :meth:`copy` of the other, or both descend from one)
+        is the same object on both sides and holds the same edges, so
+        it is skipped by an identity test; every other set is diffed
+        against ``other``'s set for that source, which makes the
+        answer exact for unrelated graphs too.  A source that is not a
+        vertex of ``other`` contributes all its edges.  Between a graph
+        and a lightly edited copy this costs one pass over the
+        adjacency dict plus the edited sets.
+        """
+        theirs = other._succ
+        for source, targets in self._succ.items():
+            other_targets = theirs.get(source)
+            if other_targets is targets:
+                continue
+            if other_targets is None:
+                for target in targets:
+                    yield (source, target)
+            else:
+                for target in targets - other_targets:
+                    yield (source, target)
+
     @property
     def edge_count(self) -> int:
         return self._edge_count

@@ -6,10 +6,23 @@ The frozenset representation hashes a full ``edge_set()`` snapshot per
 candidate state — O(state) time and allocation on every probe.  The
 compiled representation maintained here is a **big-int bitmask**: every
 distinct state *atom* (a vertex, an edge, an access-matrix cell) is
-assigned one bit on first sight, a state's fingerprint is the OR of its
-atoms' bits, and a single mutation updates the fingerprint with one
-XOR.  ``seen``-set membership then costs an int hash instead of a
-frozenset hash.
+assigned one bit on first sight, a state's fingerprint is the XOR of
+the bits of the atoms it holds, and a single mutation updates the
+fingerprint with one XOR.  ``seen``-set membership then costs an int
+hash instead of a frozenset hash.
+
+Relative to the start state
+---------------------------
+
+An explorer need not toggle in the atoms of its initial state: the
+exploration engine starts from an empty fingerprint (value 0), so the
+value encodes exactly the set of atoms in which the current state
+differs from the initial one.  Two states of one exploration are equal
+iff they differ from the initial state in the same atoms, i.e. iff
+their values are equal.  Fingerprints are only compared within one
+exploration (its ``seen`` set), so seeding every vertex and edge of
+the initial state — one XOR per atom into an integer as wide as the
+policy, per engine — buys nothing.
 
 Canonicalization and interner ID recycling
 ------------------------------------------
@@ -23,9 +36,10 @@ user deprovisioned and re-provisioned — may come back under a
 *different* ID, and two states that are equal as (vertex set, edge set)
 pairs could then carry different ID-indexed masks.  The value-keyed
 slot table is the remap that makes the fingerprint stable across such
-recycling: equal states always map to equal fingerprints, and distinct
-states to distinct fingerprints (each atom owns exactly one bit — the
-fingerprint is an exact set encoding, not a hash, so there are no
+recycling: within one exploration equal states always map to equal
+fingerprints, and distinct states to distinct fingerprints (each atom
+owns exactly one bit — the fingerprint is an exact encoding of the
+difference from the start state, not a hash, so there are no
 collisions to reason about).
 
 Two states that differ only in an *isolated* vertex (a user
@@ -41,8 +55,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from .digraph import Digraph
-
 
 class StateFingerprint:
     """An incrementally maintained exact bitmask over state atoms.
@@ -51,8 +63,8 @@ class StateFingerprint:
     atom in or out (the caller toggles exactly the atoms its mutation
     changed); an undo restores a previously read ``value`` directly.
     Slots are never recycled — the table grows to the set of atoms ever
-    seen, which for bounded exploration is the candidate universe plus
-    the initial state.
+    assigned a bit, which for the exploration engine is the atoms its
+    candidate commands changed.
     """
 
     __slots__ = ("_slots", "value")
@@ -60,21 +72,6 @@ class StateFingerprint:
     def __init__(self):
         self._slots: dict[Hashable, int] = {}
         self.value = 0
-
-    @classmethod
-    def of_graph(cls, graph: Digraph) -> "StateFingerprint":
-        """A fingerprint seeded with a graph's vertices and edges.
-
-        Vertex atoms are the vertex values; edge atoms are ``(source,
-        target)`` pairs.  (Policy vertices are entities and privilege
-        terms, never tuples, so the two atom kinds cannot collide.)
-        """
-        fingerprint = cls()
-        for vertex in graph.vertices():
-            fingerprint.toggle(vertex)
-        for edge in graph.edges():
-            fingerprint.toggle(edge)
-        return fingerprint
 
     def bit(self, atom: Hashable) -> int:
         """The bit owned by ``atom``, assigned on first sight."""

@@ -65,9 +65,10 @@ monitor's global invariants after every step:
     emit identical plan sequences and outcomes (including rejections
     and cascade extensions) and arrive at value-equal repaired
     policies; every accepted run *refines* its input policy
-    (Definition 6 — no subject gains authority); and the run is a
-    re-lint fixpoint (repairing again applies nothing, and a fresh
-    lint of the repaired policy equals the run's final report) — on
+    (Definition 6 — no subject gains authority, checked by the
+    refinement checker and by ``granted_pairs`` inclusion); and the
+    run is a re-lint fixpoint (repairing again applies nothing, and a
+    fresh lint of the repaired policy equals the run's final report) — on
     the initial policy and re-checked after every chunk of
     ID-recycling churn, with sampled SSD separation sets
     (:func:`fuzz_repair`).
@@ -590,15 +591,16 @@ def fuzz_repair(
     place** (over the recycled interner layout the churn produced)
     while the frozenset oracle repairs a copy.  The two runs must emit
     identical plan/outcome sequences and value-equal repaired policies;
-    the repaired policy must refine the pre-repair one (Definition 6);
-    and the result must be a fixpoint — repairing again applies no
+    the repaired policy must refine the pre-repair one (Definition 6),
+    checked both by :func:`~repro.core.refinement.is_refinement` and as
+    ``granted_pairs`` inclusion; and the result must be a fixpoint — repairing again applies no
     plan, and a fresh lint equals the run's final report.  Churn then
     continues from the repaired policy into the next round.
     """
     from ..analysis.constraints import SsdConstraint
     from ..analysis.lint import lint_policy
     from ..analysis.repair import repair_policy
-    from ..core.refinement import is_refinement
+    from ..core.refinement import granted_pairs, is_refinement
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
@@ -643,6 +645,12 @@ def fuzz_repair(
         if not is_refinement(baseline, policy):
             report.violations.append(
                 f"repaired policy does not refine its input ({label})"
+            )
+        # The same property by its definition, independent of the
+        # edge-difference checker above.
+        if not granted_pairs(policy) <= granted_pairs(baseline):
+            report.violations.append(
+                f"repaired policy grants a pair its input did not ({label})"
             )
         recheck = repair_policy(
             policy, compiled=True, constraints=constraints

@@ -36,15 +36,26 @@ def policy():
 
 class TestStateFingerprint:
     def test_equal_states_equal_fingerprints(self, policy):
-        # Re-toggling the same atoms through the same slot table lands
-        # on the same value regardless of order.
-        fingerprint = StateFingerprint.of_graph(policy.graph)
-        value = fingerprint.value
-        for edge in sorted(policy.graph.edges(), key=str):
-            fingerprint.toggle(edge)
-        for edge in sorted(policy.graph.edges(), key=str, reverse=True):
-            fingerprint.toggle(edge)
-        assert fingerprint.value == value
+        # The engine's fingerprint is relative to its initial state:
+        # two command orders reaching one state agree, and popping
+        # back to the start returns to 0.  The revoke garbage-collects
+        # P and the grant introduces U, so vertex atoms move too.
+        grant = grant_cmd(ADMIN, U, R)
+        revoke = revoke_cmd(ADMIN, R, P)
+        engine = ExplorationEngine(policy, Mode.STRICT)
+        assert engine.fingerprint == 0
+        values = []
+        for order in ((grant, revoke), (revoke, grant)):
+            for command in order:
+                engine.push(command)
+                assert engine.fingerprint != 0
+            values.append((engine.fingerprint, engine.snapshot()))
+            engine.pop()
+            engine.pop()
+            assert engine.fingerprint == 0
+        (first, first_state), (second, second_state) = values
+        assert first_state == second_state
+        assert first == second
 
     def test_toggle_roundtrip(self):
         fingerprint = StateFingerprint()

@@ -216,6 +216,45 @@ def test_copy_resets_ownership_on_both_sides():
     assert graph._succ["a"] is owned  # owned now: written in place
 
 
+class _Untouchable(set):
+    """A successor set that fails if anything looks inside it."""
+
+    def __iter__(self):
+        raise AssertionError("a shared set was read")
+
+    def __sub__(self, other):
+        raise AssertionError("a shared set was diffed")
+
+    __rsub__ = __contains__ = __sub__
+
+
+def test_edges_absent_from_skips_shared_sets_and_diffs_the_rest():
+    graph = Digraph([("a", "b"), ("a", "c"), ("b", "c"), ("d", "a")])
+    clone = graph.copy()
+    shared = clone._succ["d"] = graph._succ["d"] = _Untouchable({"a"})
+    clone.add_edge("a", "x")  # unshares a's set, one new edge
+    clone.remove_edge("b", "c")  # unshares b's set, no new edge
+    clone.add_edge("b", "c")  # b's set: unshared but equal again
+    assert clone._succ["d"] is shared is graph._succ["d"]
+    assert clone._succ["b"] is not graph._succ["b"]
+    assert list(clone.edges_absent_from(graph)) == [("a", "x")]
+    assert list(graph.edges_absent_from(clone)) == []
+
+
+def test_edges_absent_from_unrelated_graphs():
+    edges = [("a", "b"), ("b", "c"), ("c", "a")]
+    graph, twin = Digraph(edges), Digraph(reversed(edges))
+    assert list(graph.edges_absent_from(twin)) == []
+    twin.add_edge("e", "a")
+    twin.add_edge("e", "b")  # e is not a vertex of graph
+    twin.add_edge("c", "b")
+    twin.remove_edge("a", "b")
+    assert sorted(twin.edges_absent_from(graph)) == [
+        ("c", "b"), ("e", "a"), ("e", "b"),
+    ]
+    assert list(graph.edges_absent_from(twin)) == [("a", "b")]
+
+
 _NAMES = "abcdef"
 _operation = st.tuples(
     st.sampled_from(

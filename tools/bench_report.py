@@ -100,7 +100,8 @@ BENCHES: dict[str, tuple[str, dict[str, str], str | None]] = {
         "benchmarks/bench_repair.py",
         # Repair is lint in a loop, so the reduced-scale overhead story
         # matches the lint bench; the bar drops to 1.5x there (the
-        # full-scale run holds >=2x with a wide margin — measured ~6x).
+        # full-scale run holds >=2x with a wide margin — measured ~4.5x
+        # on a 2-vCPU Xeon).
         {
             "REPAIR_BENCH_DEPARTMENTS": "3",
             "REPAIR_BENCH_LEVELS": "3",
