@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.authz_index import AuthorizationIndex
-from ..core.authz_shard import ShardedAuthorizationIndex
 from ..core.entities import User
 from ..core.policy import Policy
 from ..core.privileges import Grant, Privilege, Revoke
@@ -80,8 +79,7 @@ def audit_matrix(
     privileges=None,
     users=None,
     compiled: bool = True,
-    shards: int = 1,
-    index=None,
+    index: AuthorizationIndex | None = None,
 ) -> AuditReport:
     """Audit the whole population's held privileges in one bulk sweep.
 
@@ -89,17 +87,11 @@ def audit_matrix(
     permission columns an access audit cares about); pass any privilege
     collection — including administrative :class:`Grant`/:class:`Revoke`
     terms — to audit those columns instead.  ``users`` defaults to
-    every user.  ``shards > 1`` runs the sweep on a
-    :class:`ShardedAuthorizationIndex`; pass an existing ``index`` to
-    reuse a serving index (its kernel wins over ``compiled``).
+    every user.  Pass an existing ``index`` to reuse a serving index
+    (its kernel wins over ``compiled``).
     """
     if index is None:
-        if shards > 1:
-            index = ShardedAuthorizationIndex(
-                policy, shards=shards, compiled=compiled
-            )
-        else:
-            index = AuthorizationIndex(policy, compiled=compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
     audited_users = tuple(
         sorted(policy.users(), key=str) if users is None else users
     )

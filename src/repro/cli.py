@@ -355,9 +355,7 @@ def _cmd_audit_matrix(args: argparse.Namespace) -> int:
     from .analysis.audit import audit_matrix
 
     policy = _policy_target(args, "audit-matrix")
-    report = audit_matrix(
-        policy, compiled=not args.frozenset, shards=args.shards
-    )
+    report = audit_matrix(policy, compiled=not args.frozenset)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
         return 0
@@ -365,7 +363,7 @@ def _cmd_audit_matrix(args: argparse.Namespace) -> int:
     print(
         f"audit matrix at policy version {report.version} "
         f"({len(report.users)} users x {len(report.privileges)} "
-        f"privileges, {kernel} kernel, shards={args.shards})"
+        f"privileges, {kernel} kernel)"
     )
     for user in report.users:
         grants, revokes = report.admin_counts(user)
@@ -383,7 +381,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         fuzz_many,
         fuzz_pdp,
         fuzz_repair,
-        fuzz_sharded_index,
     )
 
     compiled = not args.frozenset
@@ -396,19 +393,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     print(f"campaigns: {len(reports)}  steps/campaign: {args.steps}  "
           f"kernel: {'compiled' if compiled else 'frozenset'}")
     print(f"executed: {executed} (implicit: {implicit})  denied: {denied}")
-    if args.shards > 1:
-        shard_reports = [
-            fuzz_sharded_index(
-                seed, steps=args.steps, shard_counts=(args.shards,),
-                compiled=compiled,
-            )
-            for seed in range(args.seeds)
-        ]
-        violations += [v for r in shard_reports for v in r.violations]
-        print(
-            f"shard transparency: {len(shard_reports)} campaigns at "
-            f"{args.shards} shards"
-        )
     if args.kernel_diff:
         kernel_reports = [
             fuzz_compiled_kernel(seed, steps=args.steps)
@@ -416,8 +400,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         ]
         violations += [v for r in kernel_reports for v in r.violations]
         print(
-            f"compiled-kernel agreement: {len(kernel_reports)} campaigns "
-            "at shards (1, 2, 4)"
+            f"compiled-kernel agreement: {len(kernel_reports)} campaigns"
         )
     if args.batch_diff:
         batch_reports = [
@@ -426,7 +409,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         violations += [v for r in batch_reports for v in r.violations]
         print(
             f"batch-authorization agreement: {len(batch_reports)} "
-            "campaigns at shards (1, 2, 4), both kernels"
+            "campaigns, both kernels"
         )
     if args.repair_diff:
         repair_reports = [
@@ -881,11 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seeds", type=int, default=10)
     fuzz.add_argument("--steps", type=int, default=50)
     fuzz.add_argument(
-        "--shards", type=int, default=1,
-        help="additionally pin an N-shard index to the unsharded "
-             "oracle (invariant 8)",
-    )
-    fuzz.add_argument(
         "--frozenset", action="store_true",
         help="run the campaigns on the frozenset (non-compiled) kernel "
              "— the differential baseline",
@@ -898,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--batch-diff", action="store_true",
         help="additionally pin batch authorization to per-pair scalar "
-             "decisions across kernels and shard counts (invariant 12)",
+             "decisions on both kernels (invariant 12)",
     )
     fuzz.add_argument(
         "--repair-diff", action="store_true",
@@ -932,10 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--fixture", choices=sorted(_LINT_FIXTURES), default=None,
         help="audit a built-in policy instead of a file",
-    )
-    audit.add_argument(
-        "--shards", type=int, default=1,
-        help="run the sweep on an N-shard index (default 1)",
     )
     audit.add_argument(
         "--json", action="store_true", help="machine-readable output"

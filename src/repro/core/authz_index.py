@@ -41,14 +41,9 @@ An index-backed refined monitor also unlocks *batched* command queues:
 a single index validation — see that method's docstring for the exact
 transactional semantics.
 
-For large populations the index also serves as the *shard* unit of
-:class:`repro.core.authz_shard.ShardedAuthorizationIndex`: ``owns``
-restricts an instance to a subset of the subjects, ``pool`` shares
-interned :class:`GrantRectangle` contents across all shards (they are
-per-privilege, not per-user), and ``region_cache`` lets sibling shards
-repairing over the same delta window reuse one dirty-region sweep.
-All three default to off, which is exactly the original single-index
-behaviour.
+Rectangle contents are per-privilege, not per-user: the compiled
+index memoizes one rectangle per held grant (``_rect_memo``) and every
+holder shares it; repair evicts exactly the stale entries.
 
 ``compiled=True`` (the default) runs the whole index on the *bitset
 kernel*: held sets are big-int bitmasks over the policy graph's
@@ -114,7 +109,7 @@ class GrantRectangle:
 class BitGrantRectangle:
     """The compiled representation of a grant rectangle: ``sources`` /
     ``targets`` as bitmasks over the policy graph's interned vertex
-    IDs, so :meth:`covers` is two bit-tests and a pool's dirty-region
+    IDs, so :meth:`covers` is two bit-tests and a dirty-region
     intersection is a single ``&``.
 
     A rectangle holds no graph: the decoding methods (:meth:`covers`,
@@ -298,25 +293,16 @@ class AuthorizationIndex:
     #: rebuild instead of an incremental repair.
     DELTA_LIMIT = 64
 
-    #: shared region caches are tiny: dirty regions are only reusable
-    #: across shards repairing over the same delta window, so old
-    #: windows are dead weight.
-    REGION_CACHE_LIMIT = 32
-
     __slots__ = ("policy", "incremental", "compiled", "full_rebuilds",
                  "partial_refreshes", "users_refreshed", "rectangles_built",
                  "_cursor", "_held", "_rectangles", "_rect_rows",
-                 "_rect_users", "_rect_memo", "_oracle", "_pool", "_owns",
-                 "_region_cache", "_snapshot")
+                 "_rect_users", "_rect_memo", "_oracle", "_snapshot")
 
     def __init__(
         self,
         policy: Policy,
         incremental: bool = True,
         compiled: bool = True,
-        pool=None,
-        owns=None,
-        region_cache: dict | None = None,
     ):
         self.policy = policy
         self.incremental = incremental
@@ -328,8 +314,8 @@ class AuthorizationIndex:
         self.full_rebuilds = 0
         self.partial_refreshes = 0
         self.users_refreshed = 0
-        #: rectangles this instance compiled or built itself (a pooled
-        #: shard's come from the pool and are counted there).
+        #: rectangles built (frozenset kernel: one per holder) or
+        #: compiled into the memo (compiled kernel: one per grant).
         self.rectangles_built = 0
         self._cursor = policy.journal_cursor()
         #: per-subject held privileges: frozenset[Privilege] when
@@ -348,15 +334,9 @@ class AuthorizationIndex:
         #: rectangle — the only ones a stale rectangle can touch.
         self._rect_users: set[User] = set()
         #: compiled rectangles by held privilege, valid at the cursor's
-        #: version (repair evicts the stale ones); unused with a pool.
+        #: version (repair evicts the stale ones).
         self._rect_memo: dict[Grant, BitGrantRectangle] = {}
         self._oracle = OrderingOracle(policy, compiled=compiled)
-        #: rectangle-sharing pool (see repro.core.authz_shard); None
-        #: means rectangles are built privately per instance.
-        self._pool = pool
-        #: subject filter — a shard indexes only the users it owns.
-        self._owns = owns
-        self._region_cache = region_cache
         self._snapshot: ReviewSnapshot | None = None
         self._rebuild()
 
@@ -366,7 +346,6 @@ class AuthorizationIndex:
     def _build_user(self, user: User, entity_ancestors: dict) -> None:
         """(Re)compute one user's held set and rectangles in place."""
         graph = self.policy.graph
-        pool = self._pool
 
         def ancestors_of(vertex) -> frozenset:
             cached = entity_ancestors.get(vertex)
@@ -390,12 +369,6 @@ class AuthorizationIndex:
                 continue
             if not isinstance(privilege.target, _Entity):
                 continue
-            if pool is not None:
-                # Rectangle contents are per-privilege, not per-user:
-                # every subject holding this grant shares one interned
-                # rectangle.
-                rectangles.append(pool.rectangle(privilege))
-                continue
             # Weaker sources: entities v with v ->phi s (rule 2
             # premise v1 -> v2); weaker targets: entities below t.
             sources = ancestors_of(privilege.source)
@@ -411,10 +384,8 @@ class AuthorizationIndex:
         self.users_refreshed += 1
 
     def _rectangle(self, privilege: Grant, ancestor_memo: dict):
-        """The current compiled rectangle of ``privilege``: the pool's,
-        or this index's memoized one, compiled on first demand."""
-        if self._pool is not None:
-            return self._pool.rectangle(privilege)
+        """The current compiled rectangle of ``privilege``: the memoized
+        one, compiled on first demand."""
         rectangle = self._rect_memo.get(privilege)
         if rectangle is None:
             rectangle = self._rect_memo[privilege] = compile_rectangle(
@@ -428,8 +399,8 @@ class AuthorizationIndex:
     ) -> None:
         """Compiled :meth:`_build_user`: the held set is one BFS mask
         intersected with the privilege sort mask, and rectangles come
-        from the pool or the memo (their contents are per-privilege,
-        never per-user).  ``profiles`` maps a held mask to the entries
+        from the memo (their contents are per-privilege, never
+        per-user).  ``profiles`` maps a held mask to the entries
         already built for it in this pass, so users with the same
         authority share one rectangle tuple and one row."""
         policy = self.policy
@@ -502,16 +473,7 @@ class AuthorizationIndex:
         else:
             self._rect_users.discard(user)
 
-    def _subjects(self):
-        """The users this instance indexes (all of them, unless it is a
-        shard restricted by ``owns``)."""
-        if self._owns is None:
-            return self.policy.users()
-        return (user for user in self.policy.users() if self._owns(user))
-
     def _rebuild(self) -> None:
-        if self._pool is not None:
-            self._pool.validate()
         self._held.clear()
         self._rectangles.clear()
         self._rect_rows.clear()
@@ -520,11 +482,11 @@ class AuthorizationIndex:
         if self.compiled:
             ancestor_memo: dict = {}
             profiles: dict = {}
-            for user in self._subjects():
+            for user in self.policy.users():
                 self._build_user_bits(user, ancestor_memo, profiles)
         else:
             entity_ancestors: dict[object, frozenset] = {}
-            for user in self._subjects():
+            for user in self.policy.users():
                 self._build_user(user, entity_ancestors)
         self._cursor.version = self.policy.version
         self.full_rebuilds += 1
@@ -548,42 +510,11 @@ class AuthorizationIndex:
         if summary.weight > max(self.DELTA_LIMIT, len(self._held)):
             self._rebuild()
             return
-        self._apply_deltas(deltas, summary, since)
+        self._apply_deltas(deltas, summary)
         self._cursor.version = self.policy.version
         self.partial_refreshes += 1
 
-    def _dirty_region(self, edge_sources, edge_targets, since):
-        """The (upstream, downstream) frozenset region for this repair
-        window (see :meth:`_cached_region`)."""
-        return self._cached_region(
-            dirty_region, edge_sources, edge_targets, since
-        )
-
-    def _dirty_region_bits(self, edge_sources, edge_targets, since):
-        """Compiled :meth:`_dirty_region` (shards sharing a region
-        cache all run the same representation, so cached values are
-        homogeneous)."""
-        return self._cached_region(
-            dirty_region_bits, edge_sources, edge_targets, since
-        )
-
-    def _cached_region(self, sweep, edge_sources, edge_targets, since):
-        """Run one dirty-region ``sweep``, shared with sibling shards
-        via the region cache: the deltas — and hence the region — are
-        a pure function of the version window, so shards repairing
-        over the same window reuse one sweep."""
-        if self._region_cache is None:
-            return sweep(self.policy.graph, edge_sources, edge_targets)
-        key = (since, self.policy.version)
-        region = self._region_cache.get(key)
-        if region is None:
-            region = sweep(self.policy.graph, edge_sources, edge_targets)
-            if len(self._region_cache) >= self.REGION_CACHE_LIMIT:
-                self._region_cache.clear()
-            self._region_cache[key] = region
-        return region
-
-    def _apply_deltas(self, deltas, summary, since: int) -> None:
+    def _apply_deltas(self, deltas, summary) -> None:
         """Incrementally repair the index from journaled graph deltas.
 
         The edge endpoints come pre-classified in ``summary``; the
@@ -591,8 +522,6 @@ class AuthorizationIndex:
         bookkeeping (a user removed then re-added within the burst
         must end up fresh, not stale).
         """
-        if self._pool is not None:
-            self._pool.validate()
         fresh_users: set[User] = set()
         for delta in deltas:
             if delta.is_edge:
@@ -605,21 +534,19 @@ class AuthorizationIndex:
                     self._rect_users.discard(delta.source)
                 fresh_users.discard(delta.source)
             elif isinstance(delta.source, User):
-                if delta.source not in self._held and (
-                    self._owns is None or self._owns(delta.source)
-                ):
+                if delta.source not in self._held:
                     fresh_users.add(delta.source)
 
         dirty: set[User] = set(fresh_users)
         if not self.compiled:
             if summary.edge_sources:
-                self._collect_dirty(summary, since, dirty)
+                self._collect_dirty(summary, dirty)
             entity_ancestors: dict[object, frozenset] = {}
             for user in dirty:
                 self._build_user(user, entity_ancestors)
             return
 
-        stale = self._collect_dirty_bits(summary, since, dirty)
+        stale = self._collect_dirty_bits(summary, dirty)
         vertex_of = self.policy.graph._vertex_of
         memo = self._rect_memo
         for index in iter_bits(stale):
@@ -639,10 +566,10 @@ class AuthorizationIndex:
             for user in patched:
                 self._patch_user_bits(user, stale, ancestor_memo, profiles)
 
-    def _collect_dirty(self, summary, since: int, dirty: set) -> None:
+    def _collect_dirty(self, summary, dirty: set) -> None:
         """Frozenset dirty-subject sweep for one repair window."""
-        upstream, downstream = self._dirty_region(
-            summary.edge_sources, summary.edge_targets, since
+        upstream, downstream = dirty_region(
+            self.policy.graph, summary.edge_sources, summary.edge_targets
         )
         # A held set can only gain/lose privileges lying downstream
         # of a mutated edge's target; a privilege-free downstream
@@ -659,7 +586,7 @@ class AuthorizationIndex:
                     dirty.add(user)
                     break
 
-    def _collect_dirty_bits(self, summary, since: int, dirty: set) -> int:
+    def _collect_dirty_bits(self, summary, dirty: set) -> int:
         """Compiled dirty sweep: adds the users whose held set can
         change to ``dirty`` (one ``upstream & users_mask``
         intersection) and returns the stale-privilege mask — the
@@ -689,8 +616,8 @@ class AuthorizationIndex:
         if not summary.edge_sources:
             return stale
         upstream, downstream, absent_sources, absent_targets = (
-            self._dirty_region_bits(
-                summary.edge_sources, summary.edge_targets, since
+            dirty_region_bits(
+                policy.graph, summary.edge_sources, summary.edge_targets
             )
         )
         held_map = self._held
@@ -1113,8 +1040,8 @@ class AuthorizationIndex:
         #: inputs :meth:`grantable_pairs` derives its answer from.
         profiles: dict[object, frozenset] = {}
         #: rectangle -> decoded (sources, targets) pair, shared by
-        #: every profile containing it (rectangle contents are
-        #: per-privilege; pooled instances dedup by identity).
+        #: every profile containing it (compiled rectangles are
+        #: per-privilege, so holders dedup by identity).
         decoded: dict[int, tuple] = {}
         out: dict[User, frozenset] = {}
         compiled = self.compiled
@@ -1219,7 +1146,7 @@ class AuthorizationIndex:
         entries in place.  The fork indexes the same subjects, gets its
         own journal cursor and ordering oracle on the clone, and counts
         no rebuilds; it never repairs (nothing mutates the clone), so
-        it needs no rectangle memo, pool or region cache."""
+        it needs no rectangle memo."""
         self._validate()
         fork = AuthorizationIndex.__new__(AuthorizationIndex)
         fork.policy = policy
@@ -1227,7 +1154,6 @@ class AuthorizationIndex:
         fork.compiled = self.compiled
         fork.full_rebuilds = fork.partial_refreshes = 0
         fork.users_refreshed = fork.rectangles_built = 0
-        fork._owns = self._owns
         fork._cursor = policy.journal_cursor()
         fork._held = dict(self._held)
         fork._rectangles = dict(self._rectangles)
@@ -1235,13 +1161,21 @@ class AuthorizationIndex:
         fork._rect_users = set(self._rect_users)
         fork._rect_memo = {}
         fork._oracle = OrderingOracle(policy, compiled=self.compiled)
-        fork._pool = None
-        fork._region_cache = None
         fork._snapshot = None
         return fork
 
     def _snapshot_at(self, version: int) -> "ReviewSnapshot":
-        return retained_snapshot(self._snapshot, version)
+        """The retained snapshot if it matches ``version``, else a
+        ValueError telling the auditor what is actually retained."""
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.version != version:
+            retained = "none" if snapshot is None else snapshot.version
+            raise ValueError(
+                f"no review snapshot retained at version {version} "
+                f"(retained: {retained}); call snapshot() at the version "
+                "the audit should see"
+            )
+        return snapshot
 
     def statistics(self) -> dict[str, int]:
         self._validate()
@@ -1258,22 +1192,6 @@ class AuthorizationIndex:
             "users_refreshed": self.users_refreshed,
             "rectangles_built": self.rectangles_built,
         }
-
-
-def retained_snapshot(
-    snapshot: "ReviewSnapshot | None", version: int
-) -> "ReviewSnapshot":
-    """The retained snapshot if it matches ``version``, else a
-    ValueError telling the auditor what is actually retained (shared
-    by the plain and sharded indexes)."""
-    if snapshot is None or snapshot.version != version:
-        retained = "none" if snapshot is None else snapshot.version
-        raise ValueError(
-            f"no review snapshot retained at version {version} "
-            f"(retained: {retained}); call snapshot() at the version "
-            "the audit should see"
-        )
-    return snapshot
 
 
 class ReviewSnapshot:

@@ -293,17 +293,6 @@ class Policy:
         cursor is alive the journal retains what it still needs."""
         return self._graph.journal_cursor()
 
-    def validate_caches(self) -> None:
-        """Run the (mutating) eviction/maintenance steps of the
-        reachability cache and the sort masks now.
-
-        Call before fanning reads out to worker threads: afterwards,
-        concurrent queries against an unchanged policy only add memo
-        entries, they never restructure shared state."""
-        self._cache.validate()
-        if self._bits is not None:
-            self._bits.validate()
-
     def users(self) -> Iterator[User]:
         for vertex in self._graph.vertices():
             if isinstance(vertex, User):

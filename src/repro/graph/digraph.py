@@ -63,7 +63,7 @@ def summarize_deltas(deltas: Iterable[GraphDelta]) -> DeltaSummary:
     """Classify a delta burst for dirty-region cache maintenance.
 
     Every incrementally repaired structure (reachability cache,
-    authorization index, rectangle pool, ordering memo) needs the same
+    authorization index, ordering memo) needs the same
     decomposition of a burst: the mutated-edge endpoints to seed
     :func:`repro.graph.dirty_region`, the removed vertices to evict
     directly, and the burst *weight* to compare against its
@@ -144,9 +144,10 @@ class JournalCursor:
     Every incrementally maintained cache used to track its own
     ``version`` integer and call :meth:`Digraph.changes_since`
     directly; that works for a single consumer, but with several
-    independent consumers (the shards of a sharded authorization
-    index, the shared rectangle pool) the journal has no idea who is
-    still behind, and a fixed-size window silently expires under the
+    independent consumers (the authorization index and its snapshot
+    forks, the serving layer's decision cache, the policy's
+    ``PolicyBits`` sort masks) the journal has no idea who is still
+    behind, and a fixed-size window silently expires under the
     slowest reader.  A cursor makes the consumer visible: the graph
     holds cursors weakly and, when trimming the journal, keeps the
     entries the laggiest registered cursor still needs (up to a hard
@@ -203,10 +204,11 @@ class Digraph:
     shares the adjacency sets copy-on-write, so cloning costs two dict
     copies plus the flat interner, not a copy of every set.
 
-    Consumers that repair lazily and independently (e.g. the shards of
-    a sharded authorization index) register a :class:`JournalCursor`
-    via :meth:`journal_cursor`; trimming then preserves the entries the
-    slowest live cursor still needs, up to ``JOURNAL_HARD_LIMIT``.
+    Consumers that repair lazily and independently (the authorization
+    index, its forks, the decision cache, ``PolicyBits``) register a
+    :class:`JournalCursor` via :meth:`journal_cursor`; trimming then
+    preserves the entries the slowest live cursor still needs, up to
+    ``JOURNAL_HARD_LIMIT``.
 
     Vertices are additionally *interned*: every vertex gets a stable
     small-integer ID (:meth:`vid` / :meth:`vertex_of`) assigned on

@@ -311,16 +311,6 @@ class ReachabilityCache:
                     self.evictions += len(stale_bits)
         self._version = self._graph.version
 
-    def validate(self) -> None:
-        """Bring the eviction bookkeeping up to date now.
-
-        Queries validate lazily anyway; this exists so that code about
-        to share the cache across worker threads (parallel shard
-        repair) can run the single mutating validation step up front —
-        after it, concurrent readers only ever *add* memo entries.
-        """
-        self._validate()
-
     def descendants(self, source: Vertex) -> frozenset[Vertex]:
         self._validate()
         cached = self._descendants.get(source)

@@ -183,7 +183,6 @@ class PolicyDecisionPoint:
         *,
         policy=None,
         compiled: bool = True,
-        shards: int = 1,
         max_batch: int = 64,
         max_delay: float = 0.002,
         rate_limiter: RateLimiter | None = None,
@@ -202,7 +201,6 @@ class PolicyDecisionPoint:
                 policy,
                 mode=Mode.REFINED,
                 use_index=True,
-                shards=shards,
                 compiled=compiled,
             )
         if monitor.mode is not Mode.REFINED or monitor._index is None:
@@ -320,7 +318,6 @@ class PolicyDecisionPoint:
         path,
         *,
         compiled: bool = True,
-        shards: int = 1,
         expected_head: str | None = None,
         **kwargs,
     ) -> "PolicyDecisionPoint":
@@ -344,7 +341,7 @@ class PolicyDecisionPoint:
         path = str(path)
         repair_torn_tail(path)
         verify_chain(iter_wal(path), expected_head=expected_head)
-        monitor = replay_wal(iter_wal(path), compiled=compiled, shards=shards)
+        monitor = replay_wal(iter_wal(path), compiled=compiled)
         return cls(monitor, wal=PolicyWal(path), **kwargs)
 
     # ------------------------------------------------------------------

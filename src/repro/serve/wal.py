@@ -281,11 +281,7 @@ def verify_chain(records, expected_head: str | None = None) -> str:
     return head
 
 
-def replay_wal(
-    records,
-    compiled: bool = True,
-    shards: int = 1,
-) -> ReferenceMonitor:
+def replay_wal(records, compiled: bool = True) -> ReferenceMonitor:
     """Deterministically rebuild the pre-crash monitor from verified
     ``records`` (any iterable): policy document + version fast-forward
     at genesis and every rebase, one ``submit_queue(batched=True)``
@@ -309,7 +305,6 @@ def replay_wal(
                 policy,
                 mode=Mode.REFINED,
                 use_index=True,
-                shards=shards,
                 compiled=compiled,
             )
             continue

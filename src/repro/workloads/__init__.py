@@ -6,7 +6,6 @@ from .churn import (
     churn_policy,
     churn_trace,
     differential_churn,
-    differential_shard_churn,
     run_churn,
 )
 from .generators import (
@@ -40,7 +39,6 @@ from .fuzz import (
     fuzz_index_churn,
     fuzz_many,
     fuzz_monitor,
-    fuzz_sharded_index,
 )
 from .enterprise import (
     EnterpriseShape,
@@ -55,7 +53,6 @@ __all__ = [
     "churn_policy",
     "churn_trace",
     "differential_churn",
-    "differential_shard_churn",
     "run_churn",
     "PolicyShape",
     "layered_hierarchy",
@@ -71,7 +68,7 @@ __all__ = [
     "differential_append_failure",
     "differential_crash_recovery", "wal_tamper_campaign",
     "FuzzReport", "fuzz_crash_recovery", "fuzz_index_churn",
-    "fuzz_many", "fuzz_monitor", "fuzz_sharded_index",
+    "fuzz_many", "fuzz_monitor",
     "EnterpriseShape",
     "delegation_targets",
     "enterprise_policy",

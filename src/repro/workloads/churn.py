@@ -137,8 +137,7 @@ def churn_trace(
 
     ``mutation_users`` restricts which users the UA mutations touch —
     the *localized churn* case (e.g. one department re-orged while the
-    rest of the organization only issues queries), used by
-    ``benchmarks/bench_shard_scaling.py`` to show that repair work
+    rest of the organization only issues queries), where repair work
     follows the dirty region, not the population.  Setting it also
     drops the occasional RH churn (whose dirty region is global by
     nature).  ``mutation_roles`` additionally restricts which roles the
@@ -200,12 +199,19 @@ def differential_churn(
     remove_users: bool = False,
     mutation_log: list[str] | None = None,
 ) -> list[str]:
-    """Randomized differential check: after every mutation the
+    """Randomized differential check: after every delta burst the
     incremental index must agree *structurally* (held sets, rectangles,
     effective authority — and, compiled, the rectangle rows the batch
     kernel reads: held mask, union masks, rows in ascending privilege
     ID) and *behaviourally* (sampled authorization probes) with a
     from-scratch rebuild.
+
+    Each step applies a burst of one to three mutations back-to-back
+    and only then calls ``index.refresh()``, so every repair replays a
+    multi-delta journal window — including, with ``remove_users``, a
+    user removed *and re-added* inside one burst, where the repair must
+    end up with a fresh entry, neither resurrecting the stale one nor
+    losing it.
 
     Two oracles are compared against.  A fresh index in the *same*
     representation pins incremental maintenance exactly (internal
@@ -221,7 +227,9 @@ def differential_churn(
 
     ``remove_users=True`` mixes user deprovisioning (and usually
     re-provisioning) into the mutations — the interner ID-reuse case.
-    Returns the list of violations (empty means the property held).
+    ``mutation_log`` (if given) collects one label per mutation, so
+    callers can assert the mix was actually exercised.  Returns the
+    list of violations (empty means the property held).
     Random policies here exercise cycles, nested admin privileges and
     privilege-vertex garbage collection — the edge cases of the dirty
     region computation.
@@ -238,21 +246,26 @@ def differential_churn(
     privileges = sorted(policy.subterm_closure(), key=str)
 
     for step_number in range(steps):
-        if remove_users and rng.random() < 0.25 and users:
-            victim = rng.choice(users)
-            policy.remove_user(victim)
-            mutation = f"remove-user {victim}"
-            if rng.random() < 0.7:
-                # Re-added in the same burst: the freed interner ID is
-                # typically handed straight back — a surviving stale
-                # mask would now misread it.
-                policy.add_user(victim)
-                policy.assign_user(victim, rng.choice(roles))
-                mutation += f"; re-add {victim}"
-        else:
-            mutation = _random_mutation(rng, policy, users, roles, privileges)
+        burst: list[str] = []
+        for _ in range(rng.randint(1, 3)):
+            if remove_users and rng.random() < 0.25 and users:
+                victim = rng.choice(users)
+                policy.remove_user(victim)
+                burst.append(f"remove-user {victim}")
+                if rng.random() < 0.7:
+                    # Re-added in the same burst: the freed interner ID
+                    # is typically handed straight back — a surviving
+                    # stale mask would now misread it.
+                    policy.add_user(victim)
+                    policy.assign_user(victim, rng.choice(roles))
+                    burst.append(f"re-add {victim}")
+            else:
+                burst.append(
+                    _random_mutation(rng, policy, users, roles, privileges)
+                )
+        mutation = "; ".join(burst)
         if mutation_log is not None:
-            mutation_log.append(mutation)
+            mutation_log.extend(burst)
         index.refresh()
         fresh = AuthorizationIndex(policy, compiled=compiled)
         oracle = (
@@ -345,117 +358,6 @@ def differential_churn(
                         f"{probe} by a privilege the oracle says {issuer} "
                         "does not hold"
                     )
-    return violations
-
-
-def differential_shard_churn(
-    seed: int,
-    steps: int = 40,
-    shape: PolicyShape = PolicyShape(),
-    shard_counts: tuple[int, ...] = (2, 4, 7),
-    probes_per_step: int = 8,
-    burst_log: list[str] | None = None,
-    compiled: bool = True,
-) -> list[str]:
-    """Randomized differential check for the *sharded* index: after
-    every delta burst, a :class:`~repro.core.authz_shard.\
-ShardedAuthorizationIndex` at each shard count must answer
-    ``authorizes``, ``grantable_pairs``, ``revocable_pairs`` and
-    ``effective_authority`` identically to a from-scratch unsharded
-    oracle.
-
-    Bursts contain one to three mutations applied back-to-back before
-    any index validates, including user deprovisioning and users
-    removed *and re-added* within the same burst — the cases where a
-    shard's journal replay must not resurrect or lose per-user
-    entries (and, under the compiled kernel, where interner IDs are
-    recycled).  When ``compiled=True`` the review surfaces are pinned
-    to a *frozenset* oracle — they are plain pair sets, equal across
-    representations — and ``authorizes`` is pinned exactly to a
-    same-representation oracle plus at grant/deny level to the
-    frozenset one.  Returns the list of violations (empty means the
-    invariant held); ``burst_log`` (if given) collects the mutation
-    labels so callers can assert the mix was actually exercised.
-    """
-    from ..core.authz_index import AuthorizationIndex
-    from ..core.authz_shard import ShardedAuthorizationIndex
-
-    rng = random.Random(seed ^ 0x51A2D)
-    policy = random_policy(seed, shape)
-    sharded = {
-        count: ShardedAuthorizationIndex(
-            policy, shards=count, compiled=compiled
-        )
-        for count in shard_counts
-    }
-    violations: list[str] = []
-
-    users = sorted(policy.users(), key=str)
-    roles = sorted(policy.roles(), key=str)
-    privileges = sorted(policy.subterm_closure(), key=str)
-
-    for step_number in range(steps):
-        burst: list[str] = []
-        for _ in range(rng.randint(1, 3)):
-            if rng.random() < 0.2 and users:
-                victim = rng.choice(users)
-                policy.remove_user(victim)
-                burst.append(f"remove-user {victim}")
-                if rng.random() < 0.7:
-                    # Re-added within the same delta burst: the shard
-                    # must end up with a fresh entry, not a stale one.
-                    policy.add_user(victim)
-                    policy.assign_user(victim, rng.choice(roles))
-                    burst.append(f"re-add {victim}")
-            else:
-                burst.append(
-                    _random_mutation(rng, policy, users, roles, privileges)
-                )
-        label = "; ".join(burst)
-        if burst_log is not None:
-            burst_log.extend(burst)
-        fresh = AuthorizationIndex(policy, compiled=compiled)
-        oracle = (
-            AuthorizationIndex(policy, compiled=False) if compiled else fresh
-        )
-        probes = [
-            Command(
-                rng.choice(users),
-                rng.choice([CommandAction.GRANT, CommandAction.REVOKE]),
-                rng.choice(users + roles),
-                rng.choice(roles + privileges),
-            )
-            for _ in range(probes_per_step)
-        ]
-        for count, index in sharded.items():
-            for user in users:
-                for surface in (
-                    "grantable_pairs", "revocable_pairs",
-                    "effective_authority",
-                ):
-                    got = getattr(index, surface)(user)
-                    expected = getattr(oracle, surface)(user)
-                    if got != expected:
-                        violations.append(
-                            f"step {step_number} ({label}): shards={count} "
-                            f"{surface} of {user} diverged from the "
-                            "unsharded oracle"
-                        )
-            for probe in probes:
-                got = index.authorizes(probe.user, probe)
-                if got != fresh.authorizes(probe.user, probe):
-                    violations.append(
-                        f"step {step_number} ({label}): shards={count} "
-                        f"authorizes disagrees on {probe}"
-                    )
-                if compiled:
-                    want = oracle.authorizes(probe.user, probe)
-                    if (got is None) != (want is None):
-                        violations.append(
-                            f"step {step_number} ({label}): shards={count} "
-                            f"compiled decision disagrees with the "
-                            f"frozenset oracle on {probe}"
-                        )
     return violations
 
 

@@ -18,22 +18,20 @@ monitor's global invariants after every step:
 7. **Incremental-maintenance agreement** — under randomized policy
    churn, the incrementally maintained authorization index stays
    structurally and behaviourally identical to a from-scratch rebuild
-   after every mutation (:func:`fuzz_index_churn`, backed by
+   after every burst of one to three mutations
+   (:func:`fuzz_index_churn`, backed by
    :func:`repro.workloads.churn.differential_churn`).
-8. **Shard transparency** — a sharded authorization index (any shard
-   count) answers ``authorizes``, ``grantable_pairs``,
-   ``revocable_pairs`` and ``effective_authority`` identically to the
-   unsharded oracle under random grant/revoke/remove-user churn,
-   including users removed and re-added within one delta burst
-   (:func:`fuzz_sharded_index`, backed by
-   :func:`repro.workloads.churn.differential_shard_churn`).
+8. *Retired.*  It pinned the sharded authorization index to the
+   unsharded one; the sharding layer was removed, and the numbering
+   of the later invariants is kept because the docs and CI cite it.
 9. **Compiled-kernel agreement** — the bitset-compiled representation
    (``compiled=True``: bitmask held sets, rectangles and dirty
    regions over interned vertex IDs) is observationally identical to
-   the frozenset oracle under churn, including user removal and
-   re-provisioning that recycles interner IDs, both unsharded and at
-   several shard counts (:func:`fuzz_compiled_kernel`, backed by the
-   two differential harnesses above with ``compiled=True``).
+   the frozenset oracle under churn, including users removed and
+   re-added inside one delta burst, which recycles interner IDs
+   (:func:`fuzz_compiled_kernel`, backed by
+   :func:`repro.workloads.churn.differential_churn` with
+   ``compiled=True``).
 10. **Compiled-analysis agreement** — the undo-log/fingerprint
     explorers behind the analysis layer (``can_obtain``,
     ``reachable_policies``, HRU ``check_safety``) are observationally
@@ -54,7 +52,7 @@ monitor's global invariants after every step:
     are element-for-element identical to per-pair scalar
     ``authorizes`` calls, and ``held_privileges_bulk`` equals per-user
     ``held_privileges``, on every kernel (``compiled=True``/``False``)
-    and at shard counts {1, 2, 4} — over churned policies with
+    — over churned policies with
     recycled interner IDs, permanently deprovisioned subjects living
     in rectangle *extras*, equal-but-distinct entity objects,
     off-graph edge endpoints, and duplicate-heavy batches
@@ -297,53 +295,22 @@ def fuzz_index_churn(
     return report
 
 
-def fuzz_sharded_index(
-    seed: int,
-    steps: int = 40,
-    shape: PolicyShape = PolicyShape(),
-    shard_counts: tuple[int, ...] = (2, 4, 7),
-    compiled: bool = True,
-) -> FuzzReport:
-    """Invariant (8): sharding is an implementation detail — a
-    :class:`~repro.core.authz_shard.ShardedAuthorizationIndex` at every
-    shard count must be observationally identical to the unsharded
-    oracle under randomized churn (see
-    :func:`repro.workloads.churn.differential_shard_churn`).  The
-    invariant must hold on either kernel; ``compiled`` selects it."""
-    from .churn import differential_shard_churn
-
-    report = FuzzReport(seed=seed, steps=steps)
-    report.violations.extend(
-        differential_shard_churn(
-            seed, steps, shape, shard_counts, compiled=compiled
-        )
-    )
-    return report
-
-
 def fuzz_compiled_kernel(
     seed: int,
     steps: int = 40,
     shape: PolicyShape = PolicyShape(),
-    shard_counts: tuple[int, ...] = (1, 2, 4),
 ) -> FuzzReport:
     """Invariant (9): the bitset-compiled kernel is an implementation
     detail — ``compiled=True`` must be observationally identical to
-    the frozenset oracle under randomized churn.  Runs the unsharded
+    the frozenset oracle under randomized churn.  Runs the
     differential with user removal/re-provisioning enabled (interner
-    ID reuse after ``remove_user`` + re-add) and the sharded
-    differential at every count in ``shard_counts``."""
-    from .churn import differential_churn, differential_shard_churn
+    ID reuse after ``remove_user`` + re-add inside one burst)."""
+    from .churn import differential_churn
 
     report = FuzzReport(seed=seed, steps=steps)
     report.violations.extend(
         differential_churn(
             seed, steps, shape, compiled=True, remove_users=True
-        )
-    )
-    report.violations.extend(
-        differential_shard_churn(
-            seed, steps, shape, shard_counts, compiled=True
         )
     )
     return report
@@ -678,7 +645,6 @@ def fuzz_batch_authz(
     seed: int,
     steps: int = 16,
     shape: PolicyShape = PolicyShape(),
-    shard_counts: tuple[int, ...] = (1, 2, 4),
     queries: int = 250,
     rounds: int = 3,
 ) -> FuzzReport:
@@ -686,9 +652,7 @@ def fuzz_batch_authz(
     — ``authorizes_batch(pairs)`` must be element-for-element identical
     to ``[authorizes(u, c) for (u, c) in pairs]`` and
     ``held_privileges_bulk(users)`` to per-user ``held_privileges``,
-    on both kernels (``compiled=True``/``False``), on the plain index
-    and on :class:`~repro.core.authz_shard.ShardedAuthorizationIndex`
-    at every count in ``shard_counts``.
+    on both kernels (``compiled=True``/``False``).
 
     The query batches are deliberately hostile to the packed-matrix
     kernel's shortcuts:
@@ -705,8 +669,6 @@ def fuzz_batch_authz(
       :func:`_recycling_churn`, so batch sweeps also run right after
       incremental repairs over recycled interner IDs.
     """
-    from ..core.authz_shard import ShardedAuthorizationIndex
-
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
     report = FuzzReport(seed=seed, steps=steps)
@@ -717,21 +679,13 @@ def fuzz_batch_authz(
         ghost = rng.choice(initial_users)
         policy.remove_user(ghost)
 
-    indexes = []
-    for compiled in (True, False):
-        kernel = "compiled" if compiled else "frozenset"
-        for count in shard_counts:
-            if count == 1:
-                indexes.append((
-                    f"plain[{kernel}]",
-                    AuthorizationIndex(policy, compiled=compiled),
-                ))
-            indexes.append((
-                f"sharded[{kernel}x{count}]",
-                ShardedAuthorizationIndex(
-                    policy, shards=count, compiled=compiled
-                ),
-            ))
+    indexes = [
+        (
+            "compiled" if compiled else "frozenset",
+            AuthorizationIndex(policy, compiled=compiled),
+        )
+        for compiled in (True, False)
+    ]
 
     offgraph_role = Role("fuzz_offgraph_role")
 

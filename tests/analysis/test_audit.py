@@ -57,13 +57,13 @@ class TestAuditMatrix:
         for user in report.users:
             assert report.held[user] == index.held_privileges(user)
 
-    def test_sharded_equals_plain(self):
+    def test_serving_index_equals_fresh_sweep(self):
         policy = churn_policy(11, ChurnShape(n_users=50, n_roles=10))
         plain = audit_matrix(policy)
-        sharded = audit_matrix(policy, shards=4)
+        served = audit_matrix(policy, index=AuthorizationIndex(policy))
         oracle = audit_matrix(policy, compiled=False)
-        assert plain.held == sharded.held == oracle.held
-        assert plain.rows == sharded.rows == oracle.rows
+        assert plain.held == served.held == oracle.held
+        assert plain.rows == served.rows == oracle.rows
 
     def test_admin_counts_and_holders(self):
         report = audit_matrix(build_policy())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.authz_index import AuthorizationIndex
+from repro.core.authz_index import AuthorizationIndex, BitGrantRectangle
 from repro.core.commands import Mode, candidate_commands, grant_cmd, revoke_cmd, step
 from repro.core.entities import Role, User
 from repro.core.ordering import OrderingOracle
@@ -194,6 +194,70 @@ class TestIncrementalMaintenance:
             newcomer, grant_cmd(newcomer, U, LOW)
         ) == Grant(U, HIGH)
         assert index.statistics()["users"] == 3
+
+
+class TestRectangleMemo:
+    """The compiled index memoizes one rectangle per held grant
+    (``_rect_memo``): rectangle contents are per-privilege, so every
+    holder shares one object, and repair evicts only the stale ones."""
+
+    def test_holders_share_one_rectangle(self, policy):
+        holders = [ADMIN]
+        for i in range(5):
+            grantee = User(f"m{i}")
+            policy.add_user(grantee)
+            policy.assign_user(grantee, ADM)
+            holders.append(grantee)
+        for i in range(5, 20):
+            policy.add_user(User(f"m{i}"))
+            policy.assign_user(User(f"m{i}"), LOW)
+        index = AuthorizationIndex(policy, compiled=True)
+        memo = index._rect_memo
+        assert list(memo) == [Grant(U, HIGH)]
+        shared = memo[Grant(U, HIGH)]
+        assert isinstance(shared, BitGrantRectangle)
+        for holder in holders:
+            assert index._rectangles[holder] == (shared,)
+            assert index._rectangles[holder][0] is shared
+        assert index.rectangles_built == 1
+
+    def test_mutation_evicts_only_the_dirty_entry(self, policy):
+        other = Role("other")
+        policy.add_role(other)
+        policy.assign_privilege(ADM, Grant(other, other))
+        index = AuthorizationIndex(policy, compiled=True)
+        kept = index._rect_memo[Grant(other, other)]
+        dirty = index._rect_memo[Grant(U, HIGH)]
+        built = index.rectangles_built
+        # Mutating below HIGH changes the dirty rectangle's target
+        # region but cannot touch the disconnected one.
+        policy.add_inheritance(LOW, Role("deeper"))
+        index.refresh()
+        assert index.partial_refreshes == 1
+        assert index._rect_memo[Grant(other, other)] is kept
+        rebuilt = index._rect_memo[Grant(U, HIGH)]
+        assert rebuilt is not dirty
+        assert Role("deeper") in rebuilt.targets(policy.graph)
+        assert index.rectangles_built - built == 1
+        assert index._rectangles[ADMIN] == tuple(
+            sorted(
+                (kept, rebuilt),
+                key=lambda rect: policy.graph.vid(rect.held),
+            )
+        )
+
+    def test_vertex_only_churn_keeps_every_entry(self, policy):
+        index = AuthorizationIndex(policy, compiled=True)
+        before = dict(index._rect_memo)
+        built = index.rectangles_built
+        for i in range(10):
+            policy.add_role(Role(f"isolated{i}"))
+        index.refresh()
+        assert index.partial_refreshes == 1
+        assert index.rectangles_built == built
+        assert index._rect_memo.keys() == before.keys()
+        for privilege, rectangle in before.items():
+            assert index._rect_memo[privilege] is rectangle
 
 
 class TestEffectiveAuthority:

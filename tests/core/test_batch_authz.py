@@ -1,5 +1,5 @@
 """Unit tests for batch authorization (``authorizes_batch`` /
-``held_privileges_bulk``) on the plain and sharded indexes.
+``held_privileges_bulk``) on the authorization index.
 
 The contract under test: batch verdicts are positionally aligned with
 the input pairs and element-for-element identical to scalar
@@ -12,7 +12,6 @@ campaigns live in ``repro.workloads.fuzz.fuzz_batch_authz``
 import pytest
 
 from repro.core.authz_index import AuthorizationIndex
-from repro.core.authz_shard import ShardedAuthorizationIndex
 from repro.core.commands import Command, CommandAction, grant_cmd, revoke_cmd
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
@@ -48,14 +47,6 @@ def build_policy() -> Policy:
     return policy
 
 
-def make_index(policy, compiled, shards=1):
-    if shards > 1:
-        return ShardedAuthorizationIndex(
-            policy, shards=shards, compiled=compiled
-        )
-    return AuthorizationIndex(policy, compiled=compiled)
-
-
 def assert_batch_matches_scalar(index, pairs):
     batch = index.authorizes_batch(pairs)
     scalar = [index.authorizes(user, command) for user, command in pairs]
@@ -65,10 +56,9 @@ def assert_batch_matches_scalar(index, pairs):
 
 class TestAuthorizesBatch:
     @BOTH_KERNELS
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_all_decision_paths(self, compiled, shards):
+    def test_all_decision_paths(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled, shards)
+        index = AuthorizationIndex(policy, compiled=compiled)
         pairs = [
             (ADMIN, grant_cmd(ADMIN, U, R)),     # exact match
             (ADMIN, grant_cmd(ADMIN, U, S)),     # rectangle (implicit)
@@ -93,7 +83,7 @@ class TestAuthorizesBatch:
         # Grant(ADM, Grant(U, S))-descendant terms via the ordering;
         # the batch path must delegate exactly like the scalar one.
         policy = build_policy()
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         nested = Command(
             ADMIN, CommandAction.GRANT, ADM, Grant(U, S)
         )
@@ -107,7 +97,7 @@ class TestAuthorizesBatch:
         # through the extras slow path, identically to scalar.
         policy = build_policy()
         policy.remove_user(U)
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         pairs = [
             (ADMIN, grant_cmd(ADMIN, U, R)),   # extras source hit
             (ADMIN, grant_cmd(ADMIN, U, S)),   # extras source, deeper
@@ -128,7 +118,7 @@ class TestAuthorizesBatch:
             pa=[(ADM, Grant(U, R)), (ADM, Grant(U, S))],
         )
         policy.add_user(U)
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         command = grant_cmd(ADMIN, U, S)
         [batch_verdict] = index.authorizes_batch([(ADMIN, command)])
         assert batch_verdict == index.authorizes(ADMIN, command)
@@ -136,7 +126,7 @@ class TestAuthorizesBatch:
     @BOTH_KERNELS
     def test_duplicates_and_equal_twins(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         command = grant_cmd(ADMIN, U, S)
         twin = Command(
             User("admin"), CommandAction.GRANT, User("u"), Role("s")
@@ -150,7 +140,7 @@ class TestAuthorizesBatch:
     @BOTH_KERNELS
     def test_ill_sorted_command_is_none(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         bad = Command(ADMIN, CommandAction.GRANT, R, U)  # Role -> User
         assert bad.requested_privilege() is None
         assert index.authorizes_batch([(ADMIN, bad)]) == [None]
@@ -158,7 +148,7 @@ class TestAuthorizesBatch:
     @BOTH_KERNELS
     def test_empty_batch_returns_without_validation(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         policy.assign_user(OTHER, T)  # leave the index stale
         cursor_before = index._cursor.version if hasattr(
             index, "_cursor"
@@ -170,7 +160,7 @@ class TestAuthorizesBatch:
     @BOTH_KERNELS
     def test_batch_after_incremental_repair(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         index.authorizes(ADMIN, grant_cmd(ADMIN, U, R))  # warm
         policy.assign_user(OTHER, ADM)  # OTHER becomes an admin
         pairs = [
@@ -183,7 +173,7 @@ class TestAuthorizesBatch:
 
     def test_generator_input_accepted(self):
         policy = build_policy()
-        index = make_index(policy, True)
+        index = AuthorizationIndex(policy, compiled=True)
         verdicts = index.authorizes_batch(
             (ADMIN, grant_cmd(ADMIN, U, R)) for _ in range(3)
         )
@@ -192,10 +182,9 @@ class TestAuthorizesBatch:
 
 class TestHeldPrivilegesBulk:
     @BOTH_KERNELS
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_equals_per_user(self, compiled, shards):
+    def test_equals_per_user(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled, shards)
+        index = AuthorizationIndex(policy, compiled=compiled)
         population = [ADMIN, OTHER, U, GHOST, ADMIN]  # duplicate + ghost
         bulk = index.held_privileges_bulk(population)
         assert bulk == {
@@ -211,7 +200,7 @@ class TestHeldPrivilegesBulk:
         # same frozenset (object identity under compiled=True).
         policy = build_policy()
         policy.assign_user(OTHER, ADM)
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         bulk = index.held_privileges_bulk([ADMIN, OTHER])
         assert bulk[ADMIN] == bulk[OTHER]
         if compiled:
@@ -219,6 +208,6 @@ class TestHeldPrivilegesBulk:
 
     @BOTH_KERNELS
     def test_empty_population(self, compiled):
-        index = make_index(build_policy(), compiled)
+        index = AuthorizationIndex(build_policy(), compiled=compiled)
         assert index.held_privileges_bulk([]) == {}
         assert index.held_privileges_bulk(iter(())) == {}

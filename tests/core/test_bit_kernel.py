@@ -1,16 +1,14 @@
 """The compiled (bitset) authorization kernel: sort masks, bit
-rectangles, compiled index/pool/memo parity, and review snapshots."""
+rectangles, compiled index/memo parity, and review snapshots."""
 
 import pytest
 
 from repro.core.authz_index import (
     AuthorizationIndex,
-    BitGrantRectangle,
     GrantRectangle,
     ReviewSnapshot,
     compile_rectangle,
 )
-from repro.core.authz_shard import RectanglePool, ShardedAuthorizationIndex
 from repro.core.commands import Mode, grant_cmd, revoke_cmd
 from repro.core.entities import Role, User
 from repro.core.monitor import ReferenceMonitor
@@ -130,19 +128,13 @@ class TestBitGrantRectangle:
         assert (got is None) == (want is None)
         assert got is not None
 
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_reprovision_in_later_window_migrates_extras(
-        self, policy, pooled
-    ):
+    def test_reprovision_in_later_window_migrates_extras(self, policy):
         """Deprovision in one delta window, re-provision in a *later*
         one: the rectangle was rebuilt with the endpoint in its
         extras, and the re-add (which journals no removal) must
-        migrate it back into the mask — the regression the long-run
-        shard fuzz caught."""
-        if pooled:
-            index = ShardedAuthorizationIndex(policy, shards=2)
-        else:
-            index = AuthorizationIndex(policy)
+        migrate it back into the mask — a regression a long-run
+        burst fuzz caught."""
+        index = AuthorizationIndex(policy)
         probe = grant_cmd(ADMIN, U, MID)
         assert index.authorizes(ADMIN, probe) is not None
         policy.remove_user(U)
@@ -179,20 +171,14 @@ class TestBitGrantRectangle:
 
 
 class TestCompiledIndexParity:
-    @pytest.mark.parametrize("shards", [None, 1, 3])
-    def test_surfaces_match_frozenset_oracle(self, policy, shards):
+    def test_surfaces_match_frozenset_oracle(self, policy):
         users = [U, ADMIN]
         for i in range(12):
             extra = User(f"m{i}")
             users.append(extra)
             policy.add_user(extra)
             policy.assign_user(extra, ADM if i < 3 else LOW)
-        if shards is None:
-            compiled = AuthorizationIndex(policy, compiled=True)
-        else:
-            compiled = ShardedAuthorizationIndex(
-                policy, shards=shards, compiled=True
-            )
+        compiled = AuthorizationIndex(policy, compiled=True)
         oracle = AuthorizationIndex(policy, compiled=False)
         probes = [
             grant_cmd(ADMIN, U, HIGH), grant_cmd(ADMIN, U, LOW),
@@ -260,47 +246,6 @@ class TestCompiledIndexParity:
             assert index.effective_authority(
                 user
             ) == oracle.effective_authority(user)
-
-
-class TestCompiledPool:
-    def test_pool_interns_bit_rectangles(self, policy):
-        pool = RectanglePool(policy)
-        rectangle = pool.rectangle(Grant(U, HIGH))
-        assert isinstance(rectangle, BitGrantRectangle)
-        assert pool.rectangle(Grant(U, HIGH)) is rectangle
-        assert pool.builds == 1 and pool.hits == 1
-
-    def test_pool_evictions_match_frozenset_pool(self, policy):
-        compiled = RectanglePool(policy, compiled=True)
-        frozen = RectanglePool(policy, compiled=False)
-        other = Role("other")
-        policy.add_role(other)
-        policy.assign_privilege(ADM, Grant(other, other))
-        for pool in (compiled, frozen):
-            pool.rectangle(Grant(other, other))
-            pool.rectangle(Grant(U, HIGH))
-        policy.add_inheritance(LOW, Role("deeper"))
-        compiled.validate()
-        frozen.validate()
-        assert compiled.evictions == frozen.evictions == 1
-        assert compiled.full_clears == frozen.full_clears == 0
-        assert Role("deeper") in compiled.rectangle(
-            Grant(U, HIGH)
-        ).targets(policy.graph)
-
-    def test_sharded_index_shares_compiled_rectangles(self, policy):
-        for i in range(8):
-            user = User(f"m{i}")
-            policy.add_user(user)
-            policy.assign_user(user, ADM)
-        sharded = ShardedAuthorizationIndex(policy, shards=4)
-        rectangles = {
-            id(rect)
-            for shard in sharded.shards
-            for rects in shard._rectangles.values()
-            for rect in rects
-        }
-        assert len(rectangles) == 1  # one interned object across shards
 
 
 class TestCompiledOrderingMemo:
@@ -371,17 +316,6 @@ class TestReviewSnapshots:
         with pytest.raises(ValueError):
             index.revocable_pairs(ADMIN, at_version=policy.version + 1)
 
-    def test_sharded_snapshot(self, policy):
-        sharded = ShardedAuthorizationIndex(policy, shards=3)
-        snapshot = sharded.snapshot()
-        before = sharded.grantable_pairs(ADMIN)
-        policy.remove_edge(ADM, Grant(U, HIGH))
-        assert sharded.grantable_pairs(
-            ADMIN, at_version=snapshot.version
-        ) == before
-        with pytest.raises(ValueError):
-            sharded.grantable_pairs(ADMIN, at_version=snapshot.version + 1)
-
     def test_snapshot_is_lazy_until_read(self, policy):
         snapshot = ReviewSnapshot(policy)
         assert snapshot._index is None
@@ -448,13 +382,6 @@ class TestMonitorKernelKnob:
             policy, mode=Mode.REFINED, use_index=True, compiled=False
         )
         assert frozen._index.compiled is False
-        sharded = ReferenceMonitor(
-            policy, mode=Mode.REFINED, use_index=True, shards=2,
-            compiled=False,
-        )
-        assert sharded._index.compiled is False
-        assert all(not s.compiled for s in sharded._index.shards)
-        assert sharded._index.pool.compiled is False
 
     def test_both_kernels_execute_identically(self, policy):
         queue = [

@@ -165,6 +165,17 @@ class TestIndexBackedMonitor:
         assert record.executed and record.implicit
         assert record.authorized_by == Grant(figures.BOB, figures.STAFF)
 
+    def test_index_statistics(self):
+        monitor = ReferenceMonitor(
+            figures.figure2(), mode=Mode.REFINED, use_index=True
+        )
+        stats = monitor.index_statistics()
+        assert stats == monitor._index.statistics()
+        assert stats["users"] == len(list(monitor.policy.users()))
+        assert stats["full_rebuilds"] == 1
+        oracle_only = ReferenceMonitor(figures.figure2(), mode=Mode.REFINED)
+        assert oracle_only.index_statistics() is None
+
     def test_index_monitor_denies_like_oracle(self):
         monitor = ReferenceMonitor(
             figures.figure2(), mode=Mode.REFINED, use_index=True
@@ -386,9 +397,9 @@ class TestBatchRewireConformance:
     record-for-record identical to the previous per-command decision
     loop — same ``ExecutionRecord`` sequences, including the ``noop``
     tolerated-redundancy records, byte-identical under ``repr`` — on
-    duplicate-heavy differential traces, at any shard count."""
+    duplicate-heavy differential traces, on both kernels."""
 
-    def _monitor(self, shards: int) -> ReferenceMonitor:
+    def _monitor(self, compiled: bool) -> ReferenceMonitor:
         policy = Policy(
             ua=[(ADMIN, ADM)],
             rh=[(R, S)],
@@ -396,7 +407,7 @@ class TestBatchRewireConformance:
         )
         policy.add_user(U)
         return ReferenceMonitor(
-            policy, mode=Mode.REFINED, use_index=True, shards=shards
+            policy, mode=Mode.REFINED, use_index=True, compiled=compiled
         )
 
     def _legacy_submit_queue(self, monitor, batch):
@@ -414,10 +425,12 @@ class TestBatchRewireConformance:
             records.append(record)
         return records
 
-    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize(
+        "compiled", [True, False], ids=["compiled", "frozenset"]
+    )
     @pytest.mark.parametrize("seed", range(6))
     def test_records_identical_on_duplicate_heavy_traces(
-        self, seed, shards
+        self, seed, compiled
     ):
         import random
 
@@ -432,7 +445,7 @@ class TestBatchRewireConformance:
         ]
         rng = random.Random(seed)
         batch = [rng.choice(vocabulary) for _ in range(14)]
-        legacy, rewired = self._monitor(shards), self._monitor(shards)
+        legacy, rewired = self._monitor(compiled), self._monitor(compiled)
         records_old = self._legacy_submit_queue(legacy, batch)
         records_new = rewired.submit_queue(batch, batched=True)
         assert records_old == records_new

@@ -3,15 +3,14 @@
 surface the serving layer reads through.
 
 The contract: the bulk sweep is keyed-equal to calling
-``grantable_pairs`` per subject — on both kernels, on the plain index
-and every shard layout, live or pinned ``at_version`` — while subjects
-sharing an authority profile share one expansion.
+``grantable_pairs`` per subject — on both kernels, live or pinned
+``at_version`` — while subjects sharing an authority profile share one
+expansion.
 """
 
 import pytest
 
 from repro.core.authz_index import AuthorizationIndex, ReviewSnapshot
-from repro.core.authz_shard import ShardedAuthorizationIndex
 from repro.core.commands import grant_cmd
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
@@ -47,14 +46,6 @@ def build_policy() -> Policy:
     return policy
 
 
-def make_index(policy, compiled, shards=1):
-    if shards > 1:
-        return ShardedAuthorizationIndex(
-            policy, shards=shards, compiled=compiled
-        )
-    return AuthorizationIndex(policy, compiled=compiled)
-
-
 def assert_bulk_matches_scalar(index, population):
     bulk = index.grantable_pairs_bulk(population)
     assert bulk == {
@@ -65,9 +56,8 @@ def assert_bulk_matches_scalar(index, population):
 
 class TestGrantablePairsBulk:
     @BOTH_KERNELS
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_equals_per_user(self, compiled, shards):
-        index = make_index(build_policy(), compiled, shards)
+    def test_equals_per_user(self, compiled):
+        index = AuthorizationIndex(build_policy(), compiled=compiled)
         population = [ADMIN, PEER, OTHER, U, GHOST, ADMIN]
         bulk = assert_bulk_matches_scalar(index, population)
         assert (U, R) in bulk[ADMIN]        # exact entity grant
@@ -86,7 +76,7 @@ class TestGrantablePairsBulk:
         # sweep expands the profile once and both map to the same
         # frozenset object — the memoization the serving layer's
         # review endpoint leans on.
-        index = make_index(build_policy(), compiled)
+        index = AuthorizationIndex(build_policy(), compiled=compiled)
         bulk = index.grantable_pairs_bulk([ADMIN, PEER])
         assert bulk[ADMIN] == bulk[PEER]
         assert bulk[ADMIN] is bulk[PEER]
@@ -94,16 +84,15 @@ class TestGrantablePairsBulk:
     @BOTH_KERNELS
     def test_empty_population_skips_validation(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled)
+        index = AuthorizationIndex(policy, compiled=compiled)
         policy.assign_user(OTHER, ADM)  # leave the index stale
         assert index.grantable_pairs_bulk([]) == {}
         assert index.grantable_pairs_bulk(iter(())) == {}
 
     @BOTH_KERNELS
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_after_incremental_repair(self, compiled, shards):
+    def test_after_incremental_repair(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled, shards)
+        index = AuthorizationIndex(policy, compiled=compiled)
         index.grantable_pairs(ADMIN)  # warm
         policy.assign_user(OTHER, ADM)
         policy.remove_edge(ADM, Grant(U, R))
@@ -114,10 +103,9 @@ class TestGrantablePairsBulk:
         assert (U, S) not in bulk[ADMIN]  # rectangle gone with the grant
 
     @BOTH_KERNELS
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_at_version_pins_the_snapshot(self, compiled, shards):
+    def test_at_version_pins_the_snapshot(self, compiled):
         policy = build_policy()
-        index = make_index(policy, compiled, shards)
+        index = AuthorizationIndex(policy, compiled=compiled)
         snapshot = index.snapshot()
         pinned = index.grantable_pairs_bulk(
             [ADMIN, OTHER], at_version=snapshot.version

@@ -62,13 +62,31 @@ def test_fuzz_clean_run(capsys):
     assert "invariants: all hold" in out
 
 
-def test_fuzz_with_shard_transparency(capsys):
-    assert main(
-        ["fuzz", "--seeds", "2", "--steps", "15", "--shards", "3"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "shard transparency: 2 campaigns at 3 shards" in out
-    assert "invariants: all hold" in out
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--seeds", "2", "--steps", "15", "--shards", "3"],
+    ["audit-matrix", "--fixture", "figure2", "--shards", "2"],
+], ids=["fuzz", "audit-matrix"])
+def test_shards_flag_is_a_usage_error(argv, capsys):
+    """The sharded index is gone, so ``--shards`` is an unknown option:
+    argparse rejects it with its usage error instead of ignoring it."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
+
+def test_audit_matrix_figure2_output(capsys):
+    assert main(["audit-matrix", "--fixture", "figure2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "audit matrix at policy version 45 (5 users x 5 privileges, "
+        "compiled kernel)",
+        "alice                    -  [admin: 3G/1R]",
+        "bob                      -",
+        "diana                    (print, black), (print, color), "
+        "(read, t1), (read, t2), (write, t3)",
+        "jane                     -  [admin: 2G/1R]",
+        "joe                      -",
+    ]
 
 
 def test_fuzz_on_frozenset_kernel(capsys):

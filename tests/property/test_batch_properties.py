@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.authz_index import AuthorizationIndex
-from repro.core.authz_shard import ShardedAuthorizationIndex
 from repro.core.commands import Command, CommandAction
 from repro.core.entities import User
 
@@ -76,12 +75,12 @@ def test_batch_equals_scalar_and_is_permutation_invariant(
 @given(
     policy=policies(max_admin=3, admin_depth=2),
     seed=st.integers(0, 10_000),
-    shards=st.sampled_from([1, 2, 4]),
+    compiled=st.booleans(),
 )
-def test_duplicate_pairs_resolve_identically(policy, seed, shards):
+def test_duplicate_pairs_resolve_identically(policy, seed, compiled):
     """Every occurrence of the same (subject, command) pair — identical
     or value-equal objects — gets the same verdict."""
-    index = ShardedAuthorizationIndex(policy, shards=shards)
+    index = AuthorizationIndex(policy, compiled=compiled)
     pairs = _query_batch(seed, policy)
     # Add value-equal twins of a few pairs (fresh objects throughout).
     rng = random.Random(seed + 2)
@@ -104,14 +103,9 @@ def test_duplicate_pairs_resolve_identically(policy, seed, shards):
 @given(
     policy=policies(max_admin=3, admin_depth=2),
     compiled=st.booleans(),
-    shards=st.sampled_from([1, 3]),
 )
-def test_bulk_equals_per_user_held(policy, compiled, shards):
-    index = (
-        ShardedAuthorizationIndex(policy, shards=shards, compiled=compiled)
-        if shards > 1
-        else AuthorizationIndex(policy, compiled=compiled)
-    )
+def test_bulk_equals_per_user_held(policy, compiled):
+    index = AuthorizationIndex(policy, compiled=compiled)
     population = USERS + [GHOST, USERS[0]]  # ghost + duplicate
     assert index.held_privileges_bulk(population) == {
         user: index.held_privileges(user) for user in population

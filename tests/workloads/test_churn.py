@@ -99,18 +99,30 @@ def test_localized_trace_confines_mutations():
     assert not probed <= set(local_users)
 
 
-def test_shard_differential_exercises_user_removal():
-    """The shard campaign's burst generator must actually remove and
-    re-add users, otherwise the re-add half of the invariant is
-    vacuous."""
-    from repro.workloads.churn import differential_shard_churn
-    from repro.workloads.generators import PolicyShape
-
-    burst_log: list[str] = []
-    violations = differential_shard_churn(
-        3, steps=30, shape=PolicyShape(n_users=4, n_roles=5),
-        shard_counts=(3,), burst_log=burst_log,
+@pytest.mark.parametrize(
+    "compiled", [True, False], ids=["compiled", "frozenset"]
+)
+def test_differential_repairs_bursts_with_user_readd(compiled):
+    """Each step applies a burst of one to three mutations before the
+    index refreshes, including users removed and re-added inside one
+    burst — otherwise the multi-delta repair windows are vacuous."""
+    shape = PolicyShape(n_users=4, n_roles=5)
+    plain_log: list[str] = []
+    assert differential_churn(
+        3, steps=30, shape=shape, compiled=compiled,
+        mutation_log=plain_log,
+    ) == []
+    # Every step mutates at least once, so a longer log means some
+    # bursts held several mutations.
+    assert 30 < len(plain_log) <= 3 * 30
+    readd_log: list[str] = []
+    assert differential_churn(
+        3, steps=30, shape=shape, compiled=compiled, remove_users=True,
+        mutation_log=readd_log,
+    ) == []
+    # A re-add label directly follows its removal inside one burst.
+    assert any(
+        label.startswith("remove-user ")
+        and following == label.replace("remove-user", "re-add", 1)
+        for label, following in zip(readd_log, readd_log[1:])
     )
-    assert violations == []
-    assert any(label.startswith("remove-user") for label in burst_log)
-    assert any(label.startswith("re-add") for label in burst_log)

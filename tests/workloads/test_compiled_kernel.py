@@ -8,7 +8,6 @@ from repro.workloads.churn import (
     ChurnShape,
     churn_policy,
     differential_churn,
-    differential_shard_churn,
 )
 from repro.workloads.fuzz import fuzz_compiled_kernel, fuzz_monitor
 from repro.workloads.generators import PolicyShape
@@ -18,15 +17,15 @@ SHAPE = PolicyShape(n_users=4, n_roles=5, n_admin_privileges=3, max_nesting=2)
 
 @pytest.mark.parametrize("seed", range(6))
 def test_compiled_kernel_campaigns(seed):
-    """Compiled vs frozenset oracle, unsharded (with remove_user +
-    re-add ID recycling) and at shard counts 1, 2, 4."""
+    """Compiled vs frozenset oracle under bursts of churn, with
+    remove_user + re-add ID recycling."""
     report = fuzz_compiled_kernel(seed, steps=30, shape=SHAPE)
     assert report.ok, report.violations[:5]
 
 
 def test_campaigns_exercise_id_reuse():
-    """The unsharded campaign must actually deprovision and
-    re-provision users, otherwise the ID-reuse half is vacuous."""
+    """The campaign must actually deprovision and re-provision users,
+    otherwise the ID-reuse half is vacuous."""
     mutation_log: list[str] = []
     violations = differential_churn(
         3, steps=30, shape=SHAPE, compiled=True, remove_users=True,
@@ -42,17 +41,8 @@ def test_frozenset_campaigns_still_hold():
     oracle itself must stay self-consistent."""
     violations = differential_churn(7, steps=25, shape=SHAPE, compiled=False)
     assert violations == []
-    violations = differential_shard_churn(
-        7, steps=20, shape=SHAPE, shard_counts=(2,), compiled=False
-    )
-    assert violations == []
-
-
-def test_shard_counts_include_single_shard():
-    """shards=1 through the sharded façade must satisfy invariant 9
-    too (the degenerate layout is the easiest to get subtly wrong)."""
-    violations = differential_shard_churn(
-        11, steps=20, shape=SHAPE, shard_counts=(1,), compiled=True
+    violations = differential_churn(
+        7, steps=20, shape=SHAPE, compiled=False, remove_users=True
     )
     assert violations == []
 

@@ -47,25 +47,10 @@ def test_deterministic_in_seed():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_sharded_index_campaigns(seed):
-    """Invariant 8: a sharded index (N in {2, 4, 7}) is observationally
-    identical to the unsharded oracle under randomized churn, including
-    users removed and re-added inside one delta burst."""
-    from repro.workloads.fuzz import fuzz_sharded_index
-
-    shape = PolicyShape(
-        n_users=4, n_roles=5, n_admin_privileges=3, max_nesting=2
-    )
-    report = fuzz_sharded_index(seed, steps=25, shape=shape)
-    assert report.ok, report.violations[:5]
-
-
-@pytest.mark.parametrize("seed", range(6))
 def test_batch_authz_campaigns(seed):
     """Invariant 12: batch authorization is element-for-element
-    identical to scalar calls on both kernels, plain and sharded at
-    counts {1, 2, 4}, across recycling churn, ghost subjects, and
-    equal-but-distinct query objects."""
+    identical to scalar calls on both kernels, across recycling churn,
+    ghost subjects, and equal-but-distinct query objects."""
     from repro.workloads.fuzz import fuzz_batch_authz
 
     shape = PolicyShape(
