@@ -619,6 +619,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         )
     for label, key in (
         ("decision", "decision_latency"), ("mutation", "mutation_latency"),
+        ("queue wait", "queue_wait_latency"),
     ):
         histogram = stats[key]
         print(

@@ -211,12 +211,18 @@ class ReachabilityCache:
     dropping everything:
 
     * adding or removing the edge ``(s, t)`` changes the descendant set
-      of exactly the vertices that reach ``s`` — and a cached set that
-      was accurate before the mutation contains ``s`` iff its key
-      reaches ``s`` (the ancestor set of ``s`` is invariant under
-      mutations of ``s``'s own out-edges: any path ending at ``s`` that
-      used the edge ``(s, t)`` already visited ``s`` earlier), so one
-      membership test per entry suffices;
+      of exactly the vertices that reach ``s``, so one reverse sweep
+      from the burst's still-present edge sources over the *current*
+      graph finds every stale key, and only the entries keyed inside
+      that upstream region are evicted.  The current graph suffices:
+      a key whose set grew reaches the source of the first added edge
+      on its new path through edges that exist now; a key whose set
+      shrank had a pre-burst path whose first missing edge was a
+      journaled removal, and the prefix up to that edge's source still
+      exists (if the source itself was removed, the prefix's last edge
+      went with it — unless the prefix is empty and the key is the
+      removed vertex, evicted below).  The cost is the upstream
+      region, not the memo size;
     * adding a vertex changes nothing (it has no edges yet);
     * removing a vertex only evicts the entry keyed by it — its
       incident edges were removed (and journaled) first.
@@ -229,8 +235,9 @@ class ReachabilityCache:
     (:meth:`descendants`) and interned-ID bitmasks
     (:meth:`descendants_bits`, the compiled kernel's representation).
     Both follow identical eviction rules; an entry surviving eviction
-    provably contains no removed vertex, which is what makes interner
-    ID reuse safe for retained masks.
+    provably contains no removed vertex (its set did not change, and
+    a removed vertex left every set that held it), which is what makes
+    interner ID reuse safe for retained masks.
     """
 
     DELTA_LIMIT = 64
@@ -268,48 +275,30 @@ class ReachabilityCache:
                 self._bits_by_vid.clear()
                 self.full_invalidations += 1
         else:
-            # An entry accurate at the old version is affected by some
-            # delta iff its set intersects the delta sources — a path
-            # to a source created *mid-batch* starts with a pre-batch
-            # prefix to the first added edge's source, which is itself
-            # in the source set.  Removed vertices evict their own
-            # entry (their incident edges were journaled first).
+            # Removed vertices evict their own entry (their incident
+            # edges were journaled first); every other stale key lies
+            # upstream of a present edge source (see the class doc).
             for vertex in summary.removed_vertices:
-                if self._descendants.pop(vertex, None) is not None:
-                    self.evictions += 1
-                dropped = self._bits.pop(vertex, None)
-                if dropped is not None:
-                    del self._bits_by_vid[dropped[0]]
-                    self.evictions += 1
-            if summary.edge_sources:
-                stale = [
-                    key for key, seen in self._descendants.items()
-                    if not seen.isdisjoint(summary.edge_sources)
-                ]
-                for key in stale:
-                    del self._descendants[key]
-                self.evictions += len(stale)
-                if self._bits:
-                    # Same rule, word-parallel: a mask entry is stale
-                    # iff it intersects the source mask.  An absent
-                    # edge source was removed this burst, and any mask
-                    # containing it also contains a still-present
-                    # source (walk the path back) or is keyed by a
-                    # removed vertex — both already caught.
-                    vid = self._graph._vid
-                    source_mask = 0
-                    for vertex in summary.edge_sources:
-                        index = vid.get(vertex)
-                        if index is not None:
-                            source_mask |= 1 << index
-                    stale_bits = [
-                        key for key, (_, mask) in self._bits.items()
-                        if mask & source_mask
-                    ]
-                    for key in stale_bits:
-                        del self._bits_by_vid[self._bits.pop(key)[0]]
-                    self.evictions += len(stale_bits)
+                self._evict(vertex)
+            graph = self._graph
+            seeds = pack_bits(graph, summary.edge_sources)
+            if seeds:
+                region = _sweep_bits(
+                    graph._pred_bits, seeds, list(iter_bits(seeds))
+                )
+                vertex_of = graph._vertex_of
+                for index in iter_bits(region):
+                    self._evict(vertex_of[index])
         self._version = self._graph.version
+
+    def _evict(self, vertex: Vertex) -> None:
+        """Drop ``vertex``'s entries from both memo tables."""
+        if self._descendants.pop(vertex, None) is not None:
+            self.evictions += 1
+        dropped = self._bits.pop(vertex, None)
+        if dropped is not None:
+            del self._bits_by_vid[dropped[0]]
+            self.evictions += 1
 
     def descendants(self, source: Vertex) -> frozenset[Vertex]:
         self._validate()

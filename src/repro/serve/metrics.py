@@ -105,7 +105,7 @@ class PdpMetrics:
         "max_batch_size", "decision_latency", "mutation_latency",
         "writer_failures", "writer_shed", "queue_shed",
         "deadline_expired", "wal_appends",
-        "batch_apply_latency", "wal_append_latency",
+        "batch_apply_latency", "wal_append_latency", "queue_wait_latency",
     )
 
     def __init__(self):
@@ -134,6 +134,8 @@ class PdpMetrics:
         self.wal_appends = 0
         self.batch_apply_latency = LatencyHistogram()
         self.wal_append_latency = LatencyHistogram()
+        # Write-path stage: enqueue to the start of the command's batch.
+        self.queue_wait_latency = LatencyHistogram()
 
     def observe_write_batch(self, size: int, depth: int) -> None:
         self.batches += 1
@@ -168,4 +170,5 @@ class PdpMetrics:
             "wal_appends": self.wal_appends,
             "batch_apply_latency": self.batch_apply_latency.snapshot(),
             "wal_append_latency": self.wal_append_latency.snapshot(),
+            "queue_wait_latency": self.queue_wait_latency.snapshot(),
         }

@@ -7,9 +7,12 @@ front, split into a **single writer** and **lock-free readers**.
 Writer side
     Every mutation goes through :meth:`PolicyDecisionPoint.submit`,
     which enqueues the command and returns a future.  One writer task
-    drains the queue into micro-batches — closed by a size watermark
-    (``max_batch``) or a time watermark (``max_delay``), whichever
-    trips first — and executes each batch as one
+    drains the queue by group commit: it takes the first queued
+    command, then whatever else is already queued (up to
+    ``max_batch``), and closes the batch as soon as the queue is
+    empty — no timer holds a lone write back.  Batches still form
+    under load, because commands queue up while the previous batch
+    applies and fsyncs.  Each batch executes as one
     ``submit_queue(batched=True, snapshot=True)`` transaction, so the
     packed-matrix kernel authorizes the whole batch in one sweep and
     the audit contract (batch-entry snapshot retained as
@@ -184,7 +187,6 @@ class PolicyDecisionPoint:
         policy=None,
         compiled: bool = True,
         max_batch: int = 64,
-        max_delay: float = 0.002,
         rate_limiter: RateLimiter | None = None,
         cache_size: int = 65536,
         clock=time.monotonic,
@@ -217,7 +219,6 @@ class PolicyDecisionPoint:
             )
         self.monitor = monitor
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.limiter = rate_limiter
         self.clock = clock
         self.metrics = PdpMetrics()
@@ -244,11 +245,13 @@ class PolicyDecisionPoint:
         self._published_at = self.clock()
         if retain_history:
             self.history[self._snapshot.version] = self._snapshot
+        #: (command or _REFRESH, future, enqueue clock) entries, plus
+        #: the _SHUTDOWN marker.
         self._queue: asyncio.Queue = asyncio.Queue()
         self._writer: asyncio.Task | None = None
-        #: the batch the writer is currently collecting/applying —
-        #: entries here left the queue, so the drain must cover them
-        #: too or a kill mid-collection would leak their futures.
+        #: the batch the writer is currently applying — entries here
+        #: left the queue, so the drain must cover them too or an error
+        #: escaping the writer loop would leak their futures.
         self._inflight: list | None = None
         self._window: list[tuple[User, Command, asyncio.Future]] = []
         self._drain_scheduled = False
@@ -407,11 +410,14 @@ class PolicyDecisionPoint:
             and depth + len(commands) > self.queue_limit
         ):
             self.metrics.queue_shed += 1
-            per_batch = self.metrics.batch_apply_latency.mean or self.max_delay
+            # Before the first batch there is no apply latency to go
+            # by: the histogram's smallest bucket keeps the hint > 0.
+            applied = self.metrics.batch_apply_latency
+            per_batch = applied.mean or applied.start
             batches_ahead = depth // self.max_batch + 1
             raise QueueFull(
                 depth, self.queue_limit,
-                retry_after=max(self.max_delay, per_batch * batches_ahead),
+                retry_after=per_batch * batches_ahead,
             )
         if self.limiter is not None:
             # One atomic acquisition per principal for its whole share
@@ -433,7 +439,7 @@ class PolicyDecisionPoint:
         for command in commands:
             future = loop.create_future()
             futures.append(future)
-            self._queue.put_nowait((command, future))
+            self._queue.put_nowait((command, future, started))
         if timeout is not None:
             done, pending = await asyncio.wait(futures, timeout=timeout)
             if pending:
@@ -467,7 +473,7 @@ class PolicyDecisionPoint:
                 "killed" if self.supervisor.health == "dead" else "stopped"
             )
         future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait((_REFRESH, future))
+        self._queue.put_nowait((_REFRESH, future, None))
         await future
         return self._snapshot.version
 
@@ -480,25 +486,9 @@ class PolicyDecisionPoint:
                 batch = [item]
                 self._inflight = batch
                 shutdown = False
-                deadline = None
-                while len(batch) < self.max_batch:
-                    if self._queue.empty():
-                        if deadline is None:
-                            loop = asyncio.get_running_loop()
-                            deadline = loop.time() + self.max_delay
-                            timeout = self.max_delay
-                        else:
-                            timeout = deadline - asyncio.get_running_loop().time()
-                        if timeout <= 0:
-                            break
-                        try:
-                            item = await asyncio.wait_for(
-                                self._queue.get(), timeout
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                    else:
-                        item = self._queue.get_nowait()
+                # Group commit: take only what is already queued.
+                while len(batch) < self.max_batch and not self._queue.empty():
+                    item = self._queue.get_nowait()
                     if item is _SHUTDOWN:
                         shutdown = True
                         break
@@ -552,8 +542,10 @@ class PolicyDecisionPoint:
         depth = self._queue.qsize()
         refreshes = [entry for entry in batch if entry[0] is _REFRESH]
         entries = [entry for entry in batch if entry[0] is not _REFRESH]
-        commands = [command for command, _ in entries]
+        commands = [command for command, _, _ in entries]
         apply_started = self.clock()
+        for _, _, enqueued in entries:
+            self.metrics.queue_wait_latency.observe(apply_started - enqueued)
         if FAULTS.active:
             FAULTS.hit("writer.before_apply")
         if (
@@ -592,10 +584,10 @@ class PolicyDecisionPoint:
         )
         if FAULTS.active:
             FAULTS.hit("writer.before_resolve")
-        for (_, future), record in zip(entries, records):
+        for (_, future, _), record in zip(entries, records):
             if not future.done():
                 future.set_result(record)
-        for _, future in refreshes:
+        for _, future, _ in refreshes:
             if not future.done():
                 future.set_result(None)
         if self.retain_history and commands:
@@ -642,7 +634,7 @@ class PolicyDecisionPoint:
             )
 
     def _fail_batch(self, batch, error: ReproError) -> None:
-        for _, future in batch:
+        for _, future, _ in batch:
             if not future.done():
                 future.set_exception(error)
 
@@ -668,7 +660,7 @@ class PolicyDecisionPoint:
         if inflight:
             # Resolved entries are skipped by the done() guard, so a
             # stale pointer to an applied batch is harmless.
-            for _, future in inflight:
+            for _, future, _ in inflight:
                 if not future.done():
                     future.set_exception(error)
         while True:
@@ -678,7 +670,7 @@ class PolicyDecisionPoint:
                 break
             if item is _SHUTDOWN:
                 continue
-            _, future = item
+            _, future, _ = item
             if not future.done():
                 future.set_exception(error)
 

@@ -308,7 +308,7 @@ async def _scripted_run(
     policy = random_policy(seed, shape)
     pdp = PolicyDecisionPoint(
         policy=policy, compiled=compiled, wal=wal_path,
-        max_batch=batch_size, max_delay=0.0005,
+        max_batch=batch_size,
     )
     executed_plan: list = []
     states = [(policy_to_json(pdp.monitor.policy), pdp.monitor.policy.version)]
@@ -354,7 +354,7 @@ async def _victim_run(
     # consume a hit, so every point's budget counts batches only.
     pdp = PolicyDecisionPoint(
         policy=policy, compiled=compiled, wal=wal_path,
-        max_batch=batch_size, max_delay=0.0005,
+        max_batch=batch_size,
     )
     action = "torn" if point == "wal.torn_write" else "crash"
     fault = FAULTS.arm(point, action, times=1, after=crash_batch)
@@ -400,7 +400,7 @@ async def _failure_run(
     # a hit, so every point's budget counts batches only.
     pdp = PolicyDecisionPoint(
         policy=policy, compiled=compiled, wal=wal_path,
-        max_batch=batch_size, max_delay=0.0005,
+        max_batch=batch_size,
         supervisor=WriterSupervisor(base_delay=0.0),
     )
     fault = FAULTS.arm(point, "fail", times=1, after=fail_batch)

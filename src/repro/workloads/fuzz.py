@@ -860,7 +860,6 @@ def fuzz_pdp(
         rate_limiter=RateLimiter(capacity=4.0, rate=50.0, clock=clock),
         clock=clock,
         max_batch=6,
-        max_delay=0.001,
         retain_history=True,
     )
     #: (subject, command, Decision) for every decision handed out.

@@ -1,10 +1,13 @@
 """Unit tests for reachability and the version-checked cache."""
 
+import random
+
 from repro.graph import (
     Digraph,
     ReachabilityCache,
     ancestors,
     descendants,
+    descendants_bits,
     reachable_from_any,
     reaches,
 )
@@ -146,3 +149,94 @@ class TestIncrementalInvalidation:
         cache.descendants("b")
         graph.add_edge("a", "c")
         assert "c" in cache.descendants("b")  # via the cycle
+
+    def _assert_memo_exact(self, graph, cache):
+        """Every entry surviving validation equals a fresh walk."""
+        cache._validate()
+        for key, seen in cache._descendants.items():
+            assert seen == descendants(graph, key), key
+        for key, (index, mask) in cache._bits.items():
+            assert index == graph.vid(key), key
+            assert mask == descendants_bits(graph, key), key
+            assert cache._bits_by_vid[index] == mask
+        assert len(cache._bits_by_vid) == len(cache._bits)
+
+    def test_random_bursts_keep_every_surviving_entry_exact(self):
+        """Seeded differential: bursts of edge adds and removes plus
+        vertex removal and re-add (the interner recycles the freed ID)
+        leave only exact entries behind, in both representations."""
+        for seed in range(6):
+            rng = random.Random(seed)
+            names = [f"v{index}" for index in range(14)]
+            graph = Digraph()
+            for name in names:
+                graph.add_vertex(name)
+            for _ in range(22):
+                graph.add_edge(rng.choice(names), rng.choice(names))
+            cache = ReachabilityCache(graph)
+            for _ in range(60):
+                for name in rng.sample(names, 6):
+                    cache.descendants(name)
+                    cache.descendants_bits(name)
+                for _ in range(rng.randint(1, 5)):
+                    op = rng.random()
+                    if op < 0.45:
+                        graph.add_edge(rng.choice(names), rng.choice(names))
+                    elif op < 0.8:
+                        edges = sorted(graph.edges())
+                        if edges:
+                            graph.remove_edge(*rng.choice(edges))
+                    elif op < 0.9:
+                        graph.remove_vertex(rng.choice(names))
+                    else:
+                        # Re-add an absent vertex (taking a freed ID)
+                        # with fresh edges in the same burst.
+                        absent = [n for n in names if n not in graph]
+                        if absent:
+                            name = rng.choice(absent)
+                            graph.add_edge(name, rng.choice(names))
+                            graph.add_edge(rng.choice(names), name)
+                self._assert_memo_exact(graph, cache)
+            assert cache.evictions > 0
+            assert cache.full_invalidations == 0
+
+    def test_user_role_toggle_evicts_only_that_user(self):
+        roles = [f"r{index}" for index in range(12)]
+        graph = Digraph(
+            [(roles[index], roles[index + 1]) for index in range(11)]
+        )
+        graph.add_edge("alice", roles[3])
+        graph.add_edge("bob", roles[5])
+        cache = ReachabilityCache(graph)
+        for vertex in ("alice", "bob", roles[3], roles[9]):
+            cache.descendants_bits(vertex)
+        role_entry = cache._bits[roles[9]]
+        for toggle in (graph.add_edge, graph.remove_edge):
+            before = cache.evictions
+            toggle("alice", roles[0])
+            assert cache.descendants_bits("bob") == descendants_bits(
+                graph, "bob"
+            )
+            assert cache.evictions - before == 1  # alice's entry only
+            assert cache._bits[roles[9]] is role_entry
+            assert "alice" not in cache._bits
+            cache.descendants_bits("alice")
+        assert cache.full_invalidations == 0
+
+    def test_path_through_an_edge_removed_in_the_same_burst(self):
+        """k's only pre-burst path to b and c runs through (a, b),
+        removed in the burst that also hangs a new edge off b, which
+        k no longer reaches: the sweep from the removed edge's source
+        a still finds k."""
+        graph = Digraph([("k", "a"), ("a", "b"), ("b", "c")])
+        cache = ReachabilityCache(graph)
+        cache.descendants("k")
+        cache.descendants_bits("k")
+        cache.descendants("c")
+        c_entry = cache._descendants["c"]
+        graph.remove_edge("a", "b")
+        graph.add_edge("b", "e")
+        assert cache.descendants("k") == frozenset({"k", "a"})
+        assert cache.descendants_bits("k") == descendants_bits(graph, "k")
+        assert cache._descendants["c"] is c_entry  # c's set is unchanged
+        assert cache.full_invalidations == 0

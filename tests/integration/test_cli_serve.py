@@ -30,6 +30,7 @@ def test_serve_bench_fixture(capsys):
     assert "hit ratio" in out
     assert "decision latency: p50" in out
     assert "mutation latency: p50" in out
+    assert "queue wait latency: p50" in out
 
 
 def test_serve_bench_policy_file(fig2_file, capsys):

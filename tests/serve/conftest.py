@@ -42,6 +42,23 @@ class ManualClock:
         self.now += seconds
 
 
+def gate_writer(pdp) -> asyncio.Event:
+    """Stall ``pdp``'s writer before it takes its next queued item.
+
+    The writer awaits the returned event, so submissions stay queued
+    until the test sets it; unlike a synchronous fault delay, the
+    event loop keeps running meanwhile."""
+    gate = asyncio.Event()
+    take = pdp._queue.get
+
+    async def gated_get():
+        await gate.wait()
+        return await take()
+
+    pdp._queue.get = gated_get
+    return gate
+
+
 @pytest.fixture
 def clock() -> ManualClock:
     return ManualClock()

@@ -20,7 +20,15 @@ from repro.serve import (
 )
 from repro.workloads.faults import FAULTS
 
-from .conftest import ADMIN, ManualClock, R, U, run, serve_policy
+from .conftest import (
+    ADMIN,
+    ManualClock,
+    R,
+    U,
+    gate_writer,
+    run,
+    serve_policy,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -33,7 +41,6 @@ def _clean_faults():
 def _pdp(**kwargs):
     kwargs.setdefault("policy", serve_policy())
     kwargs.setdefault("max_batch", 4)
-    kwargs.setdefault("max_delay", 0.0005)
     kwargs.setdefault(
         "supervisor", WriterSupervisor(base_delay=0.0, breaker_threshold=3)
     )
@@ -206,12 +213,13 @@ class TestDeadlines:
         run(scenario())
 
     def test_submit_timeout_on_stalled_writer(self):
-        """A writer stalled in batch collection (huge watermarks) must
-        not hold the caller past its timeout — and the shed is typed,
-        with no un-retrieved future warnings."""
+        """A stalled writer (gated before it takes the queued command)
+        must not hold the caller past its timeout — and the shed is
+        typed, with no un-retrieved future warnings."""
 
         async def scenario():
-            pdp = _pdp(max_batch=10 ** 6, max_delay=10.0)
+            pdp = _pdp()
+            gate = gate_writer(pdp)
             async with pdp:
                 with pytest.raises(DeadlineExceeded) as caught:
                     await pdp.submit_many(
@@ -219,6 +227,7 @@ class TestDeadlines:
                     )
                 assert caught.value.operation == "submit"
                 assert pdp.metrics.deadline_expired == 1
+                gate.set()  # let stop() drain the abandoned command
 
         run(scenario())
 

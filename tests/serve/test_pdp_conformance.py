@@ -17,6 +17,7 @@ from repro.core.privileges import Grant, Revoke
 from repro.errors import ReproError
 from repro.serve import (
     PolicyDecisionPoint,
+    QueueFull,
     RateLimited,
     RateLimiter,
     as_command,
@@ -24,7 +25,18 @@ from repro.serve import (
 )
 
 from .conftest import (
-    ADM, ADMIN, BOTH_KERNELS, OTHER, PEER, R, S, T, U, run, serve_policy,
+    ADM,
+    ADMIN,
+    BOTH_KERNELS,
+    OTHER,
+    PEER,
+    R,
+    S,
+    T,
+    U,
+    gate_writer,
+    run,
+    serve_policy,
 )
 
 
@@ -275,6 +287,96 @@ class TestWriteConformance:
         assert record.executed
         assert after.allowed
         assert after.version == version > before.version
+
+
+class TestGroupCommit:
+    """The writer closes a batch as soon as the queue is empty: no
+    timer holds a lone write back, and batches form only from
+    commands that queued up while the writer was busy."""
+
+    def test_lone_submit_resolves_within_a_few_ticks(self):
+        async def scenario():
+            async with PolicyDecisionPoint(policy=serve_policy()) as pdp:
+                task = asyncio.ensure_future(
+                    pdp.submit(grant_cmd(ADMIN, U, R))
+                )
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                    if task.done():
+                        break
+                assert task.done(), "a lone write waited on a timer"
+                return task.result(), pdp.metrics
+
+        record, metrics = run(scenario())
+        assert record.executed
+        assert metrics.batches == 1
+
+    def test_max_batch_splits_a_full_queue_exactly(self):
+        async def scenario():
+            async with PolicyDecisionPoint(
+                policy=serve_policy(), max_batch=4
+            ) as pdp:
+                await asyncio.gather(*[
+                    pdp.submit(grant_cmd(ADMIN, U, R)) for _ in range(8)
+                ])
+                return pdp.metrics
+
+        metrics = run(scenario())
+        assert metrics.batches == 2
+        assert metrics.max_batch_size == 4
+
+    def test_retry_after_follows_batch_apply_latency(self):
+        async def scenario():
+            pdp = PolicyDecisionPoint(
+                policy=serve_policy(), max_batch=1, queue_limit=2
+            )
+            gate = gate_writer(pdp)
+            async with pdp:
+                backlog = asyncio.ensure_future(pdp.submit_many([
+                    grant_cmd(ADMIN, U, R), grant_cmd(ADMIN, ADMIN, R),
+                ]))
+                await asyncio.sleep(0)
+                with pytest.raises(QueueFull) as before:
+                    await pdp.submit(grant_cmd(ADMIN, U, R))
+                assert pdp.metrics.batches == 0
+                gate.set()
+                await backlog
+                # Refill within one tick, behind two applied batches.
+                backlog = asyncio.ensure_future(pdp.submit_many([
+                    grant_cmd(ADMIN, U, R), grant_cmd(ADMIN, ADMIN, R),
+                ]))
+                await asyncio.sleep(0)
+                with pytest.raises(QueueFull) as after:
+                    await pdp.submit(grant_cmd(ADMIN, U, R))
+                mean = pdp.metrics.batch_apply_latency.mean
+                await backlog
+                return before.value, after.value, mean
+
+        before, after, mean = run(scenario())
+        assert before.retry_after > 0
+        # depth 2 at max_batch 1: this batch plus two ahead of it
+        assert after.retry_after == pytest.approx(mean * 3)
+
+    def test_queue_wait_records_one_sample_per_command(self):
+        async def scenario():
+            async with PolicyDecisionPoint(
+                policy=serve_policy(), max_batch=3
+            ) as pdp:
+                await asyncio.gather(*[
+                    pdp.submit(grant_cmd(ADMIN, U, R)) for _ in range(5)
+                ])
+                await pdp.submit_many([
+                    grant_cmd(ADMIN, U, R), revoke_cmd(ADMIN, U, R),
+                ])
+                await pdp.refresh()  # not a command: no sample
+                return pdp.statistics()
+
+        stats = run(scenario())
+        assert stats["mutations"] == 7
+        assert stats["queue_wait_latency"]["count"] == 7
+        assert set(stats["queue_wait_latency"]) == {
+            "count", "mean", "p50", "p99", "max"
+        }
 
 
 class TestRateLimitedPath:

@@ -49,7 +49,7 @@ def _clean_faults():
 
 def _pdp(compiled=True):
     return PolicyDecisionPoint(
-        policy=serve_policy(), compiled=compiled, max_delay=0.0,
+        policy=serve_policy(), compiled=compiled,
         supervisor=WriterSupervisor(base_delay=0.0),
     )
 

@@ -130,7 +130,7 @@ def test_republication_is_monotone_under_interleaved_writers(
 
     async def scenario():
         async with PolicyDecisionPoint(
-            policy=policy, max_batch=2, max_delay=0.0005
+            policy=policy, max_batch=2
         ) as pdp:
             watched: list[int] = []
             decided: list[int] = []

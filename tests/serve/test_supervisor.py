@@ -22,7 +22,16 @@ from repro.serve import (
 )
 from repro.workloads.faults import FAULTS, CrashInjected
 
-from .conftest import ADMIN, ManualClock, R, S, U, run, serve_policy
+from .conftest import (
+    ADMIN,
+    ManualClock,
+    R,
+    S,
+    U,
+    gate_writer,
+    run,
+    serve_policy,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +44,6 @@ def _clean_faults():
 def _pdp(**kwargs):
     kwargs.setdefault("policy", serve_policy())
     kwargs.setdefault("max_batch", 4)
-    kwargs.setdefault("max_delay", 0.0005)
     kwargs.setdefault(
         "supervisor", WriterSupervisor(base_delay=0.0, breaker_threshold=3)
     )
@@ -195,13 +203,13 @@ class TestSupervisedWriter:
 class TestNoHungFutures:
     def test_kill_fails_in_flight_and_queued_futures(self):
         """The regression test the issue names: futures pending when
-        the writer dies resolve typed — including entries the writer
-        already pulled into its in-flight batch."""
+        the writer dies resolve typed."""
 
         async def scenario():
-            # huge watermarks: the writer collects forever, so the
-            # submissions sit in its in-flight batch when kill() lands
-            pdp = _pdp(max_batch=10 ** 6, max_delay=10.0)
+            # the writer is gated, so the submissions are still queued
+            # when kill() lands
+            pdp = _pdp()
+            gate_writer(pdp)
             await pdp.start()
             task = asyncio.ensure_future(pdp.submit_many([
                 grant_cmd(ADMIN, U, R), grant_cmd(ADMIN, ADMIN, S),
@@ -236,18 +244,45 @@ class TestNoHungFutures:
 
     def test_stop_applies_queued_work_then_stops(self):
         async def scenario():
-            pdp = _pdp(max_batch=10 ** 6, max_delay=10.0)
+            pdp = _pdp()
+            gate = gate_writer(pdp)
             await pdp.start()
             task = asyncio.ensure_future(pdp.submit_many([
                 grant_cmd(ADMIN, U, R), revoke_cmd(ADMIN, U, R),
             ]))
             await asyncio.sleep(0.01)
+            assert not task.done()  # still queued behind the gate
+            gate.set()
             await asyncio.wait_for(pdp.stop(), timeout=2.0)
             records = await asyncio.wait_for(task, timeout=1.0)
             assert [r.executed for r in records] == [True, True]
             assert pdp.health == "stopped"
             with pytest.raises(ServiceStopped):
                 await pdp.submit(grant_cmd(ADMIN, U, R))
+
+        run(scenario())
+
+    def test_error_escaping_the_writer_fails_its_batch(self):
+        """An error raised by the failure path itself ends the writer
+        loop while it holds a batch: the drain must still resolve that
+        batch's futures, typed."""
+
+        async def scenario():
+            pdp = _pdp()
+
+            def broken_publish(fresh=True):
+                raise RuntimeError("publish failed")
+
+            pdp._publish = broken_publish
+            FAULTS.arm("writer.before_apply", "fail", times=1)
+            await pdp.start()
+            with pytest.raises(ServiceStopped):
+                await asyncio.wait_for(
+                    pdp.submit(grant_cmd(ADMIN, U, R)), timeout=1.0
+                )
+            with pytest.raises(RuntimeError):
+                await pdp._writer
+            pdp.kill()
 
         run(scenario())
 

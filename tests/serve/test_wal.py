@@ -51,7 +51,7 @@ def _drive(path, compiled=True, batches=2):
     async def scenario():
         pdp = PolicyDecisionPoint(
             policy=serve_policy(), compiled=compiled, wal=str(path),
-            max_batch=4, max_delay=0.0005,
+            max_batch=4,
         )
         async with pdp:
             for _ in range(batches):
@@ -247,7 +247,7 @@ class TestAppendFailure:
         async def scenario():
             pdp = PolicyDecisionPoint(
                 policy=serve_policy(), wal=str(path),
-                max_batch=4, max_delay=0.0005,
+                max_batch=4,
                 supervisor=WriterSupervisor(base_delay=0.0),
             )
             FAULTS.arm("wal.before_fsync", "fail", times=1)
