@@ -144,7 +144,7 @@ def _rates() -> tuple[float, float]:
     asserted equal each time, so the speedup compares equal answers.
     """
     policy = churn_policy(SEED, SHAPE)
-    index = AuthorizationIndex(policy, compiled=True)
+    index = AuthorizationIndex(policy)
     authorizes = index.authorizes
     hot = _hot_names(policy)
     best_scalar = best_batch = float("inf")
@@ -168,7 +168,7 @@ def _bulk_rates() -> tuple[float, float]:
     """Best-of-N (per-user, bulk) audited users/second for the
     whole-population held-privilege sweep."""
     policy = churn_policy(SEED, SHAPE)
-    index = AuthorizationIndex(policy, compiled=True)
+    index = AuthorizationIndex(policy)
     population = sorted(policy.users(), key=str)
     best_scalar = best_bulk = float("inf")
     for _ in range(REPETITIONS):
@@ -236,8 +236,8 @@ def test_report_batch_speedup():
 
 def test_report_batch_identical_under_fuzz():
     """Invariant 12 on a reduced campaign: batch verdicts are
-    differentially identical to scalar ones on both kernels, across
-    recycling churn and ghost subjects."""
+    differentially identical to scalar ones and agree with the
+    reference, across recycling churn and ghost subjects."""
     from repro.workloads.fuzz import fuzz_batch_authz
     from repro.workloads.generators import PolicyShape
 

@@ -1,19 +1,21 @@
-"""Bitset-compiled authorization kernel vs. the frozenset baseline.
+"""Bitset authorization kernel vs. the frozenset baseline.
 
 The claim under test: compiling the monitor's hot sets — held
 privileges, grant rectangles, dirty regions — to big-int bitmasks over
-interned vertex IDs (``compiled=True``, the default) beats the
-frozenset set algebra by >=3x on both
+interned vertex IDs (:class:`AuthorizationIndex`) beats the frozenset
+set algebra of :class:`repro.oracle.ReferenceIndex` by >=3x on both
 
-* **index build** — constructing the per-subject ``AuthorizationIndex``
-  for the whole population (the cost every full rebuild pays), and
+* **index build** — constructing every subject's held set and grant
+  rectangles for the whole population (the cost every full rebuild
+  pays), and
 * **query throughput** — ``authorizes`` under a query burst against a
   quiet policy (exact match is one bit-test; a rectangle miss is
   rejected by two union-mask bit-tests).
 
-A third report pins differential identity: the two kernels must make
-identical grant/deny decisions over an entire churn trace, and the
-randomized invariant-9 harness must come back clean.
+A third report pins differential identity: the index and the
+reference must make identical grant/deny decisions over an entire
+churn trace, and the randomized invariant-9 harness must come back
+clean.  The ``*_frozenset_*`` metric keys name the reference side.
 
 Run under pytest (``pytest benchmarks/bench_bitset_kernel.py -s``) or
 directly (``PYTHONPATH=src python benchmarks/bench_bitset_kernel.py``).
@@ -27,9 +29,10 @@ import json
 import os
 import time
 
-from conftest import print_table
+from conftest import built_reference, print_table
 
 from repro.core.authz_index import AuthorizationIndex
+from repro.oracle import ReferenceIndex
 from repro.workloads.churn import (
     ChurnShape,
     churn_policy,
@@ -57,13 +60,13 @@ QUERY_PASSES = 3
 _metrics_cache: dict = {}
 
 
-def _build_seconds(compiled: bool) -> float:
+def _build_seconds(build) -> float:
     """Best-of-N wall time to construct the full index at USERS users."""
     best = float("inf")
     for _ in range(REPETITIONS):
         policy = churn_policy(SEED, SHAPE)
         started = time.perf_counter()
-        AuthorizationIndex(policy, compiled=compiled)
+        build(policy)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -74,7 +77,7 @@ def _probes(policy) -> list:
     decision the index exists for (rule 2's implicit authorization),
     and the query an IGA reconciliation loop issues by the thousand.
     Most probes miss (deny), so the frozenset path scans every held
-    rectangle while the compiled path rejects on the union masks."""
+    rectangle while the bitset path rejects on the union masks."""
     import random
 
     from repro.core.commands import grant_cmd
@@ -90,11 +93,11 @@ def _probes(policy) -> list:
     ]
 
 
-def _query_rate(compiled: bool) -> float:
+def _query_rate(build) -> float:
     """authorizes() calls per second against a quiet (pre-validated)
     policy, over the admin assignment-probe burst."""
     policy = churn_policy(SEED, SHAPE)
-    index = AuthorizationIndex(policy, compiled=compiled)
+    index = build(policy)
     probes = _probes(policy)
     authorizes = index.authorizes
     for command in probes[:16]:  # warm the caches
@@ -114,10 +117,10 @@ def collect_metrics() -> dict:
     report tests below and by tools/bench_report.py)."""
     if _metrics_cache:
         return _metrics_cache
-    build_frozenset = _build_seconds(compiled=False)
-    build_compiled = _build_seconds(compiled=True)
-    rate_frozenset = _query_rate(compiled=False)
-    rate_compiled = _query_rate(compiled=True)
+    build_frozenset = _build_seconds(built_reference)
+    build_compiled = _build_seconds(AuthorizationIndex)
+    rate_frozenset = _query_rate(built_reference)
+    rate_compiled = _query_rate(AuthorizationIndex)
     _metrics_cache.update({
         "users": SHAPE.n_users,
         "build_frozenset_s": round(build_frozenset, 4),
@@ -163,25 +166,22 @@ def test_report_kernel_speedup():
 
 
 def test_report_decisions_identical():
-    """Both kernels must make identical grant/deny decisions over a
-    whole churn trace — the speedup compares equal answers."""
+    """The index and the reference must make identical grant/deny
+    decisions over a whole churn trace — the speedup compares equal
+    answers."""
     trace = churn_trace(SEED, SHAPE)
     policy_a = churn_policy(SEED, SHAPE)
     policy_b = churn_policy(SEED, SHAPE)
-    compiled = run_churn(
-        policy_a, AuthorizationIndex(policy_a, compiled=True), trace
-    )
-    frozenset_ = run_churn(
-        policy_b, AuthorizationIndex(policy_b, compiled=False), trace
-    )
+    compiled = run_churn(policy_a, AuthorizationIndex(policy_a), trace)
+    frozenset_ = run_churn(policy_b, ReferenceIndex(policy_b), trace)
     assert compiled.decisions == frozenset_.decisions
     assert compiled.queries == frozenset_.queries > 0
 
 
 def test_report_differential_identity():
-    """Invariant 9 on a reduced campaign: compiled answers are
-    differentially identical to the frozenset oracle under randomized
-    churn, including interner ID reuse after remove_user + re-add."""
+    """Invariant 9 on a reduced campaign: the index's answers are
+    differentially identical to the reference under randomized churn,
+    including interner ID reuse after remove_user + re-add."""
     from repro.workloads.fuzz import fuzz_compiled_kernel
     from repro.workloads.generators import PolicyShape
 

@@ -6,7 +6,9 @@ grant/revoke/query traffic: every mutation used to invalidate the whole
 per-subject rectangle index, so the next query paid a rebuild
 proportional to the entire user population — quadratic over a churn
 trace.  With the change-journal + dirty-region maintenance the index
-repairs only the subjects a mutation can actually have touched.
+repairs only the subjects a mutation can actually have touched.  The
+full-rebuild baseline (:class:`RebuildPerVersion`) builds a fresh
+index whenever the policy version has moved.
 
 Run under pytest (``pytest benchmarks/bench_index_churn.py -s``) or
 directly (``PYTHONPATH=src python benchmarks/bench_index_churn.py``).
@@ -38,13 +40,41 @@ REPETITIONS = 3
 SPEEDUP_TARGET = float(os.environ.get("CHURN_SPEEDUP_TARGET", "5"))
 
 
-def _run(incremental: bool) -> tuple[float, dict]:
+class RebuildPerVersion:
+    """The full-rebuild baseline: a fresh :class:`AuthorizationIndex`
+    per policy version, built on the first query after a mutation."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.full_rebuilds = self.users_refreshed = 0
+        self._build()
+
+    def _build(self) -> None:
+        self.version = self.policy.version
+        self.index = AuthorizationIndex(self.policy)
+        self.full_rebuilds += 1
+        self.users_refreshed += self.index.users_refreshed
+
+    def authorizes(self, user, command):
+        if self.policy.version != self.version:
+            self._build()
+        return self.index.authorizes(user, command)
+
+    def statistics(self) -> dict:
+        return {
+            "full_rebuilds": self.full_rebuilds,
+            "partial_refreshes": 0,
+            "users_refreshed": self.users_refreshed,
+        }
+
+
+def _run(make_index) -> tuple[float, dict]:
     """Best-of-N wall time for one trace replay; returns (seconds, stats)."""
     best = float("inf")
     statistics = {}
     for _ in range(REPETITIONS):
         policy = churn_policy(SEED, SHAPE)
-        index = AuthorizationIndex(policy, incremental=incremental)
+        index = make_index(policy)
         trace = churn_trace(SEED, SHAPE)
         started = time.perf_counter()
         run_churn(policy, index, trace)
@@ -56,8 +86,8 @@ def _run(incremental: bool) -> tuple[float, dict]:
 
 
 def test_report_incremental_vs_full_rebuild():
-    incremental_time, incremental_stats = _run(incremental=True)
-    rebuild_time, rebuild_stats = _run(incremental=False)
+    incremental_time, incremental_stats = _run(AuthorizationIndex)
+    rebuild_time, rebuild_stats = _run(RebuildPerVersion)
     operations = SHAPE.mutations * (1 + SHAPE.queries_per_mutation)
 
     def row(label, seconds, stats):
@@ -142,12 +172,8 @@ def test_report_decisions_identical():
     policy_a = churn_policy(SEED, SHAPE)
     policy_b = churn_policy(SEED, SHAPE)
     trace = churn_trace(SEED, SHAPE)
-    incremental = run_churn(
-        policy_a, AuthorizationIndex(policy_a, incremental=True), trace
-    )
-    rebuild = run_churn(
-        policy_b, AuthorizationIndex(policy_b, incremental=False), trace
-    )
+    incremental = run_churn(policy_a, AuthorizationIndex(policy_a), trace)
+    rebuild = run_churn(policy_b, RebuildPerVersion(policy_b), trace)
     assert incremental.decisions == rebuild.decisions
     assert incremental.queries == rebuild.queries > 0
 

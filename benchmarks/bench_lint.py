@@ -33,11 +33,10 @@ import json
 import os
 import time
 
-from conftest import print_table
+from conftest import built_reference, print_table
 
 from repro.analysis.constraints import SsdConstraint
 from repro.analysis.lint import lint_policy
-from repro.core.authz_index import AuthorizationIndex
 from repro.core.entities import Role, User
 from repro.core.privileges import Grant, Revoke, is_privilege
 from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
@@ -303,7 +302,7 @@ def baseline_signatures(policy, constraints):
         upstream = [
             user for user in users if policy.reaches(user, source)
         ]
-        before = AuthorizationIndex(policy.copy(), compiled=False)
+        before = built_reference(policy.copy())
         before_held = {
             user: before.held_privileges(user) for user in upstream
         }
@@ -315,7 +314,7 @@ def baseline_signatures(policy, constraints):
         probe.remove_edge(source, target)
         if not probe.reaches(source, target):
             continue
-        after = AuthorizationIndex(probe, compiled=False)
+        after = built_reference(probe)
         preserved = all(
             after.held_privileges(user) == before_held[user]
             for user in upstream

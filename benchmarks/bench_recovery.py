@@ -126,7 +126,7 @@ async def _drive(policy, script, wal_path, floor_path=None):
     outcomes, final policy JSON, per-batch seconds of the samples:
     WAL appends with a WAL, else fsync-floor writes)."""
     pdp = PolicyDecisionPoint(
-        policy=policy, compiled=True, wal=wal_path,
+        policy=policy, wal=wal_path,
         max_batch=BATCH_SIZE,
     )
     samples = []

@@ -12,6 +12,17 @@ per-experiment index.  Two kinds of artifacts are produced:
 import pytest
 
 
+def built_reference(policy):
+    """A from-scratch frozenset index: the reference with every user's
+    held set and rectangles built, as an index build computes them."""
+    from repro.oracle import ReferenceIndex
+
+    reference = ReferenceIndex(policy)
+    for user in policy.users():
+        reference.rectangles(user)
+    return reference
+
+
 def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
     """Render a small fixed-width table to stdout."""
     widths = [

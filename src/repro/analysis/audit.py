@@ -10,8 +10,9 @@ sweep — each distinct authority profile (held-mask) is decoded once,
 so populations with heavy role sharing audit in close to ``O(U)``.
 
 ``audit_matrix`` is the library entry point (the ``repro audit-matrix``
-CLI subcommand renders it); ``compiled=False`` runs the same audit on
-the frozenset oracle and is pinned identical by the test suite.
+CLI subcommand renders it).  Any object with a ``held_privileges_bulk``
+method serves as ``index=``: the test suite pins the audit over
+:class:`repro.oracle.ReferenceIndex` identical to the default.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def audit_matrix(
     policy: Policy,
     privileges=None,
     users=None,
-    compiled: bool = True,
     index: AuthorizationIndex | None = None,
 ) -> AuditReport:
     """Audit the whole population's held privileges in one bulk sweep.
@@ -87,11 +87,10 @@ def audit_matrix(
     permission columns an access audit cares about); pass any privilege
     collection — including administrative :class:`Grant`/:class:`Revoke`
     terms — to audit those columns instead.  ``users`` defaults to
-    every user.  Pass an existing ``index`` to reuse a serving index
-    (its kernel wins over ``compiled``).
+    every user.  Pass an existing ``index`` to reuse a serving index.
     """
     if index is None:
-        index = AuthorizationIndex(policy, compiled=compiled)
+        index = AuthorizationIndex(policy)
     audited_users = tuple(
         sorted(policy.users(), key=str) if users is None else users
     )

@@ -7,8 +7,7 @@ every rule here is decidable from the policy graph itself, in one
 kernel sweep over :class:`~repro.core.policy.PolicyBits` masks and
 memoized ``descendants_bits`` masks (``compiled=True``), with the
 frozenset representation kept as the differential oracle for every
-rule (``compiled=False``), mirroring the dual-kernel discipline of
-the authorization index.
+rule (``compiled=False``).
 
 Rules (see the registry below):
 
@@ -17,7 +16,8 @@ Rules (see the registry below):
   no single currently-authorized grant can bring into reach;
 * ``redundant-delegation`` — an edge implied by the transitive
   closure: removing it provably preserves every authorization
-  (verified against the live :class:`AuthorizationIndex`, not just
+  (verified against the live :class:`AuthorizationIndex` — or, under
+  ``compiled=False``, :class:`~repro.oracle.ReferenceIndex` — not just
   claimed from reachability);
 * ``irrevocable-authority`` — a reachable grant privilege covering
   pairs for which no reachable revocation privilege exists;
@@ -60,6 +60,7 @@ from ..core.privileges import Grant, Revoke, is_privilege
 from ..errors import AnalysisError
 from ..graph import ancestors as graph_ancestors
 from ..graph import ancestors_bits, iter_bits
+from ..oracle import ReferenceIndex
 from .constraints import SsdConstraint
 
 
@@ -198,7 +199,7 @@ class LintContext:
         self.users = sorted(self.policy.users(), key=str)
         self.stats: dict[str, dict[str, int]] = {}
         self._reach_union = None
-        self._index: AuthorizationIndex | None = None
+        self._index: AuthorizationIndex | ReferenceIndex | None = None
         self._rect_memo: dict = {}
         self._priv_reach_memo: dict = {}
 
@@ -221,13 +222,16 @@ class LintContext:
         return self._reach_union
 
     @property
-    def index(self) -> AuthorizationIndex:
-        """The authorization index over the work policy, in the same
-        kernel — the redundancy rule's verification oracle."""
+    def index(self) -> AuthorizationIndex | ReferenceIndex:
+        """The redundancy rule's verification oracle over the work
+        policy: the authorization index when compiled, else
+        :class:`~repro.oracle.ReferenceIndex`, so the frozenset run
+        keeps a verifier independent of the index."""
         if self._index is None:
-            self._index = AuthorizationIndex(
-                self.policy, compiled=self.compiled
-            )
+            if self.compiled:
+                self._index = AuthorizationIndex(self.policy)
+            else:
+                self._index = ReferenceIndex(self.policy)
         return self._index
 
     def decode(self, mask: int) -> list:

@@ -355,15 +355,14 @@ def _cmd_audit_matrix(args: argparse.Namespace) -> int:
     from .analysis.audit import audit_matrix
 
     policy = _policy_target(args, "audit-matrix")
-    report = audit_matrix(policy, compiled=not args.frozenset)
+    report = audit_matrix(policy)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
         return 0
-    kernel = "frozenset" if args.frozenset else "compiled"
     print(
         f"audit matrix at policy version {report.version} "
         f"({len(report.users)} users x {len(report.privileges)} "
-        f"privileges, {kernel} kernel)"
+        "privileges)"
     )
     for user in report.users:
         grants, revokes = report.admin_counts(user)
@@ -383,15 +382,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         fuzz_repair,
     )
 
-    compiled = not args.frozenset
-    reports = fuzz_many(range(args.seeds), steps=args.steps,
-                        compiled=compiled)
+    reports = fuzz_many(range(args.seeds), steps=args.steps)
     executed = sum(r.executed for r in reports)
     implicit = sum(r.implicit for r in reports)
     denied = sum(r.denied for r in reports)
     violations = [v for r in reports for v in r.violations]
-    print(f"campaigns: {len(reports)}  steps/campaign: {args.steps}  "
-          f"kernel: {'compiled' if compiled else 'frozenset'}")
+    print(f"campaigns: {len(reports)}  steps/campaign: {args.steps}")
     print(f"executed: {executed} (implicit: {implicit})  denied: {denied}")
     if args.kernel_diff:
         kernel_reports = [
@@ -400,7 +396,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         ]
         violations += [v for r in kernel_reports for v in r.violations]
         print(
-            f"compiled-kernel agreement: {len(kernel_reports)} campaigns"
+            f"reference agreement: {len(kernel_reports)} campaigns"
         )
     if args.batch_diff:
         batch_reports = [
@@ -409,7 +405,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         violations += [v for r in batch_reports for v in r.violations]
         print(
             f"batch-authorization agreement: {len(batch_reports)} "
-            "campaigns, both kernels"
+            "campaigns, verdicts checked against the reference"
         )
     if args.repair_diff:
         repair_reports = [
@@ -421,28 +417,22 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             "both kernels, refinement + fixpoint checked"
         )
     if args.pdp_diff:
-        pdp_reports = [
-            fuzz_pdp(seed, compiled=kernel)
-            for seed in range(args.seeds)
-            for kernel in (True, False)
-        ]
+        pdp_reports = [fuzz_pdp(seed) for seed in range(args.seeds)]
         violations += [v for r in pdp_reports for v in r.violations]
         print(
             f"pdp agreement: {len(pdp_reports)} campaigns "
             "(concurrent readers vs. micro-batched writer), "
-            "both kernels, decisions pinned at snapshot versions"
+            "decisions pinned at snapshot versions"
         )
     if args.crash_diff:
         crash_reports = [
-            fuzz_crash_recovery(seed, compiled=kernel)
-            for seed in range(args.seeds)
-            for kernel in (True, False)
+            fuzz_crash_recovery(seed) for seed in range(args.seeds)
         ]
         violations += [v for r in crash_reports for v in r.violations]
         print(
             f"crash-recovery agreement: {len(crash_reports)} campaigns "
             "(kill at every injection point, recovery pinned "
-            "byte-identical to the oracle on both kernels, "
+            "byte-identical to the oracle, "
             "recoverable append failures leave a verifying chain, "
             "plus the single-record tamper matrix)"
         )
@@ -552,7 +542,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     async def scenario():
         async with PolicyDecisionPoint(
             policy=policy,
-            compiled=not args.frozenset,
             rate_limiter=limiter,
             wal=args.wal,
         ) as pdp:
@@ -581,14 +570,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(stats, indent=2))
         return 0
-    kernel = "frozenset" if args.frozenset else "compiled"
     cache = stats["cache"]
     asked = cache["hits"] + cache["misses"]
     ratio = 100.0 * cache["hits"] / asked if asked else 0.0
     print(
         f"served {stats['decisions']} decisions for {args.principals} "
         f"principals over {args.rounds}x{args.bursts} bursts "
-        f"({kernel} kernel, policy version {stats['version']})"
+        f"(policy version {stats['version']})"
     )
     print(
         f"mutations: {stats['mutations']} in {stats['batches']} "
@@ -865,19 +853,14 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seeds", type=int, default=10)
     fuzz.add_argument("--steps", type=int, default=50)
     fuzz.add_argument(
-        "--frozenset", action="store_true",
-        help="run the campaigns on the frozenset (non-compiled) kernel "
-             "— the differential baseline",
-    )
-    fuzz.add_argument(
         "--kernel-diff", action="store_true",
-        help="additionally pin the compiled bitset kernel to the "
-             "frozenset oracle under churn (invariant 9)",
+        help="additionally pin the bitset kernel to the reference "
+             "index under churn (invariant 9)",
     )
     fuzz.add_argument(
         "--batch-diff", action="store_true",
         help="additionally pin batch authorization to per-pair scalar "
-             "decisions on both kernels (invariant 12)",
+             "decisions and the reference index (invariant 12)",
     )
     fuzz.add_argument(
         "--repair-diff", action="store_true",
@@ -888,8 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--pdp-diff", action="store_true",
         help="additionally pin every async PDP decision to the "
-             "synchronous monitor oracle at its snapshot version, "
-             "both kernels (invariant 14)",
+             "reference index at its snapshot version (invariant 14)",
     )
     fuzz.add_argument(
         "--crash-diff", action="store_true",
@@ -914,11 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument(
         "--json", action="store_true", help="machine-readable output"
-    )
-    audit.add_argument(
-        "--frozenset", action="store_true",
-        help="audit with the frozenset oracle instead of the compiled "
-             "bitset kernel (differential baseline)",
     )
     audit.set_defaults(func=_cmd_audit_matrix)
 
@@ -995,11 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--json", action="store_true", help="machine-readable output"
-    )
-    serve.add_argument(
-        "--frozenset", action="store_true",
-        help="serve with the frozenset oracle instead of the compiled "
-             "bitset kernel (differential baseline)",
     )
     serve.add_argument(
         "--wal", default=None, metavar="PATH",

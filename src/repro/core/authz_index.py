@@ -16,47 +16,36 @@ by the original target, i.e. the authorized pairs are::
     { (v, v') : v ∈ ancestors(s) ∩ (U ∪ R),  v' ∈ descendants(t) }
 
 (with the usual grammar sorts), a *rectangle* ancestors(s) ×
-descendants(t).  The index stores these rectangles as pairs of frozen
-sets; an authorization query is then two set-membership tests per held
-privilege instead of a recursive procedure.  Nested-target grants
-(rule 3) and the generalized rule-(2) hop are delegated to the
-ordering oracle — they are the rare case, and correctness is what
-matters there.
+descendants(t).  The index runs on the *bitset kernel*: held sets are
+big-int bitmasks over the policy graph's interned vertex IDs and
+rectangles are :class:`BitGrantRectangle` masks, so an authorization
+query is a couple of bit-tests per held privilege instead of a
+recursive procedure.  Nested-target grants (rule 3) and the
+generalized rule-(2) hop are delegated to the ordering oracle — they
+are the rare case, and correctness is what matters there.
 
 The index is versioned against the policy graph like every other
 cache.  Under policy churn it repairs itself *incrementally*: the
 graph's change journal yields the edge-level deltas since the last
-validation, SCC-condensation reachability (:func:`repro.graph.dirty_region`)
-turns those into the set of dirty subjects and rectangles, and only
-those entries are rebuilt.  A full rebuild happens only when the
-journal has expired or the delta burst exceeds a size threshold
-(``incremental=False`` forces the old rebuild-everything behaviour and
-is kept as the benchmark baseline).  Its answers are verified against
-the oracle by the test suite (`tests/core/test_authz_index.py`) and by
-the differential churn harness in :mod:`repro.workloads.fuzz`.
+validation, the dirty region (:func:`repro.graph.dirty_region_bits`)
+turns those into the set of dirty subjects plus one *stale-privilege
+mask*, and only the rectangles of stale privileges are recompiled and
+patched into the rows of the users holding them.  Rectangle contents
+are per-privilege, not per-user: the index memoizes one rectangle per
+held grant (``_rect_memo``) and every holder shares it.  A full
+rebuild happens only when the journal has expired or the delta burst
+exceeds :attr:`AuthorizationIndex.DELTA_LIMIT`.
+
+Answers are pinned against :class:`repro.oracle.ReferenceIndex`, which
+computes the same semantics straight from the definitions, by the
+test suite (`tests/core/test_authz_index.py`) and by the differential
+harnesses in :mod:`repro.workloads.fuzz` (invariants 7, 9, 12, 14).
 
 An index-backed refined monitor also unlocks *batched* command queues:
 :meth:`repro.core.monitor.ReferenceMonitor.submit_queue` with
 ``batched=True`` authorizes a whole queue against its entry state with
 a single index validation — see that method's docstring for the exact
 transactional semantics.
-
-Rectangle contents are per-privilege, not per-user: the compiled
-index memoizes one rectangle per held grant (``_rect_memo``) and every
-holder shares it; repair evicts exactly the stale entries.
-
-``compiled=True`` (the default) runs the whole index on the *bitset
-kernel*: held sets are big-int bitmasks over the policy graph's
-interned vertex IDs, rectangles are :class:`BitGrantRectangle` masks
-whose :meth:`~BitGrantRectangle.covers` is two bit-tests, and the
-dirty sweep under churn is a mask intersection plus one
-*stale-privilege mask*: only the rectangles of stale privileges are
-recompiled, and only their rows are patched into the users holding
-them.
-``compiled=False`` keeps the frozenset representation as the
-differential oracle — `benchmarks/bench_bitset_kernel.py` pins the
-speedup and :func:`repro.workloads.fuzz.fuzz_compiled_kernel`
-(invariant 9) pins observational equality under churn.
 """
 
 from __future__ import annotations
@@ -66,10 +55,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
 
-from ..graph import ancestors as graph_ancestors
 from ..graph import (
     ancestors_bits,
-    dirty_region,
     dirty_region_bits,
     iter_bits,
     summarize_deltas,
@@ -88,7 +75,9 @@ _EMPTY = frozenset()
 @dataclass(frozen=True)
 class GrantRectangle:
     """The set of entity-pair grants authorized by one held privilege:
-    ``sources × targets`` (already sort-filtered)."""
+    ``sources × targets`` (already sort-filtered) — the decoded form
+    of a :class:`BitGrantRectangle`, and the representation
+    :class:`repro.oracle.ReferenceIndex` computes directly."""
 
     held: Grant
     sources: frozenset
@@ -101,8 +90,9 @@ class GrantRectangle:
         return len(self.sources) * len(self.targets)
 
     def thaw(self, graph=None) -> "GrantRectangle":
-        """Representation-normalized view (identity here; the compiled
-        rectangle decodes itself into this class through ``graph``)."""
+        """Representation-normalized view (identity here; a
+        :class:`BitGrantRectangle` decodes itself into this class
+        through ``graph``)."""
         return self
 
 
@@ -174,8 +164,9 @@ class BitGrantRectangle:
         ) | self.extra_targets
 
     def thaw(self, graph) -> GrantRectangle:
-        """Decode into the frozenset representation (for differential
-        comparison against the oracle and the review surfaces)."""
+        """Decode into the frozenset representation (for the review
+        surfaces and differential comparison against
+        :class:`repro.oracle.ReferenceIndex`)."""
         return GrantRectangle(
             self.held, self.sources(graph), self.targets(graph)
         )
@@ -266,8 +257,9 @@ class AuthorizationIndex:
 
     ``authorizes(user, command)`` returns the held privilege that
     covers the command, or None.  Exact matches and revocations are
-    answered from a set; entity-target grants from the rectangles;
-    nested grants fall back to the ordering oracle.
+    answered by one bit-test on the held mask; entity-target grants
+    from the rectangles; nested grants fall back to the ordering
+    oracle.
 
     Maintenance under churn is incremental (see the module docstring):
     a mutated edge ``(s, t)`` dirties exactly
@@ -279,110 +271,55 @@ class AuthorizationIndex:
       changed) or whose target lies upstream of ``s`` (its descendant
       set — the rectangle's targets — may have changed).
 
-    Everything else is provably untouched.  The frozenset kernel
-    rebuilds every user holding a dirty rectangle; the compiled kernel
-    turns the dirty rectangles into one *stale-privilege mask*,
-    recompiles each stale rectangle once, and patches just those rows
-    of the users holding them — only users whose held set can change
-    are rebuilt whole.  ``full_rebuilds`` / ``partial_refreshes`` /
-    ``users_refreshed`` / ``rectangles_built`` expose the maintenance
-    behaviour to tests and benchmarks.
+    Everything else is provably untouched.  The dirty rectangles become
+    one *stale-privilege mask*: each stale rectangle is recompiled
+    once, and just those rows of the users holding it are patched —
+    only users whose held set can change are rebuilt whole.
+    ``full_rebuilds`` / ``partial_refreshes`` / ``users_refreshed`` /
+    ``rectangles_built`` expose the maintenance behaviour to tests and
+    benchmarks.
     """
 
     #: delta bursts larger than max(DELTA_LIMIT, #users) trigger a full
     #: rebuild instead of an incremental repair.
     DELTA_LIMIT = 64
 
-    __slots__ = ("policy", "incremental", "compiled", "full_rebuilds",
-                 "partial_refreshes", "users_refreshed", "rectangles_built",
-                 "_cursor", "_held", "_rectangles", "_rect_rows",
-                 "_rect_users", "_rect_memo", "_oracle", "_snapshot")
+    __slots__ = ("policy", "full_rebuilds", "partial_refreshes",
+                 "users_refreshed", "rectangles_built", "_cursor", "_held",
+                 "_rectangles", "_rect_rows", "_rect_users", "_rect_memo",
+                 "_oracle", "_snapshot")
 
-    def __init__(
-        self,
-        policy: Policy,
-        incremental: bool = True,
-        compiled: bool = True,
-    ):
+    def __init__(self, policy: Policy):
         self.policy = policy
-        self.incremental = incremental
-        #: True: bitset kernel (held sets and rectangles are bitmasks
-        #: over interned vertex IDs).  False: the frozenset
-        #: representation — kept as the differential oracle, exactly
-        #: like ``incremental=False`` keeps the rebuild baseline.
-        self.compiled = compiled
         self.full_rebuilds = 0
         self.partial_refreshes = 0
         self.users_refreshed = 0
-        #: rectangles built (frozenset kernel: one per holder) or
-        #: compiled into the memo (compiled kernel: one per grant).
+        #: rectangles compiled into the memo (one per grant).
         self.rectangles_built = 0
         self._cursor = policy.journal_cursor()
-        #: per-subject held privileges: frozenset[Privilege] when
-        #: ``compiled=False``, an int bitmask over privilege vertex IDs
-        #: when compiled (use :meth:`held_privileges` for a
-        #: representation-independent view).
-        self._held: dict[User, object] = {}
+        #: per-subject held privileges as an int bitmask over privilege
+        #: vertex IDs (use :meth:`held_privileges` for the decoded set).
+        self._held: dict[User, int] = {}
         self._rectangles: dict[User, tuple] = {}
-        #: compiled fast path per subject: (held_mask, union_source_bits,
+        #: fast path per subject: (held_mask, union_source_bits,
         #: union_target_bits, ((source_bits, target_bits, held, pid), ...))
         #: — the union masks reject most misses with two bit-tests, and
         #: rows carry the held privilege's vertex ID in ascending order
         #: for the batch kernel's mask-select verdicts.
         self._rect_rows: dict[User, tuple] = {}
-        #: compiled bookkeeping: subjects holding at least one
-        #: rectangle — the only ones a stale rectangle can touch.
+        #: subjects holding at least one rectangle — the only ones a
+        #: stale rectangle can touch.
         self._rect_users: set[User] = set()
-        #: compiled rectangles by held privilege, valid at the cursor's
-        #: version (repair evicts the stale ones).
+        #: rectangles by held privilege, valid at the cursor's version
+        #: (repair evicts the stale ones).
         self._rect_memo: dict[Grant, BitGrantRectangle] = {}
-        self._oracle = OrderingOracle(policy, compiled=compiled)
+        self._oracle = OrderingOracle(policy)
         self._snapshot: ReviewSnapshot | None = None
         self._rebuild()
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _build_user(self, user: User, entity_ancestors: dict) -> None:
-        """(Re)compute one user's held set and rectangles in place."""
-        graph = self.policy.graph
-
-        def ancestors_of(vertex) -> frozenset:
-            cached = entity_ancestors.get(vertex)
-            if cached is None:
-                cached = frozenset(
-                    v for v in graph_ancestors(graph, vertex)
-                    if isinstance(v, _Entity)
-                )
-                entity_ancestors[vertex] = cached
-            return cached
-
-        held = frozenset(
-            vertex
-            for vertex in self.policy.descendants(user)
-            if is_privilege(vertex)
-        )
-        self._held[user] = held
-        rectangles = []
-        for privilege in held:
-            if not isinstance(privilege, Grant):
-                continue
-            if not isinstance(privilege.target, _Entity):
-                continue
-            # Weaker sources: entities v with v ->phi s (rule 2
-            # premise v1 -> v2); weaker targets: entities below t.
-            sources = ancestors_of(privilege.source)
-            targets = frozenset(
-                v for v in self.policy.descendants(privilege.target)
-                if isinstance(v, Role)
-            )
-            rectangles.append(
-                GrantRectangle(privilege, sources, targets)
-            )
-            self.rectangles_built += 1
-        self._rectangles[user] = tuple(rectangles)
-        self.users_refreshed += 1
-
     def _rectangle(self, privilege: Grant, ancestor_memo: dict):
         """The current compiled rectangle of ``privilege``: the memoized
         one, compiled on first demand."""
@@ -394,11 +331,11 @@ class AuthorizationIndex:
             self.rectangles_built += 1
         return rectangle
 
-    def _build_user_bits(
+    def _build_user(
         self, user: User, ancestor_memo: dict, profiles: dict
     ) -> None:
-        """Compiled :meth:`_build_user`: the held set is one BFS mask
-        intersected with the privilege sort mask, and rectangles come
+        """(Re)compute one user's entry in place: the held set is one
+        BFS mask intersected with the privilege sort mask, and rectangles come
         from the memo (their contents are per-privilege, never
         per-user).  ``profiles`` maps a held mask to the entries
         already built for it in this pass, so users with the same
@@ -432,7 +369,7 @@ class AuthorizationIndex:
         self._set_profile(user, profile)
         self.users_refreshed += 1
 
-    def _patch_user_bits(
+    def _patch_user(
         self, user: User, stale: int, ancestor_memo: dict, profiles: dict
     ) -> None:
         """Swap the rows of ``user``'s stale rectangles for current
@@ -479,26 +416,17 @@ class AuthorizationIndex:
         self._rect_rows.clear()
         self._rect_users.clear()
         self._rect_memo.clear()
-        if self.compiled:
-            ancestor_memo: dict = {}
-            profiles: dict = {}
-            for user in self.policy.users():
-                self._build_user_bits(user, ancestor_memo, profiles)
-        else:
-            entity_ancestors: dict[object, frozenset] = {}
-            for user in self.policy.users():
-                self._build_user(user, entity_ancestors)
+        ancestor_memo: dict = {}
+        profiles: dict = {}
+        for user in self.policy.users():
+            self._build_user(user, ancestor_memo, profiles)
         self._cursor.version = self.policy.version
         self.full_rebuilds += 1
 
     def _validate(self) -> None:
         if self._cursor.version == self.policy.version:
             return
-        since = self._cursor.version
-        deltas = (
-            self.policy.changes_since(since)
-            if self.incremental else None
-        )
+        deltas = self.policy.changes_since(self._cursor.version)
         if deltas is None:
             self._rebuild()
             return
@@ -538,15 +466,7 @@ class AuthorizationIndex:
                     fresh_users.add(delta.source)
 
         dirty: set[User] = set(fresh_users)
-        if not self.compiled:
-            if summary.edge_sources:
-                self._collect_dirty(summary, dirty)
-            entity_ancestors: dict[object, frozenset] = {}
-            for user in dirty:
-                self._build_user(user, entity_ancestors)
-            return
-
-        stale = self._collect_dirty_bits(summary, dirty)
+        stale = self._collect_dirty(summary, dirty)
         vertex_of = self.policy.graph._vertex_of
         memo = self._rect_memo
         for index in iter_bits(stale):
@@ -556,7 +476,7 @@ class AuthorizationIndex:
         ancestor_memo: dict = {}
         profiles: dict = {}
         for user in dirty:
-            self._build_user_bits(user, ancestor_memo, profiles)
+            self._build_user(user, ancestor_memo, profiles)
         if stale:
             rect_rows = self._rect_rows
             patched = [
@@ -564,44 +484,23 @@ class AuthorizationIndex:
                 if user not in dirty and rect_rows[user][0] & stale
             ]
             for user in patched:
-                self._patch_user_bits(user, stale, ancestor_memo, profiles)
+                self._patch_user(user, stale, ancestor_memo, profiles)
 
-    def _collect_dirty(self, summary, dirty: set) -> None:
-        """Frozenset dirty-subject sweep for one repair window."""
-        upstream, downstream = dirty_region(
-            self.policy.graph, summary.edge_sources, summary.edge_targets
-        )
-        # A held set can only gain/lose privileges lying downstream
-        # of a mutated edge's target; a privilege-free downstream
-        # region (pure membership/hierarchy shuffling below any
-        # assignment) leaves every held set intact.
-        if any(is_privilege(vertex) for vertex in downstream):
-            dirty |= self._held.keys() & upstream
-        for user, rectangles in self._rectangles.items():
-            if not rectangles or user in dirty:
-                continue
-            for rectangle in rectangles:
-                held = rectangle.held
-                if held.source in downstream or held.target in upstream:
-                    dirty.add(user)
-                    break
-
-    def _collect_dirty_bits(self, summary, dirty: set) -> int:
-        """Compiled dirty sweep: adds the users whose held set can
+    def _collect_dirty(self, summary, dirty: set) -> int:
+        """The dirty sweep of one repair window: adds the users whose held set can
         change to ``dirty`` (one ``upstream & users_mask``
         intersection) and returns the stale-privilege mask — the
         rectangle-bearing grants whose source lies downstream or whose
         target lies upstream, looked up through the policy's
         endpoint-inverted masks.  Off-graph region members (seeds
         removed within the window) are looked up from the region's
-        absent sets, preserving the frozenset semantics.
+        absent sets.
 
         A rectangle's *own endpoint* can also leave or rejoin the
         graph with its region staying set-identical (``ancestors(s) ∋
-        s`` holds off-graph too): the frozenset representation needs
-        no repair, but the compiled rectangle must migrate the
-        endpoint between its bitmask (freed or assigned ID) and its
-        extras.  So every grant with a removed or added endpoint is
+        s`` holds off-graph too): the decoded rectangle is unchanged,
+        but its masks must migrate the endpoint between a bit (freed
+        or assigned ID) and its extras.  So every grant with a removed or added endpoint is
         stale as well; any *other* region member's removal journals
         edge deltas that reach it through the region."""
         policy = self.policy
@@ -653,37 +552,12 @@ class AuthorizationIndex:
         wanted = command.requested_privilege()
         if wanted is None:
             return None
-        if self.compiled:
-            return self._authorizes_bits(user, command, wanted)
-        return self._authorizes_sets(user, command, wanted)
+        return self._decide(user, command, wanted)
 
-    def _authorizes_sets(
+    def _decide(
         self, user: User, command: Command, wanted: Privilege
     ) -> Privilege | None:
-        """Frozenset decision path — the oracle twin of
-        :meth:`_authorizes_bits` (and the per-pair loop body of the
-        ``compiled=False`` batch)."""
-        held = self._held.get(user, frozenset())
-        if wanted in held:
-            return wanted
-        if command.action is CommandAction.REVOKE:
-            return None  # revocations: exact match only
-        source, target = command.source, command.target
-        if isinstance(target, _Entity):
-            for rectangle in self._rectangles.get(user, ()):
-                if rectangle.covers(source, target):
-                    return rectangle.held
-            return None
-        # Nested-privilege grant targets: fall back to the oracle.
-        for privilege in held:
-            if self._oracle.is_weaker(privilege, wanted):
-                return privilege
-        return None
-
-    def _authorizes_bits(
-        self, user: User, command: Command, wanted: Privilege
-    ) -> Privilege | None:
-        """Compiled decision path: exact match is one bit-test, the
+        """The decision path: exact match is one bit-test, the
         rectangle scan is rejected by two union-mask bit-tests on a
         miss, and only confirmed hits walk the per-rectangle rows."""
         row = self._rect_rows.get(user)
@@ -745,27 +619,7 @@ class AuthorizationIndex:
         whole batch; an empty batch returns ``[]`` without touching
         the index or rectangle state.
 
-        Under ``compiled=True`` this runs the packed-matrix kernel
-        (see :meth:`_authorizes_batch_bits`); the frozenset oracle
-        answers pair by pair, as the differential twin.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        self._validate()
-        if self.compiled:
-            return self._authorizes_batch_bits(pairs)
-        decide = self._authorizes_sets
-        results: list[Privilege | None] = []
-        for user, command in pairs:
-            wanted = command.requested_privilege()
-            results.append(
-                None if wanted is None else decide(user, command, wanted)
-            )
-        return results
-
-    def _authorizes_batch_bits(self, pairs) -> list[Privilege | None]:
-        """Compiled batch kernel: amortize one rectangle sweep per
+        The packed-matrix kernel amortizes one rectangle sweep per
         distinct command edge over the whole query population.
 
         Queries are routed by *object identity* (``id()`` of the
@@ -784,8 +638,12 @@ class AuthorizationIndex:
         scalar scan's first covering rectangle.  Edges the mask
         algebra cannot decide — nested-privilege targets, off-graph
         endpoints living in rectangle extras — fall back to the
-        scalar compiled path per subject.
+        scalar path per subject.
         """
+        pairs = list(pairs)
+        if not pairs:
+            return []
+        self._validate()
         graph = self.policy.graph
         vid = graph._vid
         vertex_of = graph._vertex_of
@@ -839,7 +697,7 @@ class AuthorizationIndex:
         # Pass 2: one decision per group; per-edge work (requested-term
         # construction, the eligible-privilege rectangle sweep) is
         # shared across subjects through the edge memo.
-        fallback = self._authorizes_bits
+        fallback = self._decide
         edges: dict = {}
         edge_get = edges.get
         # Eligible masks factor into per-endpoint cover masks — the
@@ -915,15 +773,13 @@ class AuthorizationIndex:
 
     # ------------------------------------------------------------------
     def held_privileges(self, user: User) -> frozenset[Privilege]:
-        """The user's held privilege set in representation-independent
-        form (decodes the bitmask under ``compiled=True``) — the view
-        the differential harnesses compare across kernels."""
+        """The user's held privilege set, decoded from the bitmask —
+        the view the differential harnesses compare against
+        :class:`repro.oracle.ReferenceIndex`."""
         self._validate()
         held = self._held.get(user)
         if held is None:
             return frozenset()
-        if not self.compiled:
-            return held
         vertex_of = self.policy.graph._vertex_of
         return frozenset(vertex_of[index] for index in iter_bits(held))
 
@@ -933,8 +789,7 @@ class AuthorizationIndex:
         """Held privilege sets for a whole population in one
         validation: equal to ``{user: self.held_privileges(user)}``
         per user (duplicates collapse; unknown subjects map to the
-        empty set).  Under ``compiled=True`` the bitmask decode is
-        memoized per distinct held mask — users sharing a role subtree
+        empty set).  The bitmask decode is memoized per distinct held mask — users sharing a role subtree
         share one decoded frozenset, so a million-user audit decodes
         each distinct authority profile once.  An empty population
         returns ``{}`` without touching the index."""
@@ -943,8 +798,6 @@ class AuthorizationIndex:
             return {}
         self._validate()
         held_map = self._held
-        if not self.compiled:
-            return {user: held_map.get(user, _EMPTY) for user in users}
         vertex_of = self.policy.graph._vertex_of
         decoded: dict[int, frozenset] = {0: _EMPTY}
         decoded_get = decoded.get
@@ -960,26 +813,17 @@ class AuthorizationIndex:
         return out
 
     def _entity_grant_edges(self, user: User, connective) -> set:
-        """Edges of held entity-target ¤/♦ privileges (both kernels)."""
+        """Edges of held entity-target ¤/♦ privileges."""
         held = self._held.get(user)
         if held is None:
             return set()
-        if self.compiled:
-            bits = self.policy.bits
-            mask = (
-                bits.grant_entity_mask if connective is Grant
-                else bits.revoke_entity_mask
-            )
-            vertex_of = self.policy.graph._vertex_of
-            return {
-                vertex_of[index].edge for index in iter_bits(held & mask)
-            }
-        return {
-            privilege.edge
-            for privilege in held
-            if isinstance(privilege, connective)
-            and isinstance(privilege.target, _Entity)
-        }
+        bits = self.policy.bits
+        mask = (
+            bits.grant_entity_mask if connective is Grant
+            else bits.revoke_entity_mask
+        )
+        vertex_of = self.policy.graph._vertex_of
+        return {vertex_of[index].edge for index in iter_bits(held & mask)}
 
     def grantable_pairs(
         self, user: User, at_version: int | None = None
@@ -1035,32 +879,20 @@ class AuthorizationIndex:
             )
         self._validate()
         #: profile key -> expanded frozenset of grantable pairs.  The
-        #: key is the held grant-entity mask (compiled) or the held
-        #: entity-target grant set (frozenset kernel) — exactly the
-        #: inputs :meth:`grantable_pairs` derives its answer from.
-        profiles: dict[object, frozenset] = {}
+        #: key is the held grant-entity mask — exactly the input
+        #: :meth:`grantable_pairs` derives its answer from.
+        profiles: dict[int, frozenset] = {}
         #: rectangle -> decoded (sources, targets) pair, shared by
-        #: every profile containing it (compiled rectangles are
-        #: per-privilege, so holders dedup by identity).
+        #: every profile containing it (rectangles are per-privilege,
+        #: so holders dedup by identity).
         decoded: dict[int, tuple] = {}
         out: dict[User, frozenset] = {}
-        compiled = self.compiled
         graph = self.policy.graph
-        grant_mask = self.policy.bits.grant_entity_mask if compiled else 0
+        grant_mask = self.policy.bits.grant_entity_mask
         vertex_of = graph._vertex_of
         for user in users:
-            if compiled:
-                row = self._rect_rows.get(user)
-                key: object = (
-                    0 if row is None else row[0] & grant_mask
-                )
-            else:
-                held = self._held.get(user, _EMPTY)
-                key = frozenset(
-                    privilege for privilege in held
-                    if isinstance(privilege, Grant)
-                    and isinstance(privilege.target, _Entity)
-                )
+            row = self._rect_rows.get(user)
+            key = 0 if row is None else row[0] & grant_mask
             cached = profiles.get(key)
             if cached is None:
                 pairs: set[tuple[object, object]] = set()
@@ -1075,12 +907,9 @@ class AuthorizationIndex:
                     for source in sources:
                         for target in targets:
                             pairs.add((source, target))
-                if compiled:
-                    pairs.update(
-                        vertex_of[index].edge for index in iter_bits(key)
-                    )
-                else:
-                    pairs.update(privilege.edge for privilege in key)
+                pairs.update(
+                    vertex_of[index].edge for index in iter_bits(key)
+                )
                 cached = profiles[key] = frozenset(pairs)
             out[user] = cached
         return out
@@ -1129,7 +958,7 @@ class AuthorizationIndex:
         snapshot = self._snapshot
         if snapshot is None or snapshot.version != self.policy.version:
             snapshot = self._snapshot = ReviewSnapshot(
-                self.policy, compiled=self.compiled, index=self
+                self.policy, index=self
             )
         return snapshot
 
@@ -1139,7 +968,7 @@ class AuthorizationIndex:
         ID means the same vertex in both.
 
         The fork allocates nothing per subject or rectangle: held
-        masks, held frozensets, rectangle tuples and rows are immutable
+        masks, rectangle tuples and rows are immutable
         and shared as they are (rectangles decode through the owning
         index's graph, never their own), and only the four per-subject
         containers are copied, because live repair rebinds their
@@ -1150,8 +979,6 @@ class AuthorizationIndex:
         self._validate()
         fork = AuthorizationIndex.__new__(AuthorizationIndex)
         fork.policy = policy
-        fork.incremental = self.incremental
-        fork.compiled = self.compiled
         fork.full_rebuilds = fork.partial_refreshes = 0
         fork.users_refreshed = fork.rectangles_built = 0
         fork._cursor = policy.journal_cursor()
@@ -1160,7 +987,7 @@ class AuthorizationIndex:
         fork._rect_rows = dict(self._rect_rows)
         fork._rect_users = set(self._rect_users)
         fork._rect_memo = {}
-        fork._oracle = OrderingOracle(policy, compiled=self.compiled)
+        fork._oracle = OrderingOracle(policy)
         fork._snapshot = None
         return fork
 
@@ -1199,49 +1026,32 @@ class ReviewSnapshot:
 
     Holds a structural clone of the policy (:meth:`Policy.copy`, which
     shares the adjacency sets copy-on-write and keeps the vertex-ID
-    layout) and an index over that clone.  Given the live ``index``
-    over ``policy``, the snapshot forks it: the live index repairs its
-    dirty region and hands its tables over, sharing every rectangle and
-    row (:meth:`AuthorizationIndex.snapshot` captures this way, once
-    per version).  Without one, the index is built lazily on
-    the first query, in the ``compiled`` kernel, so a frozenset-oracle
-    caller stays frozenset end to end.  Answers are immutable: every
-    query sees exactly the captured version, however far the live
-    policy has moved on.
+    layout) and a fork of the live ``index`` over that clone: the live
+    index repairs its dirty region and hands its tables over, sharing
+    every rectangle and row (:meth:`AuthorizationIndex.snapshot`
+    captures this way, once per version).  Answers are immutable:
+    every query sees exactly the captured version, however far the
+    live policy has moved on.
     """
 
-    __slots__ = ("version", "compiled", "_policy", "_index")
+    __slots__ = ("version", "_policy", "_index")
 
-    def __init__(
-        self,
-        policy: Policy,
-        compiled: bool = True,
-        index: AuthorizationIndex | None = None,
-    ):
+    def __init__(self, policy: Policy, index: AuthorizationIndex):
         self.version = policy.version
-        self.compiled = compiled
         self._policy = policy.copy()
-        self._index = None if index is None else index._fork(self._policy)
-
-    def _ensure_index(self) -> AuthorizationIndex:
-        index = self._index
-        if index is None:
-            index = self._index = AuthorizationIndex(
-                self._policy, compiled=self.compiled
-            )
-        return index
+        self._index = index._fork(self._policy)
 
     def grantable_pairs(self, user: User) -> frozenset:
-        return self._ensure_index().grantable_pairs(user)
+        return self._index.grantable_pairs(user)
 
     def grantable_pairs_bulk(self, users) -> dict[User, frozenset]:
-        return self._ensure_index().grantable_pairs_bulk(users)
+        return self._index.grantable_pairs_bulk(users)
 
     def revocable_pairs(self, user: User) -> frozenset:
-        return self._ensure_index().revocable_pairs(user)
+        return self._index.revocable_pairs(user)
 
     def held_privileges_bulk(self, users) -> dict[User, frozenset]:
-        return self._ensure_index().held_privileges_bulk(users)
+        return self._index.held_privileges_bulk(users)
 
     def authorizes(self, user: User, command: Command) -> Privilege | None:
         """Decide ``command`` for ``user`` at the pinned version — the
@@ -1249,12 +1059,12 @@ class ReviewSnapshot:
         gives, frozen at capture time.  This is the serving layer's
         read path: a reader holding this snapshot never observes a
         mutation applied after it was captured."""
-        return self._ensure_index().authorizes(user, command)
+        return self._index.authorizes(user, command)
 
     def authorizes_batch(self, pairs) -> list[Privilege | None]:
         """Batch :meth:`authorizes` over ``(user, command)`` pairs via
         the packed-matrix kernel, all at the pinned version."""
-        return self._ensure_index().authorizes_batch(pairs)
+        return self._index.authorizes_batch(pairs)
 
     def policy_copy(self) -> Policy:
         """A mutable copy of the captured policy, for differential
@@ -1263,7 +1073,7 @@ class ReviewSnapshot:
         return self._policy.copy()
 
     def effective_authority(self, user: User) -> dict[str, frozenset]:
-        return self._ensure_index().effective_authority(user)
+        return self._index.effective_authority(user)
 
     def __repr__(self) -> str:
         return f"ReviewSnapshot(version={self.version})"

@@ -74,12 +74,6 @@ class ReferenceMonitor:
     policy: Policy
     mode: Mode = Mode.STRICT
     use_index: bool = False
-    #: True (default): run the authorization index and ordering-memo
-    #: maintenance on the bitset-compiled kernel (bitmasks over
-    #: interned vertex IDs).  False: the frozenset representation —
-    #: the differential oracle, and the baseline the kernel benchmark
-    #: compares against.
-    compiled: bool = True
     audit_trail: list[AccessDecision] = field(default_factory=list)
     #: review snapshot captured by the most recent
     #: ``submit_queue(..., batched=True, snapshot=True)`` — pass its
@@ -91,11 +85,9 @@ class ReferenceMonitor:
     _index: AuthorizationIndex | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self._oracle = OrderingOracle(self.policy, compiled=self.compiled)
+        self._oracle = OrderingOracle(self.policy)
         if self.use_index:
-            self._index = AuthorizationIndex(
-                self.policy, compiled=self.compiled
-            )
+            self._index = AuthorizationIndex(self.policy)
 
     # ------------------------------------------------------------------
     # Session functions

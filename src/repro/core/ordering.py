@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..graph import dirty_region, dirty_region_bits, summarize_deltas
+from ..graph import dirty_region_bits, summarize_deltas
 from .entities import Role, User
 from .policy import Policy
 from .privileges import (
@@ -53,17 +53,6 @@ from .privileges import (
 from .trace import Derivation, OrderingStatistics, ReachPremise
 
 _Entity = (User, Role)
-
-
-def _term_footprint(privilege: Privilege) -> set:
-    """Every graph vertex a ``p Ã q`` decision can have touched through
-    this term: the term itself, its privilege subterms, and every
-    entity they mention."""
-    vertices: set = {privilege}
-    if isinstance(privilege, AdminPrivilege):
-        vertices.update(privilege.subterms())
-        vertices.update(privilege.mentioned_entities())
-    return vertices
 
 
 class OrderingOracle:
@@ -85,22 +74,11 @@ class OrderingOracle:
     #: paying for itself on big bursts.
     MEMO_DELTA_LIMIT = 32
 
-    __slots__ = ("policy", "strict_rules", "compiled", "stats", "_memo",
-                 "_version")
+    __slots__ = ("policy", "strict_rules", "stats", "_memo", "_version")
 
-    def __init__(
-        self,
-        policy: Policy,
-        strict_rules: bool = False,
-        compiled: bool = True,
-    ):
+    def __init__(self, policy: Policy, strict_rules: bool = False):
         self.policy = policy
         self.strict_rules = strict_rules
-        #: True: memo eviction tests term footprints against the dirty
-        #: region as interned-ID bitmasks (one shift per footprint
-        #: vertex); False: the frozenset footprint test, kept as the
-        #: differential baseline.  Decisions are identical either way.
-        self.compiled = compiled
         self.stats = OrderingStatistics()
         self._memo: dict[tuple[Privilege, Privilege], bool] = {}
         self._version = policy.graph.version
@@ -147,7 +125,7 @@ class OrderingOracle:
           is therefore always hop-safe.
 
         Everything else is evicted; journal expiry or an oversized
-        burst clears wholesale, as before.
+        burst clears wholesale.
         """
         version = self.policy.graph.version
         if self._version == version:
@@ -164,45 +142,16 @@ class OrderingOracle:
             self._memo.clear()
             self.stats.memo_full_clears += 1
             return
-        if self.compiled:
-            self._evict_stale_bits(summary)
-            return
-        removed = summary.removed_vertices
-        upstream, downstream = dirty_region(
-            self.policy.graph, summary.edge_sources, summary.edge_targets
-        )
-        dirty = upstream | downstream | removed
-        hop_unsafe = (
-            not self.strict_rules
-            and any(isinstance(vertex, Role) for vertex in upstream)
-            and any(
-                is_privilege(vertex) for vertex in (downstream | removed)
-            )
-        )
-        stale = []
-        for key in self._memo:
-            stronger, weaker = key
-            if not isinstance(stronger, Grant) or not isinstance(weaker, Grant):
-                continue  # structurally False under every policy
-            if hop_unsafe and not isinstance(weaker.target, _Entity):
-                stale.append(key)
-                continue
-            if not dirty.isdisjoint(_term_footprint(stronger)) or (
-                not dirty.isdisjoint(_term_footprint(weaker))
-            ):
-                stale.append(key)
-        for key in stale:
-            del self._memo[key]
-        self.stats.memo_evictions += len(stale)
+        self._evict_stale_bits(summary)
 
     def _evict_stale_bits(self, summary) -> None:
-        """Compiled footprint eviction: the dirty region is two masks
-        over interned vertex IDs, so testing an entry's footprint is
-        one shift per footprint vertex instead of two frozenset
-        intersections.  Vertices without an ID (removed within the
-        burst, hence in the summary, or mentioned by a term but never
-        registered) fall back to membership in the small ``dirty_extra``
-        set, preserving the frozenset semantics exactly."""
+        """Footprint eviction: an entry's footprint is the term itself,
+        its privilege subterms and every entity they mention.  The
+        dirty region is two masks over interned vertex IDs, so testing
+        a footprint is one shift per footprint vertex.  Vertices
+        without an ID (removed within the burst, hence in the summary,
+        or mentioned by a term but never registered) fall back to
+        membership in the small ``dirty_extra`` set."""
         graph = self.policy.graph
         removed = summary.removed_vertices
         upstream, downstream, absent_sources, absent_targets = (

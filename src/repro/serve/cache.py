@@ -23,7 +23,7 @@ Soundness of the selective eviction, in the terms of
 * a vertex was removed or (re-)added in the window — removals can
   garbage-collect privilege terms and additions can migrate an
   off-graph extra into a rectangle mask, so both sets evict anything
-  they touch (the same special-casing the compiled index applies).
+  they touch (the same special-casing the authorization index applies).
 
 Exact revocations are a degenerate case of the first bullet (they
 depend only on the subject's held set).  Commands whose target is

@@ -185,7 +185,6 @@ class PolicyDecisionPoint:
         monitor: ReferenceMonitor | None = None,
         *,
         policy=None,
-        compiled: bool = True,
         max_batch: int = 64,
         rate_limiter: RateLimiter | None = None,
         cache_size: int = 65536,
@@ -200,10 +199,7 @@ class PolicyDecisionPoint:
             if policy is None:
                 raise ReproError("PolicyDecisionPoint needs a monitor or a policy")
             monitor = ReferenceMonitor(
-                policy,
-                mode=Mode.REFINED,
-                use_index=True,
-                compiled=compiled,
+                policy, mode=Mode.REFINED, use_index=True
             )
         if monitor.mode is not Mode.REFINED or monitor._index is None:
             raise ReproError(
@@ -320,7 +316,6 @@ class PolicyDecisionPoint:
         cls,
         path,
         *,
-        compiled: bool = True,
         expected_head: str | None = None,
         **kwargs,
     ) -> "PolicyDecisionPoint":
@@ -344,7 +339,7 @@ class PolicyDecisionPoint:
         path = str(path)
         repair_torn_tail(path)
         verify_chain(iter_wal(path), expected_head=expected_head)
-        monitor = replay_wal(iter_wal(path), compiled=compiled)
+        monitor = replay_wal(iter_wal(path))
         return cls(monitor, wal=PolicyWal(path), **kwargs)
 
     # ------------------------------------------------------------------

@@ -281,16 +281,14 @@ def verify_chain(records, expected_head: str | None = None) -> str:
     return head
 
 
-def replay_wal(records, compiled: bool = True) -> ReferenceMonitor:
+def replay_wal(records) -> ReferenceMonitor:
     """Deterministically rebuild the pre-crash monitor from verified
     ``records`` (any iterable): policy document + version fast-forward
     at genesis and every rebase, one ``submit_queue(batched=True)``
     transaction per batch record.  Each batch's recorded executed/noop
     outcomes and post-batch version are cross-checked — a mismatch
     means the log does not describe this codebase's deterministic
-    decision function and replay must not silently continue.  ``compiled`` picks the
-    kernel; the rebuilt *state* is kernel-independent (invariant 15
-    pins both)."""
+    decision function and replay must not silently continue."""
     monitor: ReferenceMonitor | None = None
     for record in records:
         if record.kind in ("genesis", "rebase"):
@@ -302,10 +300,7 @@ def replay_wal(records, compiled: bool = True) -> ReferenceMonitor:
                 )
             policy.graph.fast_forward_version(version)
             monitor = ReferenceMonitor(
-                policy,
-                mode=Mode.REFINED,
-                use_index=True,
-                compiled=compiled,
+                policy, mode=Mode.REFINED, use_index=True
             )
             continue
         if monitor is None:

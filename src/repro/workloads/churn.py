@@ -11,8 +11,9 @@ query.  This module generates deterministic churn traces used by
 * ``benchmarks/bench_index_churn.py`` — incremental vs. full-rebuild
   index maintenance, and
 * the differential churn harness in :mod:`repro.workloads.fuzz` —
-  incremental answers must equal a from-scratch rebuild after every
-  mutation.
+  incremental answers must equal a from-scratch rebuild and the
+  definitional :class:`~repro.oracle.ReferenceIndex` after every
+  mutation burst.
 
 The generated organization: a layered role hierarchy, a population of
 ordinary users assigned into it, and a small set of administrators
@@ -126,37 +127,20 @@ def churn_policy(seed: int, shape: ChurnShape = ChurnShape()) -> Policy:
     return policy
 
 
-def churn_trace(
-    seed: int,
-    shape: ChurnShape = ChurnShape(),
-    mutation_users: list[User] | None = None,
-    mutation_roles: list[Role] | None = None,
-) -> list[ChurnOp]:
+def churn_trace(seed: int, shape: ChurnShape = ChurnShape()) -> list[ChurnOp]:
     """A deterministic interleaved mutate/query trace for the policy
-    built by :func:`churn_policy` with the same seed and shape.
-
-    ``mutation_users`` restricts which users the UA mutations touch —
-    the *localized churn* case (e.g. one department re-orged while the
-    rest of the organization only issues queries), where repair work
-    follows the dirty region, not the population.  Setting it also
-    drops the occasional RH churn (whose dirty region is global by
-    nature).  ``mutation_roles`` additionally restricts which roles the
-    localized UA edges attach to (mutating below the top layer keeps
-    administrator rectangles — whose source regions are the top roles'
-    ancestor sets — out of the dirty region).  Queries still probe the
-    whole population either way.
-    """
+    built by :func:`churn_policy` with the same seed and shape: UA
+    churn with probability ``ua_fraction``, RH churn otherwise, and
+    ``queries_per_mutation`` grant probes after each mutation."""
     rng = random.Random(seed ^ 0x5EED)
     users = [User(f"u{i}") for i in range(shape.n_users)]
     admins = [User(f"admin{i}") for i in range(shape.n_admins)]
     roles = [Role(f"r{i}") for i in range(shape.n_roles)]
-    churned = users if mutation_users is None else list(mutation_users)
-    churned_roles = roles if mutation_roles is None else list(mutation_roles)
     ops: list[ChurnOp] = []
     for _ in range(shape.mutations):
         issuer = rng.choice(admins)
-        if mutation_users is not None or rng.random() < shape.ua_fraction:
-            edge = (rng.choice(churned), rng.choice(churned_roles))
+        if rng.random() < shape.ua_fraction:
+            edge = (rng.choice(users), rng.choice(roles))
         else:
             senior, junior = rng.sample(roles, 2)
             edge = (senior, junior)
@@ -195,16 +179,23 @@ def differential_churn(
     steps: int = 50,
     shape: PolicyShape = PolicyShape(),
     probes_per_step: int = 12,
-    compiled: bool = True,
     remove_users: bool = False,
     mutation_log: list[str] | None = None,
 ) -> list[str]:
     """Randomized differential check: after every delta burst the
-    incremental index must agree *structurally* (held sets, rectangles,
-    effective authority — and, compiled, the rectangle rows the batch
-    kernel reads: held mask, union masks, rows in ascending privilege
-    ID) and *behaviourally* (sampled authorization probes) with a
-    from-scratch rebuild.
+    incrementally repaired index must agree with two oracles.
+
+    * **Invariant 7** — a fresh ``AuthorizationIndex(policy)`` pins
+      incremental maintenance exactly, internal structures included:
+      held masks, rectangles, the rectangle rows the batch kernel
+      reads (held mask, union masks, rows in ascending privilege ID),
+      effective authority and every probe's covering privilege.
+    * **Invariant 9** — :class:`~repro.oracle.ReferenceIndex` pins the
+      bitset kernel to the definitions: held sets, decoded rectangles
+      (``thaw()``), review surfaces, and probe decisions at grant/deny
+      level.  The covering privilege may legitimately differ when
+      several cover (scan order), so a claimed one must be genuinely
+      held.
 
     Each step applies a burst of one to three mutations back-to-back
     and only then calls ``index.refresh()``, so every repair replays a
@@ -212,18 +203,6 @@ def differential_churn(
     user removed *and re-added* inside one burst, where the repair must
     end up with a fresh entry, neither resurrecting the stale one nor
     losing it.
-
-    Two oracles are compared against.  A fresh index in the *same*
-    representation pins incremental maintenance exactly (internal
-    structures included).  When ``compiled=True``, a fresh
-    ``compiled=False`` index additionally pins the bitset kernel to
-    the frozenset oracle (invariant 9): held sets are compared through
-    :meth:`~repro.core.authz_index.AuthorizationIndex.held_privileges`,
-    rectangles through ``thaw()``, review surfaces exactly, and probe
-    decisions at grant/deny level — the covering privilege may
-    legitimately differ between representations when several cover
-    (scan order), so the frozenset oracle additionally checks the
-    returned privilege is genuinely held.
 
     ``remove_users=True`` mixes user deprovisioning (and usually
     re-provisioning) into the mutations — the interner ID-reuse case.
@@ -235,10 +214,12 @@ def differential_churn(
     region computation.
     """
     from ..core.authz_index import AuthorizationIndex
+    from ..oracle import ReferenceIndex
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
-    index = AuthorizationIndex(policy, compiled=compiled)
+    index = AuthorizationIndex(policy)
+    reference = ReferenceIndex(policy)
     violations: list[str] = []
 
     users = sorted(policy.users(), key=str)
@@ -267,10 +248,7 @@ def differential_churn(
         if mutation_log is not None:
             mutation_log.extend(burst)
         index.refresh()
-        fresh = AuthorizationIndex(policy, compiled=compiled)
-        oracle = (
-            AuthorizationIndex(policy, compiled=False) if compiled else fresh
-        )
+        fresh = AuthorizationIndex(policy)
         for user in users:
             if index._held.get(user) != fresh._held.get(user):
                 violations.append(
@@ -284,51 +262,45 @@ def differential_churn(
                     f"step {step_number} ({mutation}): rectangles of {user} "
                     "diverged from full rebuild"
                 )
-            if index.effective_authority(user) != fresh.effective_authority(
-                user
-            ):
+            authority = index.effective_authority(user)
+            if authority != fresh.effective_authority(user):
                 violations.append(
                     f"step {step_number} ({mutation}): effective authority "
                     f"of {user} diverged from full rebuild"
                 )
-            if compiled:
-                row = index._rect_rows.get(user)
-                if row != fresh._rect_rows.get(user):
-                    violations.append(
-                        f"step {step_number} ({mutation}): rectangle rows "
-                        f"of {user} (held mask, union masks or rows) "
-                        "diverged from full rebuild"
-                    )
-                pids = [] if row is None else [entry[3] for entry in row[3]]
-                if pids != sorted(pids):
-                    violations.append(
-                        f"step {step_number} ({mutation}): rectangle rows "
-                        f"of {user} are not in ascending privilege-ID order"
-                    )
-                if index.held_privileges(user) != oracle.held_privileges(
-                    user
-                ):
-                    violations.append(
-                        f"step {step_number} ({mutation}): compiled held "
-                        f"set of {user} diverged from the frozenset oracle"
-                    )
-                if {
-                    r.thaw(policy.graph)
-                    for r in index._rectangles.get(user, ())
-                } != set(oracle._rectangles.get(user, ())):
-                    violations.append(
-                        f"step {step_number} ({mutation}): compiled "
-                        f"rectangles of {user} diverged from the frozenset "
-                        "oracle"
-                    )
-                if index.effective_authority(
-                    user
-                ) != oracle.effective_authority(user):
-                    violations.append(
-                        f"step {step_number} ({mutation}): compiled "
-                        f"effective authority of {user} diverged from the "
-                        "frozenset oracle"
-                    )
+            row = index._rect_rows.get(user)
+            if row != fresh._rect_rows.get(user):
+                violations.append(
+                    f"step {step_number} ({mutation}): rectangle rows "
+                    f"of {user} (held mask, union masks or rows) "
+                    "diverged from full rebuild"
+                )
+            pids = [] if row is None else [entry[3] for entry in row[3]]
+            if pids != sorted(pids):
+                violations.append(
+                    f"step {step_number} ({mutation}): rectangle rows "
+                    f"of {user} are not in ascending privilege-ID order"
+                )
+            if index.held_privileges(user) != reference.held_privileges(
+                user
+            ):
+                violations.append(
+                    f"step {step_number} ({mutation}): held set of "
+                    f"{user} diverged from the reference"
+                )
+            if {
+                r.thaw(policy.graph)
+                for r in index._rectangles.get(user, ())
+            } != set(reference.rectangles(user)):
+                violations.append(
+                    f"step {step_number} ({mutation}): rectangles of "
+                    f"{user} diverged from the reference"
+                )
+            if authority != reference.effective_authority(user):
+                violations.append(
+                    f"step {step_number} ({mutation}): effective "
+                    f"authority of {user} diverged from the reference"
+                )
         for _ in range(probes_per_step):
             issuer = rng.choice(users)
             probe = Command(
@@ -343,21 +315,19 @@ def differential_churn(
                     f"step {step_number}: incremental and fresh index "
                     f"disagree on {probe}"
                 )
-            if compiled:
-                want = oracle.authorizes(issuer, probe)
-                if (got is None) != (want is None):
-                    violations.append(
-                        f"step {step_number}: compiled kernel and "
-                        f"frozenset oracle disagree on {probe}"
-                    )
-                elif got is not None and got not in oracle.held_privileges(
-                    issuer
-                ):
-                    violations.append(
-                        f"step {step_number}: compiled kernel authorized "
-                        f"{probe} by a privilege the oracle says {issuer} "
-                        "does not hold"
-                    )
+            want = reference.authorizes(issuer, probe)
+            if (got is None) != (want is None):
+                violations.append(
+                    f"step {step_number}: index and reference disagree "
+                    f"on {probe}"
+                )
+            elif got is not None and got not in reference.held_privileges(
+                issuer
+            ):
+                violations.append(
+                    f"step {step_number}: index authorized {probe} by a "
+                    f"privilege the reference says {issuer} does not hold"
+                )
     return violations
 
 

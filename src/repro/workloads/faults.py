@@ -283,7 +283,6 @@ async def _scripted_run(
     batches: int,
     batch_size: int,
     shape,
-    compiled: bool,
     wal_path: str | None = None,
     plan: list | None = None,
 ):
@@ -307,8 +306,7 @@ async def _scripted_run(
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
     pdp = PolicyDecisionPoint(
-        policy=policy, compiled=compiled, wal=wal_path,
-        max_batch=batch_size,
+        policy=policy, wal=wal_path, max_batch=batch_size,
     )
     executed_plan: list = []
     states = [(policy_to_json(pdp.monitor.policy), pdp.monitor.policy.version)]
@@ -337,7 +335,6 @@ async def _victim_run(
     wal_path: str,
     point: str,
     crash_batch: int,
-    compiled: bool,
 ):
     """Replay the oracle's trace into a WAL-attached PDP with one
     fault armed at ``point``, scheduled for batch ``crash_batch``.
@@ -353,8 +350,7 @@ async def _victim_run(
     # Construct first, arm second: the genesis append must not
     # consume a hit, so every point's budget counts batches only.
     pdp = PolicyDecisionPoint(
-        policy=policy, compiled=compiled, wal=wal_path,
-        max_batch=batch_size,
+        policy=policy, wal=wal_path, max_batch=batch_size,
     )
     action = "torn" if point == "wal.torn_write" else "crash"
     fault = FAULTS.arm(point, action, times=1, after=crash_batch)
@@ -380,7 +376,6 @@ async def _failure_run(
     wal_path: str,
     point: str,
     fail_batch: int,
-    compiled: bool,
 ):
     """Replay the oracle's trace with a *recoverable* failure armed at
     ``point`` for batch ``fail_batch``: the doomed batch must fail
@@ -399,8 +394,7 @@ async def _failure_run(
     # Construct first, arm second: the genesis append must not consume
     # a hit, so every point's budget counts batches only.
     pdp = PolicyDecisionPoint(
-        policy=policy, compiled=compiled, wal=wal_path,
-        max_batch=batch_size,
+        policy=policy, wal=wal_path, max_batch=batch_size,
         supervisor=WriterSupervisor(base_delay=0.0),
     )
     fault = FAULTS.arm(point, "fail", times=1, after=fail_batch)
@@ -428,7 +422,6 @@ def differential_append_failure(
     batches: int = 6,
     batch_size: int = 8,
     shape=None,
-    compiled: bool = True,
     points=None,
     fail_batch: int | None = None,
     workdir: str | None = None,
@@ -445,8 +438,8 @@ def differential_append_failure(
     :class:`~repro.serve.supervisor.WriterFailed` (no hang, no silent
     success), the remaining batches must still apply, and afterwards
     the log must (a) pass the strict head-anchored ``verify_chain``
-    and (b) :meth:`~repro.serve.pdp.PolicyDecisionPoint.recover` —
-    on both kernels — to state byte-identical to the live service's.
+    and (b) :meth:`~repro.serve.pdp.PolicyDecisionPoint.recover` to
+    state byte-identical to the live service's.
     Returns violation strings; empty means the invariant held."""
     import asyncio
     import tempfile
@@ -469,7 +462,7 @@ def differential_append_failure(
         )
     violations: list[str] = []
     plan, _ = asyncio.run(
-        _scripted_run(seed, batches, batch_size, shape, compiled)
+        _scripted_run(seed, batches, batch_size, shape)
     )
     workdir = workdir or tempfile.mkdtemp(prefix="repro-fail-")
     for point in points:
@@ -477,9 +470,7 @@ def differential_append_failure(
             workdir, point.replace(".", "_") + "_fail.wal"
         )
         fault, failure, doc, version, head = asyncio.run(
-            _failure_run(
-                seed, plan, shape, path, point, fail_batch, compiled
-            )
+            _failure_run(seed, plan, shape, path, point, fail_batch)
         )
         if fault.fired == 0:
             violations.append(f"{point}: armed fault never fired")
@@ -504,28 +495,21 @@ def differential_append_failure(
                 f"(duplicate seq / broken chain?): {error}"
             )
             continue
-        for kernel in (compiled, not compiled):
-            label = "compiled" if kernel else "python"
-            try:
-                recovered = PolicyDecisionPoint.recover(
-                    path, compiled=kernel
-                )
-            except ReproError as error:
-                violations.append(
-                    f"{point} [{label}]: recovery failed: {error}"
-                )
-                continue
-            if policy_to_json(recovered.monitor.policy) != doc:
-                violations.append(
-                    f"{point} [{label}]: recovered policy diverges "
-                    "from the live post-failure state"
-                )
-            if recovered.monitor.policy.version != version:
-                violations.append(
-                    f"{point} [{label}]: recovered version "
-                    f"{recovered.monitor.policy.version} != live "
-                    f"{version}"
-                )
+        try:
+            recovered = PolicyDecisionPoint.recover(path)
+        except ReproError as error:
+            violations.append(f"{point}: recovery failed: {error}")
+            continue
+        if policy_to_json(recovered.monitor.policy) != doc:
+            violations.append(
+                f"{point}: recovered policy diverges "
+                "from the live post-failure state"
+            )
+        if recovered.monitor.policy.version != version:
+            violations.append(
+                f"{point}: recovered version "
+                f"{recovered.monitor.policy.version} != live {version}"
+            )
     return violations
 
 
@@ -534,7 +518,6 @@ def differential_crash_recovery(
     batches: int = 6,
     batch_size: int = 8,
     shape=None,
-    compiled: bool = True,
     points=None,
     crash_batch: int | None = None,
     workdir: str | None = None,
@@ -546,8 +529,8 @@ def differential_crash_recovery(
     batches).  Then, per injection point: a fresh WAL-attached PDP
     replays the same trace, a crash fires mid-``crash_batch``, the
     service is killed, and :meth:`PolicyDecisionPoint.recover` must
-    rebuild — **on both kernels** — state byte-identical to the oracle
-    at that point's durable prefix.  Also asserts the crash surfaced
+    rebuild state byte-identical to the oracle at that point's durable
+    prefix.  Also asserts the crash surfaced
     as a typed error (no hang, no silent success) and that the fault
     actually fired.  Returns violation strings; empty means the
     invariant held."""
@@ -570,7 +553,7 @@ def differential_crash_recovery(
         )
     violations: list[str] = []
     plan, states = asyncio.run(
-        _scripted_run(seed, batches, batch_size, shape, compiled)
+        _scripted_run(seed, batches, batch_size, shape)
     )
     workdir = workdir or tempfile.mkdtemp(prefix="repro-crash-")
     for point in points:
@@ -578,9 +561,7 @@ def differential_crash_recovery(
             raise ReproError(f"unknown injection point {point!r}")
         path = os.path.join(workdir, point.replace(".", "_") + ".wal")
         fault, failure = asyncio.run(
-            _victim_run(
-                seed, plan, shape, path, point, crash_batch, compiled
-            )
+            _victim_run(seed, plan, shape, path, point, crash_batch)
         )
         if fault.fired == 0:
             violations.append(f"{point}: armed fault never fired")
@@ -594,35 +575,28 @@ def differential_crash_recovery(
         expected_doc, expected_version = states[
             crash_batch + _DURABLE_OFFSET[point]
         ]
-        for kernel in (compiled, not compiled):
-            label = "compiled" if kernel else "python"
-            try:
-                recovered = PolicyDecisionPoint.recover(
-                    path, compiled=kernel
-                )
-            except ReproError as error:
-                violations.append(
-                    f"{point} [{label}]: recovery failed: {error}"
-                )
-                continue
-            document = policy_to_json(recovered.monitor.policy)
-            if document != expected_doc:
-                violations.append(
-                    f"{point} [{label}]: recovered policy diverges "
-                    f"from oracle at durable batch "
-                    f"{crash_batch + _DURABLE_OFFSET[point]}"
-                )
-            if recovered.monitor.policy.version != expected_version:
-                violations.append(
-                    f"{point} [{label}]: recovered version "
-                    f"{recovered.monitor.policy.version} != oracle "
-                    f"{expected_version}"
-                )
-            if recovered.version != expected_version:
-                violations.append(
-                    f"{point} [{label}]: published snapshot version "
-                    f"{recovered.version} != oracle {expected_version}"
-                )
+        try:
+            recovered = PolicyDecisionPoint.recover(path)
+        except ReproError as error:
+            violations.append(f"{point}: recovery failed: {error}")
+            continue
+        document = policy_to_json(recovered.monitor.policy)
+        if document != expected_doc:
+            violations.append(
+                f"{point}: recovered policy diverges from oracle at "
+                f"durable batch {crash_batch + _DURABLE_OFFSET[point]}"
+            )
+        if recovered.monitor.policy.version != expected_version:
+            violations.append(
+                f"{point}: recovered version "
+                f"{recovered.monitor.policy.version} != oracle "
+                f"{expected_version}"
+            )
+        if recovered.version != expected_version:
+            violations.append(
+                f"{point}: published snapshot version "
+                f"{recovered.version} != oracle {expected_version}"
+            )
     return violations
 
 
@@ -631,7 +605,6 @@ def wal_tamper_campaign(
     batches: int = 4,
     batch_size: int = 6,
     shape=None,
-    compiled: bool = True,
 ) -> list[str]:
     """Every single-record mutation, omission, and truncation of a
     healthy log must be rejected by :func:`~repro.serve.wal.verify_chain`.
@@ -655,9 +628,7 @@ def wal_tamper_campaign(
     workdir = tempfile.mkdtemp(prefix="repro-tamper-")
     path = os.path.join(workdir, "healthy.wal")
     asyncio.run(
-        _scripted_run(
-            seed, batches, batch_size, shape, compiled, wal_path=path
-        )
+        _scripted_run(seed, batches, batch_size, shape, wal_path=path)
     )
     records, _ = read_wal(path)
     head = verify_chain(records)

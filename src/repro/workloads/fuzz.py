@@ -13,8 +13,9 @@ monitor's global invariants after every step:
    the refined monitor executes too (implicit authorization only adds).
 5. **Audit completeness** — the monitor records exactly one audit
    entry per submitted command.
-6. **Index agreement** — the precomputed authorization index agrees
-   with the oracle path on every decision.
+6. **Index agreement** — the precomputed authorization index and the
+   definitional :class:`~repro.oracle.ReferenceIndex` both agree with
+   the Lemma-1 oracle path on every grant/deny decision.
 7. **Incremental-maintenance agreement** — under randomized policy
    churn, the incrementally maintained authorization index stays
    structurally and behaviourally identical to a from-scratch rebuild
@@ -24,14 +25,14 @@ monitor's global invariants after every step:
 8. *Retired.*  It pinned the sharded authorization index to the
    unsharded one; the sharding layer was removed, and the numbering
    of the later invariants is kept because the docs and CI cite it.
-9. **Compiled-kernel agreement** — the bitset-compiled representation
-   (``compiled=True``: bitmask held sets, rectangles and dirty
-   regions over interned vertex IDs) is observationally identical to
-   the frozenset oracle under churn, including users removed and
-   re-added inside one delta burst, which recycles interner IDs
-   (:func:`fuzz_compiled_kernel`, backed by
-   :func:`repro.workloads.churn.differential_churn` with
-   ``compiled=True``).
+9. **Reference agreement** — the bitset kernel (bitmask held sets,
+   rectangles and dirty regions over interned vertex IDs) is
+   observationally identical to :class:`~repro.oracle.ReferenceIndex`,
+   which answers straight from the definitions, under churn — held
+   sets, decoded rectangles, review surfaces and grant/deny verdicts
+   — including users removed and re-added inside one delta burst,
+   which recycles interner IDs (:func:`fuzz_compiled_kernel`, backed
+   by :func:`repro.workloads.churn.differential_churn`).
 10. **Compiled-analysis agreement** — the undo-log/fingerprint
     explorers behind the analysis layer (``can_obtain``,
     ``reachable_policies``, HRU ``check_safety``) are observationally
@@ -50,9 +51,10 @@ monitor's global invariants after every step:
     (:func:`fuzz_lint`).
 12. **Batch-authorization agreement** — ``authorizes_batch`` verdicts
     are element-for-element identical to per-pair scalar
-    ``authorizes`` calls, and ``held_privileges_bulk`` equals per-user
-    ``held_privileges``, on every kernel (``compiled=True``/``False``)
-    — over churned policies with
+    ``authorizes`` calls, ``held_privileges_bulk`` equals per-user
+    ``held_privileges``, and every scalar verdict agrees at grant/deny
+    level with :class:`~repro.oracle.ReferenceIndex` — over churned
+    policies with
     recycled interner IDs, permanently deprovisioned subjects living
     in rectangle *extras*, equal-but-distinct entity objects,
     off-graph edge endpoints, and duplicate-heavy batches
@@ -76,20 +78,19 @@ monitor's global invariants after every step:
     micro-batching writer, every decision it hands out — snapshot
     reads, decision-cache hits, and decisions re-issued after a
     rate-limit rejection — agrees on allowed/denied with a
-    synchronous frozenset
-    :class:`~repro.core.authz_index.AuthorizationIndex` oracle over
-    the policy *at the decision's pinned snapshot version*, and its
-    claimed authorizing privilege is verified against that oracle as
-    actually held and actually covering the command (*which* of
-    several covering privileges a kernel reports is representation
-    order and deliberately unpinned).  The applied mutation batches
+    synchronous :class:`~repro.oracle.ReferenceIndex` over the policy
+    *at the decision's pinned snapshot version*, and its claimed
+    authorizing privilege is verified against that oracle as actually
+    held and actually covering the command (*which* of several
+    covering privileges gets reported is scan order and deliberately
+    unpinned).  The applied mutation batches
     replay through a fresh synchronous ``submit_queue(batched=True)``
     monitor to outcome-identical :class:`ExecutionRecord` sequences
     (executed/noop element for element, authorizations re-verified
     the same way) and a value-equal final policy — across
     :func:`_recycling_churn` rounds (which also drive the
-    journal-based cache invalidation over recycled interner IDs), on
-    both kernels (:func:`fuzz_pdp`).
+    journal-based cache invalidation over recycled interner IDs)
+    (:func:`fuzz_pdp`).
 15. **Crash-recovery agreement** — a WAL-attached PDP killed at
     *every* named fault-injection point mid-trace
     (:data:`repro.workloads.faults.INJECTION_POINTS`: before/after
@@ -99,7 +100,7 @@ monitor's global invariants after every step:
     log alone (:meth:`~repro.serve.PolicyDecisionPoint.recover`) to
     a policy **byte-identical** (canonical JSON) to an uninterrupted
     oracle run at the crash point's durable batch prefix, at the
-    same version, on both kernels; every crash surfaces as a typed
+    same version; every crash surfaces as a typed
     error, never a hang; and every single-record mutation, omission
     and truncation of a healthy log is rejected by
     :func:`~repro.serve.wal.verify_chain`
@@ -125,6 +126,7 @@ from ..core.ordering import is_weaker
 from ..core.policy import Policy, check_edge_sorts
 from ..core.privileges import Grant, Revoke, is_privilege
 from ..errors import PolicyError
+from ..oracle import ReferenceIndex
 from .generators import PolicyShape, random_policy
 
 
@@ -216,17 +218,13 @@ def fuzz_monitor(
     steps: int = 60,
     shape: PolicyShape = PolicyShape(),
     mode: Mode = Mode.REFINED,
-    compiled: bool = True,
 ) -> FuzzReport:
-    """Run one seeded campaign; returns the report (check ``.ok``).
-
-    ``compiled`` selects the index/oracle kernel representation (the
-    invariants must hold under either).
-    """
+    """Run one seeded campaign; returns the report (check ``.ok``)."""
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
-    monitor = ReferenceMonitor(policy, mode=mode, compiled=compiled)
-    index = AuthorizationIndex(policy, compiled=compiled)
+    monitor = ReferenceMonitor(policy, mode=mode)
+    index = AuthorizationIndex(policy)
+    reference = ReferenceIndex(policy)
     report = FuzzReport(seed=seed)
 
     for _ in range(steps):
@@ -238,6 +236,9 @@ def fuzz_monitor(
         )
         expected = _authorized_in_prestate(pre_state, command, mode)
         index_says = index.authorizes(command.user, command) is not None
+        reference_says = (
+            reference.authorizes(command.user, command) is not None
+        )
 
         record = monitor.submit(command)
         report.steps += 1
@@ -267,6 +268,11 @@ def fuzz_monitor(
             report.violations.append(
                 f"index disagrees with oracle on {command}: "
                 f"index={index_says} oracle={expected}"
+            )
+        if mode is Mode.REFINED and reference_says != expected:
+            report.violations.append(
+                f"reference index disagrees with oracle on {command}: "
+                f"reference={reference_says} oracle={expected}"
             )
 
         if record.executed:
@@ -300,18 +306,17 @@ def fuzz_compiled_kernel(
     steps: int = 40,
     shape: PolicyShape = PolicyShape(),
 ) -> FuzzReport:
-    """Invariant (9): the bitset-compiled kernel is an implementation
-    detail — ``compiled=True`` must be observationally identical to
-    the frozenset oracle under randomized churn.  Runs the
-    differential with user removal/re-provisioning enabled (interner
-    ID reuse after ``remove_user`` + re-add inside one burst)."""
+    """Invariant (9): the bitset kernel is an implementation detail —
+    it must be observationally identical to
+    :class:`~repro.oracle.ReferenceIndex` under randomized churn.
+    Runs the differential with user removal/re-provisioning enabled
+    (interner ID reuse after ``remove_user`` + re-add inside one
+    burst)."""
     from .churn import differential_churn
 
     report = FuzzReport(seed=seed, steps=steps)
     report.violations.extend(
-        differential_churn(
-            seed, steps, shape, compiled=True, remove_users=True
-        )
+        differential_churn(seed, steps, shape, remove_users=True)
     )
     return report
 
@@ -651,8 +656,10 @@ def fuzz_batch_authz(
     """Invariant (12): batch authorization is an implementation detail
     — ``authorizes_batch(pairs)`` must be element-for-element identical
     to ``[authorizes(u, c) for (u, c) in pairs]`` and
-    ``held_privileges_bulk(users)`` to per-user ``held_privileges``,
-    on both kernels (``compiled=True``/``False``).
+    ``held_privileges_bulk(users)`` to per-user ``held_privileges``;
+    every scalar verdict must agree at grant/deny level with
+    :class:`~repro.oracle.ReferenceIndex`, and the bulk held sets with
+    the reference's.
 
     The query batches are deliberately hostile to the packed-matrix
     kernel's shortcuts:
@@ -679,13 +686,8 @@ def fuzz_batch_authz(
         ghost = rng.choice(initial_users)
         policy.remove_user(ghost)
 
-    indexes = [
-        (
-            "compiled" if compiled else "frozenset",
-            AuthorizationIndex(policy, compiled=compiled),
-        )
-        for compiled in (True, False)
-    ]
+    index = AuthorizationIndex(policy)
+    reference = ReferenceIndex(policy)
 
     offgraph_role = Role("fuzz_offgraph_role")
 
@@ -735,34 +737,46 @@ def fuzz_batch_authz(
             population.append(rng.choice(population))  # duplicate user
         if ghost is not None:
             population.append(ghost)
-        for name, index in indexes:
-            batch = index.authorizes_batch(pairs)
-            scalar = [
-                index.authorizes(user, command) for user, command in pairs
-            ]
-            if batch != scalar:
-                position = next(
-                    i for i, (b, s) in enumerate(zip(batch, scalar))
-                    if b != s
-                )
+        batch = index.authorizes_batch(pairs)
+        scalar = [
+            index.authorizes(user, command) for user, command in pairs
+        ]
+        if batch != scalar:
+            position = next(
+                i for i, (b, s) in enumerate(zip(batch, scalar))
+                if b != s
+            )
+            report.violations.append(
+                f"batch/scalar divergence ({label}) at pair "
+                f"{position}: batch={batch[position]} "
+                f"scalar={scalar[position]} query={pairs[position]}"
+            )
+        for verdict, (user, command) in zip(scalar, pairs):
+            expected = reference.authorizes(user, command)
+            if (verdict is None) != (expected is None):
                 report.violations.append(
-                    f"batch/scalar divergence ({label}, {name}) at pair "
-                    f"{position}: batch={batch[position]} "
-                    f"scalar={scalar[position]} query={pairs[position]}"
+                    f"index and reference disagree ({label}) on "
+                    f"{command} for {user}: index={verdict} "
+                    f"reference={expected}"
                 )
-            if index.authorizes_batch([]) != []:
-                report.violations.append(
-                    f"non-empty verdicts for empty batch ({label}, {name})"
-                )
-            bulk = index.held_privileges_bulk(population)
-            per_user = {
-                user: index.held_privileges(user) for user in population
-            }
-            if bulk != per_user:
-                report.violations.append(
-                    f"held_privileges_bulk divergence ({label}, {name}): "
-                    f"{sorted(str(u) for u in bulk if bulk[u] != per_user[u])}"
-                )
+        if index.authorizes_batch([]) != []:
+            report.violations.append(
+                f"non-empty verdicts for empty batch ({label})"
+            )
+        bulk = index.held_privileges_bulk(population)
+        per_user = {
+            user: index.held_privileges(user) for user in population
+        }
+        if bulk != per_user:
+            report.violations.append(
+                f"held_privileges_bulk divergence ({label}): "
+                f"{sorted(str(u) for u in bulk if bulk[u] != per_user[u])}"
+            )
+        if bulk != reference.held_privileges_bulk(population):
+            report.violations.append(
+                f"held_privileges_bulk diverges from the reference "
+                f"({label})"
+            )
 
     compare("initial")
     for round_index in range(rounds):
@@ -771,24 +785,26 @@ def fuzz_batch_authz(
     return report
 
 
-def _valid_verdict(index, subject, command, claimed) -> bool:
+def _valid_verdict(
+    reference: ReferenceIndex, subject, command, claimed
+) -> bool:
     """True when ``claimed`` genuinely authorizes ``command`` for
-    ``subject`` on ``index``'s current state: held by the subject, and
-    equal to the requested privilege or stronger under the ordering
-    oracle (revocations authorize by exact match only).  The PDP and
-    the oracle may legitimately *report* different covering privileges
-    — scan order is kernel representation — so campaigns pin validity,
-    not identity."""
+    ``subject`` on ``reference``'s current state: held by the subject,
+    and equal to the requested privilege or stronger under the
+    ordering oracle (revocations authorize by exact match only).  The
+    PDP and the reference may legitimately *report* different covering
+    privileges — scan order differs — so campaigns pin validity, not
+    identity."""
     wanted = command.requested_privilege()
     if wanted is None or claimed is None:
         return False
-    if claimed not in index.held_privileges(subject):
+    if claimed not in reference.held_privileges(subject):
         return False
     if claimed == wanted:
         return True
     if command.action is CommandAction.REVOKE:
         return False
-    return index._oracle.is_weaker(claimed, wanted)
+    return reference.ordering.is_weaker(claimed, wanted)
 
 
 def fuzz_pdp(
@@ -799,7 +815,6 @@ def fuzz_pdp(
     readers: int = 4,
     reads_per_reader: int = 10,
     mutations_per_round: int = 9,
-    compiled: bool = True,
 ) -> FuzzReport:
     """Invariant (14): the asyncio PDP is an implementation detail.
 
@@ -812,23 +827,24 @@ def fuzz_pdp(
     bounce off :class:`~repro.serve.RateLimited` and are re-issued
     after advancing the clock.  Every decision (fresh, cached, or
     post-rate-limit retry) is recorded with its pinned snapshot
-    version and afterwards checked against a frozenset
-    :class:`AuthorizationIndex` built over that version's retained
-    snapshot — the synchronous oracle: allowed/denied must agree
-    exactly, and an allowed decision's claimed privilege must be held
-    by the subject and cover the command under the ordering oracle.
-    (Which of several covering privileges gets reported follows the
-    kernel's internal scan order — frozenset hash order vs ascending
-    interned IDs — so the *choice* is deliberately not pinned; its
-    *validity* is.)  Every retained snapshot — each one a fork of the
-    live index onto a policy clone — must also report, for every user,
-    exactly the held privileges that oracle reports.  Every applied
+    version and afterwards checked against a
+    :class:`~repro.oracle.ReferenceIndex` over that version's retained
+    snapshot's ``policy_copy()`` — the synchronous oracle:
+    allowed/denied must agree exactly, and an allowed decision's
+    claimed privilege must be held by the subject and cover the
+    command under the ordering oracle.  (Which of several covering
+    privileges gets reported follows each side's scan order —
+    ascending interned IDs vs frozenset hash order — so the *choice*
+    is deliberately not pinned; its *validity* is.)  Every retained
+    snapshot — each one a fork of the live index onto a policy clone —
+    must also report, for every user, exactly the held privileges
+    that oracle reports.  Every applied
     micro-batch is replayed through a fresh synchronous
     ``submit_queue(batched=True)`` monitor starting from the
     round-entry policy: the :class:`ExecutionRecord`
     sequences must match on executed/noop element for element, the
-    claimed authorizations must validate against the replay monitor's
-    batch-entry index the same way, and the replayed policy must
+    claimed authorizations must validate against the replay's
+    batch-entry state the same way, and the replayed policy must
     equal the served one.  Between rounds :func:`_recycling_churn` mutates the
     policy out of band and ``refresh()`` republishes — exercising the
     cache's journal-driven eviction over removed and recycled
@@ -836,8 +852,7 @@ def fuzz_pdp(
     pair (same command checked twice with no writer in flight): the
     second decision must be a cache hit and must equal the first, and
     a campaign that never exercised the rate-limited-retry path is
-    itself a violation.  ``compiled`` selects the PDP's kernel; the
-    oracle is always the frozenset representation.
+    itself a violation.
     """
     import asyncio
 
@@ -852,9 +867,7 @@ def fuzz_pdp(
     def clock() -> float:
         return clock_cell[0]
 
-    monitor = ReferenceMonitor(
-        policy, mode=Mode.REFINED, use_index=True, compiled=compiled
-    )
+    monitor = ReferenceMonitor(policy, mode=Mode.REFINED, use_index=True)
     pdp = PolicyDecisionPoint(
         monitor,
         rate_limiter=RateLimiter(capacity=4.0, rate=50.0, clock=clock),
@@ -914,10 +927,11 @@ def fuzz_pdp(
         """Replay the round's applied batches through a synchronous
         monitor from the round-entry state; outcomes and final policy
         must match, and each executed record's claimed authorization
-        must validate against the replay's batch-entry index."""
+        must validate against the replay's batch-entry state."""
         oracle_monitor = ReferenceMonitor(
-            mirror, mode=Mode.REFINED, use_index=True, compiled=compiled
+            mirror, mode=Mode.REFINED, use_index=True
         )
+        reference = ReferenceIndex(mirror)
         for batch in batches:
             # Validate claimed authorizations at batch entry, before
             # the replay advances the mirror.
@@ -926,8 +940,7 @@ def fuzz_pdp(
                 if mine is None or not mine.executed:
                     continue
                 if not _valid_verdict(
-                    oracle_monitor._index, command.user, command,
-                    mine.authorized_by,
+                    reference, command.user, command, mine.authorized_by
                 ):
                     report.violations.append(
                         f"invalid batch authorization ({label}) on "
@@ -1004,7 +1017,7 @@ def fuzz_pdp(
 
     asyncio.run(campaign())
 
-    oracle_indexes: dict[int, AuthorizationIndex] = {}
+    oracle_indexes: dict[int, ReferenceIndex] = {}
     for subject, command, decision in observed:
         snapshot = pdp.history.get(decision.version)
         if snapshot is None:
@@ -1015,8 +1028,8 @@ def fuzz_pdp(
             continue
         oracle = oracle_indexes.get(decision.version)
         if oracle is None:
-            oracle = oracle_indexes[decision.version] = AuthorizationIndex(
-                snapshot.policy_copy(), compiled=False
+            oracle = oracle_indexes[decision.version] = ReferenceIndex(
+                snapshot.policy_copy()
             )
         verdict = oracle.authorizes(subject, command)
         if decision.allowed != (verdict is not None):
@@ -1042,8 +1055,8 @@ def fuzz_pdp(
     for version, snapshot in pdp.history.items():
         oracle = oracle_indexes.get(version)
         if oracle is None:
-            oracle = oracle_indexes[version] = AuthorizationIndex(
-                snapshot.policy_copy(), compiled=False
+            oracle = oracle_indexes[version] = ReferenceIndex(
+                snapshot.policy_copy()
             )
         users = list(oracle.policy.users())
         if snapshot.held_privileges_bulk(users) != (
@@ -1051,7 +1064,7 @@ def fuzz_pdp(
         ):
             report.violations.append(
                 f"retained snapshot at version {version}: held "
-                "privileges diverge from a fresh oracle index"
+                "privileges diverge from the reference index"
             )
 
     if retries == 0:
@@ -1076,7 +1089,6 @@ def fuzz_crash_recovery(
     batches: int = 5,
     batch_size: int = 6,
     shape: PolicyShape = PolicyShape(),
-    compiled: bool = True,
     crash_batch: int | None = None,
 ) -> FuzzReport:
     """Invariant (15): crash recovery is deterministic replay.
@@ -1085,7 +1097,7 @@ def fuzz_crash_recovery(
     (:func:`repro.workloads.faults.differential_crash_recovery`) —
     one uninterrupted oracle trace, then a kill at every injection
     point with recovery pinned byte-identical to the oracle's durable
-    prefix on both kernels — then the recoverable-failure sweep
+    prefix — then the recoverable-failure sweep
     (:func:`repro.workloads.faults.differential_append_failure`):
     an ``InjectedFailure`` (``wal.before_fsync:fail`` and friends)
     mid-trace must fail only its batch, leave a chain that still
@@ -1093,8 +1105,7 @@ def fuzz_crash_recovery(
     followed by the tamper matrix
     (:func:`repro.workloads.faults.wal_tamper_campaign`): every
     single-record mutation, omission and truncation of a healthy log
-    must be rejected.  ``compiled`` picks the kernel the traces run
-    on; recovery is always cross-checked on both."""
+    must be rejected."""
     from .faults import (
         differential_append_failure,
         differential_crash_recovery,
@@ -1106,7 +1117,6 @@ def fuzz_crash_recovery(
         batches=batches,
         batch_size=batch_size,
         shape=shape,
-        compiled=compiled,
         crash_batch=crash_batch,
     )
     violations += differential_append_failure(
@@ -1114,7 +1124,6 @@ def fuzz_crash_recovery(
         batches=batches,
         batch_size=batch_size,
         shape=shape,
-        compiled=compiled,
         fail_batch=crash_batch,
     )
     violations += wal_tamper_campaign(
@@ -1122,7 +1131,6 @@ def fuzz_crash_recovery(
         batches=max(2, batches - 2),
         batch_size=batch_size,
         shape=shape,
-        compiled=compiled,
     )
     return FuzzReport(
         seed=seed,
@@ -1137,7 +1145,6 @@ def fuzz_many(
     steps: int = 40,
     shape: PolicyShape = PolicyShape(),
     mode: Mode = Mode.REFINED,
-    compiled: bool = True,
     batch: bool = False,
 ) -> list[FuzzReport]:
     """Run a campaign per seed; returns all reports.
@@ -1146,7 +1153,7 @@ def fuzz_many(
     batch-differential campaign (:func:`fuzz_batch_authz`) per seed.
     """
     reports = [
-        fuzz_monitor(seed, steps, shape, mode, compiled=compiled)
+        fuzz_monitor(seed, steps, shape, mode)
         for seed in seeds
     ]
     if batch:

@@ -10,14 +10,18 @@ from repro.core.authz_index import AuthorizationIndex
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke, perm
+from repro.oracle import ReferenceIndex
 from repro.workloads.churn import ChurnShape, churn_policy
 
 READ, WRITE = perm("read", "doc"), perm("write", "doc")
 ALICE, BOB, EVE = User("alice"), User("bob"), User("eve")
 STAFF, LEAD, ADM = Role("staff"), Role("lead"), Role("adm")
 
-BOTH_KERNELS = pytest.mark.parametrize(
-    "compiled", [True, False], ids=["compiled", "frozenset"]
+#: The audit runs over the bitset index ("compiled", the default) and
+#: over the frozenset ReferenceIndex passed as ``index=``.
+BOTH_INDEXES = pytest.mark.parametrize(
+    "make_index", [AuthorizationIndex, ReferenceIndex],
+    ids=["compiled", "frozenset"],
 )
 
 
@@ -37,9 +41,10 @@ def build_policy() -> Policy:
 
 
 class TestAuditMatrix:
-    @BOTH_KERNELS
-    def test_rows_reflect_reachable_privileges(self, compiled):
-        report = audit_matrix(build_policy(), compiled=compiled)
+    @BOTH_INDEXES
+    def test_rows_reflect_reachable_privileges(self, make_index):
+        policy = build_policy()
+        report = audit_matrix(policy, index=make_index(policy))
         assert report.rows[ALICE] == frozenset({READ})
         assert report.rows[BOB] == frozenset({READ, WRITE})
         assert report.rows[EVE] == frozenset()
@@ -49,11 +54,11 @@ class TestAuditMatrix:
         assert report.holds(BOB, WRITE)
         assert not report.holds(EVE, READ)
 
-    @BOTH_KERNELS
-    def test_matches_index_held_privileges(self, compiled):
+    @BOTH_INDEXES
+    def test_matches_index_held_privileges(self, make_index):
         policy = build_policy()
-        report = audit_matrix(policy, compiled=compiled)
-        index = AuthorizationIndex(policy, compiled=compiled)
+        report = audit_matrix(policy, index=make_index(policy))
+        index = AuthorizationIndex(policy)
         for user in report.users:
             assert report.held[user] == index.held_privileges(user)
 
@@ -61,7 +66,7 @@ class TestAuditMatrix:
         policy = churn_policy(11, ChurnShape(n_users=50, n_roles=10))
         plain = audit_matrix(policy)
         served = audit_matrix(policy, index=AuthorizationIndex(policy))
-        oracle = audit_matrix(policy, compiled=False)
+        oracle = audit_matrix(policy, index=ReferenceIndex(policy))
         assert plain.held == served.held == oracle.held
         assert plain.rows == served.rows == oracle.rows
 

@@ -25,9 +25,9 @@ import pytest
 
 from repro.analysis.lint import lint_policy
 from repro.analysis.safety import can_obtain
-from repro.core.authz_index import AuthorizationIndex
 from repro.core.commands import Mode
 from repro.core.entities import User
+from repro.oracle import ReferenceIndex
 from repro.papercases import figures
 from repro.workloads.fuzz import _recycling_churn
 from repro.workloads.generators import PolicyShape, random_policy
@@ -49,7 +49,7 @@ def confirm_redundant(policy, finding):
     and effective authority untouched (full check — stronger than the
     bounded sample the rule itself verifies)."""
     source, target, reroute = finding.witness
-    oracle = AuthorizationIndex(policy, compiled=False)
+    oracle = ReferenceIndex(policy)
     before_held = {
         user: oracle.held_privileges(user) for user in policy.users()
     }
@@ -60,7 +60,7 @@ def confirm_redundant(policy, finding):
     probe.remove_edge(source, target)
     assert probe.reaches(source, target), finding
     assert probe.reaches(source, reroute), finding
-    after = AuthorizationIndex(probe, compiled=False)
+    after = ReferenceIndex(probe)
     for user in probe.users():
         assert after.held_privileges(user) == before_held[user], finding
         assert (
@@ -70,9 +70,9 @@ def confirm_redundant(policy, finding):
 
 def confirm_irrevocable(policy, finding):
     """The witness pair must be grantable by at least one user and
-    revocable by none, per the frozenset index."""
+    revocable by none, per the frozenset reference."""
     witness = tuple(finding.witness)
-    oracle = AuthorizationIndex(policy, compiled=False)
+    oracle = ReferenceIndex(policy)
     users = sorted(policy.users(), key=str)
     assert any(
         witness in oracle.grantable_pairs(user) for user in users

@@ -8,6 +8,8 @@ from repro.core.entities import Role, User
 from repro.core.ordering import OrderingOracle
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke
+from repro.graph import Digraph
+from repro.oracle import ReferenceIndex
 from repro.papercases import figures
 from repro.workloads.generators import PolicyShape, random_policy
 
@@ -159,13 +161,16 @@ class TestIncrementalMaintenance:
             ADMIN, grant_cmd(ADMIN, U, deep)
         ) == Grant(U, HIGH)
 
-    def test_non_incremental_flag_forces_rebuilds(self, policy):
-        index = AuthorizationIndex(policy, incremental=False)
-        policy.assign_user(U, LOW)
-        index.refresh()
-        policy.assign_user(U, MID)
-        index.refresh()
-        assert index.full_rebuilds == 3
+    def test_expired_journal_forces_rebuild(self, policy):
+        index = AuthorizationIndex(policy)
+        since = policy.version
+        for _ in range(Digraph.JOURNAL_HARD_LIMIT // 2 + 8):
+            policy.assign_user(U, LOW)
+            policy.remove_edge(U, LOW)
+        assert policy.changes_since(since) is None
+        policy.assign_user(U, ADM)
+        assert index.authorizes(U, grant_cmd(U, U, LOW)) == Grant(U, HIGH)
+        assert index.full_rebuilds == 2
         assert index.partial_refreshes == 0
 
     def test_vertex_only_burst_stays_incremental(self, policy):
@@ -211,7 +216,7 @@ class TestRectangleMemo:
         for i in range(5, 20):
             policy.add_user(User(f"m{i}"))
             policy.assign_user(User(f"m{i}"), LOW)
-        index = AuthorizationIndex(policy, compiled=True)
+        index = AuthorizationIndex(policy)
         memo = index._rect_memo
         assert list(memo) == [Grant(U, HIGH)]
         shared = memo[Grant(U, HIGH)]
@@ -225,7 +230,7 @@ class TestRectangleMemo:
         other = Role("other")
         policy.add_role(other)
         policy.assign_privilege(ADM, Grant(other, other))
-        index = AuthorizationIndex(policy, compiled=True)
+        index = AuthorizationIndex(policy)
         kept = index._rect_memo[Grant(other, other)]
         dirty = index._rect_memo[Grant(U, HIGH)]
         built = index.rectangles_built
@@ -247,7 +252,7 @@ class TestRectangleMemo:
         )
 
     def test_vertex_only_churn_keeps_every_entry(self, policy):
-        index = AuthorizationIndex(policy, compiled=True)
+        index = AuthorizationIndex(policy)
         before = dict(index._rect_memo)
         built = index.rectangles_built
         for i in range(10):
@@ -293,10 +298,15 @@ class TestEffectiveAuthority:
         }
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["bits", "sets"])
+@pytest.mark.parametrize(
+    "against_reference", [False, True], ids=["bits", "sets"]
+)
 class TestSnapshotFork:
     """``snapshot()`` forks the live index onto a structural policy
-    clone; every answer must equal a fresh build over that clone."""
+    clone; every answer must equal a fresh build over that clone
+    ("bits") and the frozenset ReferenceIndex over it ("sets") — the
+    latter at grant/deny level, because which of several covering
+    privileges gets reported is scan order."""
 
     GHOST = User("ghost")  # named by a held grant, never registered
 
@@ -323,9 +333,16 @@ class TestSnapshotFork:
             reader.held_privileges_bulk(subjects),
         )
 
-    def test_fork_answers_equal_a_fresh_build(self, policy, compiled):
+    @staticmethod
+    def _granted(answers):
+        verdicts, grantable, held = answers
+        return [verdict is not None for verdict in verdicts], grantable, held
+
+    def test_fork_answers_equal_a_fresh_build(
+        self, policy, against_reference
+    ):
         policy.assign_privilege(ADM, Grant(self.GHOST, HIGH))
-        index = AuthorizationIndex(policy, compiled=compiled)
+        index = AuthorizationIndex(policy)
         captured = []
         for step_mutation in (
             lambda: None,
@@ -343,12 +360,14 @@ class TestSnapshotFork:
             assert index.snapshot() is snapshot  # version did not move
             assert snapshot.version == policy.version
             assert snapshot._index.full_rebuilds == 0
-            fresh = AuthorizationIndex(
-                snapshot.policy_copy(), compiled=compiled
-            )
             frozen = snapshot.policy_copy()
             answers = self._answers(snapshot, frozen)
-            assert answers == self._answers(fresh, frozen)
+            if against_reference:
+                expected = self._answers(ReferenceIndex(frozen), frozen)
+                assert self._granted(answers) == self._granted(expected)
+            else:
+                fresh = AuthorizationIndex(snapshot.policy_copy())
+                assert answers == self._answers(fresh, frozen)
             captured.append((snapshot, frozen, answers))
         # Live churn after capture never reaches a snapshot, even as
         # the live index repairs and the interner recycles its IDs.

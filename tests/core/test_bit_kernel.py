@@ -1,12 +1,12 @@
-"""The compiled (bitset) authorization kernel: sort masks, bit
-rectangles, compiled index/memo parity, and review snapshots."""
+"""The bitset authorization kernel: sort masks, bit rectangles, index
+parity with the frozenset :class:`~repro.oracle.ReferenceIndex`, the
+ordering memo, and review snapshots."""
 
 import pytest
 
 from repro.core.authz_index import (
     AuthorizationIndex,
     GrantRectangle,
-    ReviewSnapshot,
     compile_rectangle,
 )
 from repro.core.commands import Mode, grant_cmd, revoke_cmd
@@ -15,6 +15,7 @@ from repro.core.monitor import ReferenceMonitor
 from repro.core.ordering import OrderingOracle
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke
+from repro.oracle import ReferenceIndex
 
 U, ADMIN = User("u"), User("admin")
 HIGH, MID, LOW, ADM = Role("high"), Role("mid"), Role("low"), Role("adm")
@@ -86,9 +87,9 @@ class TestPolicyBits:
 class TestBitGrantRectangle:
     def test_covers_matches_frozenset_rectangle(self, policy):
         compiled = compile_rectangle(policy, Grant(U, HIGH))
-        oracle = AuthorizationIndex(policy, compiled=False)
+        oracle = ReferenceIndex(policy)
         frozen = [
-            r for r in oracle._rectangles[ADMIN] if r.held == Grant(U, HIGH)
+            r for r in oracle.rectangles(ADMIN) if r.held == Grant(U, HIGH)
         ][0]
         for source in (U, ADMIN, HIGH, LOW, User("nobody")):
             for target in (HIGH, MID, LOW, ADM, Role("nowhere")):
@@ -107,9 +108,9 @@ class TestBitGrantRectangle:
         assert compiled.extra_sources == {ghost}
         assert compiled.covers(policy.graph, ghost, MID)
         assert not compiled.covers(policy.graph, User("other"), MID)
-        # Parity with the frozenset oracle on the whole index surface.
+        # Parity with the frozenset reference on the whole surface.
         index = AuthorizationIndex(policy)
-        oracle = AuthorizationIndex(policy, compiled=False)
+        oracle = ReferenceIndex(policy)
         probe = grant_cmd(ADMIN, ghost, MID)
         assert index.authorizes(ADMIN, probe) is not None
         assert (
@@ -120,7 +121,7 @@ class TestBitGrantRectangle:
         """remove_user(U) leaves Grant(U, HIGH) assigned; the refined
         monitor may still execute the grant (re-provisioning)."""
         index = AuthorizationIndex(policy)
-        oracle = AuthorizationIndex(policy, compiled=False)
+        oracle = ReferenceIndex(policy)
         policy.remove_user(U)
         probe = grant_cmd(ADMIN, U, MID)
         got = index.authorizes(ADMIN, probe)
@@ -144,7 +145,7 @@ class TestBitGrantRectangle:
         policy.add_user(U)
         policy.assign_user(U, LOW)
         got = index.authorizes(ADMIN, probe)
-        oracle = AuthorizationIndex(policy, compiled=False)
+        oracle = ReferenceIndex(policy)
         assert got is not None
         assert (got is None) == (oracle.authorizes(ADMIN, probe) is None)
         # Pure add-vertex window (no edges) must migrate too.
@@ -154,7 +155,7 @@ class TestBitGrantRectangle:
             is not None
         policy.add_user(ghost)  # weight-0 window
         got = index.authorizes(ADMIN, grant_cmd(ADMIN, ghost, MID))
-        fresh = AuthorizationIndex(policy, compiled=False)
+        fresh = ReferenceIndex(policy)
         assert (got is None) == (
             fresh.authorizes(ADMIN, grant_cmd(ADMIN, ghost, MID)) is None
         )
@@ -178,8 +179,8 @@ class TestCompiledIndexParity:
             users.append(extra)
             policy.add_user(extra)
             policy.assign_user(extra, ADM if i < 3 else LOW)
-        compiled = AuthorizationIndex(policy, compiled=True)
-        oracle = AuthorizationIndex(policy, compiled=False)
+        compiled = AuthorizationIndex(policy)
+        oracle = ReferenceIndex(policy)
         probes = [
             grant_cmd(ADMIN, U, HIGH), grant_cmd(ADMIN, U, LOW),
             revoke_cmd(ADMIN, U, HIGH), revoke_cmd(ADMIN, U, LOW),
@@ -214,8 +215,8 @@ class TestCompiledIndexParity:
         p = Grant(u, high)
         policy = Policy(ua=[(u, r)], pa=[(r, p)])
         policy.add_user(victim)
-        index = AuthorizationIndex(policy, compiled=True)
-        oracle = AuthorizationIndex(policy, compiled=False)
+        index = AuthorizationIndex(policy)
+        oracle = ReferenceIndex(policy)
         policy.remove_edge(r, p)       # GC: p's vertex + ID freed
         policy.remove_user(victim)     # second freed ID tops the list
         policy.assign_privilege(r, p)  # p returns under a recycled ID
@@ -226,8 +227,8 @@ class TestCompiledIndexParity:
         )
 
     def test_held_privileges_decodes_the_mask(self, policy):
-        compiled = AuthorizationIndex(policy, compiled=True)
-        oracle = AuthorizationIndex(policy, compiled=False)
+        compiled = AuthorizationIndex(policy)
+        oracle = ReferenceIndex(policy)
         assert isinstance(compiled._held[ADMIN], int)
         assert compiled.held_privileges(ADMIN) == oracle.held_privileges(
             ADMIN
@@ -235,13 +236,13 @@ class TestCompiledIndexParity:
         assert compiled.held_privileges(User("nobody")) == frozenset()
 
     def test_incremental_repair_stays_compiled(self, policy):
-        index = AuthorizationIndex(policy, compiled=True)
+        index = AuthorizationIndex(policy)
         policy.assign_user(U, LOW)
         policy.assign_privilege(ADM, Grant(U, MID))
         index.refresh()
         assert index.full_rebuilds == 1
         assert index.partial_refreshes >= 1
-        oracle = AuthorizationIndex(policy, compiled=False)
+        oracle = ReferenceIndex(policy)
         for user in (U, ADMIN):
             assert index.effective_authority(
                 user
@@ -249,49 +250,29 @@ class TestCompiledIndexParity:
 
 
 class TestCompiledOrderingMemo:
-    def test_eviction_parity_with_frozenset_footprints(self, policy):
-        nested = Grant(ADM, Grant(U, HIGH))
-        policy.assign_privilege(ADM, nested)
-        compiled = OrderingOracle(policy, compiled=True)
-        frozen = OrderingOracle(policy, compiled=False)
-        queries = [
-            (nested, Grant(ADM, Grant(U, MID))),
-            (Grant(U, HIGH), Grant(U, LOW)),
-        ]
-        for oracle in (compiled, frozen):
-            for stronger, weaker in queries:
-                oracle.is_weaker(stronger, weaker)
-        assert compiled._memo == frozen._memo
-        # Localized UA churn: hop-safe, footprints untouched -> both
-        # keep every entry.
-        policy.assign_user(User("fresh"), LOW)
-        for oracle in (compiled, frozen):
-            oracle.is_weaker(Grant(U, HIGH), Grant(U, LOW))
-        assert compiled.stats.memo_evictions == frozen.stats.memo_evictions
-        assert compiled.stats.memo_full_clears == 0
-        # Churn inside the footprint evicts in both representations.
-        policy.add_inheritance(HIGH, Role("annex"))
-        compiled._validate_memo()
-        frozen._validate_memo()
-        assert compiled._memo == frozen._memo
-        assert compiled.stats.memo_evictions == frozen.stats.memo_evictions
-
     def test_decisions_identical_after_churn(self, policy):
-        compiled = OrderingOracle(policy, compiled=True)
-        frozen = OrderingOracle(policy, compiled=False)
+        """A memoized oracle kept across churn decides like a fresh one
+        at every version (the seeded eviction differential lives in
+        tests/core/test_ordering.py)."""
+        memoized = OrderingOracle(policy)
         probes = [
             (Grant(U, HIGH), Grant(U, MID)),
             (Grant(U, HIGH), Grant(U, HIGH)),
             (Grant(U, MID), Grant(U, HIGH)),
             (Revoke(U, HIGH), Revoke(U, HIGH)),
         ]
-        for _ in range(3):
-            policy.assign_user(User("churn"), LOW)
-            policy.remove_edge(User("churn"), LOW)
+        for mutate in (
+            lambda: policy.assign_user(User("churn"), LOW),
+            lambda: policy.remove_edge(User("churn"), LOW),
+            lambda: policy.remove_edge(HIGH, MID),
+            lambda: policy.add_inheritance(HIGH, MID),
+        ):
+            mutate()
+            fresh = OrderingOracle(policy)
             for stronger, weaker in probes:
-                assert compiled.is_weaker(stronger, weaker) == (
-                    frozen.is_weaker(stronger, weaker)
-                )
+                assert memoized.is_weaker(stronger, weaker) == (
+                    fresh.is_weaker(stronger, weaker)
+                ), (stronger, weaker)
 
 
 class TestReviewSnapshots:
@@ -315,25 +296,6 @@ class TestReviewSnapshots:
         index.snapshot()
         with pytest.raises(ValueError):
             index.revocable_pairs(ADMIN, at_version=policy.version + 1)
-
-    def test_snapshot_is_lazy_until_read(self, policy):
-        snapshot = ReviewSnapshot(policy)
-        assert snapshot._index is None
-        snapshot.grantable_pairs(ADMIN)
-        assert snapshot._index is not None
-
-    def test_snapshot_inherits_the_kernel_flag(self, policy):
-        """A frozenset-oracle index must stay frozenset end to end,
-        snapshots included — otherwise a compiled-kernel bug corrupts
-        both sides of any snapshot differential."""
-        frozen = AuthorizationIndex(policy, compiled=False)
-        snapshot = frozen.snapshot()
-        snapshot.grantable_pairs(ADMIN)
-        assert snapshot._index.compiled is False
-        compiled = AuthorizationIndex(policy, compiled=True)
-        snapshot = compiled.snapshot()
-        snapshot.grantable_pairs(ADMIN)
-        assert snapshot._index.compiled is True
 
     def test_batched_queue_snapshot_sees_entry_state(self, policy):
         monitor = ReferenceMonitor(
@@ -373,33 +335,22 @@ class TestReviewSnapshots:
 
 
 class TestMonitorKernelKnob:
-    def test_compiled_knob_threads_through(self, policy):
-        compiled = ReferenceMonitor(
-            policy, mode=Mode.REFINED, use_index=True
-        )
-        assert compiled._index.compiled is True
-        frozen = ReferenceMonitor(
-            policy, mode=Mode.REFINED, use_index=True, compiled=False
-        )
-        assert frozen._index.compiled is False
-
     def test_both_kernels_execute_identically(self, policy):
+        """The index-backed monitor and the unindexed Lemma-1 path
+        execute a queue identically."""
         queue = [
             grant_cmd(ADMIN, U, MID),
             grant_cmd(U, U, HIGH),
             revoke_cmd(ADMIN, U, HIGH),
             grant_cmd(ADMIN, U, LOW),
         ]
-        compiled = ReferenceMonitor(
+        indexed = ReferenceMonitor(
             policy.copy(), mode=Mode.REFINED, use_index=True
         )
-        frozen = ReferenceMonitor(
-            policy.copy(), mode=Mode.REFINED, use_index=True,
-            compiled=False,
-        )
+        unindexed = ReferenceMonitor(policy.copy(), mode=Mode.REFINED)
         for command in queue:
             assert (
-                compiled.submit(command).executed
-                == frozen.submit(command).executed
+                indexed.submit(command).executed
+                == unindexed.submit(command).executed
             ), command
-        assert compiled.policy == frozen.policy
+        assert indexed.policy == unindexed.policy

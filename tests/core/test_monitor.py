@@ -397,18 +397,16 @@ class TestBatchRewireConformance:
     record-for-record identical to the previous per-command decision
     loop — same ``ExecutionRecord`` sequences, including the ``noop``
     tolerated-redundancy records, byte-identical under ``repr`` — on
-    duplicate-heavy differential traces, on both kernels."""
+    duplicate-heavy differential traces."""
 
-    def _monitor(self, compiled: bool) -> ReferenceMonitor:
+    def _monitor(self) -> ReferenceMonitor:
         policy = Policy(
             ua=[(ADMIN, ADM)],
             rh=[(R, S)],
             pa=[(ADM, Grant(U, R)), (ADM, Revoke(U, R))],
         )
         policy.add_user(U)
-        return ReferenceMonitor(
-            policy, mode=Mode.REFINED, use_index=True, compiled=compiled
-        )
+        return ReferenceMonitor(policy, mode=Mode.REFINED, use_index=True)
 
     def _legacy_submit_queue(self, monitor, batch):
         """The pre-rewire batched path, replicated verbatim: decide
@@ -425,13 +423,8 @@ class TestBatchRewireConformance:
             records.append(record)
         return records
 
-    @pytest.mark.parametrize(
-        "compiled", [True, False], ids=["compiled", "frozenset"]
-    )
     @pytest.mark.parametrize("seed", range(6))
-    def test_records_identical_on_duplicate_heavy_traces(
-        self, seed, compiled
-    ):
+    def test_records_identical_on_duplicate_heavy_traces(self, seed):
         import random
 
         vocabulary = [
@@ -445,7 +438,7 @@ class TestBatchRewireConformance:
         ]
         rng = random.Random(seed)
         batch = [rng.choice(vocabulary) for _ in range(14)]
-        legacy, rewired = self._monitor(compiled), self._monitor(compiled)
+        legacy, rewired = self._monitor(), self._monitor()
         records_old = self._legacy_submit_queue(legacy, batch)
         records_new = rewired.submit_queue(batch, batched=True)
         assert records_old == records_new

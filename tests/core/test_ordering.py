@@ -1,5 +1,7 @@
 """Unit tests for the privilege ordering (Definition 8, Lemma 1)."""
 
+import random
+
 import pytest
 
 from repro.core.entities import Role, User
@@ -286,6 +288,91 @@ class TestChurnAwareMemoEviction:
         assert oracle.is_weaker(Grant(HIGH, LOW), nested)  # hop via LOW
         chain.remove_edge(LOW, inner)
         assert not oracle.is_weaker(Grant(HIGH, LOW), nested)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_surviving_entries_match_a_fresh_oracle(self, seed):
+        """Seeded bursts of edge adds and removes, role→privilege edges
+        and user removal plus re-add (interner-ID reuse): after each
+        burst, every entry the eviction kept must equal a fresh
+        oracle's decision.
+
+        Each policy carries a hop ladder under random names:
+        ``¤(x, a) Ã ¤(x, ¤(x, ¤(u, c)))`` holds once some role ``b``
+        below ``¤(x, b)`` (assigned to ``a``) reaches ``¤(u, d)`` with
+        ``d → c``.  A burst that assigns ``¤(u, d)`` to ``b`` leaves
+        both terms' footprints clean — only the hop-unsafe branch
+        evicts the stale False."""
+        rng = random.Random(seed)
+        users = [User(f"u{i}") for i in range(2)]
+        roles = [Role(f"r{i}") for i in range(6)]
+        a, b, c, d, x = rng.sample(roles, 5)
+        u = rng.choice(users)
+        ladder = [
+            Grant(x, a), Grant(x, b), Grant(u, d),
+            Grant(x, Grant(x, Grant(u, c))),
+        ]
+        policy = Policy(rh=[(d, c)], pa=[(a, Grant(x, b))])
+        for user in users:
+            policy.add_user(user)
+        for role in roles:
+            policy.add_role(role)
+        for _ in range(4):
+            policy.assign_user(rng.choice(users), rng.choice(roles))
+        terms = sorted(
+            {
+                term
+                for top in ladder + [Grant(rng.choice(roles), rng.choice(
+                    ladder)) for _ in range(3)]
+                for term in top.subterms()
+                if isinstance(term, Grant)
+            },
+            key=str,
+        )
+        oracle = OrderingOracle(policy)
+
+        def query():
+            for stronger in terms:
+                for weaker in terms:
+                    oracle.is_weaker(stronger, weaker)
+
+        rung = (b, Grant(u, d))
+        skeleton = {(d, c), (a, Grant(x, b))}
+
+        def mutate():
+            draw = rng.random()
+            if draw < 0.25:
+                # Toggle the ladder's rung: moves ¤(u, d) into or out of
+                # the hop set below b.
+                if not policy.add_edge(*rung):
+                    policy.remove_edge(*rung)
+            elif draw < 0.4:
+                policy.assign_privilege(rng.choice(roles), rng.choice(terms))
+            elif draw < 0.6:
+                edges = sorted(policy.edge_set() - skeleton, key=str)
+                if edges:
+                    policy.remove_edge(*rng.choice(edges))
+            elif draw < 0.75:
+                senior, junior = rng.sample(roles, 2)
+                policy.add_inheritance(senior, junior)
+            elif draw < 0.9:
+                policy.assign_user(rng.choice(users), rng.choice(roles))
+            else:
+                victim = rng.choice(users)
+                policy.remove_user(victim)
+                policy.add_user(victim)
+                policy.assign_user(victim, rng.choice(roles))
+
+        query()
+        for _ in range(40):
+            for _ in range(rng.randint(1, 3)):
+                mutate()
+            oracle._validate_memo()
+            fresh = OrderingOracle(policy)
+            for (stronger, weaker), verdict in oracle._memo.items():
+                assert verdict == fresh.is_weaker(stronger, weaker), (
+                    stronger, weaker,
+                )
+            query()
 
 
 class TestExplain:

@@ -110,5 +110,5 @@ def test_fuzz_crash_diff(capsys):
         "fuzz", "--seeds", "1", "--steps", "10", "--crash-diff",
     ]) == 0
     out = capsys.readouterr().out
-    assert "crash-recovery agreement: 2 campaigns" in out
+    assert "crash-recovery agreement: 1 campaigns" in out
     assert "invariants: all hold" in out

@@ -2,8 +2,8 @@
 
 ``tools/check_invariants.py`` machine-enforces the repo's two standing
 disciplines: Digraph internals are mutated only inside ``repro.graph``,
-and the ``compiled`` dual-kernel knob is always a real, greppable
-escape hatch.  The first test keeps the live tree clean; the rest pin
+and the ``compiled`` dual-kernel knob — which now lives only in the
+analysis layer — is always a real, greppable escape hatch.  The first test keeps the live tree clean; the rest pin
 the checker itself against synthetic violations so a silent regression
 of the checker cannot hide a regression of the tree.
 """
@@ -11,6 +11,8 @@ of the checker cannot hide a regression of the tree.
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -213,6 +215,18 @@ class TestCompiledKnob:
                 slow = run(policy, compiled=False)
                 return fast == slow
         """, relpath="workloads/fuzz.py") == []
+
+    @pytest.mark.parametrize(
+        "relpath", ["workloads/churn.py", "workloads/faults.py"]
+    )
+    def test_literal_in_serving_harness_flagged(self, relpath):
+        """The serving-stack harnesses check against ReferenceIndex,
+        not a second kernel, so they get no literal exemption."""
+        found = violations_of("""
+            def campaign(policy):
+                return run(policy, compiled=False)
+        """, relpath=relpath)
+        assert found and "hardwires compiled=False" in found[0]
 
     def test_non_literal_call_argument_allowed(self):
         assert violations_of("""

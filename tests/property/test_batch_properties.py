@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.authz_index import AuthorizationIndex
 from repro.core.commands import Command, CommandAction
 from repro.core.entities import User
+from repro.oracle import ReferenceIndex
 
 from .strategies import ROLES, USERS, policies
 
@@ -51,14 +52,11 @@ def _query_batch(draw_seed: int, policy) -> list:
 @given(
     policy=policies(max_admin=3, admin_depth=2),
     seed=st.integers(0, 10_000),
-    compiled=st.booleans(),
 )
-def test_batch_equals_scalar_and_is_permutation_invariant(
-    policy, seed, compiled
-):
+def test_batch_equals_scalar_and_is_permutation_invariant(policy, seed):
     """Verdicts equal per-pair scalar calls, and reordering the batch
     reorders the verdicts with it (no cross-query interference)."""
-    index = AuthorizationIndex(policy, compiled=compiled)
+    index = AuthorizationIndex(policy)
     pairs = _query_batch(seed, policy)
     verdicts = index.authorizes_batch(pairs)
     assert verdicts == [index.authorizes(u, c) for u, c in pairs]
@@ -75,12 +73,11 @@ def test_batch_equals_scalar_and_is_permutation_invariant(
 @given(
     policy=policies(max_admin=3, admin_depth=2),
     seed=st.integers(0, 10_000),
-    compiled=st.booleans(),
 )
-def test_duplicate_pairs_resolve_identically(policy, seed, compiled):
+def test_duplicate_pairs_resolve_identically(policy, seed):
     """Every occurrence of the same (subject, command) pair — identical
     or value-equal objects — gets the same verdict."""
-    index = AuthorizationIndex(policy, compiled=compiled)
+    index = AuthorizationIndex(policy)
     pairs = _query_batch(seed, policy)
     # Add value-equal twins of a few pairs (fresh objects throughout).
     rng = random.Random(seed + 2)
@@ -102,23 +99,24 @@ def test_duplicate_pairs_resolve_identically(policy, seed, compiled):
 @SETTINGS
 @given(
     policy=policies(max_admin=3, admin_depth=2),
-    compiled=st.booleans(),
 )
-def test_bulk_equals_per_user_held(policy, compiled):
-    index = AuthorizationIndex(policy, compiled=compiled)
+def test_bulk_equals_per_user_held(policy):
+    index = AuthorizationIndex(policy)
     population = USERS + [GHOST, USERS[0]]  # ghost + duplicate
-    assert index.held_privileges_bulk(population) == {
+    bulk = index.held_privileges_bulk(population)
+    assert bulk == {
         user: index.held_privileges(user) for user in population
     }
+    assert bulk == ReferenceIndex(policy).held_privileges_bulk(population)
 
 
 @SETTINGS
-@given(policy=policies(max_admin=2, admin_depth=2), compiled=st.booleans())
-def test_empty_and_unknown_subjects_touch_no_state(policy, compiled):
+@given(policy=policies(max_admin=2, admin_depth=2))
+def test_empty_and_unknown_subjects_touch_no_state(policy):
     """An empty batch returns [] without validating; unknown subjects
     decide to None without creating index entries or rebuilding
     rectangles."""
-    index = AuthorizationIndex(policy, compiled=compiled)
+    index = AuthorizationIndex(policy)
     refreshed_before = index.users_refreshed
     rebuilds_before = index.full_rebuilds
     rectangles_before = {

@@ -10,17 +10,23 @@ import asyncio
 
 import pytest
 
+from repro.core.commands import Mode
 from repro.core.entities import Role, User
+from repro.core.monitor import ReferenceMonitor
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke
+from repro.oracle import ReferenceIndex
 
 ADMIN, PEER, OTHER = User("admin"), User("peer"), User("other")
 ADM = Role("adm")
 R, S, T = Role("r"), Role("s"), Role("t")
 U = User("u")
 
-BOTH_KERNELS = pytest.mark.parametrize(
-    "compiled", [True, False], ids=["compiled", "frozenset"]
+#: Conformance checks run against two synchronous verifiers: a direct
+#: index-backed monitor ("compiled") and the definitional path — an
+#: unindexed monitor plus the frozenset ReferenceIndex ("frozenset").
+BOTH_VERIFIERS = pytest.mark.parametrize(
+    "definitional", [False, True], ids=["compiled", "frozenset"]
 )
 
 
@@ -86,3 +92,19 @@ def serve_policy() -> Policy:
 @pytest.fixture
 def policy() -> Policy:
     return serve_policy()
+
+
+def oracle_monitor(definitional: bool) -> ReferenceMonitor:
+    """A synchronous refined monitor over a fresh serving policy:
+    index-backed, or the unindexed Lemma-1 path."""
+    return ReferenceMonitor(
+        serve_policy(), mode=Mode.REFINED, use_index=not definitional
+    )
+
+
+def reads(monitor: ReferenceMonitor):
+    """The verifier's read surface: the monitor's own index, else the
+    reference over its policy."""
+    if monitor._index is not None:
+        return monitor._index
+    return ReferenceIndex(monitor.policy)

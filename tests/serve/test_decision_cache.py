@@ -17,9 +17,7 @@ from .conftest import ADM, ADMIN, OTHER, PEER, R, S, U, serve_policy
 
 
 def fresh_verdict(policy, subject, command):
-    return AuthorizationIndex(policy, compiled=False).authorizes(
-        subject, command
-    )
+    return AuthorizationIndex(policy).authorizes(subject, command)
 
 
 class TestCacheable:

@@ -2,13 +2,15 @@
 
 Concurrent readers and a chunked writer interleave over an asyncio
 PDP under recycling churn; every decision is pinned against a
-synchronous frozenset-kernel oracle at its snapshot version, every
-applied micro-batch is replayed through a fresh synchronous monitor,
-and the rate-limited and cache-hit paths are required to fire.
+synchronous :class:`~repro.oracle.ReferenceIndex` (the frozenset
+reference) at its snapshot version, every applied micro-batch is
+replayed through a fresh synchronous monitor, and the rate-limited and
+cache-hit paths are required to fire.
 """
 
 import pytest
 
+from repro.core.authz_index import ReviewSnapshot
 from repro.workloads.fuzz import fuzz_pdp
 from repro.workloads.generators import PolicyShape
 
@@ -19,14 +21,24 @@ SHAPE = PolicyShape(
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pdp_campaigns_compiled(seed):
-    report = fuzz_pdp(seed, shape=SHAPE, compiled=True)
+    report = fuzz_pdp(seed, shape=SHAPE)
     assert report.ok, report.violations[:5]
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_pdp_campaigns_frozenset(seed):
-    report = fuzz_pdp(seed, shape=SHAPE, compiled=False)
-    assert report.ok, report.violations[:5]
+def test_pdp_campaigns_frozenset(seed, monkeypatch):
+    """The frozenset reference side has teeth: with every snapshot
+    read denied, each campaign must report decisions diverging from
+    the reference."""
+    monkeypatch.setattr(
+        ReviewSnapshot, "authorizes_batch",
+        lambda self, pairs: [None] * len(list(pairs)),
+    )
+    report = fuzz_pdp(seed, shape=SHAPE)
+    assert any(
+        "decision diverges from oracle" in violation
+        for violation in report.violations
+    )
 
 
 def test_campaigns_exercise_both_outcomes():

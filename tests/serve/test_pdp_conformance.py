@@ -1,5 +1,7 @@
 """Conformance suite: the PDP is observationally identical to direct
-synchronous :class:`ReferenceMonitor` calls on replayed traces.
+synchronous :class:`ReferenceMonitor` calls on replayed traces — both
+an index-backed monitor and the definitional path (an unindexed
+monitor, with :class:`~repro.oracle.ReferenceIndex` for reads).
 
 The randomized interleaved campaigns live in
 :func:`repro.workloads.fuzz.fuzz_pdp` (invariant 14); these tests pin
@@ -27,7 +29,7 @@ from repro.serve import (
 from .conftest import (
     ADM,
     ADMIN,
-    BOTH_KERNELS,
+    BOTH_VERIFIERS,
     OTHER,
     PEER,
     R,
@@ -35,6 +37,8 @@ from .conftest import (
     T,
     U,
     gate_writer,
+    oracle_monitor,
+    reads,
     run,
     serve_policy,
 )
@@ -66,21 +70,14 @@ def write_trace():
     ]
 
 
-def oracle_monitor(compiled):
-    return ReferenceMonitor(
-        serve_policy(), mode=Mode.REFINED, use_index=True,
-        compiled=compiled,
-    )
-
-
 class TestReadConformance:
-    @BOTH_KERNELS
-    def test_reads_match_direct_monitor(self, compiled):
-        oracle = oracle_monitor(compiled)
+    @BOTH_VERIFIERS
+    def test_reads_match_direct_monitor(self, definitional):
+        oracle = oracle_monitor(definitional)
 
         async def scenario():
             async with PolicyDecisionPoint(
-                policy=serve_policy(), compiled=compiled
+                policy=serve_policy()
             ) as pdp:
                 return [
                     await pdp.check(subject, command)
@@ -89,17 +86,17 @@ class TestReadConformance:
 
         decisions = run(scenario())
         for (subject, command), decision in zip(read_trace(), decisions):
-            verdict = oracle._index.authorizes(subject, command)
+            verdict = reads(oracle).authorizes(subject, command)
             assert decision.allowed == (verdict is not None)
             assert decision.authorized_by == verdict
 
-    @BOTH_KERNELS
-    def test_cache_hits_recheck_against_oracle(self, compiled):
-        oracle = oracle_monitor(compiled)
+    @BOTH_VERIFIERS
+    def test_cache_hits_recheck_against_oracle(self, definitional):
+        oracle = oracle_monitor(definitional)
 
         async def scenario():
             async with PolicyDecisionPoint(
-                policy=serve_policy(), compiled=compiled
+                policy=serve_policy()
             ) as pdp:
                 trace = read_trace()
                 first = [await pdp.check(s, c) for s, c in trace]
@@ -111,7 +108,7 @@ class TestReadConformance:
         for (subject, command), fresh, cached in zip(
             read_trace(), first, second
         ):
-            verdict = oracle._index.authorizes(subject, command)
+            verdict = reads(oracle).authorizes(subject, command)
             # The cached verdict is the oracle verdict, not merely the
             # first answer repeated.
             assert cached.authorized_by == verdict
@@ -120,11 +117,11 @@ class TestReadConformance:
             # Nested-privilege targets are uncacheable by design.
             assert cached.cached == cacheable(command)
 
-    @BOTH_KERNELS
-    def test_check_many_matches_sequential_checks(self, compiled):
+    @BOTH_VERIFIERS
+    def test_check_many_matches_sequential_checks(self, definitional):
         async def scenario():
             async with PolicyDecisionPoint(
-                policy=serve_policy(), compiled=compiled
+                policy=serve_policy()
             ) as pdp:
                 requests = [
                     Grant(U, R), Grant(U, S), Revoke(U, R), Grant(U, T)
@@ -140,9 +137,15 @@ class TestReadConformance:
         assert [(d.allowed, d.authorized_by) for d in many] == [
             (d.allowed, d.authorized_by) for d in one_by_one
         ]
+        verifier = reads(oracle_monitor(definitional))
+        requests = [Grant(U, R), Grant(U, S), Revoke(U, R), Grant(U, T)]
+        assert [d.authorized_by for d in many] == [
+            verifier.authorizes(ADMIN, as_command(ADMIN, request))
+            for request in requests
+        ]
 
     def test_concurrent_reads_coalesce_into_one_sweep(self):
-        oracle = oracle_monitor(True)
+        oracle = oracle_monitor(False)
         queries = [
             (ADMIN, grant_cmd(ADMIN, U, R)),
             (PEER, grant_cmd(PEER, U, S)),
@@ -163,35 +166,35 @@ class TestReadConformance:
         decisions, read_batches = run(scenario())
         assert read_batches == 1  # one authorizes_batch for all six
         for (subject, command), decision in zip(queries, decisions):
-            verdict = oracle._index.authorizes(subject, command)
+            verdict = reads(oracle).authorizes(subject, command)
             assert decision.authorized_by == verdict
 
-    @BOTH_KERNELS
-    def test_review_endpoint_matches_bulk_reads(self, compiled):
-        oracle = oracle_monitor(compiled)
+    @BOTH_VERIFIERS
+    def test_review_endpoint_matches_bulk_reads(self, definitional):
+        oracle = oracle_monitor(definitional)
 
         async def scenario():
             async with PolicyDecisionPoint(
-                policy=serve_policy(), compiled=compiled
+                policy=serve_policy()
             ) as pdp:
                 return await pdp.review([ADMIN, PEER, OTHER, U])
 
         review = run(scenario())
-        assert review == oracle._index.grantable_pairs_bulk(
+        assert review == reads(oracle).grantable_pairs_bulk(
             [ADMIN, PEER, OTHER, U]
         )
         assert review[ADMIN] is review[PEER]  # shared authority profile
 
 
 class TestWriteConformance:
-    @BOTH_KERNELS
-    def test_records_match_sequential_replay(self, compiled):
-        oracle = oracle_monitor(compiled)
+    @BOTH_VERIFIERS
+    def test_records_match_sequential_replay(self, definitional):
+        oracle = oracle_monitor(definitional)
         expected = [oracle.submit(c) for c in write_trace()]
 
         async def scenario():
             async with PolicyDecisionPoint(
-                policy=serve_policy(), compiled=compiled
+                policy=serve_policy()
             ) as pdp:
                 records = [
                     await pdp.submit(command)
@@ -203,15 +206,18 @@ class TestWriteConformance:
         assert records == expected
         assert served_policy == oracle.policy
 
-    @BOTH_KERNELS
-    def test_coalesced_batch_matches_batched_replay(self, compiled):
+    @BOTH_VERIFIERS
+    def test_coalesced_batch_matches_batched_replay(self, definitional):
         trace = write_trace()
-        oracle = oracle_monitor(compiled)
+        oracle = oracle_monitor(definitional)
+        # The unindexed verifier replays sequentially; this trace's
+        # authorizations never depend on its own mutations, so the
+        # batched and sequential readings coincide.
         expected = oracle.submit_queue(trace, batched=True)
 
         async def scenario():
             async with PolicyDecisionPoint(
-                policy=serve_policy(), compiled=compiled, max_batch=64
+                policy=serve_policy(), max_batch=64
             ) as pdp:
                 records = await pdp.submit_many(trace)
                 return records, pdp.metrics.batches, pdp.monitor.policy
@@ -252,26 +258,31 @@ class TestWriteConformance:
         assert metrics.batches >= 3  # 8 commands, watermark 3
         assert metrics.max_batch_size <= 3
 
-    @BOTH_KERNELS
-    def test_audit_contract_preserved(self, compiled):
+    @BOTH_VERIFIERS
+    def test_audit_contract_preserved(self, definitional):
         """The PDP rides submit_queue(snapshot=True): the monitor's
         last_snapshot is the batch-entry version, the audit trail grows
-        one entry per command."""
+        one entry per command, and its verdicts are the verifier's."""
         async def scenario():
             async with PolicyDecisionPoint(
-                policy=serve_policy(), compiled=compiled
+                policy=serve_policy()
             ) as pdp:
                 entry_version = pdp.monitor.policy.version
                 await pdp.submit_many(write_trace())
                 return (
                     pdp.monitor.last_snapshot.version,
                     entry_version,
-                    len(pdp.monitor.audit_trail),
+                    pdp.monitor.audit_trail,
                 )
 
-        snapshot_version, entry_version, audit_entries = run(scenario())
+        snapshot_version, entry_version, trail = run(scenario())
         assert snapshot_version == entry_version
-        assert audit_entries == len(write_trace())
+        assert len(trail) == len(write_trace())
+        oracle = oracle_monitor(definitional)
+        oracle.submit_queue(write_trace(), batched=True)
+        assert [(e.subject, e.allowed) for e in trail] == [
+            (e.subject, e.allowed) for e in oracle.audit_trail
+        ]
 
     def test_reads_see_writes_after_publication(self):
         async def scenario():
@@ -381,7 +392,7 @@ class TestGroupCommit:
 
 class TestRateLimitedPath:
     def test_rate_limited_then_retry_matches_oracle(self, clock):
-        oracle = oracle_monitor(True)
+        oracle = oracle_monitor(False)
         limiter = RateLimiter(capacity=2, rate=1.0, clock=clock)
 
         async def scenario():
@@ -404,7 +415,7 @@ class TestRateLimitedPath:
         assert metrics.rate_limited == 1
         assert not other_decision.allowed
         # The post-rate-limit retry matches the oracle exactly.
-        verdict = oracle._index.authorizes(ADMIN, revoke_cmd(ADMIN, U, R))
+        verdict = reads(oracle).authorizes(ADMIN, revoke_cmd(ADMIN, U, R))
         assert retried.allowed and retried.authorized_by == verdict
 
     def test_rate_limited_submit_spends_nothing(self, clock):

@@ -18,7 +18,19 @@ from repro.core.policy import Policy
 from repro.serve import PolicyDecisionPoint, WriterFailed, WriterSupervisor
 from repro.workloads.faults import FAULTS
 
-from .conftest import ADMIN, BOTH_KERNELS, OTHER, PEER, R, S, U, run, serve_policy
+from .conftest import (
+    ADMIN,
+    BOTH_VERIFIERS,
+    OTHER,
+    PEER,
+    R,
+    S,
+    U,
+    oracle_monitor,
+    reads,
+    run,
+    serve_policy,
+)
 
 
 @pytest.fixture
@@ -47,23 +59,26 @@ def _clean_faults():
     FAULTS.clear()
 
 
-def _pdp(compiled=True):
+def _pdp():
     return PolicyDecisionPoint(
-        policy=serve_policy(), compiled=compiled,
+        policy=serve_policy(),
         supervisor=WriterSupervisor(base_delay=0.0),
     )
 
 
-@BOTH_KERNELS
-def test_one_capture_per_batch_and_no_reader_builds(calls, compiled):
+@BOTH_VERIFIERS
+def test_one_capture_per_batch_and_no_reader_builds(calls, definitional):
     writes = [
         grant_cmd(ADMIN, U, R), revoke_cmd(ADMIN, U, R),
         grant_cmd(ADMIN, U, S), grant_cmd(PEER, U, R),
         revoke_cmd(PEER, U, R),
     ]
 
+    probe = grant_cmd(ADMIN, U, S)
+    decisions = []
+
     async def scenario():
-        pdp = _pdp(compiled)
+        pdp = _pdp()
         # Construction builds the live index once and forks it.
         assert calls == {"index_builds": 1, "captures": 1, "copies": 1}
         calls.clear()
@@ -77,12 +92,20 @@ def test_one_capture_per_batch_and_no_reader_builds(calls, compiled):
                 assert pdp.monitor.last_snapshot is published
                 assert pdp.last_snapshot is not published
                 assert pdp.version == pdp.monitor.policy.version
-                decision = await pdp.check(ADMIN, grant_cmd(ADMIN, U, S))
+                decision = await pdp.check(ADMIN, probe)
                 assert decision.allowed
                 assert decision.version == pdp.version
+                decisions.append(decision)
 
     run(scenario())
     assert calls == {"captures": len(writes), "copies": len(writes)}
+    # Each published version decides the probe like the verifier does
+    # after the same writes.
+    oracle = oracle_monitor(definitional)
+    for command, decision in zip(writes, decisions):
+        oracle.submit(command)
+        verdict = reads(oracle).authorizes(ADMIN, probe)
+        assert decision.authorized_by == verdict
 
 
 def test_unchanged_version_republishes_without_copying(calls):

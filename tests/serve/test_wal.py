@@ -32,7 +32,17 @@ from repro.serve import (
 )
 from repro.workloads.faults import FAULTS, CrashInjected, InjectedFailure
 
-from .conftest import ADMIN, BOTH_KERNELS, R, S, U, run, serve_policy
+from .conftest import (
+    ADMIN,
+    BOTH_VERIFIERS,
+    R,
+    S,
+    U,
+    oracle_monitor,
+    reads,
+    run,
+    serve_policy,
+)
 
 
 def _commands():
@@ -44,14 +54,13 @@ def _commands():
     ]
 
 
-def _drive(path, compiled=True, batches=2):
+def _drive(path, batches=2):
     """Run a WAL-attached PDP over a couple of micro-batches; returns
     (final policy JSON, final version, head digest)."""
 
     async def scenario():
         pdp = PolicyDecisionPoint(
-            policy=serve_policy(), compiled=compiled, wal=str(path),
-            max_batch=4,
+            policy=serve_policy(), wal=str(path), max_batch=4,
         )
         async with pdp:
             for _ in range(batches):
@@ -312,19 +321,31 @@ class TestReopen:
 
 
 class TestRecover:
-    @BOTH_KERNELS
+    @BOTH_VERIFIERS
     def test_recover_is_byte_identical_on_both_kernels(
-        self, tmp_path, compiled
+        self, tmp_path, definitional
     ):
+        """Recovery is byte-identical, and the recovered service's
+        authority is the verifier's after the same two batches."""
         path = tmp_path / "p.wal"
-        doc, version, head = _drive(path, compiled=True)
+        doc, version, head = _drive(path)
         recovered = PolicyDecisionPoint.recover(
-            str(path), compiled=compiled, expected_head=head
+            str(path), expected_head=head
         )
         assert policy_to_json(recovered.monitor.policy) == doc
         assert recovered.monitor.policy.version == version
         assert recovered.version == version
-        assert recovered.monitor.compiled is compiled
+        oracle = oracle_monitor(definitional)
+        for _ in range(2):
+            oracle.submit_queue(_commands(), batched=True)
+        users = sorted(oracle.policy.users(), key=str)
+        snapshot = recovered.last_snapshot
+        assert snapshot.held_privileges_bulk(users) == (
+            reads(oracle).held_privileges_bulk(users)
+        )
+        assert snapshot.grantable_pairs_bulk(users) == (
+            reads(oracle).grantable_pairs_bulk(users)
+        )
         # the reattached log got a rebase anchor and still verifies
         records, _ = read_wal(str(path))
         assert records[-1].kind == "rebase"

@@ -1,23 +1,26 @@
-"""Invariant 9: the bitset-compiled kernel is observationally
-identical to the frozenset oracle under churn (workloads harness)."""
+"""Invariant 9: the bitset kernel is observationally identical to the
+frozenset :class:`~repro.oracle.ReferenceIndex` under churn (workloads
+harness)."""
 
 import pytest
 
+from repro.core.commands import grant_cmd, revoke_cmd
 from repro.core.entities import User
+from repro.oracle import ReferenceIndex
 from repro.workloads.churn import (
     ChurnShape,
     churn_policy,
     differential_churn,
 )
 from repro.workloads.fuzz import fuzz_compiled_kernel, fuzz_monitor
-from repro.workloads.generators import PolicyShape
+from repro.workloads.generators import PolicyShape, random_policy
 
 SHAPE = PolicyShape(n_users=4, n_roles=5, n_admin_privileges=3, max_nesting=2)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_compiled_kernel_campaigns(seed):
-    """Compiled vs frozenset oracle under bursts of churn, with
+    """Bitset kernel vs the reference under bursts of churn, with
     remove_user + re-add ID recycling."""
     report = fuzz_compiled_kernel(seed, steps=30, shape=SHAPE)
     assert report.ok, report.violations[:5]
@@ -28,7 +31,7 @@ def test_campaigns_exercise_id_reuse():
     otherwise the ID-reuse half is vacuous."""
     mutation_log: list[str] = []
     violations = differential_churn(
-        3, steps=30, shape=SHAPE, compiled=True, remove_users=True,
+        3, steps=30, shape=SHAPE, remove_users=True,
         mutation_log=mutation_log,
     )
     assert violations == []
@@ -37,20 +40,37 @@ def test_campaigns_exercise_id_reuse():
 
 
 def test_frozenset_campaigns_still_hold():
-    """compiled=False runs the original frozenset differential — the
-    oracle itself must stay self-consistent."""
-    violations = differential_churn(7, steps=25, shape=SHAPE, compiled=False)
-    assert violations == []
-    violations = differential_churn(
-        7, steps=20, shape=SHAPE, compiled=False, remove_users=True
-    )
-    assert violations == []
+    """The frozenset reference must stay self-consistent: one kept
+    alive across churn (its memo dropped at every version move)
+    answers exactly like one built fresh at each step."""
+    policy = random_policy(7, SHAPE)
+    kept = ReferenceIndex(policy)
+    users = sorted(policy.users(), key=str)
+    roles = sorted(policy.roles(), key=str)
+    for step in range(25):
+        user, role = users[step % len(users)], roles[step % len(roles)]
+        if not policy.add_edge(user, role):
+            policy.remove_edge(user, role)
+        fresh = ReferenceIndex(policy)
+        for subject in users:
+            assert kept.held_privileges(subject) == fresh.held_privileges(
+                subject
+            )
+            assert kept.effective_authority(
+                subject
+            ) == fresh.effective_authority(subject)
+            for make in (grant_cmd, revoke_cmd):
+                command = make(subject, user, role)
+                assert kept.authorizes(subject, command) == (
+                    fresh.authorizes(subject, command)
+                )
 
 
 def test_fuzz_monitor_on_both_kernels():
-    for compiled in (True, False):
-        report = fuzz_monitor(5, steps=40, compiled=compiled)
-        assert report.ok, (compiled, report.violations[:5])
+    """Invariant 6 pins the bitset index and the reference to the
+    Lemma-1 oracle path on every decision."""
+    report = fuzz_monitor(5, steps=40)
+    assert report.ok, report.violations[:5]
 
 
 class TestEnrichedChurnShape:

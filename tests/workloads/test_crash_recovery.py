@@ -7,9 +7,14 @@ uninterrupted oracle — and reject every single-record tamper of the
 log.
 """
 
+import random
+
 import pytest
 
+from repro.core.authz_index import AuthorizationIndex
 from repro.errors import ReproError
+from repro.oracle import ReferenceIndex
+from repro.serve import PolicyDecisionPoint
 from repro.workloads.faults import (
     FAULTS,
     CrashInjected,
@@ -20,7 +25,7 @@ from repro.workloads.faults import (
     wal_tamper_campaign,
 )
 from repro.workloads.faults import _DURABLE_OFFSET, FAIL_POINTS, INJECTION_POINTS
-from repro.workloads.fuzz import fuzz_crash_recovery
+from repro.workloads.fuzz import _random_command, fuzz_crash_recovery
 from repro.workloads.generators import PolicyShape
 
 #: small enough that the full every-point campaign stays in CI-smoke
@@ -163,14 +168,39 @@ class TestCampaigns:
         assert FAULTS.armed() == []
 
     @pytest.mark.parametrize(
-        "compiled", [True, False], ids=["compiled", "frozenset"]
+        "oracle", [AuthorizationIndex, ReferenceIndex],
+        ids=["compiled", "frozenset"],
     )
-    def test_invariant_15_both_kernels(self, compiled):
+    def test_invariant_15_both_kernels(self, oracle, tmp_path):
+        """Invariant 15, then every crash-recovered service decides like
+        an oracle built over its recovered policy: a fresh bitset
+        ``AuthorizationIndex`` (``compiled``) or the frozenset-backed
+        ``ReferenceIndex`` of the definitions (``frozenset``)."""
         report = fuzz_crash_recovery(
-            7, batches=4, batch_size=5, shape=SHAPE, compiled=compiled
+            7, batches=4, batch_size=5, shape=SHAPE
         )
         assert report.ok, report.violations[:5]
         assert report.steps == 20
+        assert differential_crash_recovery(
+            seed=7, batches=4, batch_size=5, shape=SHAPE,
+            workdir=str(tmp_path),
+        ) == []
+        wals = sorted(tmp_path.glob("*.wal"))
+        assert len(wals) == len(INJECTION_POINTS)
+        rng = random.Random(7)
+        granted = 0
+        for wal in wals:
+            recovered = PolicyDecisionPoint.recover(str(wal))
+            recovered.wal.close()
+            snapshot = recovered.last_snapshot
+            reference = oracle(snapshot.policy_copy())
+            for _ in range(20):
+                command = _random_command(rng, reference.policy)
+                verdict = snapshot.authorizes(command.user, command)
+                want = reference.authorizes(command.user, command)
+                assert (verdict is None) == (want is None), (wal, command)
+                granted += verdict is not None
+        assert granted > 0
 
     def test_campaign_leaves_the_injector_clean(self):
         differential_crash_recovery(

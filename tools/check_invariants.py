@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Codebase static analysis: machine-enforced repo discipline.
 
-The dual-kernel design rests on two conventions that review alone
-cannot be trusted to hold:
+The bitset kernels rest on two conventions that review alone cannot
+be trusted to hold:
 
 1. **Graph encapsulation** — ``Digraph``'s private structures
    (``_succ``/``_pred`` adjacency and its copy-on-write ownership
@@ -13,14 +13,18 @@ cannot be trusted to hold:
    through the public API, or the journal the incremental indexes
    depend on silently goes stale.
 
-2. **Compiled-knob discipline** — every function taking a ``compiled``
-   parameter defaults it to a literal bool and actually consults it
-   (so the frozenset escape hatch is real, not decorative), and no
-   production call site hardwires ``compiled=True``/``compiled=False``
-   as a literal unless it is itself inside a function with a
-   ``compiled`` parameter (threading a kernel choice) or in one of the
-   differential-harness modules whose whole point is running both
-   kernels side by side.
+2. **Compiled-knob discipline** — the ``compiled`` knob now lives only
+   in the analysis layer (safety, reachability, HRU, administrative
+   refinement, lint and repair explorers); the serving stack has one
+   authorization kernel, pinned against
+   :class:`repro.oracle.ReferenceIndex`.  Every function taking a
+   ``compiled`` parameter defaults it to a literal bool and actually
+   consults it (so the frozenset escape hatch is real, not
+   decorative), and no production call site hardwires
+   ``compiled=True``/``compiled=False`` as a literal unless it is
+   itself inside a function with a ``compiled`` parameter (threading
+   a kernel choice) or in the differential-harness module whose whole
+   point is running both analysis kernels side by side.
 
 Run as a script (``python tools/check_invariants.py``) or through
 ``tests/integration/test_invariants.py``; exits non-zero with one line
@@ -57,8 +61,6 @@ GRAPH_MODULES = ("graph/",)
 #: bread and butter.
 DIFFERENTIAL_MODULES = frozenset({
     "workloads/fuzz.py",
-    "workloads/churn.py",
-    "workloads/faults.py",
 })
 
 
