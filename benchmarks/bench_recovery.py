@@ -18,12 +18,19 @@ deterministic write workload:
 
 2. **Recovery is fast deterministic replay.**
    :meth:`~repro.serve.PolicyDecisionPoint.recover` — chain
-   verification plus one ``submit_queue(batched=True)`` transaction
-   per logged batch — rebuilds the pre-crash policy at least as fast
-   as the live run produced it (``replay_speedup >= 1``: no event
-   loop, no fsync, no per-batch snapshot publication), and the
-   recovered policy is asserted **byte-identical** (canonical JSON)
-   to the live run's final state before any timing number is trusted.
+   verification, the genesis policy loaded with its monitor and
+   index, then one ``submit_queue(batched=True)`` transaction per
+   logged batch — rebuilds the pre-crash policy, and the recovered
+   policy is asserted **byte-identical** (canonical JSON) to the live
+   run's final state before any timing number is trusted.  The gate
+   times both sides over the same work, the batches: the replay of
+   the logged batches onto the loaded genesis must be at least as
+   fast as the live WAL-attached write path that produced them
+   (``replay_speedup >= 1``: no event loop, no fsync, no per-batch
+   snapshot publication).  Whole-recovery time is reported, not
+   gated: it also loads the genesis policy and builds its index,
+   which the live write path, timed after PDP construction, never
+   pays.
 
 Both PDPs replay value-identical command scripts and their per-batch
 executed/noop outcomes are asserted equal, so the overhead comparison
@@ -51,6 +58,7 @@ from repro.core.commands import grant_cmd, revoke_cmd
 from repro.core.entities import Role, User
 from repro.core.serialization import policy_to_json
 from repro.serve import PolicyDecisionPoint
+from repro.serve.wal import iter_wal, replay_wal
 from repro.workloads.churn import ChurnShape, churn_policy
 
 BENCH_USERS = int(os.environ.get("RECOVERY_BENCH_USERS", "1200"))
@@ -169,10 +177,28 @@ async def _drive(policy, script, wal_path, floor_path=None):
     return elapsed, outcomes, policy_to_json(pdp.monitor.policy), samples
 
 
+def _time_replay(wal_path) -> float:
+    """Seconds :func:`~repro.serve.wal.replay_wal` spends on the batch
+    records of a genesis-plus-batches log alone: from its request for
+    the first batch record (the genesis policy loaded, its monitor and
+    index built) to its return."""
+    marks = []
+
+    def records():
+        for record in iter_wal(wal_path):
+            if record.kind == "batch" and not marks:
+                marks.append(time.perf_counter())
+            yield record
+
+    replay_wal(records())
+    return time.perf_counter() - marks[0]
+
+
 def _run_servers():
     """Best-of-N write-path time with and without the WAL (outcome
     equality asserted every repetition), every per-batch WAL append
-    and fsync-floor sample, plus a timed recovery of the final WAL."""
+    and fsync-floor sample, a timed recovery of the final WAL, and
+    the best-of-N replay time of its batches."""
     script = _write_script()
     workdir = tempfile.mkdtemp(prefix="repro-bench-recovery-")
     best = {"plain": float("inf"), "wal": float("inf")}
@@ -198,13 +224,17 @@ def _run_servers():
             "WAL-attached run diverged from the no-WAL run on a "
             "value-identical script"
         )
+    # Before recovery, which appends a rebase record to the log.
+    replay_seconds = min(
+        _time_replay(wal_path) for _ in range(REPETITIONS)
+    )
     started = time.perf_counter()
     recovered = PolicyDecisionPoint.recover(wal_path)
     recovery_seconds = time.perf_counter() - started
     assert policy_to_json(recovered.monitor.policy) == final_doc, (
         "recovered policy is not byte-identical to the live run"
     )
-    return best, samples, recovery_seconds
+    return best, samples, recovery_seconds, replay_seconds
 
 
 def collect_metrics() -> dict:
@@ -212,7 +242,7 @@ def collect_metrics() -> dict:
     report tests below and by tools/bench_report.py)."""
     if _metrics_cache:
         return _metrics_cache
-    best, samples, recovery_seconds = _run_servers()
+    best, samples, recovery_seconds, replay_seconds = _run_servers()
     commands = BATCHES * BATCH_SIZE
     overhead_pct = 100.0 * (best["wal"] / best["plain"] - 1.0)
     append = statistics.median(samples["wal"])
@@ -230,8 +260,9 @@ def collect_metrics() -> dict:
         "wal_append_excess_ms": round((append - fsync) * 1e3, 3),
         "append_excess_target_ms": APPEND_EXCESS_TARGET_MS,
         "recovery_ms": round(recovery_seconds * 1e3, 2),
-        "replay_commands_per_s": round(commands / recovery_seconds, 1),
-        "replay_speedup": round(best["wal"] / recovery_seconds, 2),
+        "replay_ms": round(replay_seconds * 1e3, 2),
+        "replay_commands_per_s": round(commands / replay_seconds, 1),
+        "replay_speedup": round(best["wal"] / replay_seconds, 2),
     })
     return _metrics_cache
 
@@ -253,12 +284,13 @@ def test_report_recovery():
                 "append beyond the floor",
                 f"{metrics['wal_append_excess_ms']}ms",
             ),
-            ("recovery (verify+replay)", f"{metrics['recovery_ms']:,}ms"),
+            ("recovery (verify+load+replay)", f"{metrics['recovery_ms']:,}ms"),
+            ("replay of the batches", f"{metrics['replay_ms']:,}ms"),
             (
                 "replay throughput",
                 f"{metrics['replay_commands_per_s']:,} cmd/s",
             ),
-            ("replay vs live run", f"{metrics['replay_speedup']:.1f}x"),
+            ("replay vs live writes", f"{metrics['replay_speedup']:.1f}x"),
         ],
     )
     assert metrics["wal_append_excess_ms"] <= APPEND_EXCESS_TARGET_MS, (
@@ -267,8 +299,8 @@ def test_report_recovery():
         f"the ceiling is {APPEND_EXCESS_TARGET_MS}ms"
     )
     assert metrics["replay_speedup"] >= 1.0, (
-        f"recovery replay ({metrics['recovery_ms']}ms) slower than the "
-        f"live run it reconstructs ({metrics['wal_write_ms']}ms)"
+        f"batch replay ({metrics['replay_ms']}ms) slower than the live "
+        f"write path it reconstructs ({metrics['wal_write_ms']}ms)"
     )
 
 

@@ -3,9 +3,12 @@
 The claim under test: driving repair plans to the re-lint fixed point
 on the compiled kernel (``repair_policy(compiled=True)``) beats the
 frozenset oracle by >=2x at enterprise scale.  Repair is lint in a
-loop — every applied plan pays a full re-lint plus a refinement check
-— so the sweep speedup compounds across iterations and the gap is
-the honest cost of running ``--fix`` without the bitset kernel.
+loop — one full lint, then, per applied plan, a re-lint in the
+driver's :class:`~repro.analysis.lint.LintSession` (the two rules
+scoped to the plan's dirty region, the other six in full) plus a
+refinement check — so the sweep speedup compounds across iterations
+and the gap is the honest cost of running ``--fix`` without the
+bitset kernel.
 
 Two runs over the same seeded-defect workload (enterprise policy plus
 closure-implied shortcut edges and a cross-department SSD set, so

@@ -41,6 +41,18 @@ under churn and vertex-ID recycling.  Each finding's repair is not
 just a string: :mod:`repro.analysis.repair` registers an executable
 repair planner per rule and applies the resulting plans under a
 refinement gate with a monotone-shrink proof.
+
+Repeated lints of one policy go through a :class:`LintSession`
+(:func:`lint_policy` is a fresh session's first lint).  The session
+keeps the redundancy rule's verification index and its last findings;
+each re-lint reads the policy's change journal, computes the burst's
+dirty region once, and evaluates ``redundant-delegation`` and
+``self-escalation`` only over that region, carrying their other
+findings over, while the other six rules re-run in full.  It falls
+back to a full run when the journal has expired or the burst is
+heavier than :attr:`LintSession.DELTA_LIMIT`.  A re-lint's findings
+equal a fresh full lint's (invariant 11 pins this against the
+frozenset oracle); its ``stats`` count only the work its pass did.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from ..core.authz_index import AuthorizationIndex
+from ..core.authz_index import AuthorizationIndex, stale_grants
 from ..core.commands import Command, CommandAction, Mode
 from ..core.entities import Role, User
 from ..core.explore import ExplorationEngine
@@ -59,7 +71,13 @@ from ..core.policy import Policy
 from ..core.privileges import Grant, Revoke, is_privilege
 from ..errors import AnalysisError
 from ..graph import ancestors as graph_ancestors
-from ..graph import ancestors_bits, iter_bits
+from ..graph import (
+    DeltaSummary,
+    ancestors_bits,
+    dirty_region_bits,
+    iter_bits,
+    summarize_deltas,
+)
 from ..oracle import ReferenceIndex
 from .constraints import SsdConstraint
 
@@ -141,6 +159,12 @@ class LintRule:
     without one.  ``tools/check_invariants.py`` enforces that every
     registry entry is fully wired: the differential module must exist
     on disk and exactly one of planner / ``no_repair`` must be set.
+
+    ``carries`` marks a rule scoped to a :class:`LintSession`'s dirty
+    region: on a re-lint the check evaluates only the subjects in the
+    region, and ``carries(ctx, finding)`` says whether a previous
+    finding lies outside it and therefore still stands.  A rule
+    without one re-runs in full on every re-lint.
     """
 
     name: str
@@ -149,6 +173,7 @@ class LintRule:
     check: Callable[["LintContext"], Iterator[Finding]]
     differential: str = ""
     no_repair: str | None = None
+    carries: Callable[["LintContext", Finding], bool] | None = None
 
 
 #: registry in execution order — the mutation-probing rule runs last
@@ -162,18 +187,22 @@ def _rule(
     summary: str,
     differential: str = "tests/workloads/test_compiled_lint.py",
     no_repair: str | None = None,
+    carries: Callable[["LintContext", Finding], bool] | None = None,
 ):
     def register(check):
         RULES[name] = LintRule(
-            name, severity, summary, check, differential, no_repair
+            name, severity, summary, check, differential, no_repair,
+            carries,
         )
         return check
     return register
 
 
 class LintContext:
-    """Shared per-run state: the linted policy, the kernel choice, and
-    lazily built reachability aggregates.
+    """Shared per-run state: the linted policy, the kernel choice,
+    lazily built reachability aggregates, and — on a
+    :class:`LintSession` re-lint — the dirty region the scoped rules
+    evaluate.
 
     Lint works on the caller's policy directly, so the compiled sweeps
     run over the caller's real interner layout (holes, recycled IDs
@@ -182,6 +211,11 @@ class LintContext:
     removal would garbage-collect a vertex are never probed); the only
     observable side effect of a lint run is version advancement from
     those probes.
+
+    ``summary`` / ``region`` are the re-lint's delta summary and its
+    :func:`~repro.graph.dirty_region_bits` tuple, both None on a full
+    run; rules read their domain through :meth:`delegation_edges` and
+    :attr:`escalation_scope`, never from the region directly.
     """
 
     def __init__(
@@ -190,6 +224,10 @@ class LintContext:
         compiled: bool,
         constraints: tuple[SsdConstraint, ...],
         escalation_depth: int = 2,
+        *,
+        index: AuthorizationIndex | ReferenceIndex | None = None,
+        summary: DeltaSummary | None = None,
+        region: tuple | None = None,
     ):
         self.policy = policy
         self.compiled = compiled
@@ -198,10 +236,87 @@ class LintContext:
         self.escalation_depth = escalation_depth
         self.users = sorted(self.policy.users(), key=str)
         self.stats: dict[str, dict[str, int]] = {}
+        self.summary = summary
+        self.region = region
         self._reach_union = None
-        self._index: AuthorizationIndex | ReferenceIndex | None = None
+        self._index = index
+        self._escalation_scope: int | None = None
         self._rect_memo: dict = {}
         self._priv_reach_memo: dict = {}
+
+    # -- re-lint domains -----------------------------------------------
+    def delegation_edges(self) -> list[tuple]:
+        """The edges the ``redundant-delegation`` rule evaluates: every
+        edge on a full run; on a re-lint only the edges ``(a, b)`` with
+        ``a`` upstream and ``b`` downstream of the mutated edges.
+
+        A reroute ``a ⇝ b`` gained or lost by the burst must cross a
+        mutated edge ``(s, t)``.  Cut it at its first mutated edge: the
+        prefix ``a ⇝ s`` uses no mutated edge, so it exists in the
+        current graph too and ``a`` is upstream; cut it at its last
+        and ``b`` is downstream, by the same argument.  The
+        sole-assignment skip and the ``reroute`` witness (the least
+        successor of ``a`` reaching ``b``) change only along such
+        reroutes, or with a mutated edge at ``a`` or into ``b``.
+        """
+        graph = self.policy.graph
+        if self.region is None:
+            return list(graph.edges())
+        upstream, downstream = self.region[0], self.region[1]
+        vid, vertex_of = graph._vid, graph._vertex_of
+        edges = []
+        for index in iter_bits(upstream):
+            source = vertex_of[index]
+            for target in graph.successors(source):
+                if downstream >> vid[target] & 1:
+                    edges.append((source, target))
+        return edges
+
+    def delegation_dirty(self, source, target) -> bool:
+        """Whether the in-graph edge ``(source, target)`` lies in the
+        re-lint's redundancy domain (see :meth:`delegation_edges`)."""
+        vid = self.policy.graph._vid
+        return bool(
+            self.region[0] >> vid[source] & 1
+            and self.region[1] >> vid[target] & 1
+        )
+
+    @property
+    def escalation_scope(self) -> int | None:
+        """The users the ``self-escalation`` rule re-checks on a
+        re-lint, as a mask over user vertex IDs (None on a full run).
+
+        A user's one-step escalations are a function of its reach, the
+        rectangles of the grants it holds, and the assigners of those
+        grants (the finding's ``repair`` names the first).  So the
+        scope is the union of the users upstream of the mutated edges
+        (reach), the holders of every stale grant
+        (:func:`~repro.core.authz_index.stale_grants`: rectangle), and
+        the holders of every privilege that is a mutated edge's
+        target (assigners).  Any other user holds the same grants, with
+        the same rectangles and assigners, as at the last lint.
+        """
+        if self.region is None:
+            return None
+        if self._escalation_scope is None:
+            policy = self.policy
+            graph = policy.graph
+            bits = policy.bits
+            seeds = stale_grants(policy, self.summary, self.region)
+            vid = graph._vid
+            for vertex in self.summary.edge_targets:
+                index = vid.get(vertex)
+                if index is not None:
+                    seeds |= 1 << index & bits.privileges_mask
+            # Ancestor sets are ancestor-closed, so a seed already
+            # covered needs no sweep of its own.
+            holders = self.region[0]
+            vertex_of = graph._vertex_of
+            for index in iter_bits(seeds):
+                if not holders >> index & 1:
+                    holders |= ancestors_bits(graph, vertex_of[index])
+            self._escalation_scope = holders & bits.users_mask
+        return self._escalation_scope
 
     # -- shared aggregates ---------------------------------------------
     @property
@@ -372,7 +487,8 @@ def lint_policy(
     constraints: Iterable[SsdConstraint] = (),
     escalation_depth: int = 2,
 ) -> LintReport:
-    """Run the registered lint rules over ``policy``.
+    """Run the registered lint rules over ``policy``: a fresh
+    :class:`LintSession`'s first, full, lint.
 
     ``rules`` selects a subset by name (default: all, in registry
     order); ``compiled`` picks the bitset kernel or the frozenset
@@ -382,27 +498,126 @@ def lint_policy(
     rules check; ``escalation_depth`` bounds the
     ``depth-k-escalation`` rule's exploration.
     """
+    return LintSession(
+        policy, rules, compiled, constraints, escalation_depth
+    ).lint()
+
+
+def _select_rules(rules: Iterable[str] | None) -> list[LintRule]:
     if rules is None:
-        selected = list(RULES.values())
-    else:
-        names = list(rules)
-        unknown = [name for name in names if name not in RULES]
-        if unknown:
-            raise AnalysisError(
-                f"unknown lint rule(s): {', '.join(sorted(unknown))}; "
-                f"known rules: {', '.join(RULES)}"
-            )
-        selected = [RULES[name] for name in RULES if name in names]
-    context = LintContext(
-        policy, compiled, tuple(constraints), escalation_depth
-    )
-    findings: list[Finding] = []
-    for rule in selected:
-        findings.extend(rule.check(context))
-    findings.sort(key=lambda finding: finding.sort_key)
-    return LintReport(
-        findings=tuple(findings), stats=context.stats, compiled=compiled
-    )
+        return list(RULES.values())
+    names = list(rules)
+    unknown = [name for name in names if name not in RULES]
+    if unknown:
+        raise AnalysisError(
+            f"unknown lint rule(s): {', '.join(sorted(unknown))}; "
+            f"known rules: {', '.join(RULES)}"
+        )
+    return [RULES[name] for name in RULES if name in names]
+
+
+class LintSession:
+    """Repeated lints of one policy that pay for what changed.
+
+    The session keeps, across lints, the redundancy rule's
+    verification index (:class:`AuthorizationIndex` when compiled,
+    :class:`~repro.oracle.ReferenceIndex` otherwise — both repair
+    themselves from the policy's change journal), a journal cursor,
+    and its last findings per rule.  The first :meth:`lint` is a full
+    run.  Each later one takes the journal since the cursor, computes
+    the burst's dirty region once (:func:`~repro.graph.
+    dirty_region_bits`), and evaluates the rules with a ``carries``
+    predicate (``redundant-delegation``, ``self-escalation``) only
+    over that region — see :meth:`LintContext.delegation_edges` and
+    :attr:`LintContext.escalation_scope` — carrying their other
+    findings over; every other rule re-runs in full.  A re-lint runs
+    the same rule code as a full lint, and its findings equal a fresh
+    full lint of the same state (fuzz invariant 11 pins this against
+    the frozenset oracle).
+
+    A re-lint falls back to a full run when the journal no longer
+    reaches back to the cursor, or when the burst's weight
+    (:func:`~repro.graph.summarize_deltas`) exceeds
+    :attr:`DELTA_LIMIT`.  A report's ``stats`` count the work its own
+    pass did, so a re-lint's are smaller than a full lint's.
+
+    ``baseline`` adopts a full lint of ``policy`` at its current
+    state, made with the same rules, kernel, constraints and depth, as
+    the session's first lint: the repair driver lints through
+    :func:`lint_policy` first and then continues in a session.
+    """
+
+    #: delta bursts heavier than this re-lint in full.
+    DELTA_LIMIT = 64
+
+    def __init__(
+        self,
+        policy: Policy,
+        rules: Iterable[str] | None = None,
+        compiled: bool = True,
+        constraints: Iterable[SsdConstraint] = (),
+        escalation_depth: int = 2,
+        baseline: LintReport | None = None,
+    ):
+        self.policy = policy
+        self.rules = _select_rules(rules)
+        self.compiled = compiled
+        self.constraints = tuple(constraints)
+        self.escalation_depth = escalation_depth
+        #: the redundancy rule's verifier, built on first use.
+        self.index: AuthorizationIndex | ReferenceIndex | None = None
+        self._cursor = policy.journal_cursor()
+        self._findings: dict[str, list[Finding]] | None = None
+        if baseline is not None:
+            self._findings = {
+                name: list(found)
+                for name, found in baseline.by_rule().items()
+            }
+
+    def _dirty(self) -> tuple[DeltaSummary, tuple] | None:
+        """The burst since the last lint and its dirty region, or None
+        when this lint must be a full run."""
+        if self._findings is None:
+            return None
+        deltas = self._cursor.take()
+        if deltas is None:
+            return None
+        summary = summarize_deltas(deltas)
+        if summary.weight > self.DELTA_LIMIT:
+            return None
+        return summary, dirty_region_bits(
+            self.policy.graph, summary.edge_sources, summary.edge_targets
+        )
+
+    def lint(self) -> LintReport:
+        """Lint the policy in its current state."""
+        summary, region = self._dirty() or (None, None)
+        context = LintContext(
+            self.policy, self.compiled, self.constraints,
+            self.escalation_depth,
+            index=self.index, summary=summary, region=region,
+        )
+        previous = self._findings
+        by_rule: dict[str, list[Finding]] = {}
+        for rule in self.rules:
+            found = list(rule.check(context))
+            if region is not None and rule.carries is not None:
+                found.extend(
+                    finding for finding in previous.get(rule.name, ())
+                    if rule.carries(context, finding)
+                )
+            by_rule[rule.name] = found
+        self.index = context._index
+        self._findings = by_rule
+        # The redundancy probes restored the policy exactly, so the
+        # journal entries they left are not a change to re-lint.
+        self._cursor.version = self.policy.version
+        findings = [finding for found in by_rule.values() for finding in found]
+        findings.sort(key=lambda finding: finding.sort_key)
+        return LintReport(
+            findings=tuple(findings), stats=context.stats,
+            compiled=self.compiled,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -661,9 +876,15 @@ def _irrevocable_authority(ctx: LintContext) -> Iterator[Finding]:
         )
 
 
+def _carries_escalation(ctx: LintContext, finding: Finding) -> bool:
+    index = ctx.policy.graph._vid.get(finding.subject)
+    return index is not None and not ctx.escalation_scope >> index & 1
+
+
 @_rule(
     "self-escalation", Severity.ERROR,
     "subject can grant itself an unheld privilege in one step",
+    carries=_carries_escalation,
 )
 def _self_escalation(ctx: LintContext) -> Iterator[Finding]:
     """For each user ``u`` and each grant privilege ``u`` holds: a
@@ -671,9 +892,14 @@ def _self_escalation(ctx: LintContext) -> Iterator[Finding]:
     (the new authority flows back to ``u``) and some privilege below
     ``v'`` that ``u`` does not already reach is a one-step
     self-escalation — the depth-1 safety witness ``can_obtain`` would
-    find, read directly off the rectangle masks."""
+    find, read directly off the rectangle masks.  A re-lint checks
+    only the users of :attr:`LintContext.escalation_scope`."""
     priv_target_grants = _priv_target_grants(ctx.policy)
+    scope = ctx.escalation_scope
+    vid = ctx.policy.graph._vid
     for user in ctx.users:
+        if scope is not None and not scope >> vid[user] & 1:
+            continue
         for privilege, witness in _user_escalations(
             ctx, user, priv_target_grants
         ):
@@ -1065,9 +1291,17 @@ def _min_grant_escalation(
     return None
 
 
+def _carries_delegation(ctx: LintContext, finding: Finding) -> bool:
+    source, target, _reroute = finding.witness
+    return ctx.policy.has_edge(source, target) and not ctx.delegation_dirty(
+        source, target
+    )
+
+
 @_rule(
     "redundant-delegation", Severity.INFO,
     "edge implied by the transitive closure; removal preserves authorizes",
+    carries=_carries_delegation,
 )
 def _redundant_delegation(ctx: LintContext) -> Iterator[Finding]:
     """An edge ``(a, b)`` with ``b`` still reachable from ``a`` after
@@ -1079,14 +1313,15 @@ def _redundant_delegation(ctx: LintContext) -> Iterator[Finding]:
     the held-privilege sets of every user upstream of ``a``, and the
     effective authority of a bounded sample of them, must be
     unchanged by the removal.  Findings that fail verification are
-    dropped and counted as refuted (none should ever be)."""
+    dropped and counted as refuted (none should ever be).  A re-lint
+    probes only the edges of :meth:`LintContext.delegation_edges`."""
     policy = ctx.policy
     graph = policy.graph
     index = ctx.index
     # A snapshot: each probe below removes and re-adds its edge.  The
     # order is immaterial — every probe restores the policy exactly,
-    # and lint_policy sorts the findings.
-    for source, target in list(graph.edges()):
+    # and the session sorts the findings.
+    for source, target in ctx.delegation_edges():
         if is_privilege(target) and graph.in_degree(target) == 1:
             # Sole assignment: removal would garbage-collect the
             # privilege vertex; never redundant.
@@ -1173,6 +1408,7 @@ __all__ = [
     "Finding",
     "LintReport",
     "LintRule",
+    "LintSession",
     "RULES",
     "Severity",
     "lint_policy",

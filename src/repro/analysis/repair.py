@@ -25,12 +25,17 @@ exact apply/undo log in the style of the exploration engine:
   cannot slip through.
 * **monotone-shrink gate** — after applying a plan the policy is
   re-linted; the finding set must strictly shrink and must not
-  contain any finding absent before the plan.  A plan that resolves
-  its finding but surfaces a new one gets a bounded chance to extend
-  itself (planning the fresh findings too — e.g. deprovisioning a
-  dead role may expose a now-dormant privilege); if fresh findings
-  survive the extension budget, everything is rolled back and the
-  plan is rejected.
+  contain any finding absent before the plan.  The re-lints go
+  through one :class:`~repro.analysis.lint.LintSession` that
+  :func:`repair_policy` keeps over its work policy for the whole run
+  (the first lint is a full :func:`~repro.analysis.lint.lint_policy`),
+  so a plan pays only for re-linting the region it touched, and a
+  rolled-back plan reaches the session as more journal deltas.  A
+  plan that resolves its finding but surfaces a new one gets a
+  bounded chance to extend itself (planning the fresh findings too —
+  e.g. deprovisioning a dead role may expose a now-dormant
+  privilege); if fresh findings survive the extension budget,
+  everything is rolled back and the plan is rejected.
 
 Iterating apply-and-re-lint to a fixed point yields
 ``repro lint --fix``: on every shipped fixture the loop converges
@@ -38,7 +43,8 @@ with zero findings remaining, every applied plan refining the
 original policy.  Fuzz invariant 13 (:func:`repro.workloads.fuzz.
 fuzz_repair`) pins the compiled and frozenset repair runs — plan
 sequences, outcomes, and the final repaired policy — identical under
-churn and vertex-ID recycling.
+churn and vertex-ID recycling, and each applied plan's session
+re-lint equal to a fresh full lint of the same state.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from .lint import (
     Finding,
     LintContext,
     LintReport,
+    LintSession,
     Severity,
     _escalation_finding,
     _min_grant_escalation,
@@ -513,6 +520,10 @@ class RepairOutcome:
     counterexample: str | None = None
     new_findings: tuple[Finding, ...] = ()
     cascades: tuple[RepairPlan, ...] = ()
+    #: the post-plan re-lint's findings, which the driver continues
+    #: from (applied plans only; fuzz invariant 13 pins them to a
+    #: fresh full lint of the same state).
+    findings: tuple[Finding, ...] = ()
 
     def signature(self) -> tuple:
         return (
@@ -609,23 +620,32 @@ def apply_plan(
     constraints: Iterable[SsdConstraint] = (),
     escalation_depth: int = 2,
     max_cascade: int = 3,
+    session: LintSession | None = None,
 ) -> tuple[RepairOutcome, LintReport | None]:
     """Apply one plan to ``policy`` under both gates.
 
     Mutates ``policy`` only if the plan survives; on any rejection the
     undo log restores it to value equality.  Returns the outcome and,
     when applied, the post-plan lint report (None otherwise).
+
+    Every re-lint, cascade re-lints included, goes through ``session``
+    (a :class:`~repro.analysis.lint.LintSession` over ``policy``), so
+    it pays only for the region the plan touched; without one, a
+    session is opened that adopts ``current`` as its first lint.  A
+    rolled-back plan reaches the session as just more journal deltas.
     """
-    rules = list(rules) if rules is not None else None
+    if session is None:
+        session = LintSession(
+            policy, rules, compiled, constraints, escalation_depth,
+            baseline=current,
+        )
     reference = policy.copy()
     before = set(current.findings)
     log = _UndoLog(policy)
     for action in plan.actions:
         log.apply(action)
     cascades: list[RepairPlan] = []
-    relint = lint_policy(
-        policy, rules, compiled, constraints, escalation_depth
-    )
+    relint = session.lint()
     # Bounded self-extension: a plan whose application surfaces fresh
     # findings may plan those too (deprovisioning a dead role can
     # expose a newly dormant privilege, etc.).
@@ -653,9 +673,7 @@ def apply_plan(
             extended = True
         if not extended:
             break
-        relint = lint_policy(
-            policy, rules, compiled, constraints, escalation_depth
-        )
+        relint = session.lint()
 
     witness = refinement_counterexample(reference, policy)
     if witness is not None:
@@ -682,7 +700,10 @@ def apply_plan(
         log.rollback()
         return RepairOutcome(plan, REJECTED_NO_PROGRESS), None
     return (
-        RepairOutcome(plan, APPLIED, cascades=tuple(cascades)),
+        RepairOutcome(
+            plan, APPLIED, cascades=tuple(cascades),
+            findings=relint.findings,
+        ),
         relint,
     )
 
@@ -722,6 +743,10 @@ def repair_policy(
     current = lint_policy(
         work, rules, compiled, constraints, escalation_depth
     )
+    session = LintSession(
+        work, rules, compiled, constraints, escalation_depth,
+        baseline=current,
+    )
     initial = current
     outcomes: list[RepairOutcome] = []
     iterations = 0
@@ -757,7 +782,7 @@ def repair_policy(
                 continue  # same plan was already rejected: don't loop
             outcome, relint = apply_plan(
                 work, plan, current, rules, compiled, constraints,
-                escalation_depth, max_cascade,
+                escalation_depth, max_cascade, session,
             )
             outcomes.append(outcome)
             if outcome.status == APPLIED:

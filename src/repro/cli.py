@@ -377,6 +377,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         fuzz_batch_authz,
         fuzz_compiled_kernel,
         fuzz_crash_recovery,
+        fuzz_lint,
         fuzz_many,
         fuzz_pdp,
         fuzz_repair,
@@ -406,6 +407,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(
             f"batch-authorization agreement: {len(batch_reports)} "
             "campaigns, verdicts checked against the reference"
+        )
+    if args.lint_diff:
+        lint_reports = [fuzz_lint(seed) for seed in range(args.seeds)]
+        violations += [v for r in lint_reports for v in r.violations]
+        print(
+            f"lint agreement: {len(lint_reports)} campaigns, both "
+            "kernels, session re-lints pinned to fresh full lints"
         )
     if args.repair_diff:
         repair_reports = [
@@ -861,6 +869,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-diff", action="store_true",
         help="additionally pin batch authorization to per-pair scalar "
              "decisions and the reference index (invariant 12)",
+    )
+    fuzz.add_argument(
+        "--lint-diff", action="store_true",
+        help="additionally pin the compiled lint rules to the frozenset "
+             "oracle, and lint-session re-lints to fresh full lints, "
+             "under churn (invariant 11)",
     )
     fuzz.add_argument(
         "--repair-diff", action="store_true",

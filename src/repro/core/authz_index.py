@@ -252,6 +252,49 @@ def _endpoints_in(region: int, endpoints: dict, vertex_of) -> int:
     return stale
 
 
+def stale_grants(policy: Policy, summary, region: tuple) -> int:
+    """The rectangle-bearing grants whose rectangle a delta burst can
+    have changed, as a mask over ``policy``'s privilege vertex IDs.
+
+    ``summary`` is the burst's :func:`~repro.graph.summarize_deltas`
+    and ``region`` its :func:`~repro.graph.dirty_region_bits` tuple.
+    A grant is stale when its source lies downstream (its ancestor
+    set, the rectangle's sources, may have changed) or its target
+    upstream (its descendant set, the rectangle's targets, may have
+    changed), looked up through the policy's endpoint-inverted masks;
+    off-graph region members (seeds removed within the window) are
+    looked up from the region's absent sets.
+
+    A rectangle's *own endpoint* can also leave or rejoin the graph
+    with its region staying set-identical (``ancestors(s) ∋ s`` holds
+    off-graph too): the decoded rectangle is unchanged, but its masks
+    must migrate the endpoint between a bit (freed or assigned ID) and
+    its extras.  So every grant with a removed or added endpoint is
+    stale as well; any *other* region member's removal journals edge
+    deltas that reach it through the region.
+
+    The authorization index recompiles exactly these rectangles, and
+    the lint session re-checks the ``self-escalation`` rule for their
+    holders.
+    """
+    bits = policy.bits
+    grant_sources = bits.grant_sources
+    grant_targets = bits.grant_targets
+    stale = 0
+    for vertex in summary.removed_vertices | summary.added_vertices:
+        stale |= grant_sources.get(vertex, 0) | grant_targets.get(vertex, 0)
+    upstream, downstream, absent_sources, absent_targets = region
+    vertex_of = policy.graph._vertex_of
+    entities = bits.entities_mask
+    stale |= _endpoints_in(downstream & entities, grant_sources, vertex_of)
+    stale |= _endpoints_in(upstream & entities, grant_targets, vertex_of)
+    for vertex in absent_targets:
+        stale |= grant_sources.get(vertex, 0)
+    for vertex in absent_sources:
+        stale |= grant_targets.get(vertex, 0)
+    return stale
+
+
 class AuthorizationIndex:
     """Per-subject precomputed authorization for the refined monitor.
 
@@ -487,57 +530,26 @@ class AuthorizationIndex:
                 self._patch_user(user, stale, ancestor_memo, profiles)
 
     def _collect_dirty(self, summary, dirty: set) -> int:
-        """The dirty sweep of one repair window: adds the users whose held set can
-        change to ``dirty`` (one ``upstream & users_mask``
-        intersection) and returns the stale-privilege mask — the
-        rectangle-bearing grants whose source lies downstream or whose
-        target lies upstream, looked up through the policy's
-        endpoint-inverted masks.  Off-graph region members (seeds
-        removed within the window) are looked up from the region's
-        absent sets.
-
-        A rectangle's *own endpoint* can also leave or rejoin the
-        graph with its region staying set-identical (``ancestors(s) ∋
-        s`` holds off-graph too): the decoded rectangle is unchanged,
-        but its masks must migrate the endpoint between a bit (freed
-        or assigned ID) and its extras.  So every grant with a removed or added endpoint is
-        stale as well; any *other* region member's removal journals
-        edge deltas that reach it through the region."""
+        """The dirty sweep of one repair window: adds the users whose
+        held set can change to ``dirty`` (one ``upstream & users_mask``
+        intersection) and returns the stale-privilege mask
+        (:func:`stale_grants`)."""
         policy = self.policy
-        bits = policy.bits
-        grant_sources = bits.grant_sources
-        grant_targets = bits.grant_targets
-        stale = 0
-        for vertex in summary.removed_vertices | summary.added_vertices:
-            stale |= grant_sources.get(vertex, 0) | grant_targets.get(
-                vertex, 0
-            )
-        if not summary.edge_sources:
-            return stale
-        upstream, downstream, absent_sources, absent_targets = (
-            dirty_region_bits(
-                policy.graph, summary.edge_sources, summary.edge_targets
-            )
+        region = dirty_region_bits(
+            policy.graph, summary.edge_sources, summary.edge_targets
         )
-        held_map = self._held
-        vertex_of = policy.graph._vertex_of
+        upstream, downstream, _absent_sources, absent_targets = region
+        bits = policy.bits
         if downstream & bits.privileges_mask or any(
             is_privilege(vertex) for vertex in absent_targets
         ):
+            held_map = self._held
+            vertex_of = policy.graph._vertex_of
             for index in iter_bits(upstream & bits.users_mask):
                 user = vertex_of[index]
                 if user in held_map:
                     dirty.add(user)
-        entities = bits.entities_mask
-        stale |= _endpoints_in(
-            downstream & entities, grant_sources, vertex_of
-        )
-        stale |= _endpoints_in(upstream & entities, grant_targets, vertex_of)
-        for vertex in absent_targets:
-            stale |= grant_sources.get(vertex, 0)
-        for vertex in absent_sources:
-            stale |= grant_targets.get(vertex, 0)
-        return stale
+        return stale_grants(policy, summary, region)
 
     def refresh(self) -> None:
         """Bring the index up to date with the policy now (the same

@@ -95,6 +95,26 @@ class PolicyBits:
         self.rebuilds = 0
         self._rebuild()
 
+    def clone(self, graph: Digraph) -> "PolicyBits":
+        """These masks over ``graph``, a :meth:`Digraph.copy` of this
+        one's graph taken at the version these masks are valid at: the
+        vertex-ID layout is identical by construction, so the masks
+        carry over as they are.  The clone follows ``graph`` through
+        its own cursor."""
+        clone = PolicyBits.__new__(PolicyBits)
+        clone._graph = graph
+        clone._cursor = graph.journal_cursor()
+        clone.rebuilds = 0
+        clone.users_mask = self.users_mask
+        clone.roles_mask = self.roles_mask
+        clone.entities_mask = self.entities_mask
+        clone.privileges_mask = self.privileges_mask
+        clone.grant_entity_mask = self.grant_entity_mask
+        clone.revoke_entity_mask = self.revoke_entity_mask
+        clone.grant_sources = dict(self.grant_sources)
+        clone.grant_targets = dict(self.grant_targets)
+        return clone
+
     def _classify(self, vertex, index: int) -> None:
         bit = 1 << index
         if isinstance(vertex, User):
@@ -434,11 +454,18 @@ class Policy:
     def copy(self) -> "Policy":
         """An independent copy over a structural clone of the graph
         (:meth:`Digraph.copy`, copy-on-write adjacency): same version
-        and vertex-ID layout, a fresh journal, and cold caches."""
+        and vertex-ID layout, a fresh journal, and a cold reachability
+        cache.  Sort masks already built are brought up to date and
+        cloned (:meth:`PolicyBits.clone`) rather than rescanned."""
         clone = Policy.__new__(Policy)
         clone._graph = self._graph.copy()
         clone._cache = ReachabilityCache(clone._graph)
-        clone._bits = None
+        bits = self._bits
+        if bits is None:
+            clone._bits = None
+        else:
+            bits.validate()
+            clone._bits = bits.clone(clone._graph)
         return clone
 
     def edge_set(self) -> frozenset[PolicyEdge]:

@@ -47,8 +47,12 @@ monitor's global invariants after every step:
     statistics and severities identical to the frozenset oracle, on
     the initial policy and re-checked after every chunk of
     deprovision/re-provision churn that recycles interner vertex IDs,
-    with and without declared SSD separation sets
-    (:func:`fuzz_lint`).
+    with and without declared SSD separation sets; and a
+    :class:`~repro.analysis.lint.LintSession` per kernel, held across
+    those chunks and further bursts of role-hierarchy and assignment
+    edge additions and removals, re-lints each burst (scoped to its
+    dirty region) to exactly the findings of a fresh full frozenset
+    lint of the same state (:func:`fuzz_lint`).
 12. **Batch-authorization agreement** — ``authorizes_batch`` verdicts
     are element-for-element identical to per-pair scalar
     ``authorizes`` calls, ``held_privileges_bulk`` equals per-user
@@ -487,6 +491,36 @@ def fuzz_compiled_analysis(
     return report
 
 
+def _edge_churn(rng: random.Random, policy: Policy, steps: int) -> None:
+    """Random role-hierarchy and privilege-assignment churn: RH edges
+    added and removed, privileges of the policy's subterm closure
+    assigned, and PA edges removed — the last garbage-collects a
+    privilege vertex whose only assignment goes, so a later
+    assignment brings it back under a recycled interner ID."""
+    for _ in range(steps):
+        roles = sorted(policy.roles(), key=str)
+        if len(roles) < 2:
+            return
+        draw = rng.random()
+        if draw < 0.3:
+            senior, junior = rng.sample(roles, 2)
+            policy.add_inheritance(senior, junior)
+        elif draw < 0.5:
+            edges = sorted(policy.rh_edges(), key=str)
+            if edges:
+                policy.remove_edge(*rng.choice(edges))
+        elif draw < 0.8:
+            closure = sorted(policy.subterm_closure(), key=str)
+            if closure:
+                policy.assign_privilege(
+                    rng.choice(roles), rng.choice(closure)
+                )
+        else:
+            edges = sorted(policy.pa_edges(), key=str)
+            if edges:
+                policy.remove_edge(*rng.choice(edges))
+
+
 def fuzz_lint(
     seed: int,
     steps: int = 24,
@@ -507,13 +541,55 @@ def fuzz_lint(
     recycled vertex IDs.  Each comparison also declares an SSD
     separation set sampled from the live roles, pinning the
     ``constraint-conflict`` rule in both kernels.
+
+    Alongside, one :class:`~repro.analysis.lint.LintSession` per kernel
+    lives across the whole campaign: after each churn chunk, and after
+    each of four further bursts of :func:`_edge_churn`, both
+    sessions re-lint and must find exactly what a fresh full
+    frozenset lint of a copy finds.  Session churn draws from its own
+    seeded stream, so the kernel comparisons see the policies they
+    always did until the first burst.
     """
     from ..analysis.constraints import SsdConstraint
-    from ..analysis.lint import lint_policy
+    from ..analysis.lint import LintSession, lint_policy
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
     report = FuzzReport(seed=seed, steps=steps)
+    session_rng = random.Random(f"lint-session-{seed}")
+    roles = sorted(policy.roles(), key=str)
+    session_constraints = (
+        (
+            SsdConstraint(
+                "fuzz_session",
+                frozenset(session_rng.sample(roles, min(3, len(roles)))),
+            ),
+        )
+        if len(roles) >= 2 else ()
+    )
+    sessions = [
+        LintSession(policy, compiled=compiled,
+                    constraints=session_constraints)
+        for compiled in (True, False)
+    ]
+    for session in sessions:
+        session.lint()
+
+    def relint(label: str) -> None:
+        fresh = lint_policy(
+            policy.copy(), compiled=False, constraints=session_constraints
+        )
+        for session in sessions:
+            found = session.lint()
+            if found.findings != fresh.findings:
+                kernel = "compiled" if session.compiled else "frozenset"
+                stale = set(found.findings) - set(fresh.findings)
+                missed = set(fresh.findings) - set(found.findings)
+                report.violations.append(
+                    f"{kernel} session re-lint diverges ({label}): "
+                    f"stale={sorted(f.sort_key for f in stale)} "
+                    f"missed={sorted(f.sort_key for f in missed)}"
+                )
 
     def compare(label: str) -> None:
         roles = sorted(policy.roles(), key=str)
@@ -544,7 +620,11 @@ def fuzz_lint(
     compare("initial")
     for round_index in range(rounds):
         _recycling_churn(rng, policy, steps)
+        relint(f"round_{round_index}")
         compare(f"round_{round_index}")
+        for burst in range(4):
+            _edge_churn(session_rng, policy, 1 + burst % 3)
+            relint(f"round_{round_index}_burst_{burst}")
     return report
 
 
@@ -566,12 +646,15 @@ def fuzz_repair(
     the repaired policy must refine the pre-repair one (Definition 6),
     checked both by :func:`~repro.core.refinement.is_refinement` and as
     ``granted_pairs`` inclusion; and the result must be a fixpoint — repairing again applies no
-    plan, and a fresh lint equals the run's final report.  Churn then
+    plan, and a fresh lint equals the run's final report.  Replaying
+    the applied plans on a copy of the input, the findings each run's
+    lint session re-linted to after every applied plan must equal a
+    fresh full frozenset lint of the replayed state.  Churn then
     continues from the repaired policy into the next round.
     """
     from ..analysis.constraints import SsdConstraint
     from ..analysis.lint import lint_policy
-    from ..analysis.repair import repair_policy
+    from ..analysis.repair import APPLIED, _UndoLog, repair_policy
     from ..core.refinement import granted_pairs, is_refinement
 
     rng = random.Random(seed)
@@ -638,6 +721,25 @@ def fuzz_repair(
                 f"final report stale ({label}): fresh lint disagrees "
                 "with the run's final findings"
             )
+        replayed = baseline.copy()
+        log = _UndoLog(replayed)
+        for step, (mine, theirs) in enumerate(
+            zip(fast.outcomes, oracle.outcomes)
+        ):
+            if mine.status != APPLIED:
+                continue
+            for plan in (mine.plan, *mine.cascades):
+                for action in plan.actions:
+                    log.apply(action)
+            expected = lint_policy(
+                replayed.copy(), compiled=False, constraints=constraints
+            ).findings
+            for kernel, outcome in (("compiled", mine), ("frozenset", theirs)):
+                if outcome.findings != expected:
+                    report.violations.append(
+                        f"{kernel} post-plan re-lint diverges ({label}, "
+                        f"plan {step}): {outcome.plan.render()}"
+                    )
 
     run_round("initial")
     for round_index in range(rounds):

@@ -13,7 +13,7 @@ from repro.core.commands import Mode, grant_cmd, revoke_cmd
 from repro.core.entities import Role, User
 from repro.core.monitor import ReferenceMonitor
 from repro.core.ordering import OrderingOracle
-from repro.core.policy import Policy
+from repro.core.policy import Policy, PolicyBits
 from repro.core.privileges import Grant, Revoke
 from repro.oracle import ReferenceIndex
 
@@ -82,6 +82,41 @@ class TestPolicyBits:
         bits = policy.bits
         assert bits.roles_mask >> freed & 1
         assert not bits.users_mask >> freed & 1
+
+    def test_copy_keeps_built_masks(self, policy):
+        policy.bits
+        policy.assign_user(User("late"), LOW)  # pending on the original
+        clone = policy.copy()
+        assert clone.bits.rebuilds == 0
+        assert _masks(clone.bits) == _masks(PolicyBits(clone.graph))
+
+    def test_copied_masks_follow_independent_churn(self, policy):
+        policy.bits
+        clone = policy.copy()
+        for side, tag in ((policy, "a"), (clone, "b")):
+            # Deprovision, recycle the freed ID under another sort,
+            # re-add, and introduce a fresh grant rectangle.
+            side.remove_user(U)
+            side.add_role(Role(f"reborn_{tag}"))
+            side.assign_user(U, LOW)
+            side.assign_privilege(ADM, Grant(User(tag), MID))
+            side.remove_edge(ADM, Revoke(U, HIGH))
+        for side in (policy, clone):
+            assert _masks(side.bits) == _masks(PolicyBits(side.graph))
+        assert policy.graph.vid(Role("reborn_a")) == clone.graph.vid(
+            Role("reborn_b")
+        )
+
+    def test_copy_of_unbuilt_masks_stays_lazy(self, policy):
+        assert policy.copy()._bits is None
+
+
+def _masks(bits: PolicyBits) -> tuple:
+    return (
+        bits.users_mask, bits.roles_mask, bits.entities_mask,
+        bits.privileges_mask, bits.grant_entity_mask,
+        bits.revoke_entity_mask, bits.grant_sources, bits.grant_targets,
+    )
 
 
 class TestBitGrantRectangle:

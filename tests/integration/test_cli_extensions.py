@@ -121,6 +121,15 @@ def test_fuzz_pdp_differential(capsys):
     assert "invariants: all hold" in out
 
 
+def test_fuzz_lint_differential(capsys):
+    assert main(
+        ["fuzz", "--seeds", "2", "--steps", "12", "--lint-diff"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "lint agreement: 2 campaigns" in out
+    assert "invariants: all hold" in out
+
+
 def test_explain_access_allowed(fig2_file, capsys):
     assert main(["explain-access", fig2_file, "diana", "(read, t1)"]) == 0
     out = capsys.readouterr().out

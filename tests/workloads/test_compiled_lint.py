@@ -30,6 +30,20 @@ def test_campaign_with_nested_terms():
     assert report.ok, report.violations[:5]
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_session_campaigns_on_wider_policies(seed):
+    """Wider policies with deeper terms give the session's re-lints
+    more grants whose holders, rectangles and assigners a burst can
+    change independently of one another."""
+    report = fuzz_lint(
+        seed,
+        shape=PolicyShape(
+            n_users=6, n_roles=7, n_admin_privileges=6, max_nesting=3
+        ),
+    )
+    assert report.ok, report.violations[:5]
+
+
 def test_campaign_deterministic_in_seed():
     first = fuzz_lint(3)
     second = fuzz_lint(3)
