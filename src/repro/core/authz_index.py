@@ -36,6 +36,16 @@ held grant (``_rect_memo``) and every holder shares it.  A full
 rebuild happens only when the journal has expired or the delta burst
 exceeds :attr:`AuthorizationIndex.DELTA_LIMIT`.
 
+The memo is also kept inverted, as a *cover table*: per endpoint
+vertex ID, the mask of grant-privilege IDs whose memoized rectangle
+contains it as a source (``_source_cover``) or as a target
+(``_target_cover``).  Every memo insert sets the rectangle's bits and
+every eviction clears them — a rectangle recompiled under the same ID
+flips only the vertices that entered or left it — so the table follows
+the stale-privilege repair with no sweep of its own, and the set of
+grants covering an entity edge ``(v, v')`` is two dict lookups and one
+``&`` — the batch path's whole per-edge work.
+
 Answers are pinned against :class:`repro.oracle.ReferenceIndex`, which
 computes the same semantics straight from the definitions, by the
 test suite (`tests/core/test_authz_index.py`) and by the differential
@@ -330,7 +340,8 @@ class AuthorizationIndex:
     __slots__ = ("policy", "full_rebuilds", "partial_refreshes",
                  "users_refreshed", "rectangles_built", "_cursor", "_held",
                  "_rectangles", "_rect_rows", "_rect_users", "_rect_memo",
-                 "_oracle", "_snapshot")
+                 "_rect_pid", "_source_cover", "_target_cover",
+                 "_evicted", "_tables_shared", "_oracle", "_snapshot")
 
     def __init__(self, policy: Policy):
         self.policy = policy
@@ -347,15 +358,31 @@ class AuthorizationIndex:
         #: fast path per subject: (held_mask, union_source_bits,
         #: union_target_bits, ((source_bits, target_bits, held, pid), ...))
         #: — the union masks reject most misses with two bit-tests, and
-        #: rows carry the held privilege's vertex ID in ascending order
-        #: for the batch kernel's mask-select verdicts.
+        #: rows carry the held privilege's vertex ID in ascending order,
+        #: so the scalar scan's first match is the lowest covering ID.
         self._rect_rows: dict[User, tuple] = {}
         #: subjects holding at least one rectangle — the only ones a
         #: stale rectangle can touch.
         self._rect_users: set[User] = set()
         #: rectangles by held privilege, valid at the cursor's version
-        #: (repair evicts the stale ones).
+        #: (repair evicts the stale ones), and the privilege vertex ID
+        #: each was memoized under — eviction clears its cover bits at
+        #: that ID, which a removed privilege may already have handed
+        #: on to a new vertex.
         self._rect_memo: dict[Grant, BitGrantRectangle] = {}
+        self._rect_pid: dict[Grant, int] = {}
+        #: the cover table, exactly the inversion of the memo: endpoint
+        #: vertex ID -> mask of the memoized privileges whose rectangle
+        #: contains it as a source / as a target (no zero entries).
+        self._source_cover: dict[int, int] = {}
+        self._target_cover: dict[int, int] = {}
+        #: rectangles the repair in progress evicted, with the ID each
+        #: was memoized under; their cover bits are still set (empty
+        #: outside :meth:`_apply_deltas`).
+        self._evicted: dict[Grant, tuple[BitGrantRectangle, int]] = {}
+        #: True while a fork shares the four memo tables above; the
+        #: first mutation after the fork copies them (copy-on-write).
+        self._tables_shared = False
         self._oracle = OrderingOracle(policy)
         self._snapshot: ReviewSnapshot | None = None
         self._rebuild()
@@ -363,16 +390,77 @@ class AuthorizationIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _rectangle(self, privilege: Grant, ancestor_memo: dict):
-        """The current compiled rectangle of ``privilege``: the memoized
-        one, compiled on first demand."""
+    def _rectangle(self, privilege: Grant, pid: int, ancestor_memo: dict):
+        """The current compiled rectangle of ``privilege`` (vertex ID
+        ``pid``): the memoized one, compiled on first demand."""
         rectangle = self._rect_memo.get(privilege)
         if rectangle is None:
-            rectangle = self._rect_memo[privilege] = compile_rectangle(
+            rectangle = compile_rectangle(
                 self.policy, privilege, ancestor_memo
             )
+            if self._tables_shared:
+                self._unshare_tables()
+            self._rect_memo[privilege] = rectangle
+            self._rect_pid[privilege] = pid
+            sources, targets = rectangle.source_bits, rectangle.target_bits
+            evicted = self._evicted.get(privilege)
+            if evicted is not None and evicted[1] == pid:
+                # Recompiled under its old ID: flip only the vertices
+                # that entered or left the rectangle.
+                del self._evicted[privilege]
+                sources ^= evicted[0].source_bits
+                targets ^= evicted[0].target_bits
+            self._flip_cover(sources, targets, pid)
             self.rectangles_built += 1
         return rectangle
+
+    def _evict(self, privilege) -> None:
+        """Drop ``privilege``'s memoized rectangle, if any.  Its cover
+        bits, at the ID it was memoized under, are cleared when the
+        repair recompiles it under that ID or, failing that, when the
+        repair ends (:meth:`_clear_evicted`)."""
+        rectangle = self._rect_memo.get(privilege)
+        if rectangle is None:
+            return
+        if self._tables_shared:
+            self._unshare_tables()
+        del self._rect_memo[privilege]
+        self._evicted[privilege] = (rectangle, self._rect_pid.pop(privilege))
+
+    def _clear_evicted(self) -> None:
+        """Clear the cover bits of the evicted rectangles no repair
+        recompiled."""
+        for rectangle, pid in self._evicted.values():
+            self._flip_cover(rectangle.source_bits, rectangle.target_bits, pid)
+        self._evicted.clear()
+
+    def _flip_cover(self, sources: int, targets: int, pid: int) -> None:
+        """Flip bit ``pid`` at every vertex of the ``sources`` /
+        ``targets`` masks, deleting entries left empty.  Inserts and
+        evictions both flip, and flips commute, so the table is the
+        memo's inversion whenever no eviction is pending."""
+        bit = 1 << pid
+        for cover, mask in (
+            (self._source_cover, sources),
+            (self._target_cover, targets),
+        ):
+            get = cover.get
+            for index in iter_bits(mask):
+                left = get(index, 0) ^ bit
+                if left:
+                    cover[index] = left
+                else:
+                    del cover[index]
+
+    def _unshare_tables(self) -> None:
+        """Copy-on-write: take private copies of the memo tables a
+        fork shares, so a published snapshot never sees this index's
+        later repairs."""
+        self._rect_memo = dict(self._rect_memo)
+        self._rect_pid = dict(self._rect_pid)
+        self._source_cover = dict(self._source_cover)
+        self._target_cover = dict(self._target_cover)
+        self._tables_shared = False
 
     def _build_user(
         self, user: User, ancestor_memo: dict, profiles: dict
@@ -397,7 +485,9 @@ class AuthorizationIndex:
             # verdict selection relies on this to reproduce the scalar
             # first-match.
             for index in iter_bits(held & bits.grant_entity_mask):
-                rectangle = self._rectangle(vertex_of[index], ancestor_memo)
+                rectangle = self._rectangle(
+                    vertex_of[index], index, ancestor_memo
+                )
                 rectangles.append(rectangle)
                 union_sources |= rectangle.source_bits
                 union_targets |= rectangle.target_bits
@@ -426,7 +516,7 @@ class AuthorizationIndex:
             for pid in iter_bits(held & stale):
                 position = bisect_left(rows, pid, key=_row_pid)
                 rectangle = rectangles[position] = self._rectangle(
-                    rows[position][2], ancestor_memo
+                    rows[position][2], pid, ancestor_memo
                 )
                 rows[position] = (
                     rectangle.source_bits, rectangle.target_bits,
@@ -458,7 +548,13 @@ class AuthorizationIndex:
         self._rectangles.clear()
         self._rect_rows.clear()
         self._rect_users.clear()
-        self._rect_memo.clear()
+        # Fresh tables rather than clear(): a fork may share the old ones.
+        self._rect_memo = {}
+        self._rect_pid = {}
+        self._source_cover = {}
+        self._target_cover = {}
+        self._evicted = {}
+        self._tables_shared = False
         ancestor_memo: dict = {}
         profiles: dict = {}
         for user in self.policy.users():
@@ -511,11 +607,10 @@ class AuthorizationIndex:
         dirty: set[User] = set(fresh_users)
         stale = self._collect_dirty(summary, dirty)
         vertex_of = self.policy.graph._vertex_of
-        memo = self._rect_memo
         for index in iter_bits(stale):
-            memo.pop(vertex_of[index], None)
+            self._evict(vertex_of[index])
         for vertex in summary.removed_vertices:
-            memo.pop(vertex, None)
+            self._evict(vertex)
         ancestor_memo: dict = {}
         profiles: dict = {}
         for user in dirty:
@@ -528,6 +623,7 @@ class AuthorizationIndex:
             ]
             for user in patched:
                 self._patch_user(user, stale, ancestor_memo, profiles)
+        self._clear_evicted()
 
     def _collect_dirty(self, summary, dirty: set) -> int:
         """The dirty sweep of one repair window: adds the users whose
@@ -631,26 +727,22 @@ class AuthorizationIndex:
         whole batch; an empty batch returns ``[]`` without touching
         the index or rectangle state.
 
-        The packed-matrix kernel amortizes one rectangle sweep per
-        distinct command edge over the whole query population.
-
         Queries are routed by *object identity* (``id()`` of the
         subject and the edge endpoints), so the per-query pass never
         calls the Python-level entity ``__hash__``; equal-but-distinct
         objects just form sibling groups with identical verdicts, and
         the ``pairs`` list keeps every object alive so ids stay
-        stable.  The batch subjects' rectangle rows are packed into
-        one matrix keyed by privilege vertex ID (rectangle contents
-        are per-privilege, so rows dedup across subjects).  For each
-        distinct edge, a single pass over that matrix compiles an
-        *eligible-privileges mask* — every grant privilege whose
-        rectangle covers the edge.  A subject's verdict is then the
-        lowest set bit of ``held & eligible``: rows are built in
-        ascending privilege-ID order, so the lowest bit is exactly the
-        scalar scan's first covering rectangle.  Edges the mask
-        algebra cannot decide — nested-privilege targets, off-graph
-        endpoints living in rectangle extras — fall back to the
-        scalar path per subject.
+        stable.  Each distinct edge is decided once for all its
+        subjects: its *eligible-privileges mask* — every memoized
+        grant whose rectangle covers the edge — is one AND of the
+        cover table's source and target entries (see the module
+        docstring), so no rectangle row is visited.  A subject's
+        verdict is then the lowest set bit of ``held & eligible``:
+        rows are in ascending privilege-ID order, so the lowest bit is
+        exactly the scalar scan's first covering rectangle.  Edges the
+        mask algebra cannot decide — nested-privilege targets,
+        off-graph endpoints living in rectangle extras — fall back to
+        the scalar path per subject.
         """
         pairs = list(pairs)
         if not pairs:
@@ -660,6 +752,8 @@ class AuthorizationIndex:
         vid = graph._vid
         vertex_of = graph._vertex_of
         rect_rows = self._rect_rows
+        source_cover = self._source_cover
+        target_cover = self._target_cover
         grant = CommandAction.GRANT
         results: list[Privilege | None] = [None] * len(pairs)
 
@@ -683,41 +777,12 @@ class AuthorizationIndex:
             else:
                 positions.append(position)
 
-        # The batch's packed rectangle matrix: one row per distinct
-        # grant privilege held by any batch subject.
-        batch_rows: dict[int, tuple[int, int]] = {}
-        union_sources = union_targets = 0
-        packed_subjects: set[int] = set()
-        for user, _command, _positions in groups:
-            marker = id(user)
-            if marker in packed_subjects:
-                continue
-            packed_subjects.add(marker)
-            row = rect_rows.get(user)
-            if row is None:
-                continue
-            for source_bits, target_bits, _held_by, pid in row[3]:
-                if pid not in batch_rows:
-                    batch_rows[pid] = (source_bits, target_bits)
-                    union_sources |= source_bits
-                    union_targets |= target_bits
-        row_items = [
-            (pid, source_bits, target_bits)
-            for pid, (source_bits, target_bits) in batch_rows.items()
-        ]
-
         # Pass 2: one decision per group; per-edge work (requested-term
-        # construction, the eligible-privilege rectangle sweep) is
-        # shared across subjects through the edge memo.
+        # construction, the eligible-privileges mask) is shared across
+        # subjects through the edge memo.
         fallback = self._decide
         edges: dict = {}
         edge_get = edges.get
-        # Eligible masks factor into per-endpoint cover masks — the
-        # pids whose rectangles contain a given source (resp. target)
-        # vertex.  Each distinct endpoint is swept once and shared by
-        # every edge that names it; eligible = src_cover & tgt_cover.
-        source_cover: dict[int, int] = {}
-        target_cover: dict[int, int] = {}
         for user, command, positions in groups:
             row = rect_rows.get(user)
             if row is None:
@@ -743,25 +808,10 @@ class AuthorizationIndex:
                         target_id = vid.get(command.target)
                         if source_id is None or target_id is None:
                             eligible = None  # off-graph: extras path
-                        elif (
-                            union_sources >> source_id & 1
-                            and union_targets >> target_id & 1
-                        ):
-                            src_mask = source_cover.get(source_id)
-                            if src_mask is None:
-                                src_mask = 0
-                                for pid, source_bits, _ in row_items:
-                                    if source_bits >> source_id & 1:
-                                        src_mask |= 1 << pid
-                                source_cover[source_id] = src_mask
-                            tgt_mask = target_cover.get(target_id)
-                            if tgt_mask is None:
-                                tgt_mask = 0
-                                for pid, _, target_bits in row_items:
-                                    if target_bits >> target_id & 1:
-                                        tgt_mask |= 1 << pid
-                                target_cover[target_id] = tgt_mask
-                            eligible = src_mask & tgt_mask
+                        else:
+                            eligible = source_cover.get(
+                                source_id, 0
+                            ) & target_cover.get(target_id, 0)
                     edge = (wanted, wanted_id, eligible)
                 edges[edge_key] = edge
             wanted, wanted_id, eligible = edge
@@ -984,10 +1034,12 @@ class AuthorizationIndex:
         and shared as they are (rectangles decode through the owning
         index's graph, never their own), and only the four per-subject
         containers are copied, because live repair rebinds their
-        entries in place.  The fork indexes the same subjects, gets its
-        own journal cursor and ordering oracle on the clone, and counts
-        no rebuilds; it never repairs (nothing mutates the clone), so
-        it needs no rectangle memo."""
+        entries in place.  The memo and the cover table are shared by
+        reference, copy-on-write: whichever index mutates them first
+        copies them (:meth:`_unshare_tables`) — in practice the live
+        index at its next repair, since nothing mutates the clone.  The
+        fork indexes the same subjects, gets its own journal cursor and
+        ordering oracle on the clone, and counts no rebuilds."""
         self._validate()
         fork = AuthorizationIndex.__new__(AuthorizationIndex)
         fork.policy = policy
@@ -998,7 +1050,12 @@ class AuthorizationIndex:
         fork._rectangles = dict(self._rectangles)
         fork._rect_rows = dict(self._rect_rows)
         fork._rect_users = set(self._rect_users)
-        fork._rect_memo = {}
+        fork._rect_memo = self._rect_memo
+        fork._rect_pid = self._rect_pid
+        fork._source_cover = self._source_cover
+        fork._target_cover = self._target_cover
+        fork._evicted = {}
+        fork._tables_shared = self._tables_shared = True
         fork._oracle = OrderingOracle(policy)
         fork._snapshot = None
         return fork
@@ -1030,6 +1087,9 @@ class AuthorizationIndex:
             "partial_refreshes": self.partial_refreshes,
             "users_refreshed": self.users_refreshed,
             "rectangles_built": self.rectangles_built,
+            "cover_entries": (
+                len(self._source_cover) + len(self._target_cover)
+            ),
         }
 
 
@@ -1074,8 +1134,10 @@ class ReviewSnapshot:
         return self._index.authorizes(user, command)
 
     def authorizes_batch(self, pairs) -> list[Privilege | None]:
-        """Batch :meth:`authorizes` over ``(user, command)`` pairs via
-        the packed-matrix kernel, all at the pinned version."""
+        """Batch :meth:`authorizes` over ``(user, command)`` pairs, all
+        at the pinned version: one AND of the cover table per distinct
+        edge, over the table the fork shares with the live index as of
+        capture time."""
         return self._index.authorizes_batch(pairs)
 
     def policy_copy(self) -> Policy:

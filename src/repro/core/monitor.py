@@ -220,9 +220,9 @@ class ReferenceMonitor:
             return [self.submit(command) for command in commands]
         if snapshot:
             self.last_snapshot = self._index.snapshot()
-        # Pre-authorize the whole read set in one batch sweep: the
-        # packed-matrix kernel amortizes the rectangle scans across the
-        # queue, and its verdicts are pinned element-for-element
+        # Pre-authorize the whole read set in one batch call: each
+        # distinct edge is decided once from the index's cover table,
+        # and its verdicts are pinned element-for-element
         # identical to per-command ``authorizes`` (fuzz invariant 12),
         # so the transaction semantics are unchanged.
         verdicts = self._index.authorizes_batch(

@@ -13,8 +13,8 @@ Writer side
     empty — no timer holds a lone write back.  Batches still form
     under load, because commands queue up while the previous batch
     applies and fsyncs.  Each batch executes as one
-    ``submit_queue(batched=True, snapshot=True)`` transaction, so the
-    packed-matrix kernel authorizes the whole batch in one sweep and
+    ``submit_queue(batched=True, snapshot=True)`` transaction, so one
+    ``authorizes_batch`` call authorizes the whole batch and
     the audit contract (batch-entry snapshot retained as
     ``last_snapshot``) is exactly the monitor's.  The per-request
     futures resolve to the returned :class:`ExecutionRecord`\\ s in

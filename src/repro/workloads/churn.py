@@ -33,6 +33,7 @@ from ..core.commands import Command, CommandAction, grant_cmd, revoke_cmd
 from ..core.entities import Role, User
 from ..core.policy import Policy
 from ..core.privileges import Grant, Revoke, perm
+from ..graph import iter_bits
 from .generators import PolicyShape, random_policy
 
 
@@ -187,9 +188,11 @@ def differential_churn(
 
     * **Invariant 7** — a fresh ``AuthorizationIndex(policy)`` pins
       incremental maintenance exactly, internal structures included:
-      held masks, rectangles, the rectangle rows the batch kernel
-      reads (held mask, union masks, rows in ascending privilege ID),
-      effective authority and every probe's covering privilege.
+      held masks, rectangles, the rectangle rows the scalar path reads
+      (held mask, union masks, rows in ascending privilege ID), the
+      memo and the cover table the batch path reads
+      (:func:`cover_table_problems`), effective authority and every
+      probe's covering privilege.
     * **Invariant 9** — :class:`~repro.oracle.ReferenceIndex` pins the
       bitset kernel to the definitions: held sets, decoded rectangles
       (``thaw()``), review surfaces, and probe decisions at grant/deny
@@ -249,6 +252,10 @@ def differential_churn(
             mutation_log.extend(burst)
         index.refresh()
         fresh = AuthorizationIndex(policy)
+        violations.extend(
+            f"step {step_number} ({mutation}): {problem}"
+            for problem in cover_table_problems(index, fresh)
+        )
         for user in users:
             if index._held.get(user) != fresh._held.get(user):
                 violations.append(
@@ -329,6 +336,40 @@ def differential_churn(
                     f"privilege the reference says {issuer} does not hold"
                 )
     return violations
+
+
+def cover_table_problems(index, fresh) -> list[str]:
+    """The cover-table part of invariant 7, for a repaired ``index``
+    and a ``fresh`` one over the same policy: the cover table must
+    equal a fresh inversion of ``index``'s own rectangle memo, keyed by
+    each privilege's current vertex ID, and every memoized rectangle
+    of a held grant (one ``fresh`` memoized) must equal ``fresh``'s."""
+    vid = index.policy.graph._vid
+    sources: dict[int, int] = {}
+    targets: dict[int, int] = {}
+    problems: list[str] = []
+    for privilege, rectangle in index._rect_memo.items():
+        pid = vid.get(privilege)
+        if pid is None:
+            problems.append(f"rectangle memo keeps off-graph {privilege}")
+            continue
+        for cover, mask in (
+            (sources, rectangle.source_bits),
+            (targets, rectangle.target_bits),
+        ):
+            for vertex_id in iter_bits(mask):
+                cover[vertex_id] = cover.get(vertex_id, 0) | 1 << pid
+        current = fresh._rect_memo.get(privilege)
+        if current is not None and current != rectangle:
+            problems.append(
+                f"memoized rectangle of {privilege} diverged from full "
+                "rebuild"
+            )
+    if index._source_cover != sources or index._target_cover != targets:
+        problems.append(
+            "cover table is not the inversion of the rectangle memo"
+        )
+    return problems
 
 
 def _random_mutation(rng, policy, users, roles, privileges) -> str:

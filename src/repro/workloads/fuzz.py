@@ -763,8 +763,8 @@ def fuzz_batch_authz(
     :class:`~repro.oracle.ReferenceIndex`, and the bulk held sets with
     the reference's.
 
-    The query batches are deliberately hostile to the packed-matrix
-    kernel's shortcuts:
+    The query batches are deliberately hostile to the batch path's
+    shortcuts (the cover-table AND per distinct edge):
 
     * one subject is permanently deprovisioned up front — its held
       ``Grant``/``Revoke`` terms keep it as an *off-graph rectangle
@@ -776,7 +776,12 @@ def fuzz_batch_authz(
       batches are duplicate-heavy;
     * the comparison repeats after each of ``rounds`` chunks of
       :func:`_recycling_churn`, so batch sweeps also run right after
-      incremental repairs over recycled interner IDs.
+      incremental repairs over recycled interner IDs;
+    * before each chunk a snapshot is captured and its batch verdicts
+      recorded: once the live index has repaired the chunk, the
+      snapshot's verdicts must be unchanged and still equal its own
+      scalar ones (the fork shares the cover table copy-on-write, so a
+      live repair must never reach it).
     """
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
@@ -882,7 +887,25 @@ def fuzz_batch_authz(
 
     compare("initial")
     for round_index in range(rounds):
+        snapshot = index.snapshot()
+        pinned_pairs = build_pairs()
+        pinned = snapshot.authorizes_batch(pinned_pairs)
         _recycling_churn(rng, policy, steps)
+        index.refresh()
+        after = snapshot.authorizes_batch(pinned_pairs)
+        if after != pinned:
+            report.violations.append(
+                f"snapshot batch verdicts changed under live repair "
+                f"(round_{round_index})"
+            )
+        if after != [
+            snapshot.authorizes(user, command)
+            for user, command in pinned_pairs
+        ]:
+            report.violations.append(
+                f"snapshot batch/scalar divergence after live repair "
+                f"(round_{round_index})"
+            )
         compare(f"round_{round_index}")
     return report
 

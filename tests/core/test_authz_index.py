@@ -1,5 +1,7 @@
 """Unit and differential tests for the authorization index."""
 
+import random
+
 import pytest
 
 from repro.core.authz_index import AuthorizationIndex, BitGrantRectangle
@@ -11,6 +13,8 @@ from repro.core.privileges import Grant, Revoke
 from repro.graph import Digraph
 from repro.oracle import ReferenceIndex
 from repro.papercases import figures
+from repro.workloads.churn import cover_table_problems
+from repro.workloads.fuzz import _recycling_churn
 from repro.workloads.generators import PolicyShape, random_policy
 
 U, ADMIN = User("u"), User("admin")
@@ -263,6 +267,49 @@ class TestRectangleMemo:
         assert index._rect_memo.keys() == before.keys()
         for privilege, rectangle in before.items():
             assert index._rect_memo[privilege] is rectangle
+
+
+class TestCoverTable:
+    """The cover table (``_source_cover`` / ``_target_cover``) is the
+    inversion of the rectangle memo the batch path decides from: kept
+    exact by every memo insert and eviction, shared copy-on-write with
+    snapshot forks, and bounded by the vertex count."""
+
+    def test_fork_shares_tables_until_the_live_repair(self, policy):
+        index = AuthorizationIndex(policy)
+        snapshot = index.snapshot()
+        fork = snapshot._index
+        tables = ("_rect_memo", "_rect_pid", "_source_cover", "_target_cover")
+        for name in tables:
+            assert getattr(fork, name) is getattr(index, name)
+        captured = {name: dict(getattr(fork, name)) for name in tables}
+        probe = (ADMIN, grant_cmd(ADMIN, U, Role("deeper")))
+        assert snapshot.authorizes_batch([probe]) == [None]
+        # A new role below LOW widens Grant(U, HIGH)'s target region:
+        # the repair evicts and recompiles that rectangle.
+        policy.add_inheritance(LOW, Role("deeper"))
+        index.refresh()
+        for name in tables:
+            assert getattr(fork, name) is not getattr(index, name)
+            assert getattr(fork, name) == captured[name]
+        assert snapshot.authorizes_batch([probe]) == [None]
+        assert index.authorizes_batch([probe]) == [Grant(U, HIGH)]
+        assert cover_table_problems(index, AuthorizationIndex(policy)) == []
+
+    def test_cover_stays_bounded_under_recycling_churn(self):
+        policy = random_policy(
+            3, PolicyShape(n_users=6, n_roles=6, n_admin_privileges=5)
+        )
+        index = AuthorizationIndex(policy)
+        rng = random.Random(3)
+        for _ in range(60):
+            _recycling_churn(rng, policy, 4)
+            index.refresh()
+        assert index.partial_refreshes > 0
+        entries = index.statistics()["cover_entries"]
+        assert entries == len(index._source_cover) + len(index._target_cover)
+        assert 0 < entries <= 2 * len(policy.graph)
+        assert cover_table_problems(index, AuthorizationIndex(policy)) == []
 
 
 class TestEffectiveAuthority:

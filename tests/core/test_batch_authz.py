@@ -19,6 +19,7 @@ from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke
 from repro.oracle import ReferenceIndex
+from repro.workloads.churn import cover_table_problems
 
 ADMIN, OTHER = User("admin"), User("other")
 GHOST = User("ghost")
@@ -176,6 +177,54 @@ class TestAuthorizesBatch:
         ]
         verdicts = assert_batch_matches_scalar(index, pairs)
         assert verdicts[0] == Grant(U, R)
+
+    def test_recycled_grant_id_leaves_no_stale_cover_bit(self):
+        # Within one burst a grant is removed (privilege GC frees its
+        # vertex ID) and a new grant takes that ID.  Eviction must clear
+        # the old rectangle's cover bits at the ID it was memoized
+        # under: a stale bit at U's source entry would make the new
+        # grant, whose rectangle covers S as a target, authorize (U, S).
+        policy = build_policy()
+        index = AuthorizationIndex(policy)
+        recycled = policy.graph.vid(Grant(U, R))
+        policy.remove_edge(ADM, Grant(U, R))
+        policy.assign_privilege(ADM, Grant(ADMIN, S))
+        assert policy.graph.vid(Grant(ADMIN, S)) == recycled
+        pairs = [
+            (ADMIN, grant_cmd(ADMIN, U, S)),      # old rectangle: gone
+            (ADMIN, grant_cmd(ADMIN, ADMIN, S)),  # new rectangle
+        ]
+        assert assert_batch_matches_scalar(index, pairs) == [
+            None, Grant(ADMIN, S),
+        ]
+        assert not index._source_cover.get(policy.graph.vid(U), 0) & (
+            1 << recycled
+        )
+        assert cover_table_problems(index, AuthorizationIndex(policy)) == []
+
+    def test_grant_readded_under_a_new_id_moves_its_cover_bits(self):
+        # Within one burst a held grant is removed, its freed ID goes to
+        # a new role, and the grant comes back under another ID.  The
+        # eviction must clear the bits at the ID the rectangle was
+        # memoized under, not at the grant's current ID.
+        policy = build_policy()
+        index = AuthorizationIndex(policy)
+        old_id = policy.graph.vid(Grant(U, R))
+        policy.remove_edge(ADM, Grant(U, R))
+        policy.add_role(Role("filler"))
+        assert policy.graph.vid(Role("filler")) == old_id
+        policy.assign_privilege(ADM, Grant(U, R))
+        new_id = policy.graph.vid(Grant(U, R))
+        assert new_id != old_id
+        pairs = [
+            (ADMIN, grant_cmd(ADMIN, U, S)),
+            (ADMIN, grant_cmd(ADMIN, U, T)),
+        ]
+        assert assert_batch_matches_scalar(index, pairs) == [
+            Grant(U, R), None,
+        ]
+        assert index._rect_pid[Grant(U, R)] == new_id
+        assert cover_table_problems(index, AuthorizationIndex(policy)) == []
 
     def test_generator_input_accepted(self):
         policy = build_policy()

@@ -137,6 +137,13 @@ class TestHighlights:
         assert "baseline_p99 26407.5us" in text
         assert "principals" not in text  # unknown families are ignored
 
+    def test_per_decision_costs_surface(self):
+        text = _highlights({
+            "batch_us_per_decision": 0.412, "batch_per_s": 2427184,
+        })
+        assert "batch 0.412us/decision" in text
+        assert "batch_per_s" not in text
+
     def test_no_highlights_is_empty(self):
         assert _highlights({"users": 2000}) == ""
 

@@ -231,7 +231,8 @@ def append_record(path: Path, record: dict) -> dict:
 
 def _highlights(metrics: dict) -> str:
     """The metric keys worth a one-line summary: every ``*_speedup``
-    ratio plus any ``*_p50_us`` / ``*_p99_us`` latency a bench emits.
+    ratio plus any ``*_p50_us`` / ``*_p99_us`` latency and
+    ``*_us_per_decision`` cost a bench emits.
     Unknown keys are simply ignored, so a bench growing new metric
     families never breaks the report."""
     parts = [
@@ -243,6 +244,11 @@ def _highlights(metrics: dict) -> str:
         f"{key.removesuffix('_us')} {value}us"
         for key, value in metrics.items()
         if key.endswith("_p50_us") or key.endswith("_p99_us")
+    ]
+    parts += [
+        f"{key.removesuffix('_us_per_decision')} {value}us/decision"
+        for key, value in metrics.items()
+        if key.endswith("_us_per_decision")
     ]
     return "  " + ", ".join(parts) if parts else ""
 
