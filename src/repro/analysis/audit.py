@@ -10,16 +10,19 @@ sweep — each distinct authority profile (held-mask) is decoded once,
 so populations with heavy role sharing audit in close to ``O(U)``.
 
 ``audit_matrix`` is the library entry point (the ``repro audit-matrix``
-CLI subcommand renders it).  Any object with a ``held_privileges_bulk``
-method serves as ``index=``: the test suite pins the audit over
-:class:`repro.oracle.ReferenceIndex` identical to the default.
+CLI subcommand renders it).  It reads the policy's own index
+(:attr:`Policy.index <repro.core.policy.Policy.index>`), so repeated
+audits of one policy — or an audit after a lint, a repair or a
+monitor over it — pay for one build plus the repairs of what changed
+in between, not a build per call.  Rows are intersected once per
+distinct authority profile.  The test suite pins the audit against
+:class:`repro.oracle.ReferenceIndex`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.authz_index import AuthorizationIndex
 from ..core.entities import User
 from ..core.policy import Policy
 from ..core.privileges import Grant, Privilege, Revoke
@@ -79,18 +82,16 @@ def audit_matrix(
     policy: Policy,
     privileges=None,
     users=None,
-    index: AuthorizationIndex | None = None,
 ) -> AuditReport:
-    """Audit the whole population's held privileges in one bulk sweep.
+    """Audit the whole population's held privileges in one bulk sweep
+    of the policy's own index.
 
     ``privileges`` defaults to the policy's user privileges (the
     permission columns an access audit cares about); pass any privilege
     collection — including administrative :class:`Grant`/:class:`Revoke`
     terms — to audit those columns instead.  ``users`` defaults to
-    every user.  Pass an existing ``index`` to reuse a serving index.
+    every user.
     """
-    if index is None:
-        index = AuthorizationIndex(policy)
     audited_users = tuple(
         sorted(policy.users(), key=str) if users is None else users
     )
@@ -98,11 +99,19 @@ def audit_matrix(
         sorted(policy.user_privileges(), key=str)
         if privileges is None else privileges
     )
-    held = index.held_privileges_bulk(audited_users)
+    held = policy.index.held_privileges_bulk(audited_users)
     columns = frozenset(audited_privileges)
-    rows = {
-        user: held[user] & columns for user in audited_users
-    }
+    # The bulk sweep hands every user of one authority profile the same
+    # frozenset, so each distinct profile is intersected once (``held``
+    # keeps the profiles alive, so their ids stay unique).
+    by_profile: dict[int, frozenset[Privilege]] = {}
+    rows = {}
+    for user in audited_users:
+        profile = held[user]
+        row = by_profile.get(id(profile))
+        if row is None:
+            row = by_profile[id(profile)] = profile & columns
+        rows[user] = row
     return AuditReport(
         version=policy.version,
         users=audited_users,

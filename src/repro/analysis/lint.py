@@ -44,8 +44,11 @@ refinement gate with a monotone-shrink proof.
 
 Repeated lints of one policy go through a :class:`LintSession`
 (:func:`lint_policy` is a fresh session's first lint).  The session
-keeps the redundancy rule's verification index and its last findings;
-each re-lint reads the policy's change journal, computes the burst's
+keeps a journal cursor and its last findings; the compiled redundancy
+rule verifies against the policy's own index (:attr:`Policy.index
+<repro.core.policy.Policy.index>`), which outlives the session, so a
+one-shot lint and a later session — or an audit — share one build.
+Each re-lint reads the policy's change journal, computes the burst's
 dirty region once, and evaluates ``redundant-delegation`` and
 ``self-escalation`` only over that region, carrying their other
 findings over, while the other six rules re-run in full.  It falls
@@ -208,9 +211,11 @@ class LintContext:
     run over the caller's real interner layout (holes, recycled IDs
     and all — the layouts fuzz invariant 11 must exercise).  The
     redundancy rule's probes restore the policy exactly (edges whose
-    removal would garbage-collect a vertex are never probed); the only
-    observable side effect of a lint run is version advancement from
-    those probes.
+    removal would garbage-collect a vertex are never probed); the
+    observable side effects of a lint run are version advancement from
+    those probes and, when compiled, a built :attr:`Policy.index
+    <repro.core.policy.Policy.index>`, which the probes' journal
+    entries repair on its next read.
 
     ``summary`` / ``region`` are the re-lint's delta summary and its
     :func:`~repro.graph.dirty_region_bits` tuple, both None on a full
@@ -225,7 +230,6 @@ class LintContext:
         constraints: tuple[SsdConstraint, ...],
         escalation_depth: int = 2,
         *,
-        index: AuthorizationIndex | ReferenceIndex | None = None,
         summary: DeltaSummary | None = None,
         region: tuple | None = None,
     ):
@@ -239,7 +243,7 @@ class LintContext:
         self.summary = summary
         self.region = region
         self._reach_union = None
-        self._index = index
+        self._index: AuthorizationIndex | ReferenceIndex | None = None
         self._escalation_scope: int | None = None
         self._rect_memo: dict = {}
         self._priv_reach_memo: dict = {}
@@ -339,12 +343,13 @@ class LintContext:
     @property
     def index(self) -> AuthorizationIndex | ReferenceIndex:
         """The redundancy rule's verification oracle over the work
-        policy: the authorization index when compiled, else
+        policy: the policy's own authorization index (:attr:`Policy.index
+        <repro.core.policy.Policy.index>`) when compiled, else a private
         :class:`~repro.oracle.ReferenceIndex`, so the frozenset run
         keeps a verifier independent of the index."""
         if self._index is None:
             if self.compiled:
-                self._index = AuthorizationIndex(self.policy)
+                self._index = self.policy.index
             else:
                 self._index = ReferenceIndex(self.policy)
         return self._index
@@ -519,16 +524,20 @@ def _select_rules(rules: Iterable[str] | None) -> list[LintRule]:
 class LintSession:
     """Repeated lints of one policy that pay for what changed.
 
-    The session keeps, across lints, the redundancy rule's
-    verification index (:class:`AuthorizationIndex` when compiled,
-    :class:`~repro.oracle.ReferenceIndex` otherwise — both repair
-    themselves from the policy's change journal), a journal cursor,
-    and its last findings per rule.  The first :meth:`lint` is a full
-    run.  Each later one takes the journal since the cursor, computes
-    the burst's dirty region once (:func:`~repro.graph.
-    dirty_region_bits`), and evaluates the rules with a ``carries``
-    predicate (``redundant-delegation``, ``self-escalation``) only
-    over that region — see :meth:`LintContext.delegation_edges` and
+    The session keeps, across lints, a journal cursor and its last
+    findings per rule — nothing else.  The compiled redundancy rule
+    verifies against the policy's own index (:attr:`Policy.index
+    <repro.core.policy.Policy.index>`), which lives as long as the
+    policy and repairs itself from its own cursor, so every session
+    and one-shot lint of a policy shares one build; the frozenset
+    rule builds a private :class:`~repro.oracle.ReferenceIndex` per
+    lint (it computes on demand, so that costs nothing up front).
+
+    The first :meth:`lint` is a full run.  Each later one takes the
+    journal since the cursor, computes the burst's dirty region once
+    (:func:`~repro.graph.dirty_region_bits`), and evaluates the rules
+    with a ``carries`` predicate (``redundant-delegation``,
+    ``self-escalation``) only over that region — see :meth:`LintContext.delegation_edges` and
     :attr:`LintContext.escalation_scope` — carrying their other
     findings over; every other rule re-runs in full.  A re-lint runs
     the same rule code as a full lint, and its findings equal a fresh
@@ -544,7 +553,8 @@ class LintSession:
     ``baseline`` adopts a full lint of ``policy`` at its current
     state, made with the same rules, kernel, constraints and depth, as
     the session's first lint: the repair driver lints through
-    :func:`lint_policy` first and then continues in a session.
+    :func:`lint_policy` first and then continues in a session, both
+    over one build of its work policy's index.
     """
 
     #: delta bursts heavier than this re-lint in full.
@@ -564,8 +574,6 @@ class LintSession:
         self.compiled = compiled
         self.constraints = tuple(constraints)
         self.escalation_depth = escalation_depth
-        #: the redundancy rule's verifier, built on first use.
-        self.index: AuthorizationIndex | ReferenceIndex | None = None
         self._cursor = policy.journal_cursor()
         self._findings: dict[str, list[Finding]] | None = None
         if baseline is not None:
@@ -594,8 +602,7 @@ class LintSession:
         summary, region = self._dirty() or (None, None)
         context = LintContext(
             self.policy, self.compiled, self.constraints,
-            self.escalation_depth,
-            index=self.index, summary=summary, region=region,
+            self.escalation_depth, summary=summary, region=region,
         )
         previous = self._findings
         by_rule: dict[str, list[Finding]] = {}
@@ -607,7 +614,6 @@ class LintSession:
                     if rule.carries(context, finding)
                 )
             by_rule[rule.name] = found
-        self.index = context._index
         self._findings = by_rule
         # The redundancy probes restored the policy exactly, so the
         # journal entries they left are not a change to re-lint.

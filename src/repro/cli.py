@@ -413,7 +413,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         violations += [v for r in lint_reports for v in r.violations]
         print(
             f"lint agreement: {len(lint_reports)} campaigns, both "
-            "kernels, session re-lints pinned to fresh full lints"
+            "kernels, session re-lints pinned to fresh full lints, "
+            "policy index to a fresh build"
         )
     if args.repair_diff:
         repair_reports = [
@@ -422,7 +423,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         violations += [v for r in repair_reports for v in r.violations]
         print(
             f"repair agreement: {len(repair_reports)} campaigns, "
-            "both kernels, refinement + fixpoint checked"
+            "both kernels, refinement + fixpoint + policy index checked"
         )
     if args.pdp_diff:
         pdp_reports = [fuzz_pdp(seed) for seed in range(args.seeds)]

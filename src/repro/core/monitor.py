@@ -65,10 +65,12 @@ class ReferenceMonitor:
     """A reference monitor over a live (mutable) policy.
 
     ``use_index=True`` switches administrative authorization to the
-    precomputed :class:`~repro.core.authz_index.AuthorizationIndex`
-    (faster under query bursts; differentially tested against the
-    oracle path — see ``tests/core/test_authz_index.py`` and the
-    monitor fuzzer).
+    policy's precomputed
+    :class:`~repro.core.authz_index.AuthorizationIndex`
+    (:attr:`Policy.index <repro.core.policy.Policy.index>`, shared with
+    every other reader of the policy; faster under query bursts;
+    differentially tested against the oracle path — see
+    ``tests/core/test_authz_index.py`` and the monitor fuzzer).
     """
 
     policy: Policy
@@ -87,7 +89,9 @@ class ReferenceMonitor:
     def __post_init__(self):
         self._oracle = OrderingOracle(self.policy)
         if self.use_index:
-            self._index = AuthorizationIndex(self.policy)
+            # The policy's own index, read now so its build (if it is
+            # not built yet) is part of the monitor's set-up.
+            self._index = self.policy.index
 
     # ------------------------------------------------------------------
     # Session functions

@@ -20,7 +20,7 @@ policies whose ``PA`` assigns only user privileges;
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import PolicyError
 from ..graph import Digraph, ReachabilityCache, longest_chain_length
@@ -33,6 +33,9 @@ from .privileges import (
     UserPrivilege,
     is_privilege,
 )
+
+if TYPE_CHECKING:
+    from .authz_index import AuthorizationIndex
 
 PolicyEdge = tuple[object, object]
 
@@ -176,9 +179,15 @@ class Policy:
     take a :meth:`copy` first.  Reachability queries are served by a
     version-checked cache, so bursts of queries between mutations cost
     one BFS per distinct source.
+
+    The policy owns three derived structures, each filled or built
+    lazily and repaired from the change journal through its own
+    cursor: the reachability cache, the sort masks (:attr:`bits`) and
+    the authorization index (:attr:`index`).  :meth:`copy` never
+    copies the index; the clone builds its own on first read.
     """
 
-    __slots__ = ("_graph", "_cache", "_bits")
+    __slots__ = ("_graph", "_cache", "_bits", "_index")
 
     def __init__(
         self,
@@ -189,6 +198,7 @@ class Policy:
         self._graph = Digraph()
         self._cache = ReachabilityCache(self._graph)
         self._bits: PolicyBits | None = None
+        self._index: AuthorizationIndex | None = None
         for source, target in ua:
             self.assign_user(source, target)
         for source, target in rh:
@@ -392,6 +402,25 @@ class Policy:
             bits.validate()
         return bits
 
+    @property
+    def index(self) -> "AuthorizationIndex":
+        """The policy's authorization index
+        (:class:`~repro.core.authz_index.AuthorizationIndex`): built on
+        first read, repaired from its own journal cursor on each later
+        read.  Every production reader — the index-backed monitor, the
+        compiled lint's verifier, the repair driver and
+        :func:`~repro.analysis.audit.audit_matrix` — shares this one
+        index, so repeated readers of one policy pay for one build plus
+        the repairs of what changed in between."""
+        index = self._index
+        if index is None:
+            from .authz_index import AuthorizationIndex
+
+            index = self._index = AuthorizationIndex(self)
+        else:
+            index.refresh()
+        return index
+
     def authorized_roles(self, user: User) -> frozenset[Role]:
         """Roles the user may activate: ``{r : u ->φ r}`` (§2)."""
         return frozenset(
@@ -456,10 +485,13 @@ class Policy:
         (:meth:`Digraph.copy`, copy-on-write adjacency): same version
         and vertex-ID layout, a fresh journal, and a cold reachability
         cache.  Sort masks already built are brought up to date and
-        cloned (:meth:`PolicyBits.clone`) rather than rescanned."""
+        cloned (:meth:`PolicyBits.clone`) rather than rescanned; the
+        authorization index is not copied, so the clone's stays unbuilt
+        until its first read."""
         clone = Policy.__new__(Policy)
         clone._graph = self._graph.copy()
         clone._cache = ReachabilityCache(clone._graph)
+        clone._index = None
         bits = self._bits
         if bits is None:
             clone._bits = None

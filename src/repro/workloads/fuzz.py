@@ -52,7 +52,8 @@ monitor's global invariants after every step:
     those chunks and further bursts of role-hierarchy and assignment
     edge additions and removals, re-lints each burst (scoped to its
     dirty region) to exactly the findings of a fresh full frozenset
-    lint of the same state (:func:`fuzz_lint`).
+    lint of the same state, after which the policy's own index equals
+    a fresh build (:func:`fuzz_lint`).
 12. **Batch-authorization agreement** — ``authorizes_batch`` verdicts
     are element-for-element identical to per-pair scalar
     ``authorizes`` calls, ``held_privileges_bulk`` equals per-user
@@ -72,7 +73,8 @@ monitor's global invariants after every step:
     (Definition 6 — no subject gains authority, checked by the
     refinement checker and by ``granted_pairs`` inclusion); and the
     run is a re-lint fixpoint (repairing again applies nothing, and a
-    fresh lint of the repaired policy equals the run's final report) — on
+    fresh lint of the repaired policy equals the run's final report), and
+    the repaired policy's own index equals a fresh build — on
     the initial policy and re-checked after every chunk of
     ID-recycling churn, with sampled SSD separation sets
     (:func:`fuzz_repair`).
@@ -491,6 +493,24 @@ def fuzz_compiled_analysis(
     return report
 
 
+def _policy_index_problems(policy: Policy) -> list[str]:
+    """The policy's own index (:attr:`Policy.index`) against a fresh
+    build: equal held sets for every user, and a cover table that is
+    the inversion of its memo with every memoized rectangle current
+    (:func:`~repro.workloads.churn.cover_table_problems`).  Lint probes
+    and repair's undo log mutate the policy and restore it; the shared
+    index must follow both."""
+    from .churn import cover_table_problems
+
+    index = policy.index
+    fresh = AuthorizationIndex(policy)
+    problems = cover_table_problems(index, fresh)
+    users = list(policy.users())
+    if index.held_privileges_bulk(users) != fresh.held_privileges_bulk(users):
+        problems.append("held privileges diverge from a fresh build")
+    return problems
+
+
 def _edge_churn(rng: random.Random, policy: Policy, steps: int) -> None:
     """Random role-hierarchy and privilege-assignment churn: RH edges
     added and removed, privileges of the policy's subterm closure
@@ -548,7 +568,10 @@ def fuzz_lint(
     sessions re-lint and must find exactly what a fresh full
     frozenset lint of a copy finds.  Session churn draws from its own
     seeded stream, so the kernel comparisons see the policies they
-    always did until the first burst.
+    always did until the first burst.  After every re-lint the
+    policy's own index, which the compiled lints verify against and
+    whose probes mutate and restore the policy, must equal a fresh
+    build (:func:`_policy_index_problems`).
     """
     from ..analysis.constraints import SsdConstraint
     from ..analysis.lint import LintSession, lint_policy
@@ -590,6 +613,10 @@ def fuzz_lint(
                     f"stale={sorted(f.sort_key for f in stale)} "
                     f"missed={sorted(f.sort_key for f in missed)}"
                 )
+        report.violations.extend(
+            f"policy index after re-lint ({label}): {problem}"
+            for problem in _policy_index_problems(policy)
+        )
 
     def compare(label: str) -> None:
         roles = sorted(policy.roles(), key=str)
@@ -649,7 +676,11 @@ def fuzz_repair(
     plan, and a fresh lint equals the run's final report.  Replaying
     the applied plans on a copy of the input, the findings each run's
     lint session re-linted to after every applied plan must equal a
-    fresh full frozenset lint of the replayed state.  Churn then
+    fresh full frozenset lint of the replayed state.  The repaired
+    policies' own indexes (the in-place run's and the re-repair's work
+    copy's), which every compiled re-lint verified against while the
+    undo log applied and rolled back plans, must equal fresh builds
+    (:func:`_policy_index_problems`).  Churn then
     continues from the repaired policy into the next round.
     """
     from ..analysis.constraints import SsdConstraint
@@ -714,6 +745,11 @@ def fuzz_repair(
             report.violations.append(
                 f"not a fixpoint ({label}): re-repair applied "
                 f"{len(recheck.applied)} plan(s)"
+            )
+        for run, repaired in (("repair", policy), ("re-repair", recheck.policy)):
+            report.violations.extend(
+                f"policy index after {run} ({label}): {problem}"
+                for problem in _policy_index_problems(repaired)
             )
         fresh = lint_policy(policy, compiled=True, constraints=constraints)
         if fresh.findings != fast.final.findings:

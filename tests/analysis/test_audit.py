@@ -6,23 +6,48 @@ import json
 import pytest
 
 from repro.analysis.audit import AuditReport, audit_matrix
+from repro.analysis.repair import repair_policy
 from repro.core.authz_index import AuthorizationIndex
+from repro.core.commands import Mode
 from repro.core.entities import Role, User
+from repro.core.monitor import ReferenceMonitor
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke, perm
 from repro.oracle import ReferenceIndex
+from repro.papercases import figures
 from repro.workloads.churn import ChurnShape, churn_policy
 
 READ, WRITE = perm("read", "doc"), perm("write", "doc")
 ALICE, BOB, EVE = User("alice"), User("bob"), User("eve")
 STAFF, LEAD, ADM = Role("staff"), Role("lead"), Role("adm")
 
-#: The audit runs over the bitset index ("compiled", the default) and
-#: over the frozenset ReferenceIndex passed as ``index=``.
+#: The audit reads the policy's own bitset index; it is checked against
+#: a fresh bitset index ("compiled") and the frozenset ReferenceIndex
+#: oracle ("frozenset").
 BOTH_INDEXES = pytest.mark.parametrize(
     "make_index", [AuthorizationIndex, ReferenceIndex],
     ids=["compiled", "frozenset"],
 )
+
+
+def expected_audit(index, policy: Policy, columns) -> tuple[dict, dict]:
+    """(held, rows) of an audit over ``index``, computed per user."""
+    users = sorted(policy.users(), key=str)
+    held = index.held_privileges_bulk(users)
+    return held, {user: held[user] & columns for user in users}
+
+
+def count_index_builds(monkeypatch) -> list:
+    """Record the policy of every AuthorizationIndex built from now on."""
+    built = []
+    original = AuthorizationIndex.__init__
+
+    def recording(index, policy):
+        built.append(policy)
+        original(index, policy)
+
+    monkeypatch.setattr(AuthorizationIndex, "__init__", recording)
+    return built
 
 
 def build_policy() -> Policy:
@@ -44,7 +69,11 @@ class TestAuditMatrix:
     @BOTH_INDEXES
     def test_rows_reflect_reachable_privileges(self, make_index):
         policy = build_policy()
-        report = audit_matrix(policy, index=make_index(policy))
+        report = audit_matrix(policy)
+        held, rows = expected_audit(
+            make_index(policy), policy, frozenset(report.privileges)
+        )
+        assert report.held == held and report.rows == rows
         assert report.rows[ALICE] == frozenset({READ})
         assert report.rows[BOB] == frozenset({READ, WRITE})
         assert report.rows[EVE] == frozenset()
@@ -57,18 +86,46 @@ class TestAuditMatrix:
     @BOTH_INDEXES
     def test_matches_index_held_privileges(self, make_index):
         policy = build_policy()
-        report = audit_matrix(policy, index=make_index(policy))
-        index = AuthorizationIndex(policy)
+        report = audit_matrix(policy, privileges=[Grant(ALICE, STAFF)])
+        index = make_index(policy)
         for user in report.users:
             assert report.held[user] == index.held_privileges(user)
+            assert report.rows[user] == (
+                index.held_privileges(user) & {Grant(ALICE, STAFF)}
+            )
 
     def test_serving_index_equals_fresh_sweep(self):
+        """An audit over the policy's index after churn (so the index
+        answers from incremental repairs) equals fresh sweeps."""
         policy = churn_policy(11, ChurnShape(n_users=50, n_roles=10))
-        plain = audit_matrix(policy)
-        served = audit_matrix(policy, index=AuthorizationIndex(policy))
-        oracle = audit_matrix(policy, index=ReferenceIndex(policy))
-        assert plain.held == served.held == oracle.held
-        assert plain.rows == served.rows == oracle.rows
+        audit_matrix(policy)
+        users = sorted(policy.users(), key=str)
+        roles = sorted(policy.roles(), key=str)
+        for user, role in zip(users[::7], roles):
+            policy.assign_user(user, role)
+        policy.remove_user(users[-1])
+        report = audit_matrix(policy)
+        assert policy.index.full_rebuilds == 1
+        assert policy.index.partial_refreshes > 0
+        columns = frozenset(report.privileges)
+        fresh = expected_audit(AuthorizationIndex(policy), policy, columns)
+        oracle = expected_audit(ReferenceIndex(policy), policy, columns)
+        assert (report.held, report.rows) == fresh == oracle
+
+    def test_rows_shared_per_profile(self):
+        """Users of one authority profile share one row object, and the
+        rendering is the per-user intersection's."""
+        policy = churn_policy(3, ChurnShape(n_users=60, n_roles=6))
+        report = audit_matrix(policy)
+        profiles = {id(report.held[user]) for user in report.users}
+        assert len({id(row) for row in report.rows.values()}) <= len(
+            profiles
+        )
+        columns = frozenset(report.privileges)
+        assert report.as_dict()["matrix"] == {
+            user.name: sorted(str(p) for p in report.held[user] & columns)
+            for user in report.users
+        }
 
     def test_admin_counts_and_holders(self):
         report = audit_matrix(build_policy())
@@ -87,13 +144,41 @@ class TestAuditMatrix:
         assert report.rows[BOB] == frozenset({Grant(ALICE, STAFF)})
         assert report.rows[EVE] == frozenset()
 
-    def test_reuses_serving_index(self):
+    def test_reuses_serving_index(self, monkeypatch):
+        """Two audits and an index-backed monitor over one policy share
+        the policy's single index."""
+        built = count_index_builds(monkeypatch)
         policy = build_policy()
-        index = AuthorizationIndex(policy)
-        rebuilds = index.full_rebuilds
-        report = audit_matrix(policy, index=index)
-        assert index.full_rebuilds == rebuilds  # no second index built
-        assert isinstance(report, AuditReport)
+        first = audit_matrix(policy)
+        monitor = ReferenceMonitor(policy, mode=Mode.REFINED, use_index=True)
+        second = audit_matrix(policy)
+        assert isinstance(first, AuditReport)
+        assert first.as_dict() == second.as_dict()
+        assert monitor._index is policy.index
+        assert policy.index.full_rebuilds == 1
+        assert built == [policy]
+
+    def test_copy_leaves_the_index_unbuilt(self, monkeypatch):
+        policy = build_policy()
+        audit_matrix(policy)
+        built = count_index_builds(monkeypatch)
+        clone = policy.copy()
+        assert clone._index is None
+        assert built == []
+        assert audit_matrix(clone).as_dict() == audit_matrix(policy).as_dict()
+        assert clone.index is not policy.index
+        assert built == [clone]
+
+    def test_repair_builds_one_index_on_its_work_copy(self, monkeypatch):
+        built = count_index_builds(monkeypatch)
+        policy = figures.figure2()
+        report = repair_policy(policy)
+        assert report.applied
+        assert built == [report.policy]
+        assert built[0] is not policy
+        assert report.policy.index.full_rebuilds == 1
+        audit_matrix(report.policy)
+        assert built == [report.policy]
 
     def test_as_dict_is_json_ready(self):
         document = json.loads(

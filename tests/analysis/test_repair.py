@@ -23,11 +23,13 @@ from repro.analysis.repair import (
     plan_repair,
     repair_policy,
 )
+from repro.core.authz_index import AuthorizationIndex
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, perm
 from repro.core.refinement import is_refinement
 from repro.papercases import figures
+from repro.workloads.churn import cover_table_problems
 from repro.workloads.enterprise import enterprise_policy
 from repro.workloads.hospital import hospital_policy
 
@@ -136,6 +138,30 @@ class TestGates:
         assert relint is None
         # Rollback restored the policy to value equality.
         assert policy == reference
+
+    def test_rollback_leaves_the_policy_index_current(self):
+        """The session re-lint repairs the policy's own index to the
+        post-plan state; after the rollback it must answer for the
+        restored policy, as a fresh build does."""
+        policy = figures.figure2()
+        report = lint_policy(policy)
+        adversarial = RepairPlan(
+            rule="redundant-delegation",
+            finding=report.findings[0],
+            actions=(
+                RepairAction("add-edge", User("alice"), Role("staff")),
+            ),
+        )
+        before = policy.index.partial_refreshes
+        outcome, _ = apply_plan(policy, adversarial, report, max_cascade=0)
+        assert outcome.status == REJECTED_NOT_REFINEMENT
+        assert policy.index.partial_refreshes > before
+        fresh = AuthorizationIndex(policy)
+        users = list(policy.users())
+        assert policy.index.held_privileges_bulk(users) == (
+            fresh.held_privileges_bulk(users)
+        )
+        assert cover_table_problems(policy.index, fresh) == []
 
     @BOTH_KERNELS
     def test_applied_plan_refines(self, compiled):

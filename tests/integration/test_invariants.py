@@ -1,9 +1,11 @@
 """Tier-1 wiring for the codebase invariant checker.
 
-``tools/check_invariants.py`` machine-enforces the repo's two standing
+``tools/check_invariants.py`` machine-enforces the repo's standing
 disciplines: Digraph internals are mutated only inside ``repro.graph``,
-and the ``compiled`` dual-kernel knob — which now lives only in the
-analysis layer — is always a real, greppable escape hatch.  The first test keeps the live tree clean; the rest pin
+the ``compiled`` dual-kernel knob — which now lives only in the
+analysis layer — is always a real, greppable escape hatch, and
+production code reads the policy's own authorization index instead of
+building its own.  The first test keeps the live tree clean; the rest pin
 the checker itself against synthetic violations so a silent regression
 of the checker cannot hide a regression of the tree.
 """
@@ -233,3 +235,37 @@ class TestCompiledKnob:
             def report(policy, frozenset_flag):
                 return build_index(policy, compiled=not frozenset_flag)
         """) == []
+
+
+class TestOneIndexPerPolicy:
+    def test_private_index_flagged(self):
+        found = violations_of("""
+            from repro.core.authz_index import AuthorizationIndex
+
+            def audit(policy):
+                return AuthorizationIndex(policy).held_privileges_bulk([])
+        """)
+        assert len(found) == 1
+        assert "AuthorizationIndex" in found[0] and "example.py:5" in found[0]
+
+    def test_qualified_construction_flagged(self):
+        found = violations_of("""
+            def monitor(policy):
+                return authz_index.AuthorizationIndex(policy)
+        """, relpath="core/monitor.py")
+        assert found and "policy.index" in found[0]
+
+    def test_reading_the_policy_index_allowed(self):
+        assert violations_of("""
+            def audit(policy):
+                return policy.index.held_privileges_bulk([])
+        """) == []
+
+    @pytest.mark.parametrize(
+        "relpath", ["core/policy.py", "workloads/fuzz.py", "workloads/churn.py"]
+    )
+    def test_owner_and_differential_modules_may_build(self, relpath):
+        assert violations_of("""
+            def fresh(policy):
+                return AuthorizationIndex(policy)
+        """, relpath=relpath) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase static analysis: machine-enforced repo discipline.
 
-The bitset kernels rest on two conventions that review alone cannot
+The bitset kernels rest on three conventions that review alone cannot
 be trusted to hold:
 
 1. **Graph encapsulation** — ``Digraph``'s private structures
@@ -25,6 +25,13 @@ be trusted to hold:
    itself inside a function with a ``compiled`` parameter (threading
    a kernel choice) or in the differential-harness module whose whole
    point is running both analysis kernels side by side.
+
+3. **One authorization index per policy** — production code reads the
+   policy's own index (``Policy.index``), built once and repaired from
+   the journal.  ``AuthorizationIndex(...)`` is constructed only by
+   ``Policy.index`` itself and by the differential modules that build
+   fresh indexes as oracles against it; any other construction is a
+   private rebuild of state the policy already maintains.
 
 Run as a script (``python tools/check_invariants.py``) or through
 ``tests/integration/test_invariants.py``; exits non-zero with one line
@@ -61,6 +68,16 @@ GRAPH_MODULES = ("graph/",)
 #: bread and butter.
 DIFFERENTIAL_MODULES = frozenset({
     "workloads/fuzz.py",
+})
+
+#: Modules (relative to src/repro) allowed to construct an
+#: ``AuthorizationIndex``: the policy, which owns one, and the
+#: differential modules, whose fresh builds are the oracle the owned
+#: index is checked against.
+INDEX_BUILDERS = frozenset({
+    "core/policy.py",
+    "workloads/fuzz.py",
+    "workloads/churn.py",
 })
 
 
@@ -151,7 +168,25 @@ class _Checker(ast.NodeVisitor):
                     f"internal {internal!r} outside repro.graph",
                 )
         self._check_compiled_literal(node)
+        self._check_index_construction(node)
         self.generic_visit(node)
+
+    # -- rule 3: one authorization index per policy --------------------
+    def _check_index_construction(self, node: ast.Call) -> None:
+        if self.relpath in INDEX_BUILDERS:
+            return
+        func = node.func
+        name = (
+            func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute)
+            else None
+        )
+        if name == "AuthorizationIndex":
+            self._report(
+                node,
+                "constructs AuthorizationIndex outside Policy.index and "
+                "the differential modules (read policy.index instead)",
+            )
 
     # -- rule 2: compiled-knob discipline ------------------------------
     def _check_compiled_literal(self, node: ast.Call) -> None:
@@ -296,7 +331,8 @@ def main() -> int:
         print(f"{len(violations)} invariant violation(s)")
         return 1
     print("repo invariants hold: graph encapsulation, compiled-knob "
-          "discipline, lint registry fully wired")
+          "discipline, one authorization index per policy, lint "
+          "registry fully wired")
     return 0
 
 
