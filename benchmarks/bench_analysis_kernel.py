@@ -1,16 +1,18 @@
-"""Compiled analysis explorers vs. the frozenset oracle.
+"""Compiled analysis explorers vs. their frozenset reference twins.
 
 The claim under test: rebuilding the analysis layer's state-space
 exploration on the bitset kernel — one mutable policy driven by an
 apply/undo log, candidate pruning and ``reaches`` probes as bit tests,
 canonical-fingerprint deduplication — beats the copy-per-candidate
-frozenset explorers by >=5x on the enterprise workload at depth 3, for
+frozenset explorers of ``repro.oracle`` by >=5x on the enterprise workload at depth 3, for
 both
 
-* **safety** — ``can_obtain`` witness search (one query per
+* **safety** — ``can_obtain`` against ``reference_can_obtain``,
+  a witness search (one query per
   department's newcomer against its bottom-level document privilege),
   and
-* **admin reachability** — ``reachable_policies`` materializing every
+* **admin reachability** — ``reachable_policies`` against
+  ``reference_reachable_policies``, each materializing every
   distinct policy state within the bound.
 
 A third report pins differential identity on the bench workload itself
@@ -37,6 +39,7 @@ from repro.analysis.safety import can_obtain
 from repro.core.commands import Mode, candidate_commands
 from repro.core.entities import User
 from repro.core.privileges import perm
+from repro.oracle import reference_can_obtain, reference_reachable_policies
 from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
 
 DEPARTMENTS = int(os.environ.get("ANALYSIS_BENCH_DEPARTMENTS", "3"))
@@ -68,21 +71,17 @@ def _safety_queries(policy):
     ]
 
 
-def _safety_seconds(policy, compiled: bool) -> tuple[float, list]:
+def _safety_seconds(policy, explore) -> tuple[float, list]:
     verdicts = []
     started = time.perf_counter()
     for subject, privilege in _safety_queries(policy):
-        verdicts.append(
-            can_obtain(policy, subject, privilege, DEPTH, compiled=compiled)
-        )
+        verdicts.append(explore(policy, subject, privilege, DEPTH))
     return time.perf_counter() - started, verdicts
 
 
-def _reachable_seconds(policy, compiled: bool) -> tuple[float, list]:
+def _reachable_seconds(policy, explore) -> tuple[float, list]:
     started = time.perf_counter()
-    states = reachable_policies(
-        policy, DEPTH, Mode.STRICT, max_states=MAX_STATES, compiled=compiled
-    )
+    states = explore(policy, DEPTH, Mode.STRICT, max_states=MAX_STATES)
     return time.perf_counter() - started, states
 
 
@@ -94,10 +93,18 @@ def collect_metrics() -> dict:
     policy = enterprise_policy(SHAPE, SEED)
     universe = len(candidate_commands(policy, Mode.STRICT))
 
-    safety_compiled_s, verdicts_compiled = _safety_seconds(policy, True)
-    safety_frozenset_s, verdicts_frozenset = _safety_seconds(policy, False)
-    reachable_compiled_s, states_compiled = _reachable_seconds(policy, True)
-    reachable_frozenset_s, states_frozenset = _reachable_seconds(policy, False)
+    safety_compiled_s, verdicts_compiled = _safety_seconds(
+        policy, can_obtain
+    )
+    safety_frozenset_s, verdicts_frozenset = _safety_seconds(
+        policy, reference_can_obtain
+    )
+    reachable_compiled_s, states_compiled = _reachable_seconds(
+        policy, reachable_policies
+    )
+    reachable_frozenset_s, states_frozenset = _reachable_seconds(
+        policy, reference_reachable_policies
+    )
 
     # Identity on the bench workload itself: equal answers, equal work.
     assert [

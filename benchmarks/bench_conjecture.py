@@ -6,20 +6,11 @@ adds terms, but those terms are redundant (they change nothing that is
 ultimately obtainable).  Also measures the cost of the cutoff bound
 itself and of the conjecture check.
 
-The conjecture check explores admin reachability per deep term; it
-defaults to the compiled undo-log explorer.  Run with ``--frozenset``
-(script mode) or ``BENCH_FROZENSET=1`` (pytest mode) for the frozenset
-oracle — identical reports, directly comparable timings.
+The conjecture check explores admin reachability per deep term, on
+the compiled undo-log explorer.
 """
 
-import os
-import sys
-
 from conftest import print_table
-
-COMPILED = not (
-    "--frozenset" in sys.argv or os.environ.get("BENCH_FROZENSET")
-)
 
 from repro.analysis.conjecture import check_conjecture_instance
 from repro.core.entities import Role, User
@@ -49,8 +40,7 @@ def test_report_conjecture_verdicts():
         ("2-chain", *chain_instance()),
     ]
     for label, policy, role, seed in instances:
-        report = check_conjecture_instance(policy, role, seed, extra_depth=1,
-                                           compiled=COMPILED)
+        report = check_conjecture_instance(policy, role, seed, extra_depth=1)
         rows.append((
             label,
             report.bound,
@@ -109,14 +99,12 @@ def test_bench_remark2_bound(benchmark):
 def test_bench_conjecture_instance(benchmark):
     policy, role, seed = chain_instance()
     report = benchmark(
-        lambda: check_conjecture_instance(policy, role, seed, extra_depth=1,
-                                          compiled=COMPILED)
+        lambda: check_conjecture_instance(policy, role, seed, extra_depth=1)
     )
     assert report.holds
 
 
 if __name__ == "__main__":
-    kernel = "compiled" if COMPILED else "frozenset"
-    print(f"RMK2 reports ({kernel} explorer)")
+    print("RMK2 reports (compiled explorer)")
     test_report_conjecture_verdicts()
     test_report_frontier_vs_bound()

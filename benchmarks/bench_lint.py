@@ -12,8 +12,9 @@ redundancy candidate) — by >=5x at 5k-user enterprise scale.
 Three runs over the same workload (enterprise policy plus a handful of
 closure-implied shortcut edges and a cross-department SSD set):
 
-* **compiled** — ``lint_policy(compiled=True)``, the full rule sweep;
-* **oracle** — ``lint_policy(compiled=False)``, the frozenset twin:
+* **compiled** — ``lint_policy``, the full rule sweep;
+* **oracle** — ``repro.oracle.reference_lint_policy``, the frozenset
+  twins:
   findings must be *identical* (fuzz invariant 11 pins this under
   churn; the bench pins it at scale);
 * **baseline** — the per-subject probing implementation defined below,
@@ -39,6 +40,7 @@ from repro.analysis.constraints import SsdConstraint
 from repro.analysis.lint import lint_policy
 from repro.core.entities import Role, User
 from repro.core.privileges import Grant, Revoke, is_privilege
+from repro.oracle import reference_lint_policy
 from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
 
 DEPARTMENTS = int(os.environ.get("LINT_BENCH_DEPARTMENTS", "5"))
@@ -360,15 +362,13 @@ def collect_metrics() -> dict:
 
     compiled_policy = policy.copy()
     started = time.perf_counter()
-    compiled_report = lint_policy(
-        compiled_policy, compiled=True, constraints=constraints
-    )
+    compiled_report = lint_policy(compiled_policy, constraints=constraints)
     compiled_s = time.perf_counter() - started
 
     oracle_policy = policy.copy()
     started = time.perf_counter()
-    oracle_report = lint_policy(
-        oracle_policy, compiled=False, constraints=constraints
+    oracle_report = reference_lint_policy(
+        oracle_policy, constraints=constraints
     )
     oracle_s = time.perf_counter() - started
 

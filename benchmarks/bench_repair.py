@@ -1,8 +1,9 @@
 """Lint-to-repair convergence: compiled kernel vs frozenset oracle.
 
 The claim under test: driving repair plans to the re-lint fixed point
-on the compiled kernel (``repair_policy(compiled=True)``) beats the
-frozenset oracle by >=2x at enterprise scale.  Repair is lint in a
+on the compiled kernel (``repair_policy``) beats the same driver over
+the frozenset reference session (``repro.oracle.reference_repair_policy``)
+by >=2x at enterprise scale.  Repair is lint in a
 loop — one full lint, then, per applied plan, a re-lint in the
 driver's :class:`~repro.analysis.lint.LintSession` (the two rules
 scoped to the plan's dirty region, the other six in full) plus a
@@ -14,8 +15,8 @@ Two runs over the same seeded-defect workload (enterprise policy plus
 closure-implied shortcut edges and a cross-department SSD set, so
 several rules have repairs to plan):
 
-* **compiled** — ``repair_policy(compiled=True)``;
-* **oracle** — ``repair_policy(compiled=False)``: plan sequences,
+* **compiled** — ``repair_policy``;
+* **oracle** — ``reference_repair_policy``: plan sequences,
   outcomes and the repaired policy must be *identical* (fuzz
   invariant 13 pins this under churn; the bench pins it at scale).
 
@@ -42,6 +43,7 @@ from repro.analysis.constraints import SsdConstraint
 from repro.analysis.repair import repair_policy
 from repro.core.entities import Role
 from repro.core.refinement import is_refinement
+from repro.oracle import reference_repair_policy
 from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
 
 DEPARTMENTS = int(os.environ.get("REPAIR_BENCH_DEPARTMENTS", "5"))
@@ -100,15 +102,11 @@ def collect_metrics() -> dict:
     policy, constraints = build_workload()
 
     started = time.perf_counter()
-    compiled_report = repair_policy(
-        policy, compiled=True, constraints=constraints
-    )
+    compiled_report = repair_policy(policy, constraints=constraints)
     compiled_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    oracle_report = repair_policy(
-        policy, compiled=False, constraints=constraints
-    )
+    oracle_report = reference_repair_policy(policy, constraints=constraints)
     oracle_s = time.perf_counter() - started
 
     assert [o.signature() for o in compiled_report.outcomes] == [

@@ -4,21 +4,12 @@ Regenerates the HRU-vs-refinement distinction (HRU's unordered
 collusion analysis equates the lowrole/highrole policies, Definition 7
 separates them) and measures the safety checkers: bounded HRU safety,
 RBAC admin-reachability, and the refined-mode safety certificate.
-
-Explorations default to the compiled undo-log kernel; run with
-``--frozenset`` (script mode) or ``BENCH_FROZENSET=1`` (pytest mode)
-to measure the frozenset oracle — both produce identical verdicts, so
-the two runs are directly comparable baselines.
+Explorations run on the compiled undo-log engine (their frozenset
+twins, in ``repro.oracle``, are measured by
+``bench_analysis_kernel.py``).
 """
 
-import os
-import sys
-
 from conftest import print_table
-
-COMPILED = not (
-    "--frozenset" in sys.argv or os.environ.get("BENCH_FROZENSET")
-)
 
 from repro.analysis.hru import check_safety, encode_rbac_grants
 from repro.analysis.safety import can_obtain
@@ -50,8 +41,7 @@ def test_report_footnote5():
     for label, policy in [("lowrole holds grant", low_policy),
                           ("highrole holds grant", high_policy)]:
         matrix, commands = encode_rbac_grants(policy)
-        hru = check_safety(matrix, commands, "m", "g", str(P), max_steps=2,
-                           compiled=COMPILED)
+        hru = check_safety(matrix, commands, "m", "g", str(P), max_steps=2)
         rows.append((label, "leaks" if hru.leaks else "safe"))
     forward = check_admin_refinement(low_policy, high_policy, depth=1)
     backward = check_admin_refinement(high_policy, low_policy, depth=1)
@@ -77,8 +67,7 @@ def test_report_safety_matrix_excerpt():
     ]
     rows = []
     for user, privilege in questions:
-        verdict = can_obtain(policy, user, privilege, depth=2,
-                             compiled=COMPILED)
+        verdict = can_obtain(policy, user, privilege, depth=2)
         witness = (
             " ; ".join(str(c) for c in verdict.witness)
             if verdict.witness else "-"
@@ -160,8 +149,7 @@ def test_report_revocation_candidates():
 def test_bench_hru_safety(benchmark):
     matrix, commands = encode_rbac_grants(footnote5_policy(LOWROLE))
     result = benchmark(
-        lambda: check_safety(matrix, commands, "m", "g", str(P), max_steps=2,
-                             compiled=COMPILED)
+        lambda: check_safety(matrix, commands, "m", "g", str(P), max_steps=2)
     )
     assert result.leaks
 
@@ -169,8 +157,7 @@ def test_bench_hru_safety(benchmark):
 def test_bench_rbac_safety_query(benchmark):
     policy = figures.figure2()
     verdict = benchmark(
-        lambda: can_obtain(policy, figures.BOB, perm("write", "t3"), depth=1,
-                           compiled=COMPILED)
+        lambda: can_obtain(policy, figures.BOB, perm("write", "t3"), depth=1)
     )
     assert verdict.reachable
 
@@ -182,8 +169,7 @@ def test_bench_mode_safety_certificate(benchmark):
 
 
 if __name__ == "__main__":
-    kernel = "compiled" if COMPILED else "frozenset"
-    print(f"SAFE reports ({kernel} explorer)")
+    print("SAFE reports (compiled explorer)")
     test_report_footnote5()
     test_report_safety_matrix_excerpt()
     test_report_revocation_candidates()

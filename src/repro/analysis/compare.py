@@ -138,11 +138,9 @@ class SafetyComparison:
         return not self.refined_only_pairs
 
 
-def safety_comparison(
-    policy: Policy, depth: int = 2, compiled: bool = True
-) -> SafetyComparison:
-    strict = obtainable_pairs(policy, depth, Mode.STRICT, compiled=compiled)
-    refined = obtainable_pairs(policy, depth, Mode.REFINED, compiled=compiled)
+def safety_comparison(policy: Policy, depth: int = 2) -> SafetyComparison:
+    strict = obtainable_pairs(policy, depth, Mode.STRICT)
+    refined = obtainable_pairs(policy, depth, Mode.REFINED)
     return SafetyComparison(
         strict_pairs=len(strict),
         refined_pairs=len(refined),

@@ -59,7 +59,6 @@ def check_conjecture_instance(
     seed: Privilege,
     extra_depth: int = 2,
     mode: Mode = Mode.STRICT,
-    compiled: bool = True,
 ) -> ConjectureReport:
     """Check the Remark-2 conjecture for one seed privilege.
 
@@ -67,10 +66,9 @@ def check_conjecture_instance(
     probes.  For each deep term ``q``, the obtainable pairs of
     ``policy + (role, q)`` (explored deep enough to execute the extra
     indirection steps) are compared against the obtainable pairs of
-    the policy extended with *all* bound-depth weaker terms.
-
-    ``compiled`` selects the admin-reachability explorer kernel (the
-    dominant cost of an instance — one exploration per deep term).
+    the policy extended with *all* bound-depth weaker terms.  One
+    admin-reachability exploration per deep term is the dominant cost
+    of an instance.
     """
     bound = remark2_bound(policy)
     shallow_terms = weaker_set(policy, seed, bound)
@@ -81,9 +79,7 @@ def check_conjecture_instance(
     baseline = policy.copy()
     for term in shallow_terms:
         baseline.assign_privilege(role, term)
-    baseline_pairs = obtainable_pairs(
-        baseline, depth=bound + 1, mode=mode, compiled=compiled
-    )
+    baseline_pairs = obtainable_pairs(baseline, depth=bound + 1, mode=mode)
 
     violations: list[Privilege] = []
     for term in sorted(deep_terms, key=str):
@@ -91,9 +87,7 @@ def check_conjecture_instance(
         probe.assign_privilege(role, term)
         # Deep terms need extra steps to unroll their indirections.
         steps = privilege_depth(term) + 1
-        probe_pairs = obtainable_pairs(
-            probe, depth=steps, mode=mode, compiled=compiled
-        )
+        probe_pairs = obtainable_pairs(probe, depth=steps, mode=mode)
         if not probe_pairs <= baseline_pairs:
             violations.append(term)
     return ConjectureReport(

@@ -184,9 +184,7 @@ def encoding_cost(depth: int) -> EncodingCost:
     )
 
 
-def encodings_equi_obtainable(
-    cascade: CascadedDelegation, compiled: bool = True
-) -> bool:
+def encodings_equi_obtainable(cascade: CascadedDelegation) -> bool:
     """§5's expressibility claim, checked through the admin-reachability
     explorer: the nested-¤ encoding and the PBDM-role encoding of the
     same cascade agree on whether the delegation chain can be driven
@@ -198,7 +196,6 @@ def encodings_equi_obtainable(
     exactly when its chain can be executed; this function compares that
     single marker pair's obtainability (not the full obtainable sets,
     which legitimately differ in the PBDM delegation-role plumbing).
-    ``compiled`` selects the explorer kernel.
     """
     from ..core.privileges import perm
 
@@ -211,10 +208,8 @@ def encodings_equi_obtainable(
     depth = cascade.depth + 1
     from .reachability import obtainable_pairs
 
-    nested_pairs = obtainable_pairs(
-        nested, depth, Mode.STRICT, compiled=compiled
-    )
-    pbdm_pairs = obtainable_pairs(pbdm, depth, Mode.STRICT, compiled=compiled)
+    nested_pairs = obtainable_pairs(nested, depth, Mode.STRICT)
+    pbdm_pairs = obtainable_pairs(pbdm, depth, Mode.STRICT)
     target_pair = (cascade.final_recipient, marker)
     return (target_pair in nested_pairs) == (target_pair in pbdm_pairs)
 

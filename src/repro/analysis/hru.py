@@ -18,15 +18,15 @@ HRU safety is undecidable in general; the checker is explicitly
 bounded (``max_steps``) and does not model subject/object creation —
 the fragment needed for the comparison.
 
-The checker follows the same two-kernel convention as the RBAC
-explorers: ``compiled=True`` (default) mutates one matrix per frontier
-state in place with an apply/undo log and deduplicates states by a
+The checker mutates one matrix per frontier state in place with an
+apply/undo log and deduplicates states by a
 :class:`~repro.graph.fingerprint.StateFingerprint` bitmask over
 ``(subject, object, right)`` cell atoms — one XOR per primitive
 operation, an int hash per ``seen`` test, and a matrix copy only per
-*distinct* state.  ``compiled=False`` keeps the copy-per-successor
-frozenset-signature oracle; both produce identical results
-(``leaks``/``steps``/``states_explored``), pinned by fuzz invariant 10.
+*distinct* state.  Its copy-per-successor, frozenset-signature twin is
+:func:`repro.oracle.reference_check_safety`; both produce identical
+results (``leaks``/``steps``/``states_explored``), pinned by fuzz
+invariant 10.
 """
 
 from __future__ import annotations
@@ -183,35 +183,46 @@ def check_safety(
     subject: str,
     obj: str,
     max_steps: int = 6,
-    compiled: bool = True,
 ) -> SafetyResult:
     """Bounded HRU safety: can ``right`` appear in cell (subject, obj)
     within ``max_steps`` command executions (any subjects, any order)?
+
+    Undo-log BFS over matrix states: each frontier state is expanded
+    by mutating it in place per applicable binding and undoing before
+    the next binding; the matrix is copied only when a genuinely new
+    state joins the frontier.  The caller's matrix is never mutated
+    (the root is copied up front).
     """
     command_list = list(commands)
     if matrix.has(subject, obj, right):
         return SafetyResult(True, 0, 1)
-    if compiled:
-        return _check_safety_compiled(
-            matrix, command_list, right, subject, obj, max_steps
-        )
-    seen = {matrix.signature()}
-    frontier: deque[tuple[AccessMatrix, int]] = deque([(matrix, 0)])
+    slots = StateFingerprint()
+    root = matrix.copy()
+    fingerprint = 0
+    for atom in root.signature():
+        fingerprint ^= slots.bit(atom)
+    seen = {fingerprint}
+    frontier: deque[tuple[AccessMatrix, int, int]] = deque(
+        [(root, 0, fingerprint)]
+    )
     explored = 1
     while frontier:
-        state, depth = frontier.popleft()
+        state, depth, value = frontier.popleft()
         if depth == max_steps:
             continue
         for command in command_list:
-            for successor in command.successors(state):
-                signature = successor.signature()
-                if signature in seen:
+            for binding in command.bindings(state):
+                undo, delta = _apply_in_place(state, command, binding, slots)
+                successor = value ^ delta
+                if successor in seen:
+                    _undo_in_place(state, undo)
                     continue
-                seen.add(signature)
+                seen.add(successor)
                 explored += 1
-                if successor.has(subject, obj, right):
+                if state.has(subject, obj, right):
                     return SafetyResult(True, depth + 1, explored)
-                frontier.append((successor, depth + 1))
+                frontier.append((state.copy(), depth + 1, successor))
+                _undo_in_place(state, undo)
     return SafetyResult(False, None, explored)
 
 
@@ -256,51 +267,6 @@ def _undo_in_place(
             matrix.enter(cell_subject, cell_object, cell_right)
         else:
             matrix.delete(cell_subject, cell_object, cell_right)
-
-
-def _check_safety_compiled(
-    matrix: AccessMatrix,
-    command_list: list[HruCommand],
-    right: str,
-    subject: str,
-    obj: str,
-    max_steps: int,
-) -> SafetyResult:
-    """Undo-log BFS over matrix states.
-
-    Each frontier state is expanded by mutating it in place per
-    applicable binding and undoing before the next binding; the matrix
-    is copied only when a genuinely new state joins the frontier.  The
-    caller's matrix is never mutated (the root is copied up front).
-    """
-    slots = StateFingerprint()
-    root = matrix.copy()
-    fingerprint = 0
-    for atom in root.signature():
-        fingerprint ^= slots.bit(atom)
-    seen = {fingerprint}
-    frontier: deque[tuple[AccessMatrix, int, int]] = deque(
-        [(root, 0, fingerprint)]
-    )
-    explored = 1
-    while frontier:
-        state, depth, value = frontier.popleft()
-        if depth == max_steps:
-            continue
-        for command in command_list:
-            for binding in command.bindings(state):
-                undo, delta = _apply_in_place(state, command, binding, slots)
-                successor = value ^ delta
-                if successor in seen:
-                    _undo_in_place(state, undo)
-                    continue
-                seen.add(successor)
-                explored += 1
-                if state.has(subject, obj, right):
-                    return SafetyResult(True, depth + 1, explored)
-                frontier.append((state.copy(), depth + 1, successor))
-                _undo_in_place(state, undo)
-    return SafetyResult(False, None, explored)
 
 
 def encode_rbac_grants(policy) -> tuple[AccessMatrix, list[HruCommand]]:

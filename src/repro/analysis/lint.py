@@ -5,9 +5,10 @@ Dekker–Etalle's point is catching dangerous administrative authority
 bounded command-sequence search; this module answers it statically —
 every rule here is decidable from the policy graph itself, in one
 kernel sweep over :class:`~repro.core.policy.PolicyBits` masks and
-memoized ``descendants_bits`` masks (``compiled=True``), with the
-frozenset representation kept as the differential oracle for every
-rule (``compiled=False``).
+memoized ``descendants_bits`` masks.  Every rule has a frozenset twin
+of the same name in :data:`repro.oracle.REFERENCE_RULES`, run by
+:func:`repro.oracle.reference_lint_policy` as the differential
+oracle.
 
 Rules (see the registry below):
 
@@ -16,9 +17,8 @@ Rules (see the registry below):
   no single currently-authorized grant can bring into reach;
 * ``redundant-delegation`` — an edge implied by the transitive
   closure: removing it provably preserves every authorization
-  (verified against the live :class:`AuthorizationIndex` — or, under
-  ``compiled=False``, :class:`~repro.oracle.ReferenceIndex` — not just
-  claimed from reachability);
+  (verified against the policy's own :class:`AuthorizationIndex`, not
+  just claimed from reachability);
 * ``irrevocable-authority`` — a reachable grant privilege covering
   pairs for which no reachable revocation privilege exists;
 * ``self-escalation`` — a subject that can grant *itself* a privilege
@@ -36,16 +36,16 @@ Rules (see the registry below):
 
 Findings are structured (rule id, severity, subject, witness tuple,
 suggested repair command) and deterministically ordered; fuzz
-invariants 11 and 13 pin the compiled and frozenset findings identical
-under churn and vertex-ID recycling.  Each finding's repair is not
-just a string: :mod:`repro.analysis.repair` registers an executable
-repair planner per rule and applies the resulting plans under a
-refinement gate with a monotone-shrink proof.
+invariants 11 and 13 pin them identical to the reference rules'
+findings under churn and vertex-ID recycling.
+:mod:`repro.analysis.repair` registers an executable repair planner
+per rule and applies the plans under a refinement gate with a
+monotone-shrink proof.
 
 Repeated lints of one policy go through a :class:`LintSession`
 (:func:`lint_policy` is a fresh session's first lint).  The session
-keeps a journal cursor and its last findings; the compiled redundancy
-rule verifies against the policy's own index (:attr:`Policy.index
+keeps a journal cursor and its last findings; the redundancy rule
+verifies against the policy's own index (:attr:`Policy.index
 <repro.core.policy.Policy.index>`), which outlives the session, so a
 one-shot lint and a later session — or an audit — share one build.
 Each re-lint reads the policy's change journal, computes the burst's
@@ -55,14 +55,13 @@ findings over, while the other six rules re-run in full.  It falls
 back to a full run when the journal has expired or the burst is
 heavier than :attr:`LintSession.DELTA_LIMIT`.  A re-lint's findings
 equal a fresh full lint's (invariant 11 pins this against the
-frozenset oracle); its ``stats`` count only the work its pass did.
+reference oracle); its ``stats`` count only the work its pass did.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -71,9 +70,8 @@ from ..core.commands import Command, CommandAction, Mode
 from ..core.entities import Role, User
 from ..core.explore import ExplorationEngine
 from ..core.policy import Policy
-from ..core.privileges import Grant, Revoke, is_privilege
+from ..core.privileges import Grant, is_privilege
 from ..errors import AnalysisError
-from ..graph import ancestors as graph_ancestors
 from ..graph import (
     DeltaSummary,
     ancestors_bits,
@@ -81,7 +79,6 @@ from ..graph import (
     iter_bits,
     summarize_deltas,
 )
-from ..oracle import ReferenceIndex
 from .constraints import SsdConstraint
 
 
@@ -156,12 +153,14 @@ class LintRule:
     """A registered rule: a pure function from context to findings.
 
     ``differential`` names the repo-relative test module that pins the
-    rule's compiled kernel against its frozenset twin; ``no_repair``
+    rule against its frozenset twin in
+    :data:`repro.oracle.REFERENCE_RULES`; ``no_repair``
     — mutually exclusive with a registered planner in
     :mod:`repro.analysis.repair` — documents why the rule ships
     without one.  ``tools/check_invariants.py`` enforces that every
     registry entry is fully wired: the differential module must exist
-    on disk and exactly one of planner / ``no_repair`` must be set.
+    on disk, exactly one of planner / ``no_repair`` must be set, and the
+    rule must have a reference twin (and every twin a rule).
 
     ``carries`` marks a rule scoped to a :class:`LintSession`'s dirty
     region: on a re-lint the check evaluates only the subjects in the
@@ -202,31 +201,34 @@ def _rule(
 
 
 class LintContext:
-    """Shared per-run state: the linted policy, the kernel choice,
-    lazily built reachability aggregates, and — on a
-    :class:`LintSession` re-lint — the dirty region the scoped rules
-    evaluate.
+    """Shared per-run state: the linted policy, lazily built
+    reachability aggregates, and — on a :class:`LintSession` re-lint —
+    the dirty region the scoped rules evaluate.
 
-    Lint works on the caller's policy directly, so the compiled sweeps
+    Lint works on the caller's policy directly, so the mask sweeps
     run over the caller's real interner layout (holes, recycled IDs
     and all — the layouts fuzz invariant 11 must exercise).  The
     redundancy rule's probes restore the policy exactly (edges whose
     removal would garbage-collect a vertex are never probed); the
     observable side effects of a lint run are version advancement from
-    those probes and, when compiled, a built :attr:`Policy.index
-    <repro.core.policy.Policy.index>`, which the probes' journal
-    entries repair on its next read.
+    those probes and, once a redundancy candidate is probed, a built
+    :attr:`Policy.index <repro.core.policy.Policy.index>`, which the
+    probes' journal entries repair on its next read.
 
     ``summary`` / ``region`` are the re-lint's delta summary and its
     :func:`~repro.graph.dirty_region_bits` tuple, both None on a full
     run; rules read their domain through :meth:`delegation_edges` and
     :attr:`escalation_scope`, never from the region directly.
+
+    The aggregates and the planner queries (:meth:`reaches` and the
+    three after it) are the kernel surface a reference context
+    (:class:`repro.oracle.ReferenceLintContext`) overrides with its
+    frozenset answers; the rules themselves read the masks inline.
     """
 
     def __init__(
         self,
         policy: Policy,
-        compiled: bool,
         constraints: tuple[SsdConstraint, ...],
         escalation_depth: int = 2,
         *,
@@ -234,7 +236,6 @@ class LintContext:
         region: tuple | None = None,
     ):
         self.policy = policy
-        self.compiled = compiled
         self.constraints = constraints
         #: exploration bound for the ``depth-k-escalation`` rule.
         self.escalation_depth = escalation_depth
@@ -243,7 +244,7 @@ class LintContext:
         self.summary = summary
         self.region = region
         self._reach_union = None
-        self._index: AuthorizationIndex | ReferenceIndex | None = None
+        self._index = None
         self._escalation_scope: int | None = None
         self._rect_memo: dict = {}
         self._priv_reach_memo: dict = {}
@@ -325,33 +326,21 @@ class LintContext:
     # -- shared aggregates ---------------------------------------------
     @property
     def reach_union(self):
-        """Everything reachable from *some* user: a bitmask when
-        compiled, a frozenset otherwise."""
+        """Everything reachable from *some* user, as a mask."""
         if self._reach_union is None:
-            if self.compiled:
-                mask = 0
-                for user in self.users:
-                    mask |= self.policy.descendants_bits(user)
-                self._reach_union = mask
-            else:
-                reached: set = set()
-                for user in self.users:
-                    reached |= self.policy.descendants(user)
-                self._reach_union = frozenset(reached)
+            mask = 0
+            for user in self.users:
+                mask |= self.policy.descendants_bits(user)
+            self._reach_union = mask
         return self._reach_union
 
     @property
-    def index(self) -> AuthorizationIndex | ReferenceIndex:
+    def index(self) -> AuthorizationIndex:
         """The redundancy rule's verification oracle over the work
-        policy: the policy's own authorization index (:attr:`Policy.index
-        <repro.core.policy.Policy.index>`) when compiled, else a private
-        :class:`~repro.oracle.ReferenceIndex`, so the frozenset run
-        keeps a verifier independent of the index."""
+        policy: the policy's own authorization index
+        (:attr:`Policy.index <repro.core.policy.Policy.index>`)."""
         if self._index is None:
-            if self.compiled:
-                self._index = self.policy.index
-            else:
-                self._index = ReferenceIndex(self.policy)
+            self._index = self.policy.index
         return self._index
 
     def decode(self, mask: int) -> list:
@@ -367,84 +356,73 @@ class LintContext:
         role descendants of the target, plus the off-graph reflexive
         endpoints (mirroring the index's rectangle compilation)."""
         cached = self._rect_memo.get(privilege)
-        if cached is not None:
-            return cached
-        policy, graph = self.policy, self.policy.graph
-        if self.compiled:
-            bits = policy.bits
-            if privilege.source in graph:
-                sources = self.decode(
-                    ancestors_bits(graph, privilege.source)
-                    & bits.entities_mask
-                )
-            else:
-                sources = [privilege.source]
-            if privilege.target in graph:
-                targets = self.decode(
-                    policy.descendants_bits(privilege.target)
-                    & bits.roles_mask
-                )
-            else:
-                targets = (
-                    [privilege.target]
-                    if isinstance(privilege.target, Role) else []
-                )
-        else:
-            if privilege.source in graph:
-                sources = sorted(
-                    (
-                        vertex
-                        for vertex in _frozen_ancestors(graph, privilege.source)
-                        if isinstance(vertex, (User, Role))
-                    ),
-                    key=str,
-                )
-            else:
-                sources = [privilege.source]
-            if privilege.target in graph:
-                targets = sorted(
-                    (
-                        vertex
-                        for vertex in policy.descendants(privilege.target)
-                        if isinstance(vertex, Role)
-                    ),
-                    key=str,
-                )
-            else:
-                targets = (
-                    [privilege.target]
-                    if isinstance(privilege.target, Role) else []
-                )
-        cached = (sources, targets)
-        self._rect_memo[privilege] = cached
+        if cached is None:
+            cached = self._rect_memo[privilege] = self._rectangle(privilege)
         return cached
 
+    def _rectangle(self, privilege: Grant) -> tuple:
+        policy, graph = self.policy, self.policy.graph
+        bits = policy.bits
+        if privilege.source in graph:
+            sources = self.decode(
+                ancestors_bits(graph, privilege.source) & bits.entities_mask
+            )
+        else:
+            sources = [privilege.source]
+        if privilege.target in graph:
+            targets = self.decode(
+                policy.descendants_bits(privilege.target) & bits.roles_mask
+            )
+        else:
+            targets = (
+                [privilege.target] if isinstance(privilege.target, Role)
+                else []
+            )
+        return sources, targets
+
     def reachable_privileges_from(self, vertex):
-        """Privileges reachable from ``vertex`` — mask or frozenset."""
+        """Privileges reachable from ``vertex``, as a mask."""
         cached = self._priv_reach_memo.get(vertex)
         if cached is None:
-            if self.compiled:
-                cached = (
-                    self.policy.descendants_bits(vertex)
-                    & self.policy.bits.privileges_mask
-                )
-            else:
-                cached = frozenset(
-                    item
-                    for item in self.policy.descendants(vertex)
-                    if is_privilege(item)
-                )
-            self._priv_reach_memo[vertex] = cached
+            cached = self._priv_reach_memo[vertex] = (
+                self.policy.descendants_bits(vertex)
+                & self.policy.bits.privileges_mask
+            )
         return cached
+
+    # -- planner queries -----------------------------------------------
+    def reaches(self, source, target) -> bool:
+        """``source`` reaches ``target`` in the policy graph."""
+        index = self.policy.graph._vid.get(target)
+        if index is None:
+            return source == target
+        return bool(self.policy.descendants_bits(source) >> index & 1)
+
+    def constraint_hits(self, subject, constraint: SsdConstraint) -> int:
+        """How many roles of ``constraint`` ``subject`` reaches."""
+        vid = self.policy.graph._vid
+        mask = 0
+        for role in constraint.roles:
+            index = vid.get(role)
+            if index is not None:
+                mask |= 1 << index
+        return (self.policy.descendants_bits(subject) & mask).bit_count()
+
+    def user_escalations(self, user: User) -> Iterator[tuple[Grant, tuple]]:
+        """``user``'s one-step self-escalations, in rule order."""
+        return _user_escalations(self, user)
+
+    def min_grant_escalation(self, user: User) -> tuple[tuple, object] | None:
+        """``user``'s shallowest grant-only escalation within the
+        context's depth bound (see :func:`_min_grant_escalation`)."""
+        return _min_grant_escalation(
+            self.policy, user, self.escalation_depth
+        )
 
     def count(self, rule: str, key: str, value: int = 1) -> None:
         self.stats.setdefault(rule, {})[key] = (
             self.stats.get(rule, {}).get(key, 0) + value
         )
-
-
-def _frozen_ancestors(graph, vertex):
-    return graph_ancestors(graph, vertex)
 
 
 @dataclass(frozen=True)
@@ -455,7 +433,6 @@ class LintReport:
 
     findings: tuple[Finding, ...]
     stats: dict = field(default_factory=dict)
-    compiled: bool = True
 
     def by_rule(self) -> dict[str, tuple[Finding, ...]]:
         grouped: dict[str, list[Finding]] = {}
@@ -476,7 +453,6 @@ class LintReport:
 
     def as_dict(self) -> dict:
         return {
-            "compiled": self.compiled,
             "findings": [finding.as_dict() for finding in self.findings],
             "stats": self.stats,
         }
@@ -488,7 +464,6 @@ class LintReport:
 def lint_policy(
     policy: Policy,
     rules: Iterable[str] | None = None,
-    compiled: bool = True,
     constraints: Iterable[SsdConstraint] = (),
     escalation_depth: int = 2,
 ) -> LintReport:
@@ -496,42 +471,38 @@ def lint_policy(
     :class:`LintSession`'s first, full, lint.
 
     ``rules`` selects a subset by name (default: all, in registry
-    order); ``compiled`` picks the bitset kernel or the frozenset
-    oracle — the findings are identical by construction (fuzz
-    invariants 11 and 13); ``constraints`` supplies the SSD separation
+    order); ``constraints`` supplies the SSD separation
     sets the ``constraint-conflict`` and ``unreachable-under-ssd``
     rules check; ``escalation_depth`` bounds the
     ``depth-k-escalation`` rule's exploration.
     """
-    return LintSession(
-        policy, rules, compiled, constraints, escalation_depth
-    ).lint()
+    return LintSession(policy, rules, constraints, escalation_depth).lint()
 
 
-def _select_rules(rules: Iterable[str] | None) -> list[LintRule]:
+def _select_rules(
+    registry: dict[str, LintRule], rules: Iterable[str] | None
+) -> list[LintRule]:
     if rules is None:
-        return list(RULES.values())
+        return list(registry.values())
     names = list(rules)
-    unknown = [name for name in names if name not in RULES]
+    unknown = [name for name in names if name not in registry]
     if unknown:
         raise AnalysisError(
             f"unknown lint rule(s): {', '.join(sorted(unknown))}; "
-            f"known rules: {', '.join(RULES)}"
+            f"known rules: {', '.join(registry)}"
         )
-    return [RULES[name] for name in RULES if name in names]
+    return [registry[name] for name in registry if name in names]
 
 
 class LintSession:
     """Repeated lints of one policy that pay for what changed.
 
     The session keeps, across lints, a journal cursor and its last
-    findings per rule — nothing else.  The compiled redundancy rule
-    verifies against the policy's own index (:attr:`Policy.index
+    findings per rule — nothing else.  The redundancy rule verifies
+    against the policy's own index (:attr:`Policy.index
     <repro.core.policy.Policy.index>`), which lives as long as the
     policy and repairs itself from its own cursor, so every session
-    and one-shot lint of a policy shares one build; the frozenset
-    rule builds a private :class:`~repro.oracle.ReferenceIndex` per
-    lint (it computes on demand, so that costs nothing up front).
+    and one-shot lint of a policy shares one build.
 
     The first :meth:`lint` is a full run.  Each later one takes the
     journal since the cursor, computes the burst's dirty region once
@@ -542,7 +513,7 @@ class LintSession:
     findings over; every other rule re-runs in full.  A re-lint runs
     the same rule code as a full lint, and its findings equal a fresh
     full lint of the same state (fuzz invariant 11 pins this against
-    the frozenset oracle).
+    the reference oracle).
 
     A re-lint falls back to a full run when the journal no longer
     reaches back to the cursor, or when the burst's weight
@@ -551,27 +522,33 @@ class LintSession:
     pass did, so a re-lint's are smaller than a full lint's.
 
     ``baseline`` adopts a full lint of ``policy`` at its current
-    state, made with the same rules, kernel, constraints and depth, as
-    the session's first lint: the repair driver lints through
+    state, made with the same rules, constraints and depth, as the
+    session's first lint: the repair driver lints through
     :func:`lint_policy` first and then continues in a session, both
     over one build of its work policy's index.
+
+    The session is also the repair driver's seam: planners run on
+    :meth:`context`, so :class:`repro.oracle.ReferenceLintSession`,
+    which swaps in the reference rules and context, drives the same
+    repair loop on the frozenset twins.
     """
 
     #: delta bursts heavier than this re-lint in full.
     DELTA_LIMIT = 64
+    #: the rules a session selects from, and the context they run on.
+    registry = RULES
+    context_class = LintContext
 
     def __init__(
         self,
         policy: Policy,
         rules: Iterable[str] | None = None,
-        compiled: bool = True,
         constraints: Iterable[SsdConstraint] = (),
         escalation_depth: int = 2,
         baseline: LintReport | None = None,
     ):
         self.policy = policy
-        self.rules = _select_rules(rules)
-        self.compiled = compiled
+        self.rules = _select_rules(self.registry, rules)
         self.constraints = tuple(constraints)
         self.escalation_depth = escalation_depth
         self._cursor = policy.journal_cursor()
@@ -597,13 +574,20 @@ class LintSession:
             self.policy.graph, summary.edge_sources, summary.edge_targets
         )
 
+    def context(
+        self, summary: DeltaSummary | None = None, region: tuple | None = None
+    ) -> LintContext:
+        """A context over the policy in its current state (a full run's
+        unless ``summary`` / ``region`` scope it)."""
+        return self.context_class(
+            self.policy, self.constraints, self.escalation_depth,
+            summary=summary, region=region,
+        )
+
     def lint(self) -> LintReport:
         """Lint the policy in its current state."""
         summary, region = self._dirty() or (None, None)
-        context = LintContext(
-            self.policy, self.compiled, self.constraints,
-            self.escalation_depth, summary=summary, region=region,
-        )
+        context = self.context(summary, region)
         previous = self._findings
         by_rule: dict[str, list[Finding]] = {}
         for rule in self.rules:
@@ -620,30 +604,28 @@ class LintSession:
         self._cursor.version = self.policy.version
         findings = [finding for found in by_rule.values() for finding in found]
         findings.sort(key=lambda finding: finding.sort_key)
-        return LintReport(
-            findings=tuple(findings), stats=context.stats,
-            compiled=self.compiled,
-        )
+        return LintReport(findings=tuple(findings), stats=context.stats)
 
 
 # ----------------------------------------------------------------------
 # Rules
 # ----------------------------------------------------------------------
+# Each rule computes its subjects over masks and emits findings through
+# a helper that the reference twin of the same name
+# (:mod:`repro.oracle.lint`) shares.
 @_rule(
     "dead-role", Severity.INFO,
     "role reachable from no user",
 )
 def _dead_role(ctx: LintContext) -> Iterator[Finding]:
-    policy = ctx.policy
-    if ctx.compiled:
-        dead = ctx.decode(policy.bits.roles_mask & ~ctx.reach_union)
-    else:
-        dead = sorted(
-            (role for role in policy.roles() if role not in ctx.reach_union),
-            key=str,
-        )
+    return _dead_role_findings(
+        ctx, ctx.decode(ctx.policy.bits.roles_mask & ~ctx.reach_union)
+    )
+
+
+def _dead_role_findings(ctx: LintContext, dead: list) -> Iterator[Finding]:
     for role in dead:
-        successors = sorted(policy.graph.successors(role), key=str)
+        successors = sorted(ctx.policy.graph.successors(role), key=str)
         repair = (
             f"revoke({role}, {successors[0]})" if successors else None
         )
@@ -672,81 +654,67 @@ def _dormant_privilege(ctx: LintContext) -> Iterator[Finding]:
     """
     policy = ctx.policy
     graph = policy.graph
-    if ctx.compiled:
-        bits = policy.bits
-        unreachable = bits.privileges_mask & ~ctx.reach_union
-        if not unreachable:
-            return
-        potential = 0
-        held_grants = ctx.decode(ctx.reach_union & bits.privileges_mask)
-        vid = graph._vid
-        for privilege in held_grants:
-            if not isinstance(privilege, Grant):
+    bits = policy.bits
+    unreachable = bits.privileges_mask & ~ctx.reach_union
+    if not unreachable:
+        return ()
+    potential = 0
+    held_grants = ctx.decode(ctx.reach_union & bits.privileges_mask)
+    vid = graph._vid
+    for privilege in held_grants:
+        if not isinstance(privilege, Grant):
+            continue
+        if isinstance(privilege.target, (User, Role)):
+            sources, targets = ctx.rectangle(privilege)
+            activatable = any(
+                source in graph
+                and ctx.reach_union >> vid[source] & 1
+                or source not in graph and isinstance(source, User)
+                for source in sources
+            )
+            if not activatable:
                 continue
-            if isinstance(privilege.target, (User, Role)):
-                sources, targets = ctx.rectangle(privilege)
-                activatable = any(
-                    source in graph
-                    and ctx.reach_union >> vid[source] & 1
-                    or source not in graph and isinstance(source, User)
-                    for source in sources
-                )
-                if not activatable:
-                    continue
-                for target in targets:
-                    if target in graph:
-                        potential |= policy.descendants_bits(target)
-            else:
-                source_id = vid.get(privilege.source)
-                target_id = vid.get(privilege.target)
-                if (
-                    source_id is not None
-                    and ctx.reach_union >> source_id & 1
-                    and target_id is not None
-                ):
-                    potential |= 1 << target_id
-        dormant = ctx.decode(unreachable & ~potential)
-    else:
-        unreachable_set = {
-            privilege
-            for privilege in policy.privileges()
-            if privilege not in ctx.reach_union
-        }
-        if not unreachable_set:
-            return
-        potential_set: set = set()
-        for privilege in sorted(
-            (item for item in ctx.reach_union if isinstance(item, Grant)),
-            key=str,
-        ):
-            if isinstance(privilege.target, (User, Role)):
-                sources, targets = ctx.rectangle(privilege)
-                activatable = any(
-                    source in ctx.reach_union
-                    or source not in graph and isinstance(source, User)
-                    for source in sources
-                )
-                if not activatable:
-                    continue
-                for target in targets:
-                    if target in graph:
-                        potential_set |= policy.descendants(target)
-            else:
-                if (
-                    privilege.source in ctx.reach_union
-                    and privilege.target in graph
-                ):
-                    potential_set.add(privilege.target)
-        dormant = sorted(unreachable_set - potential_set, key=str)
-    for privilege in dormant:
+            for target in targets:
+                if target in graph:
+                    potential |= policy.descendants_bits(target)
+        else:
+            source_id = vid.get(privilege.source)
+            target_id = vid.get(privilege.target)
+            if (
+                source_id is not None
+                and ctx.reach_union >> source_id & 1
+                and target_id is not None
+            ):
+                potential |= 1 << target_id
+    return _unassign_findings(
+        ctx, "dormant-privilege", ctx.decode(unreachable & ~potential)
+    )
+
+
+#: why a privilege is flagged, for the rules whose repair unassigns it.
+_UNASSIGN_REASONS = {
+    "dormant-privilege": "is assigned but no user reaches it and no "
+                         "single authorized grant creates a path",
+    "unreachable-under-ssd": "is granted but every role reaching it "
+                             "violates a separation set when activated "
+                             "alone",
+}
+
+
+def _unassign_findings(
+    ctx: LintContext, rule: str, privileges: list
+) -> Iterator[Finding]:
+    """One ``rule`` finding per privilege, witnessed by its assigners
+    and repaired by revoking the first assignment."""
+    graph = ctx.policy.graph
+    for privilege in privileges:
         assigners = sorted(graph.predecessors(privilege), key=str)
         repair = (
             f"revoke({assigners[0]}, {privilege})" if assigners else None
         )
         yield Finding(
-            "dormant-privilege", Severity.INFO, privilege, tuple(assigners),
-            f"privilege {privilege} is assigned but no user reaches it "
-            "and no single authorized grant creates a path",
+            rule, RULES[rule].severity, privilege, tuple(assigners),
+            f"privilege {privilege} {_UNASSIGN_REASONS[rule]}",
             repair,
         )
 
@@ -757,46 +725,27 @@ def _dormant_privilege(ctx: LintContext) -> Iterator[Finding]:
 )
 def _constraint_conflict(ctx: LintContext) -> Iterator[Finding]:
     policy = ctx.policy
-    graph = policy.graph
+    vid = policy.graph._vid
     for constraint in sorted(ctx.constraints, key=lambda c: c.name):
-        if ctx.compiled:
-            vid = graph._vid
-            set_mask = 0
-            for role in constraint.roles:
-                index = vid.get(role)
-                if index is not None:
-                    set_mask |= 1 << index
-            for user in ctx.users:
-                hit = policy.descendants_bits(user) & set_mask
-                if hit.bit_count() >= constraint.cardinality:
-                    yield _conflict_finding(
-                        ctx, constraint, user, ctx.decode(hit),
-                        Severity.ERROR, "is authorized for",
-                    )
-            for role in sorted(policy.roles(), key=str):
-                hit = policy.descendants_bits(role) & set_mask
-                if hit.bit_count() >= constraint.cardinality:
-                    yield _conflict_finding(
-                        ctx, constraint, role, ctx.decode(hit),
-                        Severity.WARNING, "reaches",
-                    )
-        else:
-            for user, roles in constraint.violations(policy):
+        set_mask = 0
+        for role in constraint.roles:
+            index = vid.get(role)
+            if index is not None:
+                set_mask |= 1 << index
+        for user in ctx.users:
+            hit = policy.descendants_bits(user) & set_mask
+            if hit.bit_count() >= constraint.cardinality:
                 yield _conflict_finding(
-                    ctx, constraint, user, sorted(roles, key=str),
+                    ctx, constraint, user, ctx.decode(hit),
                     Severity.ERROR, "is authorized for",
                 )
-            for role in sorted(policy.roles(), key=str):
-                hit = {
-                    item
-                    for item in policy.descendants(role)
-                    if isinstance(item, Role)
-                } & constraint.roles
-                if len(hit) >= constraint.cardinality:
-                    yield _conflict_finding(
-                        ctx, constraint, role, sorted(hit, key=str),
-                        Severity.WARNING, "reaches",
-                    )
+        for role in sorted(policy.roles(), key=str):
+            hit = policy.descendants_bits(role) & set_mask
+            if hit.bit_count() >= constraint.cardinality:
+                yield _conflict_finding(
+                    ctx, constraint, role, ctx.decode(hit),
+                    Severity.WARNING, "reaches",
+                )
 
 
 def _conflict_finding(ctx, constraint, subject, roles, severity, verb):
@@ -820,32 +769,25 @@ def _conflict_finding(ctx, constraint, subject, roles, severity, verb):
     "grantable pairs with no reachable revocation privilege",
 )
 def _irrevocable_authority(ctx: LintContext) -> Iterator[Finding]:
-    policy = ctx.policy
-    graph = policy.graph
-    if ctx.compiled:
-        bits = policy.bits
-        grants = ctx.decode(ctx.reach_union & bits.grant_entity_mask)
-        revocable = frozenset(
+    bits = ctx.policy.bits
+    return _irrevocable_findings(
+        ctx,
+        ctx.decode(ctx.reach_union & bits.grant_entity_mask),
+        frozenset(
             privilege.edge
             for privilege in ctx.decode(
                 ctx.reach_union & bits.revoke_entity_mask
             )
-        )
-    else:
-        grants = sorted(
-            (
-                item for item in ctx.reach_union
-                if isinstance(item, Grant)
-                and isinstance(item.target, (User, Role))
-            ),
-            key=str,
-        )
-        revocable = frozenset(
-            item.edge
-            for item in ctx.reach_union
-            if isinstance(item, Revoke)
-            and isinstance(item.target, (User, Role))
-        )
+        ),
+    )
+
+
+def _irrevocable_findings(
+    ctx: LintContext, grants: list, revocable: frozenset
+) -> Iterator[Finding]:
+    """Findings for the reachable entity-target ``grants`` whose
+    rectangles hold pairs outside the ``revocable`` edges."""
+    graph = ctx.policy.graph
     for privilege in grants:
         sources, targets = ctx.rectangle(privilege)
         total = len(sources) * len(targets)
@@ -900,13 +842,20 @@ def _self_escalation(ctx: LintContext) -> Iterator[Finding]:
     self-escalation — the depth-1 safety witness ``can_obtain`` would
     find, read directly off the rectangle masks.  A re-lint checks
     only the users of :attr:`LintContext.escalation_scope`."""
+    return _escalation_findings(ctx, _user_escalations)
+
+
+def _escalation_findings(ctx: LintContext, user_escalations):
+    """The ``self-escalation`` findings of the users in scope, each
+    user's escalations listed by ``user_escalations(ctx, user,
+    priv_target_grants)``."""
     priv_target_grants = _priv_target_grants(ctx.policy)
     scope = ctx.escalation_scope
     vid = ctx.policy.graph._vid
     for user in ctx.users:
         if scope is not None and not scope >> vid[user] & 1:
             continue
-        for privilege, witness in _user_escalations(
+        for privilege, witness in user_escalations(
             ctx, user, priv_target_grants
         ):
             yield _escalation_finding(ctx, user, privilege, witness)
@@ -932,84 +881,45 @@ def _user_escalations(
 ) -> Iterator[tuple[Grant, tuple]]:
     """One-step self-escalations for ``user``: ``(privilege,
     witness)`` pairs in the order the ``self-escalation`` rule reports
-    them.  Shared with the repair planner, which must re-derive
+    them.  Shared with the repair planner (through
+    :meth:`LintContext.user_escalations`), which must re-derive
     exactly the escalation a finding reported to sever its route."""
     policy = ctx.policy
     graph = policy.graph
     vid = graph._vid
     if priv_target_grants is None:
         priv_target_grants = _priv_target_grants(policy)
-
-    if ctx.compiled:
-        bits = policy.bits
-        reach = policy.descendants_bits(user)
-        held_grants = ctx.decode(reach & bits.grant_entity_mask)
-    else:
-        reach = policy.descendants(user)
-        held_grants = sorted(
-            (
-                item for item in reach
-                if isinstance(item, Grant)
-                and isinstance(item.target, (User, Role))
-            ),
-            key=str,
-        )
-    for privilege in held_grants:
+    bits = policy.bits
+    reach = policy.descendants_bits(user)
+    for privilege in ctx.decode(reach & bits.grant_entity_mask):
         sources, targets = ctx.rectangle(privilege)
-        if ctx.compiled:
-            routable = [
-                source for source in sources
-                if source in graph and reach >> vid[source] & 1
-            ]
-        else:
-            routable = [
-                source for source in sources if source in reach
-            ]
+        routable = [
+            source for source in sources
+            if source in graph and reach >> vid[source] & 1
+        ]
         if not routable:
             continue
         route = routable[0]
         witness = None
         for target in targets:
-            if target not in graph:
+            if target not in graph or reach >> vid[target] & 1:
                 continue
-            if ctx.compiled:
-                if reach >> vid[target] & 1:
-                    continue
-                gained = (
-                    ctx.reachable_privileges_from(target) & ~reach
-                )
-                if gained:
-                    witness = (route, target, ctx.decode(gained)[0])
-                    break
-            else:
-                if target in reach:
-                    continue
-                gained = ctx.reachable_privileges_from(target) - reach
-                if gained:
-                    witness = (
-                        route, target, min(gained, key=str)
-                    )
-                    break
+            gained = ctx.reachable_privileges_from(target) & ~reach
+            if gained:
+                witness = (route, target, ctx.decode(gained)[0])
+                break
         if witness:
             yield privilege, witness
     for privilege in priv_target_grants:
-        if ctx.compiled:
-            priv_id = vid.get(privilege)
-            if priv_id is None or not reach >> priv_id & 1:
-                continue
-            source_id = vid.get(privilege.source)
-            if source_id is None or not reach >> source_id & 1:
-                continue
-            target_id = vid.get(privilege.target)
-            if target_id is not None and reach >> target_id & 1:
-                continue
-        else:
-            if privilege not in reach:
-                continue
-            if privilege.source not in reach:
-                continue
-            if privilege.target in reach:
-                continue
+        priv_id = vid.get(privilege)
+        if priv_id is None or not reach >> priv_id & 1:
+            continue
+        source_id = vid.get(privilege.source)
+        if source_id is None or not reach >> source_id & 1:
+            continue
+        target_id = vid.get(privilege.target)
+        if target_id is not None and reach >> target_id & 1:
+            continue
         yield privilege, (
             privilege.source, privilege.target, privilege.target
         )
@@ -1042,74 +952,34 @@ def _unreachable_under_ssd(ctx: LintContext) -> Iterator[Finding]:
     ever adds separation-set hits, never removes them.
     """
     if not ctx.constraints:
-        return
+        return ()
     policy = ctx.policy
-    graph = policy.graph
-    constraints = sorted(ctx.constraints, key=lambda c: c.name)
-    if ctx.compiled:
-        bits = policy.bits
-        vid = graph._vid
-        set_masks = []
-        for constraint in constraints:
-            mask = 0
-            for role in constraint.roles:
-                index = vid.get(role)
-                if index is not None:
-                    mask |= 1 << index
-            set_masks.append((mask, constraint.cardinality))
-        granted = ctx.reach_union & bits.privileges_mask
-        if not granted:
-            return
-        activatable = 0
-        for role in ctx.decode(ctx.reach_union & bits.roles_mask):
-            descendants = policy.descendants_bits(role)
-            if any(
-                (descendants & mask).bit_count() >= cardinality
-                for mask, cardinality in set_masks
-            ):
-                ctx.count("unreachable-under-ssd", "conflicted_roles")
-                continue
-            activatable |= descendants & bits.privileges_mask
-        flagged = ctx.decode(granted & ~activatable)
-    else:
-        granted_set = {
-            item for item in ctx.reach_union if is_privilege(item)
-        }
-        if not granted_set:
-            return
-        activatable_set: set = set()
-        reachable_roles = sorted(
-            (item for item in ctx.reach_union if isinstance(item, Role)),
-            key=str,
-        )
-        for role in reachable_roles:
-            descendants = policy.descendants(role)
-            role_descendants = {
-                item for item in descendants if isinstance(item, Role)
-            }
-            if any(
-                len(role_descendants & constraint.roles)
-                >= constraint.cardinality
-                for constraint in constraints
-            ):
-                ctx.count("unreachable-under-ssd", "conflicted_roles")
-                continue
-            activatable_set |= {
-                item for item in descendants if is_privilege(item)
-            }
-        flagged = sorted(granted_set - activatable_set, key=str)
-    for privilege in flagged:
-        assigners = sorted(graph.predecessors(privilege), key=str)
-        repair = (
-            f"revoke({assigners[0]}, {privilege})" if assigners else None
-        )
-        yield Finding(
-            "unreachable-under-ssd", Severity.WARNING, privilege,
-            tuple(assigners),
-            f"privilege {privilege} is granted but every role reaching "
-            "it violates a separation set when activated alone",
-            repair,
-        )
+    bits = policy.bits
+    vid = policy.graph._vid
+    set_masks = []
+    for constraint in sorted(ctx.constraints, key=lambda c: c.name):
+        mask = 0
+        for role in constraint.roles:
+            index = vid.get(role)
+            if index is not None:
+                mask |= 1 << index
+        set_masks.append((mask, constraint.cardinality))
+    granted = ctx.reach_union & bits.privileges_mask
+    if not granted:
+        return ()
+    activatable = 0
+    for role in ctx.decode(ctx.reach_union & bits.roles_mask):
+        descendants = policy.descendants_bits(role)
+        if any(
+            (descendants & mask).bit_count() >= cardinality
+            for mask, cardinality in set_masks
+        ):
+            ctx.count("unreachable-under-ssd", "conflicted_roles")
+            continue
+        activatable |= descendants & bits.privileges_mask
+    return _unassign_findings(
+        ctx, "unreachable-under-ssd", ctx.decode(granted & ~activatable)
+    )
 
 
 @_rule(
@@ -1126,13 +996,41 @@ def _depth_k_escalation(ctx: LintContext) -> Iterator[Finding]:
     depth bound is ``LintContext.escalation_depth`` (default 2).
     """
     policy = ctx.policy
-    graph = policy.graph
-    depth = ctx.escalation_depth
-    if depth < 2:
+    universe = _depth_k_universe(ctx)
+    if universe is None:
         return
+    universe_edges, assigned_grants = universe
+    vid = policy.graph._vid
+    grant_mask = 0
+    for privilege in assigned_grants:
+        index = vid.get(privilege)
+        if index is not None:
+            grant_mask |= 1 << index
+    for user in ctx.users:
+        # A first step needs an initially reachable grant privilege —
+        # prune users who hold none before paying for an engine.
+        if not policy.descendants_bits(user) & grant_mask:
+            continue
+        ctx.count("depth-k-escalation", "users_probed")
+        finding = _depth_k_finding(
+            ctx, user, _min_grant_escalation(
+                policy, user, ctx.escalation_depth, universe_edges
+            ),
+        )
+        if finding is not None:
+            yield finding
+
+
+def _depth_k_universe(ctx: LintContext) -> tuple[list, list] | None:
+    """``(grant-closure edges, assigned grants sorted by str)`` for the
+    ``depth-k-escalation`` rule, or None when it has nothing to
+    explore."""
+    policy = ctx.policy
+    if ctx.escalation_depth < 2:
+        return None
     universe_edges = _grant_closure_edges(policy)
     if not universe_edges:
-        return
+        return None
     assigned_grants = sorted(
         (
             privilege
@@ -1142,53 +1040,34 @@ def _depth_k_escalation(ctx: LintContext) -> Iterator[Finding]:
         key=str,
     )
     if not assigned_grants:
-        return
-    if ctx.compiled:
-        vid = graph._vid
-        grant_mask = 0
-        for privilege in assigned_grants:
-            index = vid.get(privilege)
-            if index is not None:
-                grant_mask |= 1 << index
-    for user in ctx.users:
-        # A first step needs an initially reachable grant privilege —
-        # prune users who hold none before paying for an engine.
-        if ctx.compiled:
-            if not policy.descendants_bits(user) & grant_mask:
-                continue
-        else:
-            reach = policy.descendants(user)
-            if not any(
-                privilege in reach for privilege in assigned_grants
-            ):
-                continue
-        ctx.count("depth-k-escalation", "users_probed")
-        found = _min_grant_escalation(
-            policy, user, depth, ctx.compiled, universe_edges
-        )
-        if found is None:
-            continue
-        commands, gained = found
-        if len(commands) < 2:
-            # One-step escalations are the self-escalation rule's
-            # domain; reporting them twice would double-count.
-            continue
-        steps = tuple(
-            command.requested_privilege() for command in commands
-        )
-        first = steps[0]
-        holders = (
-            sorted(graph.predecessors(first), key=str)
-            if first in graph else []
-        )
-        chain = ", ".join(str(term) for term in steps)
-        yield Finding(
-            "depth-k-escalation", Severity.ERROR, user,
-            steps + (gained,),
-            f"user {user} obtains {gained} it does not hold via "
-            f"{len(steps)} chained grants ({chain})",
-            f"revoke({holders[0]}, {first})" if holders else None,
-        )
+        return None
+    return universe_edges, assigned_grants
+
+
+def _depth_k_finding(ctx: LintContext, user: User, found) -> Finding | None:
+    """The finding for ``user``'s shallowest escalation ``found``, or
+    None when there is none or it takes one step (the
+    ``self-escalation`` rule's domain; reporting it twice would
+    double-count)."""
+    if found is None:
+        return None
+    commands, gained = found
+    if len(commands) < 2:
+        return None
+    steps = tuple(command.requested_privilege() for command in commands)
+    first = steps[0]
+    graph = ctx.policy.graph
+    holders = (
+        sorted(graph.predecessors(first), key=str) if first in graph else []
+    )
+    chain = ", ".join(str(term) for term in steps)
+    return Finding(
+        "depth-k-escalation", Severity.ERROR, user,
+        steps + (gained,),
+        f"user {user} obtains {gained} it does not hold via "
+        f"{len(steps)} chained grants ({chain})",
+        f"revoke({holders[0]}, {first})" if holders else None,
+    )
 
 
 def _grant_closure_edges(policy: Policy) -> list[tuple]:
@@ -1206,11 +1085,18 @@ def _grant_closure_edges(policy: Policy) -> list[tuple]:
     )
 
 
+def _grant_commands(user: User, universe_edges: list[tuple]) -> list[Command]:
+    """``user``'s grant command per universe edge, in universe order."""
+    return [
+        Command(user, CommandAction.GRANT, source, target)
+        for source, target in universe_edges
+    ]
+
+
 def _min_grant_escalation(
     policy: Policy,
     user: User,
     depth: int,
-    compiled: bool,
     universe_edges: list[tuple] | None = None,
 ) -> tuple[tuple, object] | None:
     """Breadth-first search of the grant-only transition system for
@@ -1221,79 +1107,30 @@ def _min_grant_escalation(
 
     Grant-only exploration is sound for minimality: privilege reach is
     monotone in the edge set, so a revoke can never *create* an
-    escalation that a grant-only prefix would miss.  The compiled path
-    explores one mutable engine via push/pop; the frozenset path
-    re-derives the same frontier with per-state copies.  Candidate
-    order, authorization semantics, and value-keyed state dedup are
-    identical, so both return the same witness (fuzz invariant 13).
+    escalation that a grant-only prefix would miss.  The search
+    explores one mutable engine via push/pop; the reference twin
+    (:mod:`repro.oracle.lint`) re-derives the same frontier with
+    per-state copies, in the same candidate order and with the same
+    value-keyed state dedup, so both return the same witness (fuzz
+    invariant 13).
     """
     if universe_edges is None:
         universe_edges = _grant_closure_edges(policy)
-    commands = [
-        Command(user, CommandAction.GRANT, source, target)
-        for source, target in universe_edges
-    ]
-    if compiled:
-        engine = ExplorationEngine(policy, Mode.STRICT, universe=commands)
-        state = engine.policy
-        initial = state.descendants_bits(user) & engine.privileges_mask
-        seen = {engine.fingerprint}
-        queue: deque = deque([()])
-        while queue:
-            path = queue.popleft()
-            engine.goto(path)
-            for command in engine.effective_commands():
-                engine.push(command)
-                fingerprint = engine.fingerprint
-                if fingerprint in seen:
-                    engine.pop()
-                    continue
-                seen.add(fingerprint)
-                gained = (
-                    state.descendants_bits(user)
-                    & engine.privileges_mask & ~initial
-                )
-                if gained:
-                    vertex_of = state.graph._vertex_of
-                    least = sorted(
-                        (vertex_of[index] for index in iter_bits(gained)),
-                        key=str,
-                    )[0]
-                    return engine.path, least
-                if len(path) + 1 < depth:
-                    queue.append(path + (command,))
-                engine.pop()
-        return None
-    initial_set = frozenset(
-        item for item in policy.descendants(user) if is_privilege(item)
+    engine = ExplorationEngine(
+        policy, Mode.STRICT, universe=_grant_commands(user, universe_edges)
     )
-    start = policy.copy()
-    seen_states = {(start.edge_set(), start.vertex_set())}
-    frontier: deque = deque([(start, ())])
-    while frontier:
-        state, path = frontier.popleft()
-        for command in commands:
-            if state.graph.has_edge(command.source, command.target):
-                continue
-            wanted = command.requested_privilege()
-            if wanted is None:
-                continue
-            if wanted not in state.descendants(user):
-                continue
-            child = state.copy()
-            child.add_edge(command.source, command.target)
-            signature = (child.edge_set(), child.vertex_set())
-            if signature in seen_states:
-                continue
-            seen_states.add(signature)
-            gained_set = frozenset(
-                item for item in child.descendants(user)
-                if is_privilege(item)
-            ) - initial_set
-            if gained_set:
-                return path + (command,), min(gained_set, key=str)
-            if len(path) + 1 < depth:
-                frontier.append((child, path + (command,)))
+    state = engine.policy
+    initial = state.descendants_bits(user) & engine.privileges_mask
+    for path in engine.bfs(depth):
+        gained = (
+            state.descendants_bits(user) & engine.privileges_mask & ~initial
+        )
+        if gained:
+            vertex_of = state.graph._vertex_of
+            least = sorted(
+                (vertex_of[index] for index in iter_bits(gained)), key=str
+            )[0]
+            return path, least
     return None
 
 
@@ -1323,7 +1160,6 @@ def _redundant_delegation(ctx: LintContext) -> Iterator[Finding]:
     probes only the edges of :meth:`LintContext.delegation_edges`."""
     policy = ctx.policy
     graph = policy.graph
-    index = ctx.index
     # A snapshot: each probe below removes and re-adds its edge.  The
     # order is immaterial — every probe restores the policy exactly,
     # and the session sorts the findings.
@@ -1335,79 +1171,65 @@ def _redundant_delegation(ctx: LintContext) -> Iterator[Finding]:
         # Cheap necessary condition: some other out-edge of ``source``
         # already reaches ``target`` (possibly via a cycle through the
         # candidate edge, hence the exact probe below).
-        if ctx.compiled:
-            target_id = graph._vid[target]
-            likely = any(
-                policy.descendants_bits(successor) >> target_id & 1
-                for successor in graph.successors(source)
-                if successor != target
-            )
-        else:
-            likely = any(
-                target in policy.descendants(successor)
-                for successor in graph.successors(source)
-                if successor != target
-            )
-        if not likely:
+        target_id = graph._vid[target]
+        if not any(
+            policy.descendants_bits(successor) >> target_id & 1
+            for successor in graph.successors(source)
+            if successor != target
+        ):
             continue
-        ctx.count("redundant-delegation", "candidates")
-        if ctx.compiled:
-            upstream = ctx.decode(
-                ancestors_bits(graph, source) & policy.bits.users_mask
-            )
-        else:
-            upstream = sorted(
-                (
-                    vertex
-                    for vertex in _frozen_ancestors(graph, source)
-                    if isinstance(vertex, User)
-                ),
-                key=str,
-            )
-        before_held = {
-            user: index.held_privileges(user) for user in upstream
-        }
-        before_authority = {
-            user: index.effective_authority(user)
-            for user in upstream[:8]
-        }
-        policy.remove_edge(source, target)
-        try:
-            if ctx.compiled:
-                still = bool(
-                    policy.descendants_bits(source)
-                    >> graph._vid[target] & 1
-                )
-            else:
-                still = target in policy.descendants(source)
-            if not still:
-                continue
-            verified = all(
-                index.held_privileges(user) == before_held[user]
-                for user in upstream
-            ) and all(
-                index.effective_authority(user) == before_authority[user]
-                for user in before_authority
-            )
-            if not verified:
-                ctx.count("redundant-delegation", "refuted")
-                continue
-            ctx.count("redundant-delegation", "verified")
-            reroute = next(
-                successor
-                for successor in sorted(graph.successors(source), key=str)
-                if policy.reaches(successor, target)
-            )
-        finally:
-            policy.add_edge(source, target)
-        yield Finding(
-            "redundant-delegation", Severity.INFO, source,
-            (source, target, reroute),
-            f"edge ({source} -> {target}) is implied by the rest of the "
-            f"policy (reroutes via {reroute}); removing it preserves "
-            "every authorization",
-            f"revoke({source}, {target})",
+        finding = _probe_redundancy(
+            ctx, source, target,
+            ctx.decode(ancestors_bits(graph, source) & policy.bits.users_mask),
+            lambda: policy.descendants_bits(source) >> target_id & 1,
         )
+        if finding is not None:
+            yield finding
+
+
+def _probe_redundancy(
+    ctx: LintContext, source, target, upstream: list, still_reaches
+) -> Finding | None:
+    """Probe one candidate edge exactly: remove it, require
+    ``still_reaches()`` and, in ``ctx.index``, unchanged held privileges
+    for every ``upstream`` user and unchanged effective authority for a
+    sample of them, then re-add it.  Returns the finding, or None."""
+    ctx.count("redundant-delegation", "candidates")
+    policy, index = ctx.policy, ctx.index
+    before_held = {user: index.held_privileges(user) for user in upstream}
+    before_authority = {
+        user: index.effective_authority(user) for user in upstream[:8]
+    }
+    policy.remove_edge(source, target)
+    try:
+        if not still_reaches():
+            return None
+        verified = all(
+            index.held_privileges(user) == before_held[user]
+            for user in upstream
+        ) and all(
+            index.effective_authority(user) == before_authority[user]
+            for user in before_authority
+        )
+        if not verified:
+            ctx.count("redundant-delegation", "refuted")
+            return None
+        ctx.count("redundant-delegation", "verified")
+        reroute = next(
+            successor
+            for successor in sorted(policy.graph.successors(source), key=str)
+            if policy.reaches(successor, target)
+        )
+    finally:
+        policy.add_edge(source, target)
+    return Finding(
+        "redundant-delegation", Severity.INFO, source,
+        (source, target, reroute),
+        f"edge ({source} -> {target}) is implied by the rest of the "
+        f"policy (reroutes via {reroute}); removing it preserves "
+        "every authorization",
+        f"revoke({source}, {target})",
+    )
 
 
 __all__ = [

@@ -14,27 +14,25 @@ These are the primitives behind the safety checker
 (:mod:`repro.analysis.safety`), the Remark-2 conjecture tests, and the
 strict-vs-refined flexibility benchmarks.
 
-``compiled=True`` (default) explores on the
-:class:`~repro.core.explore.ExplorationEngine` — apply/undo log,
-bitmask candidate pruning, canonical fingerprint deduplication — and
-copies a policy only per *distinct* reachable state (the returned
-:class:`ReachableState` needs one), never per candidate probe.
-``compiled=False`` keeps the frozenset oracle.  State identity covers
-the vertex set as well as the edge set in both representations,
-matching ``Policy.__eq__`` (two states that differ only in an isolated
+Exploration runs on the :class:`~repro.core.explore.ExplorationEngine`
+— apply/undo log, bitmask candidate pruning, canonical fingerprint
+deduplication — and copies a policy only per *distinct* reachable
+state (the returned :class:`ReachableState` needs one), never per
+candidate probe.  The copy-per-probe twin is
+:func:`repro.oracle.reference_reachable_policies`.  State identity
+covers the vertex set as well as the edge set in both, matching
+``Policy.__eq__`` (two states that differ only in an isolated
 vertex — a user deprovisioned and re-added with no memberships — are
 distinct policies).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from ..core.commands import Command, Mode, candidate_commands, step
+from ..core.commands import Command, Mode
 from ..core.entities import User
 from ..core.explore import ExplorationEngine
-from ..core.ordering import OrderingOracle
 from ..core.policy import Policy
 from ..core.privileges import UserPrivilege
 from ..core.refinement import granted_pairs
@@ -58,77 +56,21 @@ def reachable_policies(
     mode: Mode = Mode.STRICT,
     users: list[User] | None = None,
     max_states: int = 100_000,
-    compiled: bool = True,
 ) -> list[ReachableState]:
     """BFS over policy states via effective commands, up to ``depth``.
 
     States are deduplicated by (vertex set, edge set) identity; each is
     returned with a shortest queue reaching it.  ``max_states`` is a
     hard cap guarding against exponential blow-ups on large inputs.
+    Frontier nodes are witness paths on one undo-log engine; snapshots
+    are taken only for the distinct states actually returned.
     """
-    if compiled:
-        return _reachable_policies_compiled(
-            policy, depth, mode, users, max_states
-        )
-    universe = candidate_commands(policy, mode, users)
-    start = policy.copy()
-    seen: set[tuple[frozenset, frozenset]] = {
-        (start.edge_set(), start.vertex_set())
-    }
-    states: list[ReachableState] = [ReachableState(start, ())]
-    frontier: deque[ReachableState] = deque(states)
-    while frontier:
-        current = frontier.popleft()
-        if current.depth == depth:
-            continue
-        for command in universe:
-            probe = current.policy.copy()
-            record = step(probe, command, mode, OrderingOracle(probe))
-            if not record.executed:
-                continue
-            signature = (probe.edge_set(), probe.vertex_set())
-            if signature in seen:
-                continue
-            seen.add(signature)
-            state = ReachableState(probe, current.witness + (command,))
-            states.append(state)
-            if len(states) >= max_states:
-                return states
-            frontier.append(state)
-    return states
-
-
-def _reachable_policies_compiled(
-    policy: Policy,
-    depth: int,
-    mode: Mode,
-    users: list[User] | None,
-    max_states: int,
-) -> list[ReachableState]:
-    """Undo-log BFS: frontier nodes are witness paths, snapshots are
-    taken only for the distinct states actually returned."""
     engine = ExplorationEngine(policy, mode, users)
-    seen = {engine.fingerprint}
     states: list[ReachableState] = [ReachableState(engine.snapshot(), ())]
-    frontier: deque[tuple[Command, ...]] = deque([()])
-    while frontier:
-        path = frontier.popleft()
-        if len(path) == depth:
-            continue
-        engine.goto(path)
-        for command in engine.effective_commands():
-            engine.push(command)
-            signature = engine.fingerprint
-            if signature in seen:
-                engine.pop()
-                continue
-            seen.add(signature)
-            witness = path + (command,)
-            states.append(ReachableState(engine.snapshot(), witness))
-            if len(states) >= max_states:
-                return states
-            frontier.append(witness)
-            engine.pop()
+    for path in engine.bfs(depth):
+        states.append(ReachableState(engine.snapshot(), path))
+        if len(states) >= max_states:
+            break
     return states
 
 
@@ -137,13 +79,11 @@ def obtainable_pairs(
     depth: int,
     mode: Mode = Mode.STRICT,
     users: list[User] | None = None,
-    compiled: bool = True,
 ) -> frozenset[tuple[object, UserPrivilege]]:
     """All (subject, user-privilege) pairs granted in *some* policy
     state reachable within ``depth`` administrative steps."""
     pairs: set[tuple[object, UserPrivilege]] = set()
-    for state in reachable_policies(policy, depth, mode, users,
-                                    compiled=compiled):
+    for state in reachable_policies(policy, depth, mode, users):
         pairs |= granted_pairs(state.policy)
     return frozenset(pairs)
 
@@ -152,10 +92,7 @@ def newly_obtainable_pairs(
     policy: Policy,
     depth: int,
     mode: Mode = Mode.STRICT,
-    compiled: bool = True,
 ) -> frozenset[tuple[object, UserPrivilege]]:
     """Pairs obtainable through administration but not granted by the
     initial policy — the "administrative surface" of the policy."""
-    return obtainable_pairs(
-        policy, depth, mode, compiled=compiled
-    ) - granted_pairs(policy)
+    return obtainable_pairs(policy, depth, mode) - granted_pairs(policy)

@@ -1,10 +1,8 @@
 """Lint-to-repair: executable, refinement-gated repair plans.
 
-PR 6's lint pass reports findings whose ``repair`` field is a string
-in the paper's term notation — advisory, not executable.  This module
-closes the loop: every registered lint rule has a **repair planner**
-that turns a finding into a typed :class:`RepairPlan` (a concrete
-mutation sequence over the policy graph), and :func:`repair_policy`
+Every registered lint rule has a **repair planner** that turns a
+finding into a typed :class:`RepairPlan` (a concrete mutation
+sequence over the policy graph), and :func:`repair_policy`
 applies plans one at a time under two verification gates, through an
 exact apply/undo log in the style of the exploration engine:
 
@@ -41,10 +39,13 @@ Iterating apply-and-re-lint to a fixed point yields
 ``repro lint --fix``: on every shipped fixture the loop converges
 with zero findings remaining, every applied plan refining the
 original policy.  Fuzz invariant 13 (:func:`repro.workloads.fuzz.
-fuzz_repair`) pins the compiled and frozenset repair runs — plan
-sequences, outcomes, and the final repaired policy — identical under
-churn and vertex-ID recycling, and each applied plan's session
-re-lint equal to a fresh full lint of the same state.
+fuzz_repair`) pins this driver's runs and
+:func:`repro.oracle.reference_repair_policy` — the same driver over a
+:class:`~repro.oracle.ReferenceLintSession`, whose planners run on the
+frozenset reference context — identical in plan sequences, outcomes,
+and the final repaired policy under churn and vertex-ID recycling, and
+each applied plan's session re-lint equal to a fresh full lint of the
+same state.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ from .lint import (
     LintSession,
     Severity,
     _escalation_finding,
-    _min_grant_escalation,
-    _user_escalations,
     lint_policy,
 )
 
@@ -124,7 +123,7 @@ class RepairPlan:
         return f"{self.rule}: {steps}"
 
     def signature(self) -> tuple:
-        """Value identity across kernels (fuzz invariant 13)."""
+        """Value identity across runs (fuzz invariant 13)."""
         return (
             self.rule,
             self.finding.sort_key,
@@ -154,7 +153,6 @@ def _planner(rule_name: str):
 def plan_repair(
     policy: Policy,
     finding: Finding,
-    compiled: bool = True,
     constraints: Iterable[SsdConstraint] = (),
     escalation_depth: int = 2,
 ) -> RepairPlan | None:
@@ -166,26 +164,22 @@ def plan_repair(
     memberships cannot break).  Planners never mutate the policy
     except via exactly-restored probes.
     """
+    return _plan(
+        LintContext(policy, tuple(constraints), escalation_depth), finding
+    )
+
+
+def _plan(context: LintContext, finding: Finding) -> RepairPlan | None:
+    """The registered planner's plan for ``finding`` over ``context``
+    (a repair driver's :meth:`LintSession.context`), or None."""
     planner = PLANNERS.get(finding.rule)
     if planner is None:
         return None
-    context = LintContext(
-        policy, compiled, tuple(constraints), escalation_depth
-    )
     return planner(context, finding)
 
 
 def _remove_edge(source, target) -> RepairAction:
     return RepairAction("remove-edge", source, target)
-
-
-def _reaches(ctx: LintContext, source, target) -> bool:
-    if ctx.compiled:
-        index = ctx.policy.graph._vid.get(target)
-        if index is None:
-            return source == target
-        return bool(ctx.policy.descendants_bits(source) >> index & 1)
-    return ctx.policy.reaches(source, target)
 
 
 @_planner("dead-role")
@@ -246,19 +240,7 @@ def _plan_constraint_conflict(ctx: LintContext, finding: Finding):
         return None
 
     def hits() -> int:
-        if ctx.compiled:
-            vid = graph._vid
-            mask = 0
-            for role in constraint.roles:
-                index = vid.get(role)
-                if index is not None:
-                    mask |= 1 << index
-            return (policy.descendants_bits(subject) & mask).bit_count()
-        reached = {
-            item for item in policy.descendants(subject)
-            if isinstance(item, Role)
-        }
-        return len(reached & constraint.roles)
+        return ctx.constraint_hits(subject, constraint)
 
     removed: list = []
     try:
@@ -322,13 +304,13 @@ def _plan_self_escalation(ctx: LintContext, finding: Finding):
     if not isinstance(user, User) or user not in ctx.policy.graph:
         return None
     graph = ctx.policy.graph
-    for privilege, witness in _user_escalations(ctx, user):
+    for privilege, witness in ctx.user_escalations(user):
         if _escalation_finding(ctx, user, privilege, witness) != finding:
             continue
         holders = [
             holder
             for holder in sorted(graph.predecessors(privilege), key=str)
-            if _reaches(ctx, user, holder)
+            if ctx.reaches(user, holder)
         ]
         if not holders:
             return None
@@ -391,9 +373,7 @@ def _plan_depth_k_escalation(ctx: LintContext, finding: Finding):
     log = _UndoLog(policy)
     try:
         for _ in range(16):
-            found = _min_grant_escalation(
-                policy, user, ctx.escalation_depth, ctx.compiled
-            )
+            found = ctx.min_grant_escalation(user)
             if found is None:
                 break
             commands, _gained = found
@@ -401,7 +381,7 @@ def _plan_depth_k_escalation(ctx: LintContext, finding: Finding):
             holders = [
                 holder
                 for holder in sorted(graph.predecessors(first), key=str)
-                if _reaches(ctx, user, holder)
+                if ctx.reaches(user, holder)
             ]
             if not holders:
                 return None
@@ -567,7 +547,6 @@ class RepairReport:
     outcomes: tuple[RepairOutcome, ...]
     iterations: int
     fixpoint: bool
-    compiled: bool = True
     severity: Severity = Severity.INFO
 
     @property
@@ -594,7 +573,6 @@ class RepairReport:
 
     def as_dict(self) -> dict:
         return {
-            "compiled": self.compiled,
             "severity": self.severity.label,
             "iterations": self.iterations,
             "fixpoint": self.fixpoint,
@@ -616,7 +594,6 @@ def apply_plan(
     plan: RepairPlan,
     current: LintReport,
     rules: Iterable[str] | None = None,
-    compiled: bool = True,
     constraints: Iterable[SsdConstraint] = (),
     escalation_depth: int = 2,
     max_cascade: int = 3,
@@ -633,11 +610,11 @@ def apply_plan(
     it pays only for the region the plan touched; without one, a
     session is opened that adopts ``current`` as its first lint.  A
     rolled-back plan reaches the session as just more journal deltas.
+    Cascade plans are planned on the session's context.
     """
     if session is None:
         session = LintSession(
-            policy, rules, compiled, constraints, escalation_depth,
-            baseline=current,
+            policy, rules, constraints, escalation_depth, baseline=current,
         )
     reference = policy.copy()
     before = set(current.findings)
@@ -660,11 +637,7 @@ def apply_plan(
         for finding in sorted(
             fresh, key=lambda f: (-f.severity, f.sort_key)
         ):
-            sub_plan = plan_repair(
-                policy, finding, compiled=compiled,
-                constraints=constraints,
-                escalation_depth=escalation_depth,
-            )
+            sub_plan = _plan(session.context(), finding)
             if sub_plan is None:
                 continue
             for action in sub_plan.actions:
@@ -711,7 +684,6 @@ def apply_plan(
 def repair_policy(
     policy: Policy,
     rules: Iterable[str] | None = None,
-    compiled: bool = True,
     constraints: Iterable[SsdConstraint] = (),
     severity: Severity = Severity.INFO,
     in_place: bool = False,
@@ -740,13 +712,25 @@ def repair_policy(
     """
     rules = list(rules) if rules is not None else None
     work = policy if in_place else policy.copy()
-    current = lint_policy(
-        work, rules, compiled, constraints, escalation_depth
-    )
+    current = lint_policy(work, rules, constraints, escalation_depth)
     session = LintSession(
-        work, rules, compiled, constraints, escalation_depth,
-        baseline=current,
+        work, rules, constraints, escalation_depth, baseline=current,
     )
+    return _repair_loop(session, current, severity, max_iterations,
+                        max_cascade)
+
+
+def _repair_loop(
+    session: LintSession,
+    current: LintReport,
+    severity: Severity,
+    max_iterations: int,
+    max_cascade: int,
+) -> RepairReport:
+    """:func:`repair_policy`'s fixed-point loop over ``session.policy``,
+    starting from its full lint ``current``; plans are planned on the
+    session's context and re-linted through the session."""
+    work = session.policy
     initial = current
     outcomes: list[RepairOutcome] = []
     iterations = 0
@@ -772,17 +756,14 @@ def repair_policy(
         for finding in targets:
             if finding not in live:
                 continue  # an earlier plan this pass resolved it
-            plan = plan_repair(
-                work, finding, compiled=compiled, constraints=constraints,
-                escalation_depth=escalation_depth,
-            )
+            plan = _plan(session.context(), finding)
             if plan is None:
                 continue
             if plan.signature() in rejected_before:
                 continue  # same plan was already rejected: don't loop
             outcome, relint = apply_plan(
-                work, plan, current, rules, compiled, constraints,
-                escalation_depth, max_cascade, session,
+                work, plan, current, max_cascade=max_cascade,
+                session=session,
             )
             outcomes.append(outcome)
             if outcome.status == APPLIED:
@@ -801,6 +782,5 @@ def repair_policy(
         outcomes=tuple(outcomes),
         iterations=iterations,
         fixpoint=fixpoint,
-        compiled=compiled,
         severity=severity,
     )

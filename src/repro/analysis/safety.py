@@ -10,25 +10,23 @@ Unlike HRU's analysis, runs here are subject- and order-sensitive:
 the witness shows *who* has to act, which is exactly the distinction
 footnote 5 of the paper draws.
 
-Two explorers implement the same BFS.  The default (``compiled=True``)
-runs on the :class:`~repro.core.explore.ExplorationEngine`: one mutable
-policy driven by an apply/undo log, candidate pruning and ``reaches``
-probes answered by kernel bitmasks, and state deduplication by
-canonical fingerprint.  ``compiled=False`` keeps the frozenset oracle —
-``policy.copy()`` per candidate, ``(edge_set, vertex_set)`` signatures
-— pinned observationally identical (same verdicts, same witnesses,
-same ``states_explored``) by fuzz invariant 10.
+The BFS runs on the :class:`~repro.core.explore.ExplorationEngine`:
+one mutable policy driven by an apply/undo log, candidate pruning and
+``reaches`` probes answered by kernel bitmasks, and state
+deduplication by canonical fingerprint.  Its definitional twin,
+:func:`repro.oracle.reference_can_obtain` (``policy.copy()`` per
+candidate, ``(edge_set, vertex_set)`` signatures), is pinned
+observationally identical (same verdicts, same witnesses, same
+``states_explored``) by fuzz invariant 10.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from ..core.commands import Command, Mode, candidate_commands, step
+from ..core.commands import Command, Mode
 from ..core.entities import User
 from ..core.explore import ExplorationEngine, reaches_bits
-from ..core.ordering import OrderingOracle
 from ..core.policy import Policy
 from ..core.privileges import UserPrivilege
 
@@ -52,7 +50,6 @@ def can_obtain(
     depth: int = 3,
     mode: Mode = Mode.STRICT,
     acting_users: list[User] | None = None,
-    compiled: bool = True,
 ) -> SafetyVerdict:
     """Can ``subject`` reach ``privilege`` in some policy reachable
     within ``depth`` administrative steps?
@@ -60,53 +57,13 @@ def can_obtain(
     ``acting_users`` restricts who issues commands (the "trusted users
     don't act" refinement of the classical safety question: pass only
     the untrusted users to model their collusion); the restriction is
-    threaded into the candidate command universe, so the compiled
-    engine's per-state issuer masks never touch excluded users.
+    threaded into the candidate command universe, so the engine's
+    per-state issuer masks never touch excluded users.  Frontier nodes
+    are witness paths; the engine replays/undoes along them, so no
+    state is ever copied.
     """
-    if compiled:
-        if reaches_bits(policy, subject, privilege):
-            return SafetyVerdict(True, (), 1)
-        return _can_obtain_compiled(
-            policy, subject, privilege, depth, mode, acting_users
-        )
-    if policy.reaches(subject, privilege):
+    if reaches_bits(policy, subject, privilege):
         return SafetyVerdict(True, (), 1)
-    universe = candidate_commands(policy, mode, acting_users)
-    seen = {(policy.edge_set(), policy.vertex_set())}
-    frontier: deque[tuple[Policy, tuple[Command, ...]]] = deque(
-        [(policy.copy(), ())]
-    )
-    explored = 1
-    while frontier:
-        state, witness = frontier.popleft()
-        if len(witness) == depth:
-            continue
-        for command in universe:
-            probe = state.copy()
-            record = step(probe, command, mode, OrderingOracle(probe))
-            if not record.executed:
-                continue
-            signature = (probe.edge_set(), probe.vertex_set())
-            if signature in seen:
-                continue
-            seen.add(signature)
-            explored += 1
-            if probe.reaches(subject, privilege):
-                return SafetyVerdict(True, witness + (command,), explored)
-            frontier.append((probe, witness + (command,)))
-    return SafetyVerdict(False, None, explored)
-
-
-def _can_obtain_compiled(
-    policy: Policy,
-    subject: object,
-    privilege: UserPrivilege,
-    depth: int,
-    mode: Mode,
-    acting_users: list[User] | None,
-) -> SafetyVerdict:
-    """The undo-log BFS.  Frontier nodes are witness paths; the engine
-    replays/undoes along them, so no state is ever copied."""
     engine = ExplorationEngine(policy, mode, acting_users)
     return _can_obtain_on_engine(engine, subject, privilege, depth)
 
@@ -119,33 +76,16 @@ def _can_obtain_on_engine(
 ) -> SafetyVerdict:
     """One safety BFS over a (possibly shared) engine.
 
-    The ``seen`` set is per query; the engine's state is navigated by
-    witness path, so the first ``goto(())`` rewinds whatever state a
-    previous query on the same engine left behind.  Observationally
-    identical to a fresh-engine run: same verdict, witness, and
-    ``states_explored``.
+    :meth:`ExplorationEngine.bfs` keeps its ``seen`` set per query and
+    starts by rewinding whatever state a previous query on the same
+    engine left behind, so this is observationally identical to a
+    fresh-engine run: same verdict, witness, and ``states_explored``.
     """
-    engine.goto(())
-    seen = {engine.fingerprint}
-    frontier: deque[tuple[Command, ...]] = deque([()])
     explored = 1
-    while frontier:
-        path = frontier.popleft()
-        if len(path) == depth:
-            continue
-        engine.goto(path)
-        for command in engine.effective_commands():
-            engine.push(command)
-            signature = engine.fingerprint
-            if signature in seen:
-                engine.pop()
-                continue
-            seen.add(signature)
-            explored += 1
-            if engine.reaches(subject, privilege):
-                return SafetyVerdict(True, path + (command,), explored)
-            frontier.append(path + (command,))
-            engine.pop()
+    for path in engine.bfs(depth):
+        explored += 1
+        if engine.reaches(subject, privilege):
+            return SafetyVerdict(True, path, explored)
     return SafetyVerdict(False, None, explored)
 
 
@@ -153,7 +93,6 @@ def safety_matrix(
     policy: Policy,
     depth: int = 2,
     mode: Mode = Mode.STRICT,
-    compiled: bool = True,
 ) -> dict[tuple[User, UserPrivilege], SafetyVerdict]:
     """The full user × user-privilege safety table for a policy.
 
@@ -163,8 +102,7 @@ def safety_matrix(
     tests assert equality of the obtainable sets on the paper's
     policies).
 
-    Under ``compiled=True`` the whole table shares one
-    :class:`ExplorationEngine` — the candidate universe, issuer masks,
+    The whole table shares one :class:`ExplorationEngine` — the candidate universe, issuer masks,
     and undo log are built once and every cell runs its own BFS with a
     per-query ``seen`` set, instead of rebuilding the engine per cell.
     Verdicts (including witnesses and ``states_explored``) are
@@ -173,13 +111,6 @@ def safety_matrix(
     verdicts: dict[tuple[User, UserPrivilege], SafetyVerdict] = {}
     users = sorted(policy.users(), key=str)
     privileges = sorted(policy.user_privileges(), key=str)
-    if not compiled:
-        for user in users:
-            for privilege in privileges:
-                verdicts[(user, privilege)] = can_obtain(
-                    policy, user, privilege, depth, mode, compiled=False
-                )
-        return verdicts
     # Depth-0 prefilter, vectorized: one descendants mask per user and
     # one interner lookup per privilege replace the per-cell
     # ``reaches_bits`` probes — U + P graph consultations instead of

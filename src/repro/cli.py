@@ -9,8 +9,7 @@ Subcommands:
 * ``check-admin-refinement PHI PSI`` — bounded Definition 7 check.
 * ``run-queue FILE QUEUE.json`` — execute a command queue (Definition 5).
 * ``analyze FILE SUBJ PRIV``    — bounded safety query with witness
-  (``--frozenset`` selects the oracle explorer instead of the compiled
-  undo-log engine).
+  (the compiled undo-log explorer).
 * ``lint [FILE]``               — static policy analysis: structured
   findings with witnesses and suggested repairs (``--fixture`` lints a
   built-in policy, ``--severity`` gates the exit code for CI).
@@ -202,11 +201,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     verdict = can_obtain(
         policy, subject, privilege,
         depth=args.depth, mode=mode, acting_users=acting,
-        compiled=not args.frozenset,
     )
-    kernel = "frozenset" if args.frozenset else "compiled"
     print(f"explored {verdict.states_explored} states "
-          f"({kernel} explorer, depth {args.depth}, {mode.value} mode)")
+          f"(compiled explorer, depth {args.depth}, {mode.value} mode)")
     if verdict.reachable:
         if verdict.witness:
             print(f"REACHABLE in {len(verdict.witness)} step(s):")
@@ -275,14 +272,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     threshold = Severity.parse(args.severity)
     if args.dry_run and not args.fix:
         raise AnalysisError("--dry-run only makes sense with --fix")
-    kernel = "frozenset" if args.frozenset else "compiled"
     if args.fix:
         from .analysis.repair import repair_policy
 
         report = repair_policy(
             policy,
             rules=args.rules,
-            compiled=not args.frozenset,
             constraints=constraints,
             severity=threshold,
         )
@@ -297,7 +292,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 f"repair: {len(report.applied)} plan(s) applied, "
                 f"{len(report.rejected)} rejected, "
                 f"{len(report.remaining)} finding(s) remaining at or "
-                f"above {threshold.label} ({kernel} kernel"
+                f"above {threshold.label} (compiled kernel"
             )
             if args.dry_run:
                 summary += ", dry run"
@@ -308,17 +303,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             print(f"wrote repaired policy to {args.policy}")
         return 1 if report.remaining else 0
-    report = lint_policy(
-        policy,
-        rules=args.rules,
-        compiled=not args.frozenset,
-        constraints=constraints,
-    )
+    report = lint_policy(policy, rules=args.rules, constraints=constraints)
     selected = report.at_or_above(threshold)
     if args.json:
         print(json.dumps(
             {
-                "compiled": report.compiled,
                 "severity": threshold.label,
                 "findings": [finding.as_dict() for finding in selected],
                 "stats": report.stats,
@@ -331,7 +320,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         suppressed = len(report.findings) - len(selected)
         summary = (
             f"{len(selected)} finding(s) at or above {threshold.label} "
-            f"({kernel} kernel"
+            "(compiled kernel"
         )
         if suppressed:
             summary += f", {suppressed} below threshold"
@@ -409,21 +398,24 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             "campaigns, verdicts checked against the reference"
         )
     if args.lint_diff:
-        lint_reports = [fuzz_lint(seed) for seed in range(args.seeds)]
+        lint_reports = [
+            fuzz_lint(seed, steps=args.steps) for seed in range(args.seeds)
+        ]
         violations += [v for r in lint_reports for v in r.violations]
         print(
-            f"lint agreement: {len(lint_reports)} campaigns, both "
-            "kernels, session re-lints pinned to fresh full lints, "
-            "policy index to a fresh build"
+            f"lint agreement: {len(lint_reports)} campaigns, rules and "
+            "reference twins, session re-lints pinned to fresh full "
+            "lints, policy index to a fresh build"
         )
     if args.repair_diff:
         repair_reports = [
-            fuzz_repair(seed) for seed in range(args.seeds)
+            fuzz_repair(seed, steps=args.steps) for seed in range(args.seeds)
         ]
         violations += [v for r in repair_reports for v in r.violations]
         print(
             f"repair agreement: {len(repair_reports)} campaigns, "
-            "both kernels, refinement + fixpoint + policy index checked"
+            "driver and reference driver, refinement + fixpoint + "
+            "policy index checked"
         )
     if args.pdp_diff:
         pdp_reports = [fuzz_pdp(seed) for seed in range(args.seeds)]
@@ -793,11 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--acting", nargs="*", default=None, metavar="USER",
         help="restrict who issues commands (collusion set)",
     )
-    analyze.add_argument(
-        "--frozenset", action="store_true",
-        help="explore with the frozenset oracle instead of the "
-             "compiled undo-log engine (differential baseline)",
-    )
     analyze.set_defaults(func=_cmd_analyze)
 
     lint = subparsers.add_parser(
@@ -842,11 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
-    lint.add_argument(
-        "--frozenset", action="store_true",
-        help="lint with the frozenset oracle instead of the compiled "
-             "bitset kernel (differential baseline)",
-    )
     lint.set_defaults(func=_cmd_lint)
 
     flexibility = subparsers.add_parser(
@@ -873,14 +855,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--lint-diff", action="store_true",
-        help="additionally pin the compiled lint rules to the frozenset "
-             "oracle, and lint-session re-lints to fresh full lints, "
-             "under churn (invariant 11)",
+        help="additionally pin the lint rules to their frozenset "
+             "reference twins, and lint-session re-lints to fresh full "
+             "lints, under churn (invariant 11)",
     )
     fuzz.add_argument(
         "--repair-diff", action="store_true",
-        help="additionally pin the lint-to-repair engine across "
-             "kernels, with refinement and fixpoint checks "
+        help="additionally pin the lint-to-repair engine to its "
+             "reference run, with refinement and fixpoint checks "
              "(invariant 13)",
     )
     fuzz.add_argument(

@@ -56,10 +56,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import AnalysisError
-from .commands import Command, Mode, candidate_commands, run_queue, step
+from .commands import Command, Mode, run_queue
 from .entities import User
 from .explore import ExplorationEngine
-from .ordering import OrderingOracle
 from .policy import Policy
 from .refinement import is_refinement
 
@@ -87,50 +86,19 @@ class _Obligation:
     final: Policy
 
 
-def _universal_runs(policy: Policy, depth: int, mode: Mode) -> list[_Obligation]:
+def _universal_runs(
+    policy: Policy, depth: int, mode: Mode
+) -> list[_Obligation]:
     """All distinct (queue, final-policy) obligations of length <= depth.
 
     Distinctness is up to (user sequence, final edge set): two
     interleavings with the same issuing users and the same final policy
-    impose the same proof obligation.
-    """
-    universe = candidate_commands(policy, mode)
-    seen: set[tuple[tuple[User, ...], frozenset]] = set()
-    obligations: list[_Obligation] = []
-    frontier: deque[tuple[tuple[Command, ...], Policy]] = deque()
-    frontier.append(((), policy.copy()))
-    seen.add(((), policy.edge_set()))
-    obligations.append(_Obligation((), policy.copy()))
-    while frontier:
-        commands_so_far, state = frontier.popleft()
-        if len(commands_so_far) == depth:
-            continue
-        for command in universe:
-            probe = state.copy()
-            record = step(probe, command, mode, OrderingOracle(probe))
-            if not record.executed:
-                continue
-            if probe.edge_set() == state.edge_set():
-                continue  # executed but vacuous (edge already present/absent)
-            new_queue = commands_so_far + (command,)
-            key = (tuple(cmd.user for cmd in new_queue), probe.edge_set())
-            if key in seen:
-                continue
-            seen.add(key)
-            obligations.append(_Obligation(new_queue, probe.copy()))
-            frontier.append((new_queue, probe))
-    return obligations
-
-
-def _universal_runs_compiled(
-    policy: Policy, depth: int, mode: Mode
-) -> list[_Obligation]:
-    """:func:`_universal_runs` on the exploration engine: one mutable
-    state navigated by witness path, commands pruned by bit tests, and
-    a ``policy.copy()`` only per *kept* obligation.  Obligation order,
-    dedup keys, and final policies match the frozenset oracle exactly
+    impose the same proof obligation.  Runs on the exploration engine:
+    one mutable state navigated by witness path, commands pruned by bit
+    tests, and a ``policy.copy()`` only per *kept* obligation
     (``effective_commands`` is precisely the executed-and-non-vacuous
-    filter, in candidate-universe order)."""
+    filter, in candidate-universe order).
+    """
     engine = ExplorationEngine(policy, mode)
     seen: set[tuple[tuple[User, ...], frozenset]] = {
         ((), policy.edge_set())
@@ -160,73 +128,22 @@ def _universal_runs_compiled(
 
 
 def _exists_dominating_run(
-    responder: Policy,
-    users: tuple[User, ...],
-    dominated_final: Policy | None,
-    dominating_final: Policy | None,
-    mode: Mode,
-    counters: dict[str, int],
-) -> bool:
-    """Search responder-runs issuing ``users`` (with no-ops allowed).
-
-    Exactly one of ``dominated_final`` / ``dominating_final`` is None:
-    the responder's result fills the hole and we ask
-    ``is_refinement(dominating, dominated)``.
-    """
-    universe = candidate_commands(responder, mode)
-    visited: set[tuple[int, frozenset]] = set()
-
-    def satisfied(state: Policy) -> bool:
-        if dominating_final is None:
-            return is_refinement(state, dominated_final)
-        return is_refinement(dominating_final, state)
-
-    def search(index: int, state: Policy) -> bool:
-        key = (index, state.edge_set())
-        if key in visited:
-            return False
-        visited.add(key)
-        counters["responder_states"] += 1
-        if satisfied(state):
-            # Remaining positions can all be no-ops by the right users.
-            return True
-        if index == len(users):
-            return False
-        user = users[index]
-        # No-op by `user`: same state, next index.
-        if search(index + 1, state):
-            return True
-        for command in universe:
-            if command.user != user:
-                continue
-            probe = state.copy()
-            record = step(probe, command, mode, OrderingOracle(probe))
-            if not record.executed:
-                continue
-            if probe.edge_set() == state.edge_set():
-                continue
-            if search(index + 1, probe):
-                return True
-        return False
-
-    return search(0, responder.copy())
-
-
-def _exists_dominating_run_compiled(
     engine: ExplorationEngine,
     users: tuple[User, ...],
     dominated_final: Policy | None,
     dominating_final: Policy | None,
     counters: dict[str, int],
 ) -> bool:
-    """:func:`_exists_dominating_run` on a shared responder engine.
+    """Search responder-runs issuing ``users`` (with no-ops allowed)
+    on a shared responder engine.
 
-    The recursion pushes a candidate, descends, and pops on unwind
-    (``finally``), so the engine is back at the responder's initial
-    state when the search returns — ready for the next obligation
-    without rebuilding the universe or the ordering oracle.  The
-    visited keys, visit order, and ``responder_states`` counts match
-    the copy-per-candidate oracle exactly.
+    Exactly one of ``dominated_final`` / ``dominating_final`` is None:
+    the responder's result fills the hole and we ask
+    ``is_refinement(dominating, dominated)``.  The recursion pushes a
+    candidate, descends, and pops on unwind (``finally``), so the
+    engine is back at the responder's initial state when the search
+    returns — ready for the next obligation without rebuilding the
+    universe or the ordering oracle.
     """
     engine.goto(())
     visited: set[tuple[int, frozenset]] = set()
@@ -265,6 +182,22 @@ def _exists_dominating_run_compiled(
     return search(0)
 
 
+def _responder_on_engine(responder: Policy, mode: Mode):
+    """A matcher over one responder engine shared by every obligation,
+    built on the first obligation that is not matched trivially."""
+    engine: ExplorationEngine | None = None
+
+    def match(users, dominated_final, dominating_final, counters) -> bool:
+        nonlocal engine
+        if engine is None:
+            engine = ExplorationEngine(responder, mode)
+        return _exists_dominating_run(
+            engine, users, dominated_final, dominating_final, counters
+        )
+
+    return match
+
+
 def check_admin_refinement(
     phi: Policy,
     psi: Policy,
@@ -272,7 +205,6 @@ def check_admin_refinement(
     direction: str = "psi-universal",
     phi_mode: Mode = Mode.STRICT,
     psi_mode: Mode = Mode.STRICT,
-    compiled: bool = True,
 ) -> AdminRefinementResult:
     """Bounded Definition-7 check: is ψ an administrative refinement of
     φ, as far as runs of length ≤ ``depth`` over the candidate command
@@ -282,26 +214,44 @@ def check_admin_refinement(
     full proof; ``holds=False`` comes with a concrete counterexample
     queue on the universal side.
 
-    ``compiled=True`` (the default) runs both the universal-side
-    enumeration and the responder search on
-    :class:`~repro.core.explore.ExplorationEngine` undo logs — one
+    Both the universal-side enumeration and the responder search run
+    on :class:`~repro.core.explore.ExplorationEngine` undo logs — one
     shared responder engine across all obligations instead of a
-    ``policy.copy()`` per probed candidate.  ``compiled=False`` keeps
-    the copy-per-probe frozenset oracle; results (including the
-    counterexample and all counters) are identical.
+    ``policy.copy()`` per probed candidate.  The copy-per-probe twin is
+    :func:`repro.oracle.reference_check_admin_refinement`; results
+    (including the counterexample and all counters) are identical.
     """
+    return _check_admin_refinement(
+        phi, psi, depth, direction, phi_mode, psi_mode,
+        _universal_runs, _responder_on_engine,
+    )
+
+
+def _check_admin_refinement(
+    phi: Policy,
+    psi: Policy,
+    depth: int,
+    direction: str,
+    phi_mode: Mode,
+    psi_mode: Mode,
+    universal_runs,
+    responder,
+) -> AdminRefinementResult:
+    """The decision loop over the universal side's obligations:
+    ``universal_runs(policy, depth, mode)`` enumerates them and
+    ``responder(policy, mode)`` returns the matcher asked for a
+    dominating run per obligation.  The reference oracle supplies its
+    copy-per-probe pair; :func:`check_admin_refinement` the engine's."""
     if direction not in ("psi-universal", "phi-universal"):
         raise AnalysisError(f"unknown direction {direction!r}")
     counters = {"responder_states": 0}
     trivial = 0
-    enumerate_runs = _universal_runs_compiled if compiled else _universal_runs
     if direction == "psi-universal":
-        obligations = enumerate_runs(psi, depth, psi_mode)
-        responder, responder_mode = phi, phi_mode
+        obligations = universal_runs(psi, depth, psi_mode)
+        match = responder(phi, phi_mode)
     else:
-        obligations = enumerate_runs(phi, depth, phi_mode)
-        responder, responder_mode = psi, psi_mode
-    responder_engine: ExplorationEngine | None = None
+        obligations = universal_runs(phi, depth, phi_mode)
+        match = responder(psi, psi_mode)
 
     for obligation in obligations:
         if direction == "psi-universal":
@@ -317,20 +267,7 @@ def check_admin_refinement(
                 continue
             dominated, dominating = None, obligation.final
         users = tuple(cmd.user for cmd in obligation.queue)
-        if compiled:
-            if responder_engine is None:
-                responder_engine = ExplorationEngine(
-                    responder, responder_mode
-                )
-            matched = _exists_dominating_run_compiled(
-                responder_engine, users, dominated, dominating, counters
-            )
-        else:
-            matched = _exists_dominating_run(
-                responder, users, dominated, dominating,
-                responder_mode, counters,
-            )
-        if not matched:
+        if not match(users, dominated, dominating, counters):
             return AdminRefinementResult(
                 holds=False,
                 depth=depth,
@@ -352,7 +289,7 @@ def check_admin_refinement(
 
 
 def check_mode_safety(
-    policy: Policy, depth: int = 2, compiled: bool = True
+    policy: Policy, depth: int = 2
 ) -> AdminRefinementResult:
     """Is the refined monitor safe?  Every REFINED-mode run of
     ``policy`` must be dominated by a user-matched STRICT-mode run of
@@ -364,7 +301,6 @@ def check_mode_safety(
         direction="psi-universal",
         phi_mode=Mode.STRICT,
         psi_mode=Mode.REFINED,
-        compiled=compiled,
     )
 
 

@@ -57,16 +57,20 @@ fingerprint does **not** rely on this invariant (it is value-keyed);
 the engine's privileges mask and the reachability cache's vid-keyed
 mirrors do, and the differential fuzz invariant 10
 (:func:`repro.workloads.fuzz.fuzz_compiled_analysis`) pins the whole
-stack against the frozenset oracle, including ID-recycling traces.
+stack against the copy-per-probe explorers of
+:mod:`repro.oracle.explore`, including ID-recycling traces.
 
-The engine is compiled-only by design: the frozenset explorers remain
-in place as the semantic oracle behind each analysis' ``compiled=False``
-knob (the same convention as the PR-4 authorization kernel).
+The engine is the analysis layer's only explorer: safety,
+reachability, administrative refinement and the lint rules'
+depth-k exploration all run on it, and their frozenset twins live in
+:mod:`repro.oracle` as the semantic reference (the same convention as
+the authorization kernel and :class:`~repro.oracle.ReferenceIndex`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import deque
+from typing import Iterable, Iterator, Sequence
 
 from ..graph import StateFingerprint, iter_bits
 from .commands import Command, CommandAction, Mode, candidate_commands
@@ -345,6 +349,28 @@ class ExplorationEngine:
             self.pop()
         for command in path[common:]:
             self.push(command)
+
+    def bfs(self, depth: int) -> Iterator[tuple[Command, ...]]:
+        """Breadth-first over the distinct states within ``depth``
+        commands of the initial policy (fingerprint dedup), yielding
+        each new state's witness path with the engine positioned at it;
+        the consumer must not move the engine before resuming."""
+        self.goto(())
+        seen = {self.fingerprint}
+        frontier: deque[tuple[Command, ...]] = deque([()])
+        while frontier:
+            path = frontier.popleft()
+            if len(path) == depth:
+                continue
+            self.goto(path)
+            for command in self.effective_commands():
+                self.push(command)
+                if self.fingerprint not in seen:
+                    seen.add(self.fingerprint)
+                    witness = path + (command,)
+                    yield witness
+                    frontier.append(witness)
+                self.pop()
 
     def __repr__(self) -> str:
         return (

@@ -17,19 +17,20 @@ The only state is a memo of per-user entries and per-grant
 rectangles, dropped whenever ``policy.version`` moves.  Every
 differential harness, benchmark baseline and test that pins the
 production index consumes this class: fuzz invariants 9, 12 and 14
-(:mod:`repro.workloads.fuzz`), the lint verifier under
-``compiled=False``, and `benchmarks/bench_bitset_kernel.py`.
+(:mod:`repro.workloads.fuzz`), the reference lint rules' redundancy
+verifier (:mod:`repro.oracle.lint`), and
+`benchmarks/bench_bitset_kernel.py`.
 """
 
 from __future__ import annotations
 
-from .core.authz_index import GrantRectangle
-from .core.commands import Command, CommandAction
-from .core.entities import Role, User
-from .core.ordering import OrderingOracle
-from .core.policy import Policy
-from .core.privileges import Grant, Privilege, Revoke, is_privilege
-from .graph import ancestors
+from ..core.authz_index import GrantRectangle
+from ..core.commands import Command, CommandAction
+from ..core.entities import Role, User
+from ..core.ordering import OrderingOracle
+from ..core.policy import Policy
+from ..core.privileges import Grant, Privilege, Revoke, is_privilege
+from ..graph import ancestors
 
 _Entity = (User, Role)
 

@@ -36,7 +36,9 @@ monitor's global invariants after every step:
 10. **Compiled-analysis agreement** — the undo-log/fingerprint
     explorers behind the analysis layer (``can_obtain``,
     ``reachable_policies``, HRU ``check_safety``) are observationally
-    identical to the frozenset oracle explorers: same verdicts, same
+    identical to their copy-per-probe twins in :mod:`repro.oracle`
+    (``reference_can_obtain``, ``reference_reachable_policies``,
+    ``reference_check_safety``): same verdicts, same
     ``states_explored``, same witness lengths (and, stronger, the
     same witness queues and reachable-state signatures), in both
     authorization modes, over seeded policies churned with
@@ -44,14 +46,15 @@ monitor's global invariants after every step:
     (:func:`fuzz_compiled_analysis`).
 11. **Lint agreement** — the bitset-compiled lint rules
     (:func:`repro.analysis.lint.lint_policy`) produce findings, rule
-    statistics and severities identical to the frozenset oracle, on
-    the initial policy and re-checked after every chunk of
-    deprovision/re-provision churn that recycles interner vertex IDs,
-    with and without declared SSD separation sets; and a
-    :class:`~repro.analysis.lint.LintSession` per kernel, held across
+    statistics and severities identical to their frozenset twins
+    (:func:`repro.oracle.reference_lint_policy`), on the initial
+    policy and re-checked after every chunk of deprovision/re-provision
+    churn that recycles interner vertex IDs, with and without declared
+    SSD separation sets; and a :class:`~repro.analysis.lint.LintSession`
+    and a :class:`~repro.oracle.ReferenceLintSession`, held across
     those chunks and further bursts of role-hierarchy and assignment
-    edge additions and removals, re-lints each burst (scoped to its
-    dirty region) to exactly the findings of a fresh full frozenset
+    edge additions and removals, re-lint each burst (scoped to its
+    dirty region) to exactly the findings of a fresh full reference
     lint of the same state, after which the policy's own index equals
     a fresh build (:func:`fuzz_lint`).
 12. **Batch-authorization agreement** — ``authorizes_batch`` verdicts
@@ -65,16 +68,17 @@ monitor's global invariants after every step:
     off-graph edge endpoints, and duplicate-heavy batches
     (:func:`fuzz_batch_authz`).
 13. **Repair agreement** — the lint-to-repair engine
-    (:func:`repro.analysis.repair.repair_policy`) is kernel-
-    transparent and self-consistent: the compiled and frozenset runs
-    emit identical plan sequences and outcomes (including rejections
-    and cascade extensions) and arrive at value-equal repaired
-    policies; every accepted run *refines* its input policy
+    (:func:`repro.analysis.repair.repair_policy`) agrees with its
+    reference run and is self-consistent: it and
+    :func:`repro.oracle.reference_repair_policy` emit identical plan
+    sequences and outcomes (including rejections and cascade
+    extensions) and arrive at value-equal repaired policies; every accepted run *refines* its input policy
     (Definition 6 — no subject gains authority, checked by the
     refinement checker and by ``granted_pairs`` inclusion); and the
     run is a re-lint fixpoint (repairing again applies nothing, and a
     fresh lint of the repaired policy equals the run's final report), and
-    the repaired policy's own index equals a fresh build — on
+    the repaired policy's own index equals a fresh build, as it does
+    after every rejected plan is applied and rolled back — on
     the initial policy and re-checked after every chunk of
     ID-recycling churn, with sampled SSD separation sets
     (:func:`fuzz_repair`).
@@ -376,19 +380,23 @@ def fuzz_compiled_analysis(
 ) -> FuzzReport:
     """Invariant (10): the compiled analysis explorers are an
     implementation detail — undo-log exploration with canonical
-    fingerprints must be observationally identical to the frozenset
-    oracle (policy copies + ``(edge_set, vertex_set)`` signatures).
+    fingerprints must be observationally identical to the reference
+    explorers of :mod:`repro.oracle` (policy copies +
+    ``(edge_set, vertex_set)`` signatures).
 
     Compares, after an ID-recycling churn prefix, in both modes:
 
-    * :func:`repro.analysis.safety.can_obtain` over sampled
+    * :func:`repro.analysis.safety.can_obtain` against
+      :func:`~repro.oracle.reference_can_obtain` over sampled
       (user, user-privilege) cells — verdict, ``states_explored`` and
       the witness queue itself must match;
-    * :func:`repro.analysis.reachability.reachable_policies` — state
+    * :func:`repro.analysis.reachability.reachable_policies` against
+      :func:`~repro.oracle.reference_reachable_policies` — state
       count, per-state witness lengths, and the set of
       (edge set, vertex set) state signatures must match;
     * the HRU encoding's bounded :func:`repro.analysis.hru.check_safety`
-      — ``leaks``/``steps``/``states_explored`` must match.
+      against :func:`~repro.oracle.reference_check_safety` —
+      ``leaks``/``steps``/``states_explored`` must match.
 
     The default shape is deliberately small: exploration is exponential
     in depth, and the invariant is about identity, not scale.
@@ -399,6 +407,11 @@ def fuzz_compiled_analysis(
     from ..analysis.hru import check_safety, encode_rbac_grants
     from ..analysis.reachability import reachable_policies
     from ..analysis.safety import can_obtain
+    from ..oracle import (
+        reference_can_obtain,
+        reference_check_safety,
+        reference_reachable_policies,
+    )
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
@@ -416,11 +429,9 @@ def fuzz_compiled_analysis(
         if users and privileges
     ]
     for mode in (Mode.STRICT, Mode.REFINED):
-        fast = reachable_policies(
-            policy, depth, mode, max_states=max_states, compiled=True
-        )
-        oracle = reachable_policies(
-            policy, depth, mode, max_states=max_states, compiled=False
+        fast = reachable_policies(policy, depth, mode, max_states=max_states)
+        oracle = reference_reachable_policies(
+            policy, depth, mode, max_states=max_states
         )
         if len(fast) != len(oracle):
             report.violations.append(
@@ -449,12 +460,10 @@ def fuzz_compiled_analysis(
                     User("fuzz_outside_colluder")
                 ]
             fast_verdict = can_obtain(
-                policy, user, privilege, depth, mode,
-                acting_users=acting, compiled=True,
+                policy, user, privilege, depth, mode, acting_users=acting
             )
-            oracle_verdict = can_obtain(
-                policy, user, privilege, depth, mode,
-                acting_users=acting, compiled=False,
+            oracle_verdict = reference_can_obtain(
+                policy, user, privilege, depth, mode, acting_users=acting
             )
             if (
                 fast_verdict.reachable != oracle_verdict.reachable
@@ -473,12 +482,10 @@ def fuzz_compiled_analysis(
     for _ in range(min(probes, 2)):
         cell_subject, cell_object = rng.choice(names), rng.choice(names)
         fast_result = check_safety(
-            matrix, commands, "m", cell_subject, cell_object,
-            max_steps=2, compiled=True,
+            matrix, commands, "m", cell_subject, cell_object, max_steps=2
         )
-        oracle_result = check_safety(
-            matrix, commands, "m", cell_subject, cell_object,
-            max_steps=2, compiled=False,
+        oracle_result = reference_check_safety(
+            matrix, commands, "m", cell_subject, cell_object, max_steps=2
         )
         if (
             fast_result.leaks != oracle_result.leaks
@@ -553,20 +560,20 @@ def fuzz_lint(
     implementation detail — :func:`repro.analysis.lint.lint_policy`
     must produce findings (rules, severities, subjects, witnesses,
     messages, repairs) and per-rule statistics identical to the
-    frozenset oracle.
+    frozenset twins of :func:`repro.oracle.reference_lint_policy`.
 
     The comparison runs on the freshly generated policy and again
     after each of ``rounds`` chunks of :func:`_recycling_churn` — so
     the compiled sweeps are exercised over interners with freed and
     recycled vertex IDs.  Each comparison also declares an SSD
     separation set sampled from the live roles, pinning the
-    ``constraint-conflict`` rule in both kernels.
+    ``constraint-conflict`` rule and its twin.
 
-    Alongside, one :class:`~repro.analysis.lint.LintSession` per kernel
-    lives across the whole campaign: after each churn chunk, and after
-    each of four further bursts of :func:`_edge_churn`, both
-    sessions re-lint and must find exactly what a fresh full
-    frozenset lint of a copy finds.  Session churn draws from its own
+    Alongside, a :class:`~repro.analysis.lint.LintSession` and a
+    :class:`~repro.oracle.ReferenceLintSession` live across the whole
+    campaign: after each churn chunk, and after each of four further
+    bursts of :func:`_edge_churn`, both sessions re-lint and must find
+    exactly what a fresh full reference lint of a copy finds.  Session churn draws from its own
     seeded stream, so the kernel comparisons see the policies they
     always did until the first burst.  After every re-lint the
     policy's own index, which the compiled lints verify against and
@@ -575,6 +582,7 @@ def fuzz_lint(
     """
     from ..analysis.constraints import SsdConstraint
     from ..analysis.lint import LintSession, lint_policy
+    from ..oracle import ReferenceLintSession, reference_lint_policy
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
@@ -590,22 +598,22 @@ def fuzz_lint(
         )
         if len(roles) >= 2 else ()
     )
-    sessions = [
-        LintSession(policy, compiled=compiled,
-                    constraints=session_constraints)
-        for compiled in (True, False)
-    ]
-    for session in sessions:
+    sessions = {
+        kernel: session_class(policy, constraints=session_constraints)
+        for kernel, session_class in (
+            ("compiled", LintSession), ("frozenset", ReferenceLintSession)
+        )
+    }
+    for session in sessions.values():
         session.lint()
 
     def relint(label: str) -> None:
-        fresh = lint_policy(
-            policy.copy(), compiled=False, constraints=session_constraints
+        fresh = reference_lint_policy(
+            policy.copy(), constraints=session_constraints
         )
-        for session in sessions:
+        for kernel, session in sessions.items():
             found = session.lint()
             if found.findings != fresh.findings:
-                kernel = "compiled" if session.compiled else "frozenset"
                 stale = set(found.findings) - set(fresh.findings)
                 missed = set(fresh.findings) - set(found.findings)
                 report.violations.append(
@@ -626,10 +634,8 @@ def fuzz_lint(
             constraints = (
                 SsdConstraint(f"fuzz_sep_{label}", frozenset(picked)),
             )
-        fast = lint_policy(policy, compiled=True, constraints=constraints)
-        oracle = lint_policy(
-            policy, compiled=False, constraints=constraints
-        )
+        fast = lint_policy(policy, constraints=constraints)
+        oracle = reference_lint_policy(policy, constraints=constraints)
         if fast.findings != oracle.findings:
             fast_only = set(fast.findings) - set(oracle.findings)
             oracle_only = set(oracle.findings) - set(fast.findings)
@@ -663,12 +669,13 @@ def fuzz_repair(
     ),
     rounds: int = 2,
 ) -> FuzzReport:
-    """Invariant (13): the lint-to-repair engine is kernel-transparent
-    and self-consistent.
+    """Invariant (13): the lint-to-repair engine agrees with its
+    reference run and is self-consistent.
 
-    Per round: the compiled run repairs the churned policy **in
-    place** (over the recycled interner layout the churn produced)
-    while the frozenset oracle repairs a copy.  The two runs must emit
+    Per round: :func:`~repro.analysis.repair.repair_policy` repairs the
+    churned policy **in place** (over the recycled interner layout the
+    churn produced) while :func:`repro.oracle.reference_repair_policy`
+    repairs a copy.  The two runs must emit
     identical plan/outcome sequences and value-equal repaired policies;
     the repaired policy must refine the pre-repair one (Definition 6),
     checked both by :func:`~repro.core.refinement.is_refinement` and as
@@ -676,17 +683,20 @@ def fuzz_repair(
     plan, and a fresh lint equals the run's final report.  Replaying
     the applied plans on a copy of the input, the findings each run's
     lint session re-linted to after every applied plan must equal a
-    fresh full frozenset lint of the replayed state.  The repaired
-    policies' own indexes (the in-place run's and the re-repair's work
-    copy's), which every compiled re-lint verified against while the
-    undo log applied and rolled back plans, must equal fresh builds
-    (:func:`_policy_index_problems`).  Churn then
-    continues from the repaired policy into the next round.
+    fresh full reference lint of the replayed state; and each rejected
+    plan, applied to the replayed state through the undo log and
+    rolled back, must leave it value-equal with an index that equals a
+    fresh build.  The repaired policies' own indexes (the in-place
+    run's and the re-repair's work copy's), which every re-lint
+    verified against while the undo log applied and rolled back plans,
+    must equal fresh builds (:func:`_policy_index_problems`).  Churn
+    then continues from the repaired policy into the next round.
     """
     from ..analysis.constraints import SsdConstraint
     from ..analysis.lint import lint_policy
     from ..analysis.repair import APPLIED, _UndoLog, repair_policy
     from ..core.refinement import granted_pairs, is_refinement
+    from ..oracle import reference_lint_policy, reference_repair_policy
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
@@ -702,12 +712,9 @@ def fuzz_repair(
             )
         baseline = policy.copy()
         oracle_policy = policy.copy()
-        fast = repair_policy(
-            policy, compiled=True, constraints=constraints, in_place=True
-        )
-        oracle = repair_policy(
-            oracle_policy, compiled=False, constraints=constraints,
-            in_place=True,
+        fast = repair_policy(policy, constraints=constraints, in_place=True)
+        oracle = reference_repair_policy(
+            oracle_policy, constraints=constraints, in_place=True
         )
         fast_signatures = [o.signature() for o in fast.outcomes]
         oracle_signatures = [o.signature() for o in oracle.outcomes]
@@ -738,9 +745,7 @@ def fuzz_repair(
             report.violations.append(
                 f"repaired policy grants a pair its input did not ({label})"
             )
-        recheck = repair_policy(
-            policy, compiled=True, constraints=constraints
-        )
+        recheck = repair_policy(policy, constraints=constraints)
         if recheck.applied:
             report.violations.append(
                 f"not a fixpoint ({label}): re-repair applied "
@@ -751,7 +756,7 @@ def fuzz_repair(
                 f"policy index after {run} ({label}): {problem}"
                 for problem in _policy_index_problems(repaired)
             )
-        fresh = lint_policy(policy, compiled=True, constraints=constraints)
+        fresh = lint_policy(policy, constraints=constraints)
         if fresh.findings != fast.final.findings:
             report.violations.append(
                 f"final report stale ({label}): fresh lint disagrees "
@@ -763,12 +768,32 @@ def fuzz_repair(
             zip(fast.outcomes, oracle.outcomes)
         ):
             if mine.status != APPLIED:
+                # The driver applied this plan, re-linted (its index
+                # absorbing the plan) and rolled it back; the state and
+                # its index must come back whole.
+                replayed.index
+                before = replayed.copy()
+                undo = _UndoLog(replayed)
+                for action in mine.plan.actions:
+                    undo.apply(action)
+                replayed.index
+                undo.rollback()
+                if replayed != before:
+                    report.violations.append(
+                        f"rolled-back plan changed the policy ({label}, "
+                        f"plan {step}): {mine.plan.render()}"
+                    )
+                report.violations.extend(
+                    f"policy index after rolled-back plan ({label}, "
+                    f"plan {step}): {problem}"
+                    for problem in _policy_index_problems(replayed)
+                )
                 continue
             for plan in (mine.plan, *mine.cascades):
                 for action in plan.actions:
                     log.apply(action)
-            expected = lint_policy(
-                replayed.copy(), compiled=False, constraints=constraints
+            expected = reference_lint_policy(
+                replayed.copy(), constraints=constraints
             ).findings
             for kernel, outcome in (("compiled", mine), ("frozenset", theirs)):
                 if outcome.findings != expected:

@@ -1,5 +1,6 @@
 """Unit tests for the compiled exploration engine and the state-identity
-fix it carries (fingerprints cover the vertex set, both kernels)."""
+fix it carries (fingerprints cover the vertex set, in the engine and in
+the reference explorers of :mod:`repro.oracle`)."""
 
 import pytest
 
@@ -17,11 +18,19 @@ from repro.core.ordering import OrderingOracle
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke, perm
 from repro.graph import StateFingerprint
+from repro.oracle import reference_can_obtain, reference_reachable_policies
 from repro.workloads.generators import PolicyShape, random_policy
 
 U, ADMIN = User("u"), User("admin")
 R, ADM = Role("r"), Role("adm")
 P = perm("read", "doc")
+
+#: the engine-backed explorer and its copy-per-probe reference twin,
+#: under the ids of the boolean kernel switch they replace.
+BOTH_EXPLORERS = pytest.mark.parametrize(
+    "explore", [reachable_policies, reference_reachable_policies],
+    ids=["True", "False"],
+)
 
 
 @pytest.fixture
@@ -183,9 +192,9 @@ class TestIsolatedVertexStateIdentity:
     differ only in isolated vertices were collapsed by edge-set
     deduplication.  Both kernels must now keep them apart."""
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_grant_revoke_roundtrip_is_new_state(self, policy, compiled):
-        states = reachable_policies(policy, depth=2, compiled=compiled)
+    @BOTH_EXPLORERS
+    def test_grant_revoke_roundtrip_is_new_state(self, policy, explore):
+        states = explore(policy, depth=2)
         roundtrips = [
             state for state in states
             if state.policy.edge_set() == policy.edge_set()
@@ -194,10 +203,10 @@ class TestIsolatedVertexStateIdentity:
         assert roundtrips, "grant+revoke round trip state was collapsed"
         assert all(U in s.policy.vertex_set() for s in roundtrips)
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_both_kernels_agree_on_counts(self, policy, compiled):
-        reference = reachable_policies(policy, depth=3, compiled=False)
-        states = reachable_policies(policy, depth=3, compiled=compiled)
+    @BOTH_EXPLORERS
+    def test_both_kernels_agree_on_counts(self, policy, explore):
+        reference = reference_reachable_policies(policy, depth=3)
+        states = explore(policy, depth=3)
         assert len(states) == len(reference)
 
     def test_offgraph_role_self_edge_fingerprint(self):
@@ -222,8 +231,8 @@ class TestIsolatedVertexStateIdentity:
         assert engine.fingerprint == before
         assert ghost not in engine.policy.graph
         # And end to end: both kernels count the same states.
-        fast = reachable_policies(policy, depth=2, compiled=True)
-        oracle = reachable_policies(policy, depth=2, compiled=False)
+        fast = reachable_policies(policy, depth=2)
+        oracle = reference_reachable_policies(policy, depth=2)
         assert len(fast) == len(oracle)
         assert {
             (s.policy.edge_set(), s.policy.vertex_set()) for s in fast
@@ -246,12 +255,10 @@ class TestWitnessMinimality:
         for user in users[:2]:
             for privilege in privileges[:2]:
                 fast = can_obtain(
-                    policy, user, privilege, depth=2, mode=mode,
-                    compiled=True,
+                    policy, user, privilege, depth=2, mode=mode
                 )
-                oracle = can_obtain(
-                    policy, user, privilege, depth=2, mode=mode,
-                    compiled=False,
+                oracle = reference_can_obtain(
+                    policy, user, privilege, depth=2, mode=mode
                 )
                 assert fast.reachable == oracle.reachable
                 assert fast.states_explored == oracle.states_explored
@@ -266,7 +273,7 @@ class TestWitnessMinimality:
 
     def test_depth_zero_fast_path(self, policy):
         policy.assign_user(U, R)
-        verdict = can_obtain(policy, U, P, depth=0, compiled=True)
+        verdict = can_obtain(policy, U, P, depth=0)
         assert verdict.reachable
         assert verdict.witness == ()
         assert verdict.states_explored == 1

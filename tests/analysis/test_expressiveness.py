@@ -11,7 +11,10 @@ from repro.analysis.expressiveness import (
     run_nested_cascade,
     run_pbdm_cascade,
 )
+from repro.analysis.reachability import obtainable_pairs
 from repro.core.entities import Role, User
+from repro.core.refinement import granted_pairs
+from repro.oracle import reference_reachable_policies
 
 
 def make_cascade(depth: int) -> CascadedDelegation:
@@ -94,23 +97,42 @@ class TestEncodingCost:
             assert cost.pbdm_new_roles > cost.nested_new_roles
 
 
+def reference_obtainable_pairs(policy, depth, mode, users=None):
+    """``obtainable_pairs`` over the reference explorer."""
+    return frozenset().union(*(
+        granted_pairs(state.policy)
+        for state in reference_reachable_policies(policy, depth, mode, users)
+    ))
+
+
+def equi_obtainable(cascade, explorer, monkeypatch) -> bool:
+    """``encodings_equi_obtainable`` with its obtainable-pairs explorer
+    swapped for ``explorer``."""
+    from repro.analysis import reachability
+    from repro.analysis.expressiveness import encodings_equi_obtainable
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reachability, "obtainable_pairs", explorer)
+        return encodings_equi_obtainable(cascade)
+
+
 class TestEquiObtainable:
     """The explorer-backed §5 check: both encodings agree on whether
-    the delegation chain can be driven end to end."""
+    the delegation chain can be driven end to end — under the engine
+    and under the reference explorer of :mod:`repro.oracle`."""
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_encodings_equi_obtainable(self, compiled):
-        from repro.analysis.expressiveness import encodings_equi_obtainable
+    @pytest.mark.parametrize(
+        "explorer", [obtainable_pairs, reference_obtainable_pairs],
+        ids=["True", "False"],
+    )
+    def test_encodings_equi_obtainable(self, explorer, monkeypatch):
+        assert equi_obtainable(make_cascade(1), explorer, monkeypatch)
 
-        assert encodings_equi_obtainable(make_cascade(1), compiled=compiled)
-
-    def test_kernels_agree(self):
-        from repro.analysis.expressiveness import encodings_equi_obtainable
-
+    def test_kernels_agree(self, monkeypatch):
         cascade = make_cascade(2)
-        assert encodings_equi_obtainable(
-            cascade, compiled=True
-        ) == encodings_equi_obtainable(cascade, compiled=False)
+        assert equi_obtainable(
+            cascade, obtainable_pairs, monkeypatch
+        ) == equi_obtainable(cascade, reference_obtainable_pairs, monkeypatch)
 
     def test_marker_pair_is_actually_obtainable(self):
         """The check must not pass vacuously (False == False): the

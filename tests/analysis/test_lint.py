@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,11 +18,18 @@ from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke, perm
 from repro.errors import AnalysisError
+from repro.oracle import reference_lint_policy
 from repro.papercases import figures
 from repro.workloads.generators import PolicyShape, random_policy
 
+#: each case runs on the production rules and on their frozenset twins.
 BOTH_KERNELS = pytest.mark.parametrize(
-    "compiled", [True, False], ids=["compiled", "frozenset"]
+    "kernel",
+    [
+        SimpleNamespace(lint=lint_policy),
+        SimpleNamespace(lint=reference_lint_policy),
+    ],
+    ids=["compiled", "frozenset"],
 )
 
 
@@ -72,20 +80,20 @@ class TestPlumbing:
 # ----------------------------------------------------------------------
 class TestDeadRole:
     @BOTH_KERNELS
-    def test_unreachable_role_reported(self, compiled):
+    def test_unreachable_role_reported(self, kernel):
         policy = Policy(ua=[(User("u"), Role("live"))])
         policy.add_role(Role("orphan"))
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         findings = by_rule(report, "dead-role")
         assert [finding.subject for finding in findings] == [Role("orphan")]
         assert findings[0].severity is Severity.INFO
         assert findings[0].repair is None  # no successors to revoke
 
     @BOTH_KERNELS
-    def test_repair_points_at_first_successor(self, compiled):
+    def test_repair_points_at_first_successor(self, kernel):
         policy = Policy(rh=[(Role("orphan"), Role("junior"))])
         policy.add_user(User("u"))
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         orphan = by_rule(report, "dead-role")
         subjects = {finding.subject for finding in orphan}
         assert Role("orphan") in subjects
@@ -93,28 +101,28 @@ class TestDeadRole:
         assert finding.repair == "revoke(orphan, junior)"
 
     @BOTH_KERNELS
-    def test_reachable_roles_clean(self, compiled):
+    def test_reachable_roles_clean(self, kernel):
         policy = Policy(
             ua=[(User("u"), Role("senior"))],
             rh=[(Role("senior"), Role("junior"))],
         )
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert by_rule(report, "dead-role") == ()
 
 
 class TestDormantPrivilege:
     @BOTH_KERNELS
-    def test_privilege_on_dead_role_is_dormant(self, compiled):
+    def test_privilege_on_dead_role_is_dormant(self, kernel):
         policy = Policy(pa=[(Role("orphan"), perm("read", "doc"))])
         policy.add_user(User("u"))
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         findings = by_rule(report, "dormant-privilege")
         assert [f.subject for f in findings] == [perm("read", "doc")]
         assert findings[0].witness == (Role("orphan"),)
         assert findings[0].repair == "revoke(orphan, (read, doc))"
 
     @BOTH_KERNELS
-    def test_one_step_grant_path_suppresses(self, compiled):
+    def test_one_step_grant_path_suppresses(self, kernel):
         # admin holds grant(u, orphan): one authorized command brings
         # the orphan role — and its privilege — into u's reach.
         u, admin = User("u"), User("admin")
@@ -126,11 +134,11 @@ class TestDormantPrivilege:
             ],
         )
         policy.add_user(u)
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert by_rule(report, "dormant-privilege") == ()
 
     @BOTH_KERNELS
-    def test_unactivatable_grant_does_not_suppress(self, compiled):
+    def test_unactivatable_grant_does_not_suppress(self, kernel):
         # The only grant covering the orphan role is itself dormant
         # (no user reaches it), so it cannot rescue the privilege.
         ghost = User("ghost")
@@ -142,12 +150,12 @@ class TestDormantPrivilege:
         )
         policy.add_user(User("u"))
         policy.add_user(ghost)
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         dormant = {f.subject for f in by_rule(report, "dormant-privilege")}
         assert perm("read", "doc") in dormant
 
     @BOTH_KERNELS
-    def test_privilege_target_grant_suppresses(self, compiled):
+    def test_privilege_target_grant_suppresses(self, kernel):
         # grant(r, p) held by a reachable role: one command assigns the
         # dormant privilege p to the reachable role r.
         p = perm("read", "doc")
@@ -155,21 +163,21 @@ class TestDormantPrivilege:
             ua=[(User("u"), Role("r"))],
             pa=[(Role("dead"), p), (Role("r"), Grant(Role("r"), p))],
         )
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         dormant = {f.subject for f in by_rule(report, "dormant-privilege")}
         assert p not in dormant
 
 
 class TestConstraintConflict:
     @BOTH_KERNELS
-    def test_user_violation_is_error(self, compiled):
+    def test_user_violation_is_error(self, kernel):
         u = User("u")
         policy = Policy(ua=[(u, Role("payer")), (u, Role("approver"))])
         constraint = SsdConstraint(
             "sep", frozenset({Role("payer"), Role("approver")})
         )
-        report = lint_policy(
-            policy, compiled=compiled, constraints=[constraint]
+        report = kernel.lint(
+            policy, constraints=[constraint]
         )
         findings = by_rule(report, "constraint-conflict")
         errors = [f for f in findings if f.severity is Severity.ERROR]
@@ -178,7 +186,7 @@ class TestConstraintConflict:
         assert errors[0].repair.startswith("revoke(u, ")
 
     @BOTH_KERNELS
-    def test_latent_role_conflict_is_warning(self, compiled):
+    def test_latent_role_conflict_is_warning(self, kernel):
         # No user holds both yet, but the hierarchy funnels through a
         # single role that reaches both separation roles.
         policy = Policy(
@@ -191,8 +199,8 @@ class TestConstraintConflict:
         constraint = SsdConstraint(
             "sep", frozenset({Role("payer"), Role("approver")})
         )
-        report = lint_policy(
-            policy, compiled=compiled, constraints=[constraint]
+        report = kernel.lint(
+            policy, constraints=[constraint]
         )
         warnings = [
             f for f in by_rule(report, "constraint-conflict")
@@ -201,38 +209,38 @@ class TestConstraintConflict:
         assert [f.subject for f in warnings] == [Role("funnel")]
 
     @BOTH_KERNELS
-    def test_no_constraints_no_findings(self, compiled):
+    def test_no_constraints_no_findings(self, kernel):
         policy = figures.figure2()
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert by_rule(report, "constraint-conflict") == ()
 
 
 class TestIrrevocableAuthority:
     @BOTH_KERNELS
-    def test_grant_without_revoke_flagged(self, compiled):
+    def test_grant_without_revoke_flagged(self, kernel):
         u, r = User("u"), Role("r")
         policy = Policy(ua=[(User("admin"), Role("adm"))],
                         pa=[(Role("adm"), Grant(u, r))])
         policy.add_user(u)
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         findings = by_rule(report, "irrevocable-authority")
         assert [f.subject for f in findings] == [Grant(u, r)]
         assert findings[0].witness == (u, r)
         assert findings[0].repair == "grant(adm, revoke(u, r))"
 
     @BOTH_KERNELS
-    def test_matching_revoke_clears_finding(self, compiled):
+    def test_matching_revoke_clears_finding(self, kernel):
         u, r = User("u"), Role("r")
         policy = Policy(
             ua=[(User("admin"), Role("adm"))],
             pa=[(Role("adm"), Grant(u, r)), (Role("adm"), Revoke(u, r))],
         )
         policy.add_user(u)
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert by_rule(report, "irrevocable-authority") == ()
 
     @BOTH_KERNELS
-    def test_partial_coverage_counts_exposed_pairs(self, compiled):
+    def test_partial_coverage_counts_exposed_pairs(self, kernel):
         # grant(u, senior) covers (u, senior) and (u, junior); only the
         # junior pair is revocable, so exactly one pair stays exposed.
         u = User("u")
@@ -246,7 +254,7 @@ class TestIrrevocableAuthority:
             ],
         )
         policy.add_user(u)
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         findings = by_rule(report, "irrevocable-authority")
         assert len(findings) == 1
         assert "1 of 2 pair(s)" in findings[0].message
@@ -255,7 +263,7 @@ class TestIrrevocableAuthority:
 
 class TestSelfEscalation:
     @BOTH_KERNELS
-    def test_entity_grant_escalation(self, compiled):
+    def test_entity_grant_escalation(self, kernel):
         # u reaches r1 and holds grant(r1, r2); granting (r1 -> r2)
         # hands u the privilege assigned below r2.
         u = User("u")
@@ -267,7 +275,7 @@ class TestSelfEscalation:
                 (r2, perm("read", "t")),
             ],
         )
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         findings = by_rule(report, "self-escalation")
         assert [f.subject for f in findings] == [u]
         route, target, gained = findings[0].witness
@@ -276,7 +284,7 @@ class TestSelfEscalation:
         assert findings[0].repair == "revoke(admin_role, grant(r1, r2))"
 
     @BOTH_KERNELS
-    def test_no_route_back_no_finding(self, compiled):
+    def test_no_route_back_no_finding(self, kernel):
         # u holds grant(other, r2) but does not reach ``other``: the
         # granted authority would not flow back to u.
         u, other = User("u"), User("other")
@@ -289,11 +297,11 @@ class TestSelfEscalation:
             ],
         )
         policy.add_user(other)
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert by_rule(report, "self-escalation") == ()
 
     @BOTH_KERNELS
-    def test_already_held_target_no_finding(self, compiled):
+    def test_already_held_target_no_finding(self, kernel):
         u = User("u")
         r1, r2 = Role("r1"), Role("r2")
         policy = Policy(
@@ -303,11 +311,11 @@ class TestSelfEscalation:
                 (r2, perm("read", "t")),
             ],
         )
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert by_rule(report, "self-escalation") == ()
 
     @BOTH_KERNELS
-    def test_privilege_target_grant_escalation(self, compiled):
+    def test_privilege_target_grant_escalation(self, kernel):
         # u holds grant(r1, p) with r1 in reach but p not: one grant
         # command assigns p under u's own reach.
         u, r1 = User("u"), Role("r1")
@@ -317,7 +325,7 @@ class TestSelfEscalation:
             pa=[(r1, Grant(r1, p)), (Role("vault"), p)],
         )
         policy.add_user(User("other"))
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         findings = by_rule(report, "self-escalation")
         assert [f.subject for f in findings] == [u]
         assert findings[0].witness == (r1, p, p)
@@ -325,7 +333,7 @@ class TestSelfEscalation:
 
 class TestRedundantDelegation:
     @BOTH_KERNELS
-    def test_closure_implied_edge_flagged(self, compiled):
+    def test_closure_implied_edge_flagged(self, kernel):
         u = User("u")
         r1, r2 = Role("r1"), Role("r2")
         policy = Policy(
@@ -333,7 +341,7 @@ class TestRedundantDelegation:
             rh=[(r1, r2)],
             pa=[(r2, perm("read", "doc"))],
         )
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         findings = by_rule(report, "redundant-delegation")
         assert len(findings) == 1
         assert findings[0].subject == u
@@ -344,7 +352,7 @@ class TestRedundantDelegation:
         }
 
     @BOTH_KERNELS
-    def test_redundant_privilege_assignment(self, compiled):
+    def test_redundant_privilege_assignment(self, kernel):
         p = perm("read", "doc")
         r1, r2 = Role("r1"), Role("r2")
         policy = Policy(
@@ -352,35 +360,35 @@ class TestRedundantDelegation:
             rh=[(r1, r2)],
             pa=[(r1, p), (r2, p)],
         )
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         witnesses = {
             f.witness for f in by_rule(report, "redundant-delegation")
         }
         assert (r1, p, r2) in witnesses
 
     @BOTH_KERNELS
-    def test_sole_assignment_never_probed(self, compiled):
+    def test_sole_assignment_never_probed(self, kernel):
         # Removing the only assignment would garbage-collect the
         # privilege vertex; the rule must skip it entirely.
         policy = Policy(
             ua=[(User("u"), Role("r"))],
             pa=[(Role("r"), perm("read", "doc"))],
         )
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert by_rule(report, "redundant-delegation") == ()
         assert "candidates" not in report.stats.get(
             "redundant-delegation", {}
         )
 
     @BOTH_KERNELS
-    def test_probing_restores_policy_exactly(self, compiled):
+    def test_probing_restores_policy_exactly(self, kernel):
         policy = figures.figure1()
         edges = policy.edge_set()
         vertices = policy.vertex_set()
-        first = lint_policy(policy, compiled=compiled)
+        first = kernel.lint(policy)
         assert policy.edge_set() == edges
         assert policy.vertex_set() == vertices
-        again = lint_policy(policy, compiled=compiled)
+        again = kernel.lint(policy)
         assert again.findings == first.findings
 
 
@@ -420,7 +428,6 @@ class TestReport:
     def test_json_round_trip(self):
         report = lint_policy(figures.figure2())
         payload = json.loads(report.to_json())
-        assert payload["compiled"] is True
         assert len(payload["findings"]) == len(report.findings)
         assert payload["findings"][0]["severity"] in {
             "info", "warning", "error"
@@ -448,8 +455,8 @@ class TestKernelAgreement:
     )
     def test_compiled_matches_frozenset_on_paper_cases(self, build):
         policy = build()
-        fast = lint_policy(policy, compiled=True)
-        oracle = lint_policy(policy, compiled=False)
+        fast = lint_policy(policy)
+        oracle = reference_lint_policy(policy)
         assert fast.findings == oracle.findings
         assert fast.stats == oracle.stats
 
@@ -467,7 +474,7 @@ class TestKernelAgreement:
         )
         roles = sorted(policy.roles(), key=str)
         constraints = [SsdConstraint("sep", frozenset(roles[:3]))]
-        before = lint_policy(policy, compiled=True, constraints=constraints)
+        before = lint_policy(policy, constraints=constraints)
 
         users = sorted(policy.users(), key=str)
         memberships = {
@@ -485,8 +492,8 @@ class TestKernelAgreement:
             policy.graph.vid(user) != vids_before[user] for user in users
         ), "churn did not actually scramble interner IDs"
 
-        after = lint_policy(policy, compiled=True, constraints=constraints)
-        oracle = lint_policy(policy, compiled=False, constraints=constraints)
+        after = lint_policy(policy, constraints=constraints)
+        oracle = reference_lint_policy(policy, constraints=constraints)
         assert after.findings == before.findings
         assert after.stats == before.stats
         assert after.findings == oracle.findings
@@ -502,7 +509,7 @@ class TestKernelAgreement:
                         max_nesting=2),
         )
         _recycling_churn(random.Random(7), policy, steps=30)
-        fast = lint_policy(policy, compiled=True)
-        oracle = lint_policy(policy, compiled=False)
+        fast = lint_policy(policy)
+        oracle = reference_lint_policy(policy)
         assert fast.findings == oracle.findings
         assert fast.stats == oracle.stats

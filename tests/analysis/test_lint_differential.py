@@ -27,7 +27,7 @@ from repro.analysis.lint import lint_policy
 from repro.analysis.safety import can_obtain
 from repro.core.commands import Mode
 from repro.core.entities import User
-from repro.oracle import ReferenceIndex
+from repro.oracle import ReferenceIndex, reference_can_obtain
 from repro.papercases import figures
 from repro.workloads.fuzz import _recycling_churn
 from repro.workloads.generators import PolicyShape, random_policy
@@ -89,14 +89,14 @@ def confirm_escalation(policy, finding):
     user = finding.subject
     gained = finding.witness[2]
     assert not policy.reaches(user, gained), finding
-    for compiled in (True, False):
-        verdict = can_obtain(
+    for explore in (can_obtain, reference_can_obtain):
+        verdict = explore(
             policy, user, gained, depth=1, mode=Mode.REFINED,
-            acting_users=[user], compiled=compiled,
+            acting_users=[user],
         )
-        assert verdict.reachable, (finding, compiled)
-        assert len(verdict.witness) == 1, (finding, compiled)
-        assert verdict.witness[0].user == user, (finding, compiled)
+        assert verdict.reachable, (finding, explore)
+        assert len(verdict.witness) == 1, (finding, explore)
+        assert verdict.witness[0].user == user, (finding, explore)
 
 
 def confirm_dead_role(policy, finding):
@@ -118,7 +118,7 @@ CONFIRMERS = {
 @pytest.mark.parametrize("seed", SEEDS)
 def test_campaign_findings_confirmed_by_oracles(seed):
     policy = churned_policy(seed)
-    report = lint_policy(policy, compiled=True)
+    report = lint_policy(policy)
     # The probing rule's own verification must never have refuted a
     # candidate that passed the reachability test.
     assert "refuted" not in report.stats.get("redundant-delegation", {})

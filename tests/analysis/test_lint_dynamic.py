@@ -2,9 +2,12 @@
 
 ``unreachable-under-ssd`` and ``depth-k-escalation`` reason about the
 *transition system* (sessions, chained grants) rather than the static
-graph, so each test runs both kernels and pins them identical — the
-same discipline the fuzz campaigns enforce at scale.
+graph, so each test runs the production rules and their reference
+twins (:mod:`repro.oracle`) and pins them identical — the same
+discipline the fuzz campaigns enforce at scale.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,10 +16,17 @@ from repro.analysis.lint import lint_policy
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, perm
+from repro.oracle import reference_lint_policy
 from repro.papercases import figures
 
+#: each case runs on the production rules and on their frozenset twins.
 BOTH_KERNELS = pytest.mark.parametrize(
-    "compiled", [True, False], ids=["compiled", "frozenset"]
+    "kernel",
+    [
+        SimpleNamespace(lint=lint_policy),
+        SimpleNamespace(lint=reference_lint_policy),
+    ],
+    ids=["compiled", "frozenset"],
 )
 
 
@@ -40,10 +50,10 @@ def ssd_trap_policy():
 
 class TestUnreachableUnderSsd:
     @BOTH_KERNELS
-    def test_flags_trapped_privilege(self, compiled):
+    def test_flags_trapped_privilege(self, kernel):
         constraint = SsdConstraint("sep", frozenset({Role("a"), Role("b")}))
-        report = lint_policy(
-            ssd_trap_policy(), compiled=compiled, constraints=[constraint]
+        report = kernel.lint(
+            ssd_trap_policy(), constraints=[constraint]
         )
         found = findings_of(report, "unreachable-under-ssd")
         assert len(found) == 1
@@ -53,19 +63,19 @@ class TestUnreachableUnderSsd:
         assert finding.repair == "revoke(top, (read, doc))"
 
     @BOTH_KERNELS
-    def test_silent_without_constraints(self, compiled):
-        report = lint_policy(ssd_trap_policy(), compiled=compiled)
+    def test_silent_without_constraints(self, kernel):
+        report = kernel.lint(ssd_trap_policy())
         assert findings_of(report, "unreachable-under-ssd") == []
 
     @BOTH_KERNELS
-    def test_silent_when_compliant_role_reaches(self, compiled):
+    def test_silent_when_compliant_role_reaches(self, kernel):
         # Attach the privilege to ``a`` as well: a single-role session
         # of ``a`` activates it without touching the separation set.
         policy = ssd_trap_policy()
         policy.add_edge(Role("a"), perm("read", "doc"))
         constraint = SsdConstraint("sep", frozenset({Role("a"), Role("b")}))
-        report = lint_policy(
-            policy, compiled=compiled, constraints=[constraint]
+        report = kernel.lint(
+            policy, constraints=[constraint]
         )
         assert findings_of(report, "unreachable-under-ssd") == []
 
@@ -74,18 +84,18 @@ class TestUnreachableUnderSsd:
         fast = lint_policy(
             ssd_trap_policy(), constraints=[constraint]
         )
-        slow = lint_policy(
-            ssd_trap_policy(), compiled=False, constraints=[constraint]
+        slow = reference_lint_policy(
+            ssd_trap_policy(), constraints=[constraint]
         )
         assert fast.findings == slow.findings
         assert fast.stats == slow.stats
 
     @BOTH_KERNELS
-    def test_fixtures_stay_silent(self, compiled):
+    def test_fixtures_stay_silent(self, kernel):
         # No fixture declares constraints, so the rule never fires on
         # them — the CI lint pins rely on this.
         for factory in (figures.figure1, figures.figure2, figures.figure3):
-            report = lint_policy(factory(), compiled=compiled)
+            report = kernel.lint(factory())
             assert findings_of(report, "unreachable-under-ssd") == []
 
 
@@ -110,8 +120,8 @@ def chained_grant_policy():
 
 class TestDepthKEscalation:
     @BOTH_KERNELS
-    def test_two_step_chain_flagged(self, compiled):
-        report = lint_policy(chained_grant_policy(), compiled=compiled)
+    def test_two_step_chain_flagged(self, kernel):
+        report = kernel.lint(chained_grant_policy())
         found = findings_of(report, "depth-k-escalation")
         assert len(found) == 1
         finding = found[0]
@@ -127,14 +137,14 @@ class TestDepthKEscalation:
         assert findings_of(report, "self-escalation") == []
 
     @BOTH_KERNELS
-    def test_depth_bound_gates_detection(self, compiled):
-        report = lint_policy(
-            chained_grant_policy(), compiled=compiled, escalation_depth=1
+    def test_depth_bound_gates_detection(self, kernel):
+        report = kernel.lint(
+            chained_grant_policy(), escalation_depth=1
         )
         assert findings_of(report, "depth-k-escalation") == []
 
     @BOTH_KERNELS
-    def test_one_step_escalation_not_double_reported(self, compiled):
+    def test_one_step_escalation_not_double_reported(self, kernel):
         # eve directly holds grant(eve, vault): self-escalation's
         # domain — depth-k must skip it even though BFS finds it first.
         eve, vault = User("eve"), Role("vault")
@@ -145,26 +155,26 @@ class TestDepthKEscalation:
                 (vault, perm("open", "vault")),
             ],
         )
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert findings_of(report, "depth-k-escalation") == []
         assert len(findings_of(report, "self-escalation")) == 1
 
     def test_kernels_agree(self):
         fast = lint_policy(chained_grant_policy())
-        slow = lint_policy(chained_grant_policy(), compiled=False)
+        slow = reference_lint_policy(chained_grant_policy())
         assert fast.findings == slow.findings
         assert fast.stats == slow.stats
 
     @BOTH_KERNELS
-    def test_fixtures_stay_silent(self, compiled):
+    def test_fixtures_stay_silent(self, kernel):
         for factory in (figures.figure1, figures.figure2, figures.figure3):
-            report = lint_policy(factory(), compiled=compiled)
+            report = kernel.lint(factory())
             assert findings_of(report, "depth-k-escalation") == []
 
     @BOTH_KERNELS
-    def test_probe_counter_prunes_unarmed_users(self, compiled):
+    def test_probe_counter_prunes_unarmed_users(self, kernel):
         # Only eve holds a grant privilege, so only eve is probed.
         policy = chained_grant_policy()
         policy.add_edge(User("mallory"), Role("vault"))
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         assert report.stats["depth-k-escalation"]["users_probed"] == 1

@@ -7,6 +7,8 @@ builds its verification index once, and a single-edge plan's re-lint
 probes far fewer ``redundant-delegation`` candidates than a full lint.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis import lint as lint_module
@@ -14,6 +16,7 @@ from repro.analysis.constraints import SsdConstraint
 from repro.analysis.lint import LintSession, lint_policy
 from repro.analysis.repair import APPLIED, repair_policy
 from repro.core.entities import Role, User
+from repro.oracle import ReferenceLintSession, reference_lint_policy
 from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
 
 SHAPE = EnterpriseShape(
@@ -21,8 +24,16 @@ SHAPE = EnterpriseShape(
     employees_per_department=30,
 )
 
+#: each case runs on the production session and on the reference one.
 BOTH_KERNELS = pytest.mark.parametrize(
-    "compiled", [True, False], ids=["compiled", "frozenset"]
+    "kernel",
+    [
+        SimpleNamespace(lint=lint_policy, session=LintSession),
+        SimpleNamespace(
+            lint=reference_lint_policy, session=ReferenceLintSession
+        ),
+    ],
+    ids=["compiled", "frozenset"],
 )
 
 
@@ -55,11 +66,11 @@ def candidates(report) -> int:
 
 
 @BOTH_KERNELS
-def test_relint_matches_a_fresh_lint_under_churn(compiled):
+def test_relint_matches_a_fresh_lint_under_churn(kernel):
     policy, constraints = audited_enterprise()
-    session = LintSession(policy, compiled=compiled, constraints=constraints)
-    assert session.lint() == lint_policy(
-        policy, compiled=compiled, constraints=constraints
+    session = kernel.session(policy, constraints=constraints)
+    assert session.lint() == kernel.lint(
+        policy, constraints=constraints
     )
     redundant = [
         finding for finding in session.lint().findings
@@ -76,8 +87,8 @@ def test_relint_matches_a_fresh_lint_under_churn(compiled):
         lambda: policy.remove_role(Role("dept1_L3_r0")),
     ):
         mutate()
-        fresh = lint_policy(
-            policy.copy(), compiled=False, constraints=constraints
+        fresh = reference_lint_policy(
+            policy.copy(), constraints=constraints
         )
         assert session.lint().findings == fresh.findings
 

@@ -8,11 +8,12 @@ strictly shrinks the finding set.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.constraints import SsdConstraint
-from repro.analysis.lint import Severity, lint_policy
+from repro.analysis.lint import LintSession, Severity, lint_policy
 from repro.analysis.repair import (
     APPLIED,
     PLANNERS,
@@ -28,13 +29,32 @@ from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, perm
 from repro.core.refinement import is_refinement
+from repro.oracle import (
+    ReferenceLintSession,
+    reference_lint_policy,
+    reference_plan_repair,
+    reference_repair_policy,
+)
 from repro.papercases import figures
 from repro.workloads.churn import cover_table_problems
 from repro.workloads.enterprise import enterprise_policy
 from repro.workloads.hospital import hospital_policy
 
+#: each case runs on the production lint, planners and driver, and on
+#: the same driver over the reference session (repro.oracle).
 BOTH_KERNELS = pytest.mark.parametrize(
-    "compiled", [True, False], ids=["compiled", "frozenset"]
+    "kernel",
+    [
+        SimpleNamespace(
+            lint=lint_policy, plan=plan_repair, repair=repair_policy,
+            session=LintSession,
+        ),
+        SimpleNamespace(
+            lint=reference_lint_policy, plan=reference_plan_repair,
+            repair=reference_repair_policy, session=ReferenceLintSession,
+        ),
+    ],
+    ids=["compiled", "frozenset"],
 )
 
 FIXTURES = {
@@ -51,11 +71,11 @@ FIXTURES = {
 # ----------------------------------------------------------------------
 class TestPlanning:
     @BOTH_KERNELS
-    def test_redundant_delegation_plan(self, compiled):
+    def test_redundant_delegation_plan(self, kernel):
         policy = figures.figure1()
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         [finding] = report.findings
-        plan = plan_repair(policy, finding, compiled=compiled)
+        plan = kernel.plan(policy, finding)
         assert plan is not None
         assert plan.rule == "redundant-delegation"
         assert [a.kind for a in plan.actions] == ["remove-edge"]
@@ -66,35 +86,35 @@ class TestPlanning:
         assert policy == figures.figure1()
 
     @BOTH_KERNELS
-    def test_dead_role_plan_deprovisions(self, compiled):
+    def test_dead_role_plan_deprovisions(self, kernel):
         policy = figures.figure2()
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         finding = next(
             f for f in report.findings if f.rule == "dead-role"
         )
-        plan = plan_repair(policy, finding, compiled=compiled)
+        plan = kernel.plan(policy, finding)
         assert plan is not None
         assert [a.kind for a in plan.actions] == ["remove-role"]
         assert plan.actions[0].source == finding.subject
 
     @BOTH_KERNELS
-    def test_stale_finding_returns_none(self, compiled):
+    def test_stale_finding_returns_none(self, kernel):
         policy = figures.figure1()
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         [finding] = report.findings
         policy.remove_edge(User("diana"), Role("nurse"))
-        assert plan_repair(policy, finding, compiled=compiled) is None
+        assert kernel.plan(policy, finding) is None
 
     def test_plan_signatures_kernel_identical(self):
         for factory in FIXTURES.values():
             fast_policy, slow_policy = factory(), factory()
             fast = [
-                plan_repair(fast_policy, f, compiled=True)
+                plan_repair(fast_policy, f)
                 for f in lint_policy(fast_policy).findings
             ]
             slow = [
-                plan_repair(slow_policy, f, compiled=False)
-                for f in lint_policy(slow_policy, compiled=False).findings
+                reference_plan_repair(slow_policy, f)
+                for f in reference_lint_policy(slow_policy).findings
             ]
             assert [
                 p.signature() if p else None for p in fast
@@ -112,11 +132,11 @@ class TestPlanning:
 class TestGates:
     @BOTH_KERNELS
     def test_adversarial_add_edge_rejected_with_counterexample(
-        self, compiled
+        self, kernel
     ):
         policy = figures.figure2()
         reference = policy.copy()
-        report = lint_policy(policy, compiled=compiled)
+        report = kernel.lint(policy)
         # staff reaches real user privileges alice holds no path to —
         # Definition 6 ranges over user privileges, so this addition is
         # exactly what the refinement gate exists to catch.
@@ -130,7 +150,8 @@ class TestGates:
         # max_cascade=0: let the gate judge the raw mutation rather
         # than a cascade-extended plan that might revoke it right back.
         outcome, relint = apply_plan(
-            policy, adversarial, report, compiled=compiled, max_cascade=0
+            policy, adversarial, report, max_cascade=0,
+            session=kernel.session(policy, baseline=report),
         )
         assert outcome.status == REJECTED_NOT_REFINEMENT
         assert outcome.counterexample
@@ -164,13 +185,14 @@ class TestGates:
         assert cover_table_problems(policy.index, fresh) == []
 
     @BOTH_KERNELS
-    def test_applied_plan_refines(self, compiled):
+    def test_applied_plan_refines(self, kernel):
         policy = figures.figure1()
         reference = policy.copy()
-        report = lint_policy(policy, compiled=compiled)
-        plan = plan_repair(policy, report.findings[0], compiled=compiled)
+        report = kernel.lint(policy)
+        plan = kernel.plan(policy, report.findings[0])
         outcome, relint = apply_plan(
-            policy, plan, report, compiled=compiled
+            policy, plan, report,
+            session=kernel.session(policy, baseline=report),
         )
         assert outcome.status == APPLIED
         assert is_refinement(reference, policy)
@@ -183,9 +205,9 @@ class TestGates:
 class TestRepairPolicy:
     @BOTH_KERNELS
     @pytest.mark.parametrize("fixture", sorted(FIXTURES))
-    def test_fixtures_converge_clean(self, fixture, compiled):
+    def test_fixtures_converge_clean(self, fixture, kernel):
         policy = FIXTURES[fixture]()
-        report = repair_policy(policy, compiled=compiled)
+        report = kernel.repair(policy)
         assert report.fixpoint
         assert report.remaining == ()
         assert report.clean
@@ -193,7 +215,7 @@ class TestRepairPolicy:
         # Every applied plan refines the original.
         assert is_refinement(policy, report.policy)
         # Fixpoint: re-lint of the repaired policy is empty.
-        assert not lint_policy(report.policy, compiled=compiled).findings
+        assert not kernel.lint(report.policy).findings
 
     def test_caller_policy_untouched_by_default(self):
         policy = figures.figure2()
@@ -216,7 +238,7 @@ class TestRepairPolicy:
     def test_outcomes_kernel_identical(self):
         for factory in FIXTURES.values():
             fast = repair_policy(factory())
-            slow = repair_policy(factory(), compiled=False)
+            slow = reference_repair_policy(factory())
             assert [o.signature() for o in fast.outcomes] == [
                 o.signature() for o in slow.outcomes
             ]
@@ -228,7 +250,7 @@ class TestRepairPolicy:
         assert any(o.cascades for o in report.applied)
 
     @BOTH_KERNELS
-    def test_repairs_chained_grant_escalation(self, compiled):
+    def test_repairs_chained_grant_escalation(self, kernel):
         eve, admin = User("eve"), Role("admin")
         stage, vault = Role("stage"), Role("vault")
         policy = Policy(
@@ -239,14 +261,14 @@ class TestRepairPolicy:
                 (vault, perm("open", "vault")),
             ],
         )
-        report = repair_policy(policy, compiled=compiled)
+        report = kernel.repair(policy)
         assert report.fixpoint and report.clean
         assert any(
             o.plan.rule == "depth-k-escalation" for o in report.applied
         )
 
     @BOTH_KERNELS
-    def test_repairs_ssd_trapped_privilege(self, compiled):
+    def test_repairs_ssd_trapped_privilege(self, kernel):
         top, a, b = Role("top"), Role("a"), Role("b")
         policy = Policy(
             ua=[(User("u"), top)],
@@ -257,16 +279,16 @@ class TestRepairPolicy:
         # Restrict to the warning rule: otherwise constraint-conflict
         # repairs first and resolves the trapped privilege for free.
         rules = ["unreachable-under-ssd"]
-        report = repair_policy(
-            policy, rules=rules, compiled=compiled,
+        report = kernel.repair(
+            policy, rules=rules,
             constraints=[constraint],
         )
         assert report.fixpoint
         assert any(
             o.plan.rule == "unreachable-under-ssd" for o in report.applied
         )
-        final = lint_policy(
-            report.policy, rules=rules, compiled=compiled,
+        final = kernel.lint(
+            report.policy, rules=rules,
             constraints=[constraint],
         )
         assert not final.findings

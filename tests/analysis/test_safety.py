@@ -7,6 +7,7 @@ from repro.core.commands import Mode
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, perm
+from repro.oracle import reference_can_obtain
 
 U, ADMIN, OUTSIDER = User("u"), User("admin"), User("outsider")
 R, ADM = Role("r"), Role("adm")
@@ -86,27 +87,33 @@ class TestSafetyMatrix:
 
 
 class TestSharedEngineMatrix:
-    """The compiled matrix shares one exploration engine across all
-    cells; the verdicts must be indistinguishable from per-cell runs
-    and from the frozenset oracle."""
+    """The matrix shares one exploration engine across all cells; the
+    verdicts must be indistinguishable from per-cell runs and from the
+    reference explorer's."""
 
     @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.REFINED])
     def test_matrix_matches_per_cell_and_oracle(self, mode):
         from repro.papercases import figures
 
         policy = figures.figure2()
-        shared = safety_matrix(policy, depth=2, mode=mode, compiled=True)
-        oracle = safety_matrix(policy, depth=2, mode=mode, compiled=False)
+        shared = safety_matrix(policy, depth=2, mode=mode)
+        oracle = {
+            (user, privilege): reference_can_obtain(
+                policy, user, privilege, depth=2, mode=mode
+            )
+            for user in sorted(policy.users(), key=str)
+            for privilege in sorted(policy.user_privileges(), key=str)
+        }
         assert set(shared) == set(oracle)
         for cell, verdict in shared.items():
             per_cell = can_obtain(
-                policy, cell[0], cell[1], depth=2, mode=mode, compiled=True
+                policy, cell[0], cell[1], depth=2, mode=mode
             )
             assert verdict == per_cell, cell
             assert verdict == oracle[cell], cell
 
     def test_shared_engine_leaves_policy_untouched(self, policy):
         edges, vertices = policy.edge_set(), policy.vertex_set()
-        safety_matrix(policy, depth=2, compiled=True)
+        safety_matrix(policy, depth=2)
         assert policy.edge_set() == edges
         assert policy.vertex_set() == vertices

@@ -13,6 +13,7 @@ from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke, perm
 from repro.core.refinement import weaken_assignment
 from repro.errors import AnalysisError
+from repro.oracle import reference_check_admin_refinement
 from repro.papercases import figures
 
 JANE, BOB = User("jane"), User("bob")
@@ -174,17 +175,14 @@ class TestTheorem1StepObligation:
 
 
 class TestCompiledChecker:
-    """The undo-log enumeration behind ``compiled=True`` must be
-    observationally identical to the copy-per-probe oracle: same
-    verdict, same counterexample, same obligation and responder-state
-    counters."""
+    """The undo-log enumeration must be observationally identical to
+    the copy-per-probe oracle (:mod:`repro.oracle`): same verdict, same
+    counterexample, same obligation and responder-state counters."""
 
     def _assert_identical(self, phi, psi, depth=2, **kwargs):
-        fast = check_admin_refinement(
-            phi, psi, depth=depth, compiled=True, **kwargs
-        )
-        slow = check_admin_refinement(
-            phi, psi, depth=depth, compiled=False, **kwargs
+        fast = check_admin_refinement(phi, psi, depth=depth, **kwargs)
+        slow = reference_check_admin_refinement(
+            phi, psi, depth=depth, **kwargs
         )
         assert fast == slow
         return fast
@@ -225,7 +223,10 @@ class TestCompiledChecker:
             self._assert_identical(phi, psi, depth=1)
 
     def test_mode_safety_compiled_matches(self):
-        fast = check_mode_safety(figures.figure2(), depth=1, compiled=True)
-        slow = check_mode_safety(figures.figure2(), depth=1, compiled=False)
+        fast = check_mode_safety(figures.figure2(), depth=1)
+        slow = reference_check_admin_refinement(
+            figures.figure2(), figures.figure2(), depth=1,
+            phi_mode=Mode.STRICT, psi_mode=Mode.REFINED,
+        )
         assert fast == slow
         assert fast.holds

@@ -223,7 +223,6 @@ class TestLintCommand:
     def test_lint_json_output(self, capsys):
         assert main(["lint", "--fixture", "figure1", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["compiled"] is True
         assert payload["severity"] == "info"
         assert [f["rule"] for f in payload["findings"]] == [
             "redundant-delegation"
@@ -232,13 +231,22 @@ class TestLintCommand:
         assert payload["stats"]["redundant-delegation"]["verified"] == 1
 
     def test_lint_frozenset_kernel_identical_findings(self, capsys):
-        assert main(["lint", "--fixture", "figure2", "--json"]) == 1
-        fast = json.loads(capsys.readouterr().out)
-        assert main(["lint", "--fixture", "figure2", "--json",
-                     "--frozenset"]) == 1
-        slow = json.loads(capsys.readouterr().out)
-        assert fast["findings"] == slow["findings"]
-        assert slow["compiled"] is False
+        """The CLI's findings are exactly those of the frozenset
+        reference rules (``repro.oracle``) at the same threshold, on
+        figure2 and on the hospital fixture."""
+        from repro.analysis.lint import Severity
+        from repro.oracle import reference_lint_policy
+        from repro.workloads.hospital import hospital_policy
+
+        for fixture, build, severity in (
+            ("figure2", figures.figure2, Severity.INFO),
+            ("hospital", hospital_policy, Severity.WARNING),
+        ):
+            assert main(["lint", "--fixture", fixture, "--severity",
+                         severity.label, "--json"]) == 1
+            fast = json.loads(capsys.readouterr().out)
+            slow = reference_lint_policy(build()).at_or_above(severity)
+            assert fast["findings"] == [f.as_dict() for f in slow]
 
     def test_lint_rule_selection(self, capsys):
         assert main(["lint", "--fixture", "figure2",

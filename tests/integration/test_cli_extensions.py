@@ -62,6 +62,28 @@ def test_fuzz_clean_run(capsys):
     assert "invariants: all hold" in out
 
 
+def test_fuzz_steps_reach_lint_and_repair_campaigns(monkeypatch, capsys):
+    """``--steps`` sets the churn length of invariants 11 and 13 too."""
+    from repro.workloads import fuzz
+    from repro.workloads.fuzz import FuzzReport
+
+    calls = []
+
+    def campaign(name):
+        def run(seed, steps):
+            calls.append((name, seed, steps))
+            return FuzzReport(seed=seed, steps=steps)
+        return run
+
+    monkeypatch.setattr(fuzz, "fuzz_lint", campaign("lint"))
+    monkeypatch.setattr(fuzz, "fuzz_repair", campaign("repair"))
+    assert main(["fuzz", "--seeds", "2", "--steps", "7",
+                 "--lint-diff", "--repair-diff"]) == 0
+    assert calls == [
+        ("lint", 0, 7), ("lint", 1, 7), ("repair", 0, 7), ("repair", 1, 7),
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["fuzz", "--seeds", "2", "--steps", "15", "--shards", "3"],
     ["audit-matrix", "--fixture", "figure2", "--shards", "2"],
@@ -79,11 +101,13 @@ def test_shards_flag_is_a_usage_error(argv, capsys):
     ["fuzz", "--seeds", "2", "--steps", "15"],
     ["audit-matrix", "--fixture", "figure2"],
     ["serve-bench", "--fixture", "figure2"],
-], ids=["fuzz", "audit-matrix", "serve-bench"])
+    ["lint", "--fixture", "figure2"],
+    ["analyze", "policy.txt", "bob", "(write, t3)"],
+], ids=["fuzz", "audit-matrix", "serve-bench", "lint", "analyze"])
 def test_frozenset_flag_is_a_usage_error(argv, capsys):
-    """The serving stack has one authorization kernel, so these
-    subcommands reject ``--frozenset`` as an unknown option (``lint``
-    and ``analyze`` keep theirs: the analysis layer still has two)."""
+    """Every question has one production kernel (the frozenset twins
+    live in ``repro.oracle``), so these subcommands reject
+    ``--frozenset`` as an unknown option."""
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--frozenset"])
     assert exit_info.value.code == 2
@@ -160,23 +184,6 @@ def test_analyze_safe_exits_nonzero(fig2_file, capsys):
     ) == 1
     out = capsys.readouterr().out
     assert "SAFE: jane cannot obtain (read, t1)" in out
-
-
-def test_analyze_frozenset_escape_hatch(fig2_file, capsys):
-    """--frozenset runs the oracle explorer; same verdict, same
-    explored-state count as the compiled default."""
-    assert main(
-        ["analyze", fig2_file, "bob", "(write, t3)", "--depth", "1",
-         "--frozenset"]
-    ) == 0
-    frozenset_out = capsys.readouterr().out
-    assert "frozenset explorer" in frozenset_out
-    main(["analyze", fig2_file, "bob", "(write, t3)", "--depth", "1"])
-    compiled_out = capsys.readouterr().out
-    assert (
-        frozenset_out.replace("frozenset explorer", "compiled explorer")
-        == compiled_out
-    )
 
 
 def test_analyze_acting_users_restriction(fig2_file, capsys):

@@ -2,10 +2,11 @@
 
 ``tools/check_invariants.py`` machine-enforces the repo's standing
 disciplines: Digraph internals are mutated only inside ``repro.graph``,
-the ``compiled`` dual-kernel knob — which now lives only in the
-analysis layer — is always a real, greppable escape hatch, and
-production code reads the policy's own authorization index instead of
-building its own.  The first test keeps the live tree clean; the rest pin
+no production signature offers a ``compiled`` kernel choice and only
+the differential harnesses import ``repro.oracle``, production code
+reads the policy's own authorization index instead of building its
+own, and every lint rule is fully wired (including its reference
+twin).  The first test keeps the live tree clean; the rest pin
 the checker itself against synthetic violations so a silent regression
 of the checker cannot hide a regression of the tree.
 """
@@ -59,6 +60,7 @@ class TestLintRegistry:
         )
 
     def test_no_repair_marker_satisfies_checker(self, monkeypatch):
+        from repro import oracle
         from repro.analysis import lint
 
         waived = lint.LintRule(
@@ -70,6 +72,7 @@ class TestLintRegistry:
             no_repair="repair would require user input",
         )
         monkeypatch.setitem(lint.RULES, "waived-rule", waived)
+        monkeypatch.setitem(oracle.REFERENCE_RULES, "waived-rule", waived)
         assert check_lint_registry() == []
 
     def test_planner_and_marker_conflict_flagged(self, monkeypatch):
@@ -102,6 +105,29 @@ class TestLintRegistry:
         found = check_lint_registry()
         assert any(
             "orphan-rule" in v and "no matching lint rule" in v
+            for v in found
+        )
+
+    def test_missing_reference_twin_flagged(self, monkeypatch):
+        from repro import oracle
+
+        monkeypatch.delitem(oracle.REFERENCE_RULES, "dead-role")
+        found = check_lint_registry()
+        assert found == [
+            "lint rule 'dead-role': no reference twin in "
+            "repro.oracle.REFERENCE_RULES"
+        ]
+
+    def test_orphan_reference_twin_flagged(self, monkeypatch):
+        from repro import oracle
+
+        monkeypatch.setitem(
+            oracle.REFERENCE_RULES, "orphan-twin",
+            oracle.REFERENCE_RULES["dead-role"],
+        )
+        found = check_lint_registry()
+        assert any(
+            "orphan-twin" in v and "no matching lint rule" in v
             for v in found
         )
 
@@ -159,82 +185,86 @@ class TestGraphEncapsulation:
 
 
 class TestCompiledKnob:
+    """Rule 2: no ``compiled`` parameter or field anywhere in
+    ``src/repro``, and ``repro.oracle`` imported only by the
+    differential harnesses."""
+
     def test_non_literal_default_flagged(self):
         found = violations_of("""
             DEFAULT = True
             def query(policy, compiled=DEFAULT):
                 return bool(compiled)
         """)
-        assert found and "literal bool" in found[0]
+        assert found and "'compiled' parameter" in found[0]
 
-    def test_required_parameter_allowed(self):
-        assert violations_of("""
+    def test_required_parameter_flagged(self):
+        found = violations_of("""
             def query(policy, compiled):
                 return bool(compiled)
-        """) == []
+        """)
+        assert found and "'compiled' parameter" in found[0]
 
     def test_unused_compiled_parameter_flagged(self):
         found = violations_of("""
             def query(policy, compiled=True):
                 return policy.edge_set()
         """)
-        assert found and "never consults" in found[0]
+        assert found and "'compiled' parameter" in found[0]
 
-    def test_consulted_parameter_allowed(self):
-        assert violations_of("""
-            def query(policy, compiled=True):
-                if compiled:
-                    return fast(policy)
-                return slow(policy)
-        """) == []
+    def test_keyword_only_and_lambda_parameters_flagged(self):
+        found = violations_of("""
+            def query(policy, *, compiled=False):
+                return policy
+            pick = lambda compiled: compiled
+        """)
+        assert len(found) == 2
+        assert all("'compiled' parameter" in v for v in found)
 
-    def test_threading_through_self_allowed(self):
-        assert violations_of("""
+    def test_method_parameter_flagged(self):
+        found = violations_of("""
             class Index:
                 def __init__(self, compiled=True):
                     self.compiled = compiled
-        """) == []
-
-    def test_hardwired_literal_flagged(self):
-        found = violations_of("""
-            def report(policy):
-                return build_index(policy, compiled=False)
         """)
-        assert found and "hardwires compiled=False" in found[0]
+        assert found and "example.py:3" in found[0]
 
-    def test_literal_inside_compiled_function_allowed(self):
+    def test_dataclass_field_flagged(self):
+        found = violations_of("""
+            @dataclass(frozen=True)
+            class Report:
+                findings: tuple
+                compiled: bool = True
+        """)
+        assert len(found) == 1
+        assert "'compiled' field" in found[0] and "example.py:5" in found[0]
+
+    def test_other_names_allowed(self):
         assert violations_of("""
-            def query(policy, compiled=True):
-                if not compiled:
-                    return build_index(policy, compiled=False)
-                return fast(policy)
+            def rows(self, schema, conditions, frozenset_flag=False):
+                compiled = self._compile(schema, conditions)
+                return run(compiled, flag=frozenset_flag)
         """) == []
 
-    def test_literal_in_differential_module_allowed(self):
-        assert violations_of("""
-            def campaign(policy):
-                fast = run(policy, compiled=True)
-                slow = run(policy, compiled=False)
-                return fast == slow
-        """, relpath="workloads/fuzz.py") == []
+    @pytest.mark.parametrize("statement", [
+        "from ..oracle import ReferenceIndex",
+        "from .. import oracle",
+        "from ..oracle.lint import ReferenceLintSession",
+        "import repro.oracle",
+        "from repro.oracle import reference_can_obtain",
+    ])
+    def test_oracle_import_flagged(self, statement):
+        found = violations_of(statement, relpath="analysis/lint.py")
+        assert found and "imports repro.oracle" in found[0]
 
     @pytest.mark.parametrize(
-        "relpath", ["workloads/churn.py", "workloads/faults.py"]
+        "relpath",
+        ["workloads/fuzz.py", "workloads/churn.py", "oracle/lint.py"],
     )
-    def test_literal_in_serving_harness_flagged(self, relpath):
-        """The serving-stack harnesses check against ReferenceIndex,
-        not a second kernel, so they get no literal exemption."""
-        found = violations_of("""
-            def campaign(policy):
-                return run(policy, compiled=False)
-        """, relpath=relpath)
-        assert found and "hardwires compiled=False" in found[0]
-
-    def test_non_literal_call_argument_allowed(self):
+    def test_oracle_import_allowed_in_harnesses(self, relpath):
         assert violations_of("""
-            def report(policy, frozenset_flag):
-                return build_index(policy, compiled=not frozenset_flag)
-        """) == []
+            from ..oracle import ReferenceIndex
+            from .index import ReferenceIndex as Twin
+        """, relpath=relpath) == []
 
 
 class TestOneIndexPerPolicy:

@@ -1,8 +1,9 @@
-"""Invariant 13: the lint-to-repair engine is kernel-transparent and
-self-consistent (workloads harness).
+"""Invariant 13: the lint-to-repair engine agrees with its reference
+run and is self-consistent (workloads harness).
 
 Each campaign churns a random policy through ID-recycling rounds and,
-per round, repairs it on both kernels: plan sequences and outcomes
+per round, repairs it with the production driver and with
+``repro.oracle.reference_repair_policy``: plan sequences and outcomes
 must be identical, the repaired policies value-equal, every accepted
 run a Definition-6 refinement of its baseline, and the result a
 re-lint fixed point.

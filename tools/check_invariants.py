@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase static analysis: machine-enforced repo discipline.
 
-The bitset kernels rest on three conventions that review alone cannot
+The bitset kernels rest on four conventions that review alone cannot
 be trusted to hold:
 
 1. **Graph encapsulation** — ``Digraph``'s private structures
@@ -13,18 +13,13 @@ be trusted to hold:
    through the public API, or the journal the incremental indexes
    depend on silently goes stale.
 
-2. **Compiled-knob discipline** — the ``compiled`` knob now lives only
-   in the analysis layer (safety, reachability, HRU, administrative
-   refinement, lint and repair explorers); the serving stack has one
-   authorization kernel, pinned against
-   :class:`repro.oracle.ReferenceIndex`.  Every function taking a
-   ``compiled`` parameter defaults it to a literal bool and actually
-   consults it (so the frozenset escape hatch is real, not
-   decorative), and no production call site hardwires
-   ``compiled=True``/``compiled=False`` as a literal unless it is
-   itself inside a function with a ``compiled`` parameter (threading
-   a kernel choice) or in the differential-harness module whose whole
-   point is running both analysis kernels side by side.
+2. **No kernel choice** — every question has one production kernel,
+   and its frozenset twin lives in :mod:`repro.oracle`.  So (a) no
+   function, method, lambda or dataclass field in ``src/repro`` has a
+   parameter or field named ``compiled``, and (b) ``repro.oracle`` is
+   imported in ``src/repro`` only by the oracle package itself and by
+   the differential harnesses (``workloads/fuzz.py``,
+   ``workloads/churn.py``) — production code never reaches for a twin.
 
 3. **One authorization index per policy** — production code reads the
    policy's own index (``Policy.index``), built once and repaired from
@@ -32,6 +27,11 @@ be trusted to hold:
    ``Policy.index`` itself and by the differential modules that build
    fresh indexes as oracles against it; any other construction is a
    private rebuild of state the policy already maintains.
+
+4. **Lint registry fully wired** — every lint rule names an existing
+   differential test module, has exactly one of a repair planner or a
+   ``no_repair`` marker, and has a reference twin in
+   :data:`repro.oracle.REFERENCE_RULES` (and every twin a rule).
 
 Run as a script (``python tools/check_invariants.py``) or through
 ``tests/integration/test_invariants.py``; exits non-zero with one line
@@ -63,12 +63,15 @@ MUTATOR_METHODS = frozenset({
 #: Modules (relative to src/repro) allowed to mutate graph internals.
 GRAPH_MODULES = ("graph/",)
 
-#: Modules (relative to src/repro) whose purpose is differential
-#: kernel comparison: literal ``compiled=`` call arguments are their
-#: bread and butter.
-DIFFERENTIAL_MODULES = frozenset({
+#: Modules (relative to src/repro) allowed to import ``repro.oracle``:
+#: the differential harnesses that pin production kernels against it.
+ORACLE_IMPORTERS = frozenset({
     "workloads/fuzz.py",
+    "workloads/churn.py",
 })
+
+#: The oracle package, whose modules import each other.
+ORACLE_PACKAGE = "oracle/"
 
 #: Modules (relative to src/repro) allowed to construct an
 #: ``AuthorizationIndex``: the policy, which owns one, and the
@@ -97,7 +100,6 @@ class _Checker(ast.NodeVisitor):
     def __init__(self, relpath: str):
         self.relpath = relpath
         self.violations: list[str] = []
-        self._function_stack: list[ast.AST] = []
 
     # -- helpers -------------------------------------------------------
     def _report(self, node: ast.AST, message: str) -> None:
@@ -107,21 +109,6 @@ class _Checker(ast.NodeVisitor):
 
     def _in_graph_module(self) -> bool:
         return self.relpath.startswith(GRAPH_MODULES)
-
-    def _enclosing_has_compiled_param(self) -> bool:
-        for function in reversed(self._function_stack):
-            arguments = function.args
-            names = [
-                arg.arg
-                for arg in (
-                    arguments.posonlyargs
-                    + arguments.args
-                    + arguments.kwonlyargs
-                )
-            ]
-            if "compiled" in names:
-                return True
-        return False
 
     # -- rule 1: graph-internal mutation -------------------------------
     def _check_mutation_target(self, target: ast.AST) -> None:
@@ -149,6 +136,69 @@ class _Checker(ast.NodeVisitor):
             self._check_mutation_target(node.target)
         self.generic_visit(node)
 
+    # -- rule 2: no kernel choice --------------------------------------
+    def _check_parameters(self, node) -> None:
+        arguments = node.args
+        for arg in (
+            arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        ):
+            if arg.arg == "compiled":
+                self._report(
+                    node,
+                    "takes a 'compiled' parameter: production has one "
+                    "kernel (its frozenset twin belongs in repro.oracle)",
+                )
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._check_parameters(node)
+        self.generic_visit(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_Lambda = visit_FunctionDef
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        for statement in node.body:
+            if (
+                isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+                and statement.target.id == "compiled"
+            ):
+                self._report(
+                    statement,
+                    f"class {node.name!r} declares a 'compiled' field: "
+                    "production has one kernel",
+                )
+        self.generic_visit(node)
+
+    def _may_import_oracle(self) -> bool:
+        return (
+            self.relpath in ORACLE_IMPORTERS
+            or self.relpath.startswith(ORACLE_PACKAGE)
+        )
+
+    def _report_oracle_import(self, node: ast.AST) -> None:
+        self._report(
+            node,
+            "imports repro.oracle outside the differential harnesses "
+            f"({', '.join(sorted(ORACLE_IMPORTERS))})",
+        )
+
+    def visit_Import(self, node: ast.Import) -> None:
+        if not self._may_import_oracle() and any(
+            alias.name == "repro.oracle"
+            or alias.name.startswith("repro.oracle.")
+            for alias in node.names
+        ):
+            self._report_oracle_import(node)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if not self._may_import_oracle() and _imports_oracle(
+            node, self.relpath
+        ):
+            self._report_oracle_import(node)
+        self.generic_visit(node)
+
     def visit_Delete(self, node: ast.Delete) -> None:
         for target in node.targets:
             self._check_mutation_target(target)
@@ -167,7 +217,6 @@ class _Checker(ast.NodeVisitor):
                     f"calls mutator .{node.func.attr}() on Digraph "
                     f"internal {internal!r} outside repro.graph",
                 )
-        self._check_compiled_literal(node)
         self._check_index_construction(node)
         self.generic_visit(node)
 
@@ -188,79 +237,23 @@ class _Checker(ast.NodeVisitor):
                 "the differential modules (read policy.index instead)",
             )
 
-    # -- rule 2: compiled-knob discipline ------------------------------
-    def _check_compiled_literal(self, node: ast.Call) -> None:
-        if self.relpath in DIFFERENTIAL_MODULES:
-            return
-        for keyword in node.keywords:
-            if (
-                keyword.arg == "compiled"
-                and isinstance(keyword.value, ast.Constant)
-                and isinstance(keyword.value.value, bool)
-                and not self._enclosing_has_compiled_param()
-            ):
-                self._report(
-                    node,
-                    f"hardwires compiled={keyword.value.value} outside "
-                    "a compiled-parameterized function or differential "
-                    "module (thread a compiled parameter instead)",
-                )
 
-    def _check_function(self, node) -> None:
-        arguments = node.args
-        positional = arguments.posonlyargs + arguments.args
-        defaults = [None] * (
-            len(positional) - len(arguments.defaults)
-        ) + list(arguments.defaults)
-        pairs = list(zip(positional, defaults)) + list(
-            zip(arguments.kwonlyargs, arguments.kw_defaults)
-        )
-        for arg, default in pairs:
-            if arg.arg != "compiled":
-                continue
-            # A required ``compiled`` argument is an explicit knob;
-            # a *defaulted* one must default to a literal bool so the
-            # escape hatch is greppable and documented by the source.
-            if default is not None and not (
-                isinstance(default, ast.Constant)
-                and isinstance(default.value, bool)
-            ):
-                self._report(
-                    node,
-                    f"function {node.name!r} must default its "
-                    "'compiled' parameter to a literal bool",
-                )
-            used = any(
-                isinstance(child, ast.Name)
-                and child.id == "compiled"
-                and isinstance(child.ctx, ast.Load)
-                for statement in node.body
-                for child in ast.walk(statement)
-            ) or any(
-                isinstance(child, ast.Attribute)
-                and child.attr == "compiled"
-                for statement in node.body
-                for child in ast.walk(statement)
-            )
-            if not used:
-                self._report(
-                    node,
-                    f"function {node.name!r} takes a 'compiled' "
-                    "parameter but never consults it — the frozenset "
-                    "escape hatch is decorative",
-                )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_function(node)
-        self._function_stack.append(node)
-        self.generic_visit(node)
-        self._function_stack.pop()
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_function(node)
-        self._function_stack.append(node)
-        self.generic_visit(node)
-        self._function_stack.pop()
+def _imports_oracle(node: ast.ImportFrom, relpath: str) -> bool:
+    """Whether ``from ... import ...`` in module ``relpath`` (relative
+    to src/repro) names ``repro.oracle`` or one of its modules."""
+    module = node.module or ""
+    if node.level == 0:
+        target = module.split(".")
+    else:
+        package = ["repro"] + relpath.split("/")[:-1]
+        if node.level > 1:
+            package = package[: -(node.level - 1)]
+        target = package + (module.split(".") if module else [])
+    if target[:2] == ["repro", "oracle"]:
+        return True
+    return target == ["repro"] and any(
+        alias.name == "oracle" for alias in node.names
+    )
 
 
 def check_source(source: str, relpath: str) -> list[str]:
@@ -281,13 +274,15 @@ def check_tree(root: Path = SRC_ROOT) -> list[str]:
 
 def check_lint_registry() -> list[str]:
     """Every lint rule must land fully wired: a ``differential`` test
-    module that exists on disk (the compiled-vs-frozenset pin), and
-    exactly one of a repair planner in ``repro.analysis.repair`` or an
-    explicit ``no_repair`` marker explaining why none ships."""
+    module that exists on disk, exactly one of a repair planner in
+    ``repro.analysis.repair`` or an explicit ``no_repair`` marker
+    explaining why none ships, and a frozenset twin of the same name
+    in ``repro.oracle.REFERENCE_RULES`` — and every twin a rule."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     try:
         from repro.analysis.lint import RULES
         from repro.analysis.repair import PLANNERS
+        from repro.oracle import REFERENCE_RULES
     finally:
         sys.path.pop(0)
     violations: list[str] = []
@@ -315,6 +310,16 @@ def check_lint_registry() -> list[str]:
                 f"lint rule {name!r}: no repair planner registered in "
                 "repro.analysis.repair and no no_repair marker"
             )
+        if name not in REFERENCE_RULES:
+            violations.append(
+                f"lint rule {name!r}: no reference twin in "
+                "repro.oracle.REFERENCE_RULES"
+            )
+    for name in REFERENCE_RULES:
+        if name not in RULES:
+            violations.append(
+                f"reference twin {name!r} has no matching lint rule"
+            )
     for name in PLANNERS:
         if name not in RULES:
             violations.append(
@@ -330,9 +335,9 @@ def main() -> int:
     if violations:
         print(f"{len(violations)} invariant violation(s)")
         return 1
-    print("repo invariants hold: graph encapsulation, compiled-knob "
-          "discipline, one authorization index per policy, lint "
-          "registry fully wired")
+    print("repo invariants hold: graph encapsulation, no kernel choice, "
+          "one authorization index per policy, lint registry fully "
+          "wired")
     return 0
 
 
