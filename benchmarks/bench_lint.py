@@ -9,8 +9,11 @@ subject × object pair through the frozenset API (``policy.reaches``
 per cell, ``policy.copy()`` + from-scratch index rebuild per
 redundancy candidate) — by >=5x at 5k-user enterprise scale.
 
-Three runs over the same workload (enterprise policy plus a handful of
-closure-implied shortcut edges and a cross-department SSD set):
+Three implementations over the same workload (enterprise policy plus a
+handful of closure-implied shortcut edges and a cross-department SSD
+set), each timed as the median of five sweeps that alternate between
+the three, every sweep on a fresh ``policy.copy()`` (min and max are
+reported too):
 
 * **compiled** — ``lint_policy``, the full rule sweep;
 * **oracle** — ``repro.oracle.reference_lint_policy``, the frozenset
@@ -32,6 +35,7 @@ numbers into the ``BENCH_kernel.json`` trajectory.
 
 import json
 import os
+import statistics
 import time
 
 from conftest import built_reference, print_table
@@ -47,6 +51,8 @@ DEPARTMENTS = int(os.environ.get("LINT_BENCH_DEPARTMENTS", "5"))
 LEVELS = int(os.environ.get("LINT_BENCH_LEVELS", "4"))
 EMPLOYEES = int(os.environ.get("LINT_BENCH_EMPLOYEES", "1000"))
 SPEEDUP_TARGET = float(os.environ.get("LINT_SPEEDUP_TARGET", "5"))
+#: timed sweeps per side; the reported time is their median.
+SWEEPS = 5
 SHAPE = EnterpriseShape(
     departments=DEPARTMENTS,
     levels_per_department=LEVELS,
@@ -360,22 +366,30 @@ def collect_metrics() -> dict:
         return _metrics_cache
     policy, constraints = build_workload()
 
-    compiled_policy = policy.copy()
-    started = time.perf_counter()
-    compiled_report = lint_policy(compiled_policy, constraints=constraints)
-    compiled_s = time.perf_counter() - started
-
-    oracle_policy = policy.copy()
-    started = time.perf_counter()
-    oracle_report = reference_lint_policy(
-        oracle_policy, constraints=constraints
+    # One loaded sweep must not decide the floor: each side is the
+    # median of SWEEPS runs, alternating sides, each on a fresh copy.
+    sides = {
+        "compiled": lambda work: lint_policy(work, constraints=constraints),
+        "oracle": lambda work: reference_lint_policy(
+            work, constraints=constraints
+        ),
+        "baseline": lambda work: baseline_signatures(work, constraints),
+    }
+    times: dict[str, list[float]] = {name: [] for name in sides}
+    results = {}
+    for _ in range(SWEEPS):
+        for name, run in sides.items():
+            work = policy.copy()
+            started = time.perf_counter()
+            results[name] = run(work)
+            times[name].append(time.perf_counter() - started)
+    compiled_report = results["compiled"]
+    oracle_report = results["oracle"]
+    baseline = results["baseline"]
+    compiled_s, oracle_s, baseline_s = (
+        statistics.median(times[name])
+        for name in ("compiled", "oracle", "baseline")
     )
-    oracle_s = time.perf_counter() - started
-
-    baseline_policy = policy.copy()
-    started = time.perf_counter()
-    baseline = baseline_signatures(baseline_policy, constraints)
-    baseline_s = time.perf_counter() - started
 
     assert compiled_report.findings == oracle_report.findings, (
         "compiled and frozenset lint findings diverge on the bench "
@@ -398,9 +412,15 @@ def collect_metrics() -> dict:
         "redundancy_candidates": compiled_report.stats.get(
             "redundant-delegation", {}
         ).get("candidates", 0),
+        "sweeps": SWEEPS,
         "baseline_s": round(baseline_s, 4),
         "oracle_s": round(oracle_s, 4),
         "compiled_s": round(compiled_s, 4),
+        **{
+            f"{name}_{bound}_s": round(pick(times[name]), 4)
+            for name in sides
+            for bound, pick in (("min", min), ("max", max))
+        },
         "compiled_speedup": round(baseline_s / compiled_s, 2),
         "oracle_speedup": round(baseline_s / oracle_s, 2),
         "speedup_target": SPEEDUP_TARGET,

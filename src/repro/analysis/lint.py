@@ -72,13 +72,7 @@ from ..core.explore import ExplorationEngine
 from ..core.policy import Policy
 from ..core.privileges import Grant, is_privilege
 from ..errors import AnalysisError
-from ..graph import (
-    DeltaSummary,
-    ancestors_bits,
-    dirty_region_bits,
-    iter_bits,
-    summarize_deltas,
-)
+from ..graph import JournalWindow, ancestors_bits, dirty_region, iter_bits
 from .constraints import SsdConstraint
 
 
@@ -215,10 +209,11 @@ class LintContext:
     :attr:`Policy.index <repro.core.policy.Policy.index>`, which the
     probes' journal entries repair on its next read.
 
-    ``summary`` / ``region`` are the re-lint's delta summary and its
-    :func:`~repro.graph.dirty_region_bits` tuple, both None on a full
-    run; rules read their domain through :meth:`delegation_edges` and
-    :attr:`escalation_scope`, never from the region directly.
+    ``window`` is the re-lint's journal window
+    (:func:`~repro.graph.dirty_region`, both halves already swept), or
+    None on a full run; rules read their domain through
+    :meth:`delegation_edges` and :attr:`escalation_scope`, never from
+    the window directly.
 
     The aggregates and the planner queries (:meth:`reaches` and the
     three after it) are the kernel surface a reference context
@@ -232,8 +227,7 @@ class LintContext:
         constraints: tuple[SsdConstraint, ...],
         escalation_depth: int = 2,
         *,
-        summary: DeltaSummary | None = None,
-        region: tuple | None = None,
+        window: JournalWindow | None = None,
     ):
         self.policy = policy
         self.constraints = constraints
@@ -241,8 +235,7 @@ class LintContext:
         self.escalation_depth = escalation_depth
         self.users = sorted(self.policy.users(), key=str)
         self.stats: dict[str, dict[str, int]] = {}
-        self.summary = summary
-        self.region = region
+        self.window = window
         self._reach_union = None
         self._index = None
         self._escalation_scope: int | None = None
@@ -265,9 +258,9 @@ class LintContext:
         reroutes, or with a mutated edge at ``a`` or into ``b``.
         """
         graph = self.policy.graph
-        if self.region is None:
+        if self.window is None:
             return list(graph.edges())
-        upstream, downstream = self.region[0], self.region[1]
+        upstream, downstream = self.window.upstream, self.window.downstream
         vid, vertex_of = graph._vid, graph._vertex_of
         edges = []
         for index in iter_bits(upstream):
@@ -282,8 +275,8 @@ class LintContext:
         re-lint's redundancy domain (see :meth:`delegation_edges`)."""
         vid = self.policy.graph._vid
         return bool(
-            self.region[0] >> vid[source] & 1
-            and self.region[1] >> vid[target] & 1
+            self.window.upstream >> vid[source] & 1
+            and self.window.downstream >> vid[target] & 1
         )
 
     @property
@@ -301,21 +294,21 @@ class LintContext:
         target (assigners).  Any other user holds the same grants, with
         the same rectangles and assigners, as at the last lint.
         """
-        if self.region is None:
+        if self.window is None:
             return None
         if self._escalation_scope is None:
             policy = self.policy
             graph = policy.graph
             bits = policy.bits
-            seeds = stale_grants(policy, self.summary, self.region)
+            seeds = stale_grants(policy, self.window)
             vid = graph._vid
-            for vertex in self.summary.edge_targets:
+            for vertex in self.window.edge_targets:
                 index = vid.get(vertex)
                 if index is not None:
                     seeds |= 1 << index & bits.privileges_mask
             # Ancestor sets are ancestor-closed, so a seed already
             # covered needs no sweep of its own.
-            holders = self.region[0]
+            holders = self.window.upstream
             vertex_of = graph._vertex_of
             for index in iter_bits(seeds):
                 if not holders >> index & 1:
@@ -504,9 +497,9 @@ class LintSession:
     policy and repairs itself from its own cursor, so every session
     and one-shot lint of a policy shares one build.
 
-    The first :meth:`lint` is a full run.  Each later one takes the
-    journal since the cursor, computes the burst's dirty region once
-    (:func:`~repro.graph.dirty_region_bits`), and evaluates the rules
+    The first :meth:`lint` is a full run.  Each later one reads the
+    journal window since the cursor (:func:`~repro.graph.dirty_region`)
+    and evaluates the rules
     with a ``carries`` predicate (``redundant-delegation``,
     ``self-escalation``) only over that region — see :meth:`LintContext.delegation_edges` and
     :attr:`LintContext.escalation_scope` — carrying their other
@@ -516,8 +509,7 @@ class LintSession:
     the reference oracle).
 
     A re-lint falls back to a full run when the journal no longer
-    reaches back to the cursor, or when the burst's weight
-    (:func:`~repro.graph.summarize_deltas`) exceeds
+    reaches back to the cursor, or when the window's ``weight`` exceeds
     :attr:`DELTA_LIMIT`.  A report's ``stats`` count the work its own
     pass did, so a re-lint's are smaller than a full lint's.
 
@@ -559,40 +551,36 @@ class LintSession:
                 for name, found in baseline.by_rule().items()
             }
 
-    def _dirty(self) -> tuple[DeltaSummary, tuple] | None:
-        """The burst since the last lint and its dirty region, or None
-        when this lint must be a full run."""
+    def _dirty(self) -> JournalWindow | None:
+        """The journal window since the last lint, or None when this
+        lint must be a full run."""
         if self._findings is None:
             return None
-        deltas = self._cursor.take()
-        if deltas is None:
+        window = dirty_region(self.policy.graph, self._cursor.version)
+        if window is None or window.weight > self.DELTA_LIMIT:
             return None
-        summary = summarize_deltas(deltas)
-        if summary.weight > self.DELTA_LIMIT:
-            return None
-        return summary, dirty_region_bits(
-            self.policy.graph, summary.edge_sources, summary.edge_targets
-        )
+        # The redundancy probes mutate the policy while the rules run,
+        # so both halves are swept now, at the window's version.
+        window.upstream, window.downstream
+        return window
 
-    def context(
-        self, summary: DeltaSummary | None = None, region: tuple | None = None
-    ) -> LintContext:
+    def context(self, window: JournalWindow | None = None) -> LintContext:
         """A context over the policy in its current state (a full run's
-        unless ``summary`` / ``region`` scope it)."""
+        unless ``window`` scopes it)."""
         return self.context_class(
             self.policy, self.constraints, self.escalation_depth,
-            summary=summary, region=region,
+            window=window,
         )
 
     def lint(self) -> LintReport:
         """Lint the policy in its current state."""
-        summary, region = self._dirty() or (None, None)
-        context = self.context(summary, region)
+        window = self._dirty()
+        context = self.context(window)
         previous = self._findings
         by_rule: dict[str, list[Finding]] = {}
         for rule in self.rules:
             found = list(rule.check(context))
-            if region is not None and rule.carries is not None:
+            if window is not None and rule.carries is not None:
                 found.extend(
                     finding for finding in previous.get(rule.name, ())
                     if rule.carries(context, finding)

@@ -27,7 +27,7 @@ are the rare case, and correctness is what matters there.
 The index is versioned against the policy graph like every other
 cache.  Under policy churn it repairs itself *incrementally*: the
 graph's change journal yields the edge-level deltas since the last
-validation, the dirty region (:func:`repro.graph.dirty_region_bits`)
+validation, their journal window (:func:`repro.graph.dirty_region`)
 turns those into the set of dirty subjects plus one *stale-privilege
 mask*, and only the rectangles of stale privileges are recompiled and
 patched into the rows of the users holding them.  Rectangle contents
@@ -65,12 +65,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
 
-from ..graph import (
-    ancestors_bits,
-    dirty_region_bits,
-    iter_bits,
-    summarize_deltas,
-)
+from ..graph import ancestors_bits, dirty_region, iter_bits
 from .commands import Command, CommandAction
 from .entities import Role, User
 from .ordering import OrderingOracle
@@ -262,18 +257,18 @@ def _endpoints_in(region: int, endpoints: dict, vertex_of) -> int:
     return stale
 
 
-def stale_grants(policy: Policy, summary, region: tuple) -> int:
-    """The rectangle-bearing grants whose rectangle a delta burst can
-    have changed, as a mask over ``policy``'s privilege vertex IDs.
+def stale_grants(policy: Policy, window) -> int:
+    """The rectangle-bearing grants whose rectangle the delta burst of
+    ``window`` (a :func:`~repro.graph.dirty_region` answer at the
+    policy's current version) can have changed, as a mask over
+    ``policy``'s privilege vertex IDs.
 
-    ``summary`` is the burst's :func:`~repro.graph.summarize_deltas`
-    and ``region`` its :func:`~repro.graph.dirty_region_bits` tuple.
     A grant is stale when its source lies downstream (its ancestor
     set, the rectangle's sources, may have changed) or its target
     upstream (its descendant set, the rectangle's targets, may have
     changed), looked up through the policy's endpoint-inverted masks;
     off-graph region members (seeds removed within the window) are
-    looked up from the region's absent sets.
+    looked up from the window's absent sets.
 
     A rectangle's *own endpoint* can also leave or rejoin the graph
     with its region staying set-identical (``ancestors(s) ∋ s`` holds
@@ -291,16 +286,17 @@ def stale_grants(policy: Policy, summary, region: tuple) -> int:
     grant_sources = bits.grant_sources
     grant_targets = bits.grant_targets
     stale = 0
-    for vertex in summary.removed_vertices | summary.added_vertices:
+    for vertex in window.removed_vertices | window.added_vertices:
         stale |= grant_sources.get(vertex, 0) | grant_targets.get(vertex, 0)
-    upstream, downstream, absent_sources, absent_targets = region
     vertex_of = policy.graph._vertex_of
     entities = bits.entities_mask
-    stale |= _endpoints_in(downstream & entities, grant_sources, vertex_of)
-    stale |= _endpoints_in(upstream & entities, grant_targets, vertex_of)
-    for vertex in absent_targets:
+    stale |= _endpoints_in(
+        window.downstream & entities, grant_sources, vertex_of
+    )
+    stale |= _endpoints_in(window.upstream & entities, grant_targets, vertex_of)
+    for vertex in window.absent_targets:
         stale |= grant_sources.get(vertex, 0)
-    for vertex in absent_sources:
+    for vertex in window.absent_sources:
         stale |= grant_targets.get(vertex, 0)
     return stale
 
@@ -565,32 +561,30 @@ class AuthorizationIndex:
     def _validate(self) -> None:
         if self._cursor.version == self.policy.version:
             return
-        deltas = self.policy.changes_since(self._cursor.version)
-        if deltas is None:
-            self._rebuild()
-            return
+        window = dirty_region(self.policy.graph, self._cursor.version)
         # Vertex additions only ever create per-user entries, never
         # dirty existing ones, so only edge mutations and vertex
-        # removals (the summary weight) count toward the full-rebuild
+        # removals (the window's weight) count toward the full-rebuild
         # fallback.
-        summary = summarize_deltas(deltas)
-        if summary.weight > max(self.DELTA_LIMIT, len(self._held)):
+        if window is None or window.weight > max(
+            self.DELTA_LIMIT, len(self._held)
+        ):
             self._rebuild()
             return
-        self._apply_deltas(deltas, summary)
+        self._apply_deltas(window)
         self._cursor.version = self.policy.version
         self.partial_refreshes += 1
 
-    def _apply_deltas(self, deltas, summary) -> None:
-        """Incrementally repair the index from journaled graph deltas.
+    def _apply_deltas(self, window) -> None:
+        """Incrementally repair the index from a journal window.
 
-        The edge endpoints come pre-classified in ``summary``; the
+        The edge endpoints come pre-classified in ``window``; the
         per-delta walk below only does the order-sensitive per-user
         bookkeeping (a user removed then re-added within the burst
         must end up fresh, not stale).
         """
         fresh_users: set[User] = set()
-        for delta in deltas:
+        for delta in window.deltas:
             if delta.is_edge:
                 continue
             if delta.kind == "remove-vertex":
@@ -605,11 +599,11 @@ class AuthorizationIndex:
                     fresh_users.add(delta.source)
 
         dirty: set[User] = set(fresh_users)
-        stale = self._collect_dirty(summary, dirty)
+        stale = self._collect_dirty(window, dirty)
         vertex_of = self.policy.graph._vertex_of
         for index in iter_bits(stale):
             self._evict(vertex_of[index])
-        for vertex in summary.removed_vertices:
+        for vertex in window.removed_vertices:
             self._evict(vertex)
         ancestor_memo: dict = {}
         profiles: dict = {}
@@ -625,27 +619,23 @@ class AuthorizationIndex:
                 self._patch_user(user, stale, ancestor_memo, profiles)
         self._clear_evicted()
 
-    def _collect_dirty(self, summary, dirty: set) -> int:
+    def _collect_dirty(self, window, dirty: set) -> int:
         """The dirty sweep of one repair window: adds the users whose
         held set can change to ``dirty`` (one ``upstream & users_mask``
         intersection) and returns the stale-privilege mask
         (:func:`stale_grants`)."""
         policy = self.policy
-        region = dirty_region_bits(
-            policy.graph, summary.edge_sources, summary.edge_targets
-        )
-        upstream, downstream, _absent_sources, absent_targets = region
         bits = policy.bits
-        if downstream & bits.privileges_mask or any(
-            is_privilege(vertex) for vertex in absent_targets
+        if window.downstream & bits.privileges_mask or any(
+            is_privilege(vertex) for vertex in window.absent_targets
         ):
             held_map = self._held
             vertex_of = policy.graph._vertex_of
-            for index in iter_bits(upstream & bits.users_mask):
+            for index in iter_bits(window.upstream & bits.users_mask):
                 user = vertex_of[index]
                 if user in held_map:
                     dirty.add(user)
-        return stale_grants(policy, summary, region)
+        return stale_grants(policy, window)
 
     def refresh(self) -> None:
         """Bring the index up to date with the policy now (the same

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..graph import dirty_region_bits, summarize_deltas
+from ..graph import dirty_region
 from .entities import Role, User
 from .policy import Policy
 from .privileges import (
@@ -133,32 +133,29 @@ class OrderingOracle:
         if not self._memo:
             self._version = version
             return
-        deltas = self.policy.changes_since(self._version)
+        window = dirty_region(self.policy.graph, self._version)
         self._version = version
-        summary = None if deltas is None else summarize_deltas(deltas)
-        if summary is not None and summary.weight == 0:
+        if window is not None and window.weight == 0:
             return  # pure vertex additions touch no reachable set
-        if summary is None or summary.weight > self.MEMO_DELTA_LIMIT:
+        if window is None or window.weight > self.MEMO_DELTA_LIMIT:
             self._memo.clear()
             self.stats.memo_full_clears += 1
             return
-        self._evict_stale_bits(summary)
+        self._evict_stale_bits(window)
 
-    def _evict_stale_bits(self, summary) -> None:
+    def _evict_stale_bits(self, window) -> None:
         """Footprint eviction: an entry's footprint is the term itself,
         its privilege subterms and every entity they mention.  The
         dirty region is two masks over interned vertex IDs, so testing
         a footprint is one shift per footprint vertex.  Vertices
-        without an ID (removed within the burst, hence in the summary,
+        without an ID (removed within the burst, hence in the window,
         or mentioned by a term but never registered) fall back to
         membership in the small ``dirty_extra`` set."""
         graph = self.policy.graph
-        removed = summary.removed_vertices
-        upstream, downstream, absent_sources, absent_targets = (
-            dirty_region_bits(
-                graph, summary.edge_sources, summary.edge_targets
-            )
-        )
+        removed = window.removed_vertices
+        upstream, downstream = window.upstream, window.downstream
+        absent_sources = window.absent_sources
+        absent_targets = window.absent_targets
         bits = self.policy.bits
         dirty_mask = upstream | downstream
         dirty_extra = absent_sources | absent_targets | removed

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import PolicyError
-from ..graph import Digraph, ReachabilityCache, longest_chain_length
+from ..graph import Digraph, ReachabilityCache, dirty_region, longest_chain_length
 from .entities import Role, User
 from .privileges import (
     AdminPrivilege,
@@ -79,7 +79,8 @@ class PolicyBits:
     (the endpoint need not be a vertex).  They turn "which rectangles
     does this dirty region touch" into lookups over the region.
 
-    Maintenance follows the change journal through a cursor: edge
+    Maintenance follows the change journal (a cursor's
+    :func:`~repro.graph.dirty_region` window): edge
     mutations never change a vertex's sort, vertex additions set bits
     incrementally, and any vertex *removal* triggers a full O(V)
     rescan — removal is the rare operation (user deprovisioning,
@@ -157,18 +158,16 @@ class PolicyBits:
         """Bring the masks up to date with the graph now."""
         if not self._cursor.pending:
             return
-        deltas = self._cursor.take()
-        if deltas is None or any(
-            delta.kind == "remove-vertex" for delta in deltas
-        ):
+        window = dirty_region(self._graph, self._cursor.version)
+        if window is None or window.removed_vertices:
             self._rebuild()
             return
+        self._cursor.version = self._graph.version
         vid = self._graph._vid
-        for delta in deltas:
-            if delta.kind == "add-vertex":
-                # No removal in the window, so the vertex is still
-                # present and its ID was not recycled mid-window.
-                self._classify(delta.source, vid[delta.source])
+        for vertex in window.added_vertices:
+            # No removal in the window, so the vertex is still present
+            # and its ID was not recycled mid-window.
+            self._classify(vertex, vid[vertex])
 
 
 class Policy:
@@ -181,9 +180,10 @@ class Policy:
     one BFS per distinct source.
 
     The policy owns three derived structures, each filled or built
-    lazily and repaired from the change journal through its own
-    cursor: the reachability cache, the sort masks (:attr:`bits`) and
-    the authorization index (:attr:`index`).  :meth:`copy` never
+    lazily and repaired from the change journal
+    (:func:`repro.graph.dirty_region`): the reachability cache, the
+    sort masks (:attr:`bits`) and the authorization index
+    (:attr:`index`).  :meth:`copy` never
     copies the index; the clone builds its own on first read.
     """
 
@@ -308,14 +308,6 @@ class Policy:
         """The graph's mutation counter — the staleness cursor every
         policy-level cache keys on."""
         return self._graph.version
-
-    def changes_since(self, version: int):
-        """The journaled mutations applied after ``version`` (see
-        :meth:`repro.graph.Digraph.changes_since`): the seam incremental
-        caches use to repair themselves under policy churn, rather than
-        rebuilding on every version bump.  None means the journal
-        window has passed and a full rebuild is required."""
-        return self._graph.changes_since(version)
 
     def journal_cursor(self):
         """A registered per-consumer cursor into the change journal

@@ -7,12 +7,12 @@ reachability.
 """
 
 from .digraph import (
-    DeltaSummary,
     Digraph,
     GraphDelta,
     JournalCursor,
+    JournalWindow,
     Vertex,
-    summarize_deltas,
+    dirty_region,
 )
 from .reachability import (
     ReachabilityCache,
@@ -23,13 +23,10 @@ from .reachability import (
     iter_bits,
     lowest_bit,
     pack_bits,
-    reachable_from_any,
     reaches,
 )
 from .closure import (
     condensation,
-    dirty_region,
-    dirty_region_bits,
     longest_chain_length,
     strongly_connected_components,
     topological_order,
@@ -45,12 +42,12 @@ from .paths import (
 )
 
 __all__ = [
-    "DeltaSummary",
     "Digraph",
     "GraphDelta",
     "JournalCursor",
+    "JournalWindow",
     "Vertex",
-    "summarize_deltas",
+    "dirty_region",
     "ReachabilityCache",
     "ancestors",
     "ancestors_bits",
@@ -59,11 +56,8 @@ __all__ = [
     "iter_bits",
     "lowest_bit",
     "pack_bits",
-    "reachable_from_any",
     "reaches",
     "condensation",
-    "dirty_region",
-    "dirty_region_bits",
     "longest_chain_length",
     "strongly_connected_components",
     "topological_order",

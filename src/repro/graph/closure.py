@@ -5,6 +5,10 @@ order (footnote 3, following Li et al.'s critique of the ANSI standard),
 so policies may contain cycles.  Analyses that need acyclicity — most
 importantly the longest-chain bound of Remark 2 — therefore operate on
 the condensation DAG produced by Tarjan's SCC algorithm.
+
+The dirty region of a journal window — reachability on the
+condensation, evaluated without materializing it — lives with the
+journal it reads (:func:`repro.graph.digraph.dirty_region`).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .digraph import Digraph, Vertex
-from .reachability import _sweep_bits, reachable_from_any
 
 
 def transitive_closure(graph: Digraph) -> Digraph:
@@ -137,90 +140,6 @@ def topological_order(dag: Digraph) -> list[Vertex]:
     if len(order) != len(in_degree):
         raise ValueError("graph has a cycle; no topological order exists")
     return order
-
-
-def dirty_region(
-    graph: Digraph,
-    edge_sources: Iterable[Vertex],
-    edge_targets: Iterable[Vertex],
-) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-    """The vertices whose reachability a batch of edge mutations can
-    have changed, computed on the condensation DAG.
-
-    For each mutated edge ``(s, t)`` — added *or* removed — the
-    descendant sets that may differ belong exactly to the ancestors of
-    ``s``, and the ancestor sets that may differ belong exactly to the
-    descendants of ``t``; both are the same before and after the
-    mutation, because a simple path ending at ``s`` (or starting at
-    ``t``) cannot use the edge ``(s, t)`` itself.  So both regions are
-    computable on the *current* graph, which is all an incrementally
-    maintained cache has.
-
-    Returns ``(upstream, downstream)``: the union of ancestors of all
-    ``edge_sources`` and the union of descendants of all
-    ``edge_targets``.  Seeds no longer present in the graph (e.g. a
-    garbage-collected privilege vertex) are included as themselves.
-
-    The sweep is reachability on the SCC condensation evaluated
-    without materializing it: a multi-source BFS whose seen-set dedup
-    visits every member of a strongly connected component exactly once,
-    so it touches only the dirty region — reaching into a cycle pulls
-    in the whole component, exactly as a BFS over the condensation DAG
-    would, but a localized delta never pays for a whole-graph Tarjan
-    pass (measured: the eager :func:`condensation` variant made
-    incremental maintenance *slower* than full rebuilds on shallow
-    1k-user policies).
-    """
-    upstream = reachable_from_any(graph, edge_sources, graph.predecessors)
-    downstream = reachable_from_any(graph, edge_targets)
-    return upstream, downstream
-
-
-def dirty_region_bits(
-    graph: Digraph,
-    edge_sources: Iterable[Vertex],
-    edge_targets: Iterable[Vertex],
-) -> tuple[int, int, frozenset, frozenset]:
-    """Compiled :func:`dirty_region`: the same sweep expressed as
-    bitmasks over the graph's interned vertex IDs, so that consumers
-    can test "is this vertex in the region" with one shift and filter
-    whole candidate sets with one ``&``.
-
-    Returns ``(upstream_mask, downstream_mask, absent_sources,
-    absent_targets)``.  The masks cover the in-graph region members;
-    seeds no longer present in the graph (which the frozenset variant
-    includes as themselves — e.g. a garbage-collected privilege vertex)
-    cannot carry a bit and are returned in the two ``absent`` sets, so
-    callers preserve the frozenset semantics exactly by checking
-    membership there for vertices without an ID.  Every absent seed
-    was necessarily removed within the delta window that produced the
-    seeds, so the sets are tiny (usually empty).
-    """
-    vid = graph._vid
-    upstream, up_seeds, absent_sources = 0, [], []
-    for vertex in edge_sources:
-        index = vid.get(vertex)
-        if index is None:
-            absent_sources.append(vertex)
-        elif not upstream >> index & 1:
-            upstream |= 1 << index
-            up_seeds.append(index)
-    downstream, down_seeds, absent_targets = 0, [], []
-    for vertex in edge_targets:
-        index = vid.get(vertex)
-        if index is None:
-            absent_targets.append(vertex)
-        elif not downstream >> index & 1:
-            downstream |= 1 << index
-            down_seeds.append(index)
-    upstream = _sweep_bits(graph._pred_bits, upstream, up_seeds)
-    downstream = _sweep_bits(graph._succ_bits, downstream, down_seeds)
-    return (
-        upstream,
-        downstream,
-        frozenset(absent_sources),
-        frozenset(absent_targets),
-    )
 
 
 def longest_chain_length(

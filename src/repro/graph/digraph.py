@@ -40,58 +40,128 @@ class GraphDelta(NamedTuple):
         return self.kind in ("add-edge", "remove-edge")
 
 
-class DeltaSummary(NamedTuple):
-    """Classification of a journaled delta burst (:func:`summarize_deltas`)."""
+class JournalWindow:
+    """What changed in a graph between version ``since`` and
+    ``version``: the one record every journal consumer reads
+    (:func:`dirty_region`).
 
-    edge_sources: frozenset
-    edge_targets: frozenset
-    removed_vertices: frozenset
-    #: deltas that can change a reachable set: edge mutations and
-    #: vertex removals.  Vertex additions are free (a fresh vertex has
-    #: no edges), so they count toward no consumer's fallback
-    #: threshold.
-    weight: int
-    #: vertices added within the window (a vertex both added and
-    #: removed appears in both sets).  Additions change no reachable
-    #: *set*, but the compiled kernel needs them: a rectangle holding
-    #: an off-graph endpoint in its extras must migrate it into the
-    #: bitmask when the vertex (re)joins the graph and gets an ID.
-    added_vertices: frozenset = frozenset()
+    The burst classification is computed on construction.
+    ``deltas`` is the compacted delta sequence
+    (:meth:`Digraph.changes_since`), ``edge_sources`` /
+    ``edge_targets`` the mutated edges' endpoints and
+    ``removed_vertices`` / ``added_vertices`` the vertex churn (a
+    vertex both added and removed appears in both).  ``weight`` counts
+    the deltas that can change a reachable set: edge mutations and
+    vertex removals.  Additions are free (a fresh vertex has no edges),
+    so they count toward no consumer's full-rebuild threshold.
 
-
-def summarize_deltas(deltas: Iterable[GraphDelta]) -> DeltaSummary:
-    """Classify a delta burst for dirty-region cache maintenance.
-
-    Every incrementally repaired structure (reachability cache,
-    authorization index, ordering memo) needs the same
-    decomposition of a burst: the mutated-edge endpoints to seed
-    :func:`repro.graph.dirty_region`, the removed vertices to evict
-    directly, and the burst *weight* to compare against its
-    full-rebuild threshold.  Centralizing it keeps those consumers
-    from drifting on which deltas count.
+    The dirty region is two masks over the graph's interned vertex
+    IDs: ``upstream``, the ancestors of the present edge sources, and
+    ``downstream``, the descendants of the present edge targets.  Seeds
+    no longer in the graph carry no bit and are listed in
+    ``absent_sources`` / ``absent_targets``; each was removed within the
+    window, so it is also in ``removed_vertices``.  Each half is swept
+    on first read, once per window, so a consumer that compares
+    ``weight`` against its threshold first never pays for an oversized
+    burst's sweep.  A half must be read while the graph is still at
+    ``version``: a later read raises RuntimeError.
     """
-    edge_sources = set()
-    edge_targets = set()
-    removed = set()
-    added = set()
-    weight = 0
-    for delta in deltas:
-        if delta.is_edge:
-            edge_sources.add(delta.source)
-            edge_targets.add(delta.target)
-            weight += 1
-        elif delta.kind == "remove-vertex":
-            removed.add(delta.source)
-            weight += 1
-        elif delta.kind == "add-vertex":
-            added.add(delta.source)
-    return DeltaSummary(
-        frozenset(edge_sources),
-        frozenset(edge_targets),
-        frozenset(removed),
-        weight,
-        frozenset(added),
-    )
+
+    __slots__ = ("since", "version", "deltas", "edge_sources",
+                 "edge_targets", "removed_vertices", "added_vertices",
+                 "weight", "_graph", "_upstream", "_downstream")
+
+    def __init__(self, graph: "Digraph", since: int,
+                 deltas: tuple[GraphDelta, ...]):
+        self.since = since
+        self.version = graph.version
+        self.deltas = deltas
+        edge_sources, edge_targets, removed, added = set(), set(), set(), set()
+        weight = 0
+        for delta in deltas:
+            if delta.is_edge:
+                edge_sources.add(delta.source)
+                edge_targets.add(delta.target)
+                weight += 1
+            elif delta.kind == "remove-vertex":
+                removed.add(delta.source)
+                weight += 1
+            else:
+                added.add(delta.source)
+        self.edge_sources = frozenset(edge_sources)
+        self.edge_targets = frozenset(edge_targets)
+        self.removed_vertices = frozenset(removed)
+        self.added_vertices = frozenset(added)
+        self.weight = weight
+        # A weak reference: the graph memoizes its latest window, and a
+        # strong one would tie every graph that took a window into a
+        # reference cycle.
+        self._graph = weakref.ref(graph)
+        self._upstream: tuple[int, frozenset] | None = None
+        self._downstream: tuple[int, frozenset] | None = None
+
+    def _sweep(self, seeds: frozenset, upstream: bool) -> tuple[int, frozenset]:
+        """The mask of everything reachable from the present ``seeds``
+        against (``upstream``) or along the edges, and the absent seeds."""
+        graph = self._graph()
+        if graph is None or graph.version != self.version:
+            raise RuntimeError(
+                f"journal window ({self.since}, {self.version}] read after "
+                "its graph moved on"
+            )
+        vid = graph._vid
+        mask, frontier, absent = 0, [], []
+        for vertex in seeds:
+            index = vid.get(vertex)
+            if index is None:
+                absent.append(vertex)
+            else:
+                mask |= 1 << index
+                frontier.append(index)
+        adjacency = graph._pred_bits if upstream else graph._succ_bits
+        return _sweep_bits(adjacency, mask, frontier), frozenset(absent)
+
+    @property
+    def upstream(self) -> int:
+        if self._upstream is None:
+            self._upstream = self._sweep(self.edge_sources, True)
+        return self._upstream[0]
+
+    @property
+    def absent_sources(self) -> frozenset:
+        if self._upstream is None:
+            self._upstream = self._sweep(self.edge_sources, True)
+        return self._upstream[1]
+
+    @property
+    def downstream(self) -> int:
+        if self._downstream is None:
+            self._downstream = self._sweep(self.edge_targets, False)
+        return self._downstream[0]
+
+    @property
+    def absent_targets(self) -> frozenset:
+        if self._downstream is None:
+            self._downstream = self._sweep(self.edge_targets, False)
+        return self._downstream[1]
+
+
+def _sweep_bits(adjacency: list[int], seen: int, frontier: list[int]) -> int:
+    """Multi-source BFS over per-vertex adjacency masks: each round ORs
+    whole neighbour masks together (word-parallel), then expands only
+    the genuinely new bits."""
+    while frontier:
+        gathered = 0
+        for index in frontier:
+            gathered |= adjacency[index]
+        gathered &= ~seen
+        seen |= gathered
+        frontier = []
+        while gathered:
+            low = gathered & -gathered
+            frontier.append(low.bit_length() - 1)
+            gathered ^= low
+    return seen
 
 
 def _compact_deltas(deltas: list[GraphDelta]) -> tuple[GraphDelta, ...]:
@@ -141,20 +211,18 @@ def _compact_deltas(deltas: list[GraphDelta]) -> tuple[GraphDelta, ...]:
 class JournalCursor:
     """A per-consumer staleness cursor into a graph's change journal.
 
-    Every incrementally maintained cache used to track its own
-    ``version`` integer and call :meth:`Digraph.changes_since`
-    directly; that works for a single consumer, but with several
-    independent consumers (the authorization index and its snapshot
-    forks, the serving layer's decision cache, the policy's
-    ``PolicyBits`` sort masks) the journal has no idea who is still
-    behind, and a fixed-size window silently expires under the
-    slowest reader.  A cursor makes the consumer visible: the graph
-    holds cursors weakly and, when trimming the journal, keeps the
-    entries the laggiest registered cursor still needs (up to a hard
-    cap — see :attr:`Digraph.JOURNAL_HARD_LIMIT`).
+    With several independent consumers (the authorization index and
+    its snapshot forks, the serving layer's decision cache, the
+    policy's ``PolicyBits`` sort masks, a lint session) the journal
+    has no idea who is still behind, and a fixed-size window silently
+    expires under the slowest reader.  A cursor makes the consumer
+    visible: the graph holds cursors weakly and, when trimming the
+    journal, keeps the entries the laggiest registered cursor still
+    needs (up to a hard cap — see :attr:`Digraph.JOURNAL_HARD_LIMIT`).
 
-    ``version`` is the graph version this consumer has fully absorbed;
-    :meth:`take` returns the pending deltas and advances the cursor.
+    ``version`` is the graph version this consumer has fully absorbed.
+    A consumer reads ``dirty_region(graph, cursor.version)`` and then
+    sets ``version`` to the graph's version.
     """
 
     __slots__ = ("graph", "version", "__weakref__")
@@ -167,14 +235,6 @@ class JournalCursor:
     def pending(self) -> bool:
         """True iff mutations happened since this cursor last caught up."""
         return self.version != self.graph.version
-
-    def take(self) -> tuple[GraphDelta, ...] | None:
-        """The deltas since this cursor's version (oldest first), or
-        None when the journal no longer reaches back; either way the
-        cursor advances to the current version."""
-        deltas = self.graph.changes_since(self.version)
-        self.version = self.graph.version
-        return deltas
 
     def __repr__(self) -> str:
         return f"JournalCursor(version={self.version}, graph={self.graph!r})"
@@ -208,7 +268,10 @@ class Digraph:
     index, its forks, the decision cache, ``PolicyBits``) register a
     :class:`JournalCursor` via :meth:`journal_cursor`; trimming then
     preserves the entries the slowest live cursor still needs, up to
-    ``JOURNAL_HARD_LIMIT``.
+    ``JOURNAL_HARD_LIMIT``.  Every consumer reads the journal through
+    :func:`dirty_region`, whose latest window the graph memoizes, so
+    the consumers of one write share one classification and one
+    region sweep.
 
     Vertices are additionally *interned*: every vertex gets a stable
     small-integer ID (:meth:`vid` / :meth:`vertex_of`) assigned on
@@ -235,7 +298,7 @@ class Digraph:
                  "_edge_count", "_journal",
                  "_journal_base", "_cursors", "version",
                  "_vid", "_vertex_of", "_free_vids",
-                 "_succ_bits", "_pred_bits")
+                 "_succ_bits", "_pred_bits", "_window", "__weakref__")
 
     def __init__(self, edges: Iterable[tuple[Vertex, Vertex]] = ()):
         self._succ: dict[Vertex, set[Vertex]] = {}
@@ -261,6 +324,8 @@ class Digraph:
         self._free_vids: list[int] = []
         self._succ_bits: list[int] = []
         self._pred_bits: list[int] = []
+        #: the latest :func:`dirty_region` answer, or None.
+        self._window: JournalWindow | None = None
         for source, target in edges:
             self.add_edge(source, target)
 
@@ -561,8 +626,8 @@ class Digraph:
         immutable values, copied at C speed.  The clone keeps the
         source's vertex-ID layout and its ``version``, and starts an
         empty journal at that version — ``changes_since`` of any older
-        version is None, and no journal cursor of the source follows
-        it.  Keeping the layout is what lets a compiled index's masks
+        version is None, no journal cursor of the source follows it,
+        and no window the source memoized carries over.  Keeping the layout is what lets a compiled index's masks
         over the source be handed to a clone unchanged
         (:meth:`repro.core.authz_index.AuthorizationIndex.snapshot`).
         """
@@ -583,6 +648,7 @@ class Digraph:
         clone._free_vids = list(self._free_vids)
         clone._succ_bits = list(self._succ_bits)
         clone._pred_bits = list(self._pred_bits)
+        clone._window = None
         return clone
 
     def __eq__(self, other: object) -> bool:
@@ -601,3 +667,35 @@ class Digraph:
         return (
             f"Digraph(vertices={len(self)}, edges={self._edge_count})"
         )
+
+
+def dirty_region(graph: Digraph, since: int) -> JournalWindow | None:
+    """What changed in ``graph`` since version ``since``: the
+    :class:`JournalWindow` over the compacted deltas, or None when the
+    journal no longer reaches back to ``since`` (the caller rebuilds).
+
+    A mutated edge ``(s, t)``, added or removed, changes the descendant
+    sets of exactly the ancestors of ``s`` and the ancestor sets of
+    exactly the descendants of ``t``.  Both regions are the same before
+    and after the mutation, because a simple path ending at ``s`` (or
+    starting at ``t``) cannot use ``(s, t)`` itself, so they are
+    computed on the *current* graph, which is all an incrementally
+    maintained consumer has.  Reaching into a cycle pulls in its whole
+    component, as a sweep over the condensation would, without paying
+    for a whole-graph Tarjan pass.
+
+    The graph memoizes only its latest window, keyed by ``(since,
+    graph.version)``: every consumer that catches up from the same
+    version after one write reads the same object, and so the same
+    once-swept region.  A mutation or :meth:`Digraph.fast_forward_version`
+    makes the key miss, and :meth:`Digraph.copy` starts with no memo.
+    """
+    window = graph._window
+    if window is not None and window.since == since \
+            and window.version == graph.version:
+        return window
+    deltas = graph.changes_since(since)
+    if deltas is None:
+        return None
+    window = graph._window = JournalWindow(graph, since, deltas)
+    return window

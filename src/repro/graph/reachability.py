@@ -34,9 +34,9 @@ absent seed explicitly (see the rectangle "extras" in
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .digraph import Digraph, Vertex, summarize_deltas
+from .digraph import Digraph, Vertex, _sweep_bits, dirty_region
 
 
 def descendants(graph: Digraph, source: Vertex) -> frozenset[Vertex]:
@@ -160,47 +160,6 @@ def ancestors_bits(graph: Digraph, target: Vertex) -> int:
     return _sweep_bits(graph._pred_bits, 1 << target_id, [target_id])
 
 
-def _sweep_bits(adjacency: list[int], seen: int, frontier: list[int]) -> int:
-    """Multi-source BFS over per-vertex adjacency masks: each round ORs
-    whole neighbour masks together (word-parallel), then expands only
-    the genuinely new bits."""
-    while frontier:
-        gathered = 0
-        for index in frontier:
-            gathered |= adjacency[index]
-        gathered &= ~seen
-        seen |= gathered
-        frontier = list(iter_bits(gathered))
-    return seen
-
-
-def reachable_from_any(
-    graph: Digraph,
-    sources: Iterable[Vertex],
-    neighbors: Callable[[Vertex], Iterable[Vertex]] | None = None,
-) -> frozenset[Vertex]:
-    """Union of descendant sets of all ``sources``.
-
-    ``neighbors`` overrides the traversal direction (pass
-    ``graph.predecessors`` for the union of ancestor sets).
-    """
-    if neighbors is None:
-        neighbors = graph.successors
-    seen: set[Vertex] = set()
-    queue: deque[Vertex] = deque()
-    for source in sources:
-        if source not in seen:
-            seen.add(source)
-            queue.append(source)
-    while queue:
-        vertex = queue.popleft()
-        for neighbor in neighbors(vertex):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                queue.append(neighbor)
-    return frozenset(seen)
-
-
 class ReachabilityCache:
     """Memoized descendant sets over a mutable :class:`Digraph`.
 
@@ -211,10 +170,11 @@ class ReachabilityCache:
     dropping everything:
 
     * adding or removing the edge ``(s, t)`` changes the descendant set
-      of exactly the vertices that reach ``s``, so one reverse sweep
-      from the burst's still-present edge sources over the *current*
-      graph finds every stale key, and only the entries keyed inside
-      that upstream region are evicted.  The current graph suffices:
+      of exactly the vertices that reach ``s``, so the journal window's
+      ``upstream`` mask (one reverse sweep from the burst's
+      still-present edge sources over the *current* graph, shared with
+      every other consumer of the window) holds every stale key, and
+      only the entries keyed inside it are evicted.  The current graph suffices:
       a key whose set grew reaches the source of the first added edge
       on its new path through edges that exist now; a key whose set
       shrank had a pre-burst path whose first missing edge was a
@@ -263,12 +223,11 @@ class ReachabilityCache:
     def _validate(self) -> None:
         if self._version == self._graph.version:
             return
-        deltas = (
-            self._graph.changes_since(self._version)
+        window = (
+            dirty_region(self._graph, self._version)
             if (self._descendants or self._bits) else None
         )
-        summary = None if deltas is None else summarize_deltas(deltas)
-        if summary is None or summary.weight > self.DELTA_LIMIT:
+        if window is None or window.weight > self.DELTA_LIMIT:
             if self._descendants or self._bits:
                 self._descendants.clear()
                 self._bits.clear()
@@ -278,17 +237,11 @@ class ReachabilityCache:
             # Removed vertices evict their own entry (their incident
             # edges were journaled first); every other stale key lies
             # upstream of a present edge source (see the class doc).
-            for vertex in summary.removed_vertices:
+            for vertex in window.removed_vertices:
                 self._evict(vertex)
-            graph = self._graph
-            seeds = pack_bits(graph, summary.edge_sources)
-            if seeds:
-                region = _sweep_bits(
-                    graph._pred_bits, seeds, list(iter_bits(seeds))
-                )
-                vertex_of = graph._vertex_of
-                for index in iter_bits(region):
-                    self._evict(vertex_of[index])
+            vertex_of = self._graph._vertex_of
+            for index in iter_bits(window.upstream):
+                self._evict(vertex_of[index])
         self._version = self._graph.version
 
     def _evict(self, vertex: Vertex) -> None:

@@ -3,15 +3,14 @@
 The PDP answers reads from the latest published
 :class:`~repro.core.authz_index.ReviewSnapshot`; this cache sits in
 front of it, keyed by subject and requested edge, and is advanced —
-not cleared — on every publication by consuming the cache's own
-:meth:`~repro.core.policy.Policy.journal_cursor` and classifying the
-delta burst with the same :func:`~repro.graph.summarize_deltas` /
-:func:`~repro.graph.dirty_region` machinery the incremental indexes
-repair themselves with.
+not cleared — on every publication by reading the journal window
+since its own :meth:`~repro.core.policy.Policy.journal_cursor`
+(:func:`~repro.graph.dirty_region`): the same window, classification
+and once-swept region the incremental indexes repair themselves with.
 
-Soundness of the selective eviction, in the terms of
-``repro.graph.closure.dirty_region``: a cached verdict for
-``(subject, a, v, v')`` can only change when
+Soundness of the selective eviction, in the terms of the window's
+dirty region: a cached verdict for ``(subject, a, v, v')`` can only
+change when
 
 * the subject's reachable set changed — ``subject`` is in the
   *upstream* region (ancestors of mutated-edge sources);
@@ -25,6 +24,13 @@ Soundness of the selective eviction, in the terms of
   off-graph extra into a rectangle mask, so both sets evict anything
   they touch (the same special-casing the authorization index applies).
 
+The regions are masks over the current graph's vertex IDs, so a
+vertex is tested by its current ID.  A vertex without one left the
+graph within the window (every absent region seed did) or was never
+in it; the first kind is in the removed set, the second in no region.
+A recycled ID belongs, by then, to a vertex added within the window,
+which the added set evicts.
+
 Exact revocations are a degenerate case of the first bullet (they
 depend only on the subject's held set).  Commands whose target is
 itself a privilege term take the ordering-oracle path in the kernel;
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from ..core.commands import Command
 from ..core.privileges import is_privilege
-from ..graph import dirty_region, summarize_deltas
+from ..graph import dirty_region
 
 _ABSENT = object()
 
@@ -117,26 +123,30 @@ class DecisionCache:
         if version == self.version:
             return
         self.advances += 1
-        deltas = self._cursor.take()
-        if deltas is None:
+        window = dirty_region(self._graph, self._cursor.version)
+        self._cursor.version = self._graph.version
+        if window is None:
             # Journal expired under us: the one case we cannot evict
             # selectively.
             self._clear()
             self.version = version
             return
-        summary = summarize_deltas(deltas)
-        churned = summary.removed_vertices | summary.added_vertices
-        if summary.weight == 0 and not churned:
+        churned = window.removed_vertices | window.added_vertices
+        if window.weight == 0 and not churned:
             self.version = version
             return
-        upstream, downstream = dirty_region(
-            self._graph, summary.edge_sources, summary.edge_targets
-        )
-        source_dirty = upstream | churned
-        target_dirty = downstream | churned
+        upstream, downstream = window.upstream, window.downstream
+        vid = self._graph._vid.get
+
+        def dirty(vertex, region: int) -> bool:
+            index = vid(vertex)
+            if index is not None and region >> index & 1:
+                return True
+            return bool(churned) and vertex in churned
+
         buckets = self._buckets
         for subject in list(buckets):
-            if subject in source_dirty:
+            if dirty(subject, upstream):
                 self.entries -= len(buckets[subject])
                 self.evicted_entries += len(buckets[subject])
                 del buckets[subject]
@@ -145,7 +155,7 @@ class DecisionCache:
             bucket = buckets[subject]
             stale = [
                 key for key in bucket
-                if key[1] in source_dirty or key[2] in target_dirty
+                if dirty(key[1], upstream) or dirty(key[2], downstream)
             ]
             for key in stale:
                 del bucket[key]

@@ -211,8 +211,8 @@ class TestValueSemantics:
         assert policy.graph._free_vids
         assert self._layout(clone) == self._layout(policy)
         assert clone.version == policy.version
-        assert clone.changes_since(policy.version - 1) is None
-        assert clone.changes_since(clone.version) == ()
+        assert clone.graph.changes_since(policy.version - 1) is None
+        assert clone.graph.changes_since(clone.version) == ()
         # Same layout, so the clone's sort masks are the same ints.
         assert clone.bits.privileges_mask == bits.privileges_mask
         assert clone.bits.users_mask == bits.users_mask
@@ -300,7 +300,7 @@ class TestChurnSeam:
         policy.add_role(r)
         before = policy.version
         policy.assign_user(u, r)
-        (delta,) = policy.changes_since(before)
+        (delta,) = policy.graph.changes_since(before)
         assert delta.kind == "add-edge"
         assert delta.source == u and delta.target == r
 
@@ -310,5 +310,5 @@ class TestChurnSeam:
         policy = Policy(ua=[(u, r)], pa=[(r, privilege)])
         before = policy.version
         policy.remove_edge(r, privilege)
-        kinds = [d.kind for d in policy.changes_since(before)]
+        kinds = [d.kind for d in policy.graph.changes_since(before)]
         assert kinds == ["remove-edge", "remove-vertex"]

@@ -13,7 +13,6 @@ from repro.graph import (
     descendants,
     descendants_bits,
     dirty_region,
-    dirty_region_bits,
     iter_bits,
     reaches,
 )
@@ -100,28 +99,40 @@ class TestBitsKernelParity:
     @pytest.mark.parametrize("seed", range(3))
     def test_dirty_region_bits_matches_frozensets(self, seed):
         graph, rng = random_graph(seed)
-        sources = [rng.randrange(30) for _ in range(4)]
-        targets = [rng.randrange(30) for _ in range(4)]
-        upstream, downstream = dirty_region(graph, sources, targets)
-        up_mask, down_mask, absent_up, absent_down = dirty_region_bits(
-            graph, sources, targets
+        since = graph.version
+        for _ in range(4):
+            graph.add_edge(rng.randrange(30), rng.randrange(30))
+            edges = sorted(graph.edges())
+            graph.remove_edge(*rng.choice(edges))
+        window = dirty_region(graph, since)
+        assert window.edge_sources and window.edge_targets
+        upstream = frozenset().union(
+            *(ancestors(graph, v) for v in window.edge_sources)
         )
-        assert decode(graph, up_mask) | absent_up == upstream
-        assert decode(graph, down_mask) | absent_down == downstream
-        assert not absent_up and not absent_down  # all seeds present
+        downstream = frozenset().union(
+            *(descendants(graph, v) for v in window.edge_targets)
+        )
+        assert decode(graph, window.upstream) == upstream
+        assert decode(graph, window.downstream) == downstream
+        # No vertex left the graph, so every seed is present.
+        assert not window.absent_sources and not window.absent_targets
 
     def test_dirty_region_bits_reports_absent_seeds(self):
-        graph = Digraph([("a", "b")])
-        up_mask, down_mask, absent_up, absent_down = dirty_region_bits(
-            graph, ["ghost-src"], ["ghost-tgt"]
+        graph = Digraph([("ghost-src", "a"), ("b", "ghost-tgt")])
+        since = graph.version
+        graph.remove_vertex("ghost-src")
+        graph.remove_vertex("ghost-tgt")
+        window = dirty_region(graph, since)
+        assert window.absent_sources == {"ghost-src"}
+        assert window.absent_targets == {"ghost-tgt"}
+        # Absent seeds carry no bit; the definitional union includes
+        # them as themselves (ancestors/descendants are reflexive).
+        assert decode(graph, window.upstream) | window.absent_sources == (
+            ancestors(graph, "ghost-src") | ancestors(graph, "b")
         )
-        assert absent_up == {"ghost-src"}
-        assert absent_down == {"ghost-tgt"}
-        # Frozenset variant includes the absent seeds as themselves.
-        upstream, downstream = dirty_region(
-            graph, ["ghost-src"], ["ghost-tgt"]
+        assert decode(graph, window.downstream) | window.absent_targets == (
+            descendants(graph, "a") | descendants(graph, "ghost-tgt")
         )
-        assert "ghost-src" in upstream and "ghost-tgt" in downstream
 
 
 class TestCacheBits:

@@ -4,7 +4,11 @@ import pytest
 
 from repro.graph import (
     Digraph,
+    ancestors,
     condensation,
+    descendants,
+    dirty_region,
+    iter_bits,
     longest_chain_length,
     strongly_connected_components,
     topological_order,
@@ -105,35 +109,62 @@ def test_longest_chain_diamond():
     assert longest_chain_length(graph) == 3
 
 
+def window_region(graph, since):
+    """The journal window since ``since``, its decoded region (absent
+    seeds included as themselves), and the definitional region: the
+    union of per-seed ancestors / descendants."""
+    window = dirty_region(graph, since)
+    decoded = (
+        frozenset(graph.vertex_of(i) for i in iter_bits(window.upstream))
+        | window.absent_sources,
+        frozenset(graph.vertex_of(i) for i in iter_bits(window.downstream))
+        | window.absent_targets,
+    )
+    definitional = (
+        frozenset().union(
+            *(ancestors(graph, v) for v in window.edge_sources)
+        ),
+        frozenset().union(
+            *(descendants(graph, v) for v in window.edge_targets)
+        ),
+    )
+    return window, decoded, definitional
+
+
 class TestDirtyRegion:
     def test_chain_regions(self):
-        from repro.graph import dirty_region
-
-        graph = Digraph([("a", "b"), ("b", "c"), ("c", "d")])
-        upstream, downstream = dirty_region(graph, ["b"], ["c"])
-        assert upstream == frozenset({"a", "b"})
-        assert downstream == frozenset({"c", "d"})
+        graph = Digraph([("a", "b"), ("c", "d")])
+        since = graph.version
+        graph.add_edge("b", "c")
+        _, decoded, definitional = window_region(graph, since)
+        assert decoded == definitional
+        assert decoded == (frozenset({"a", "b"}), frozenset({"c", "d"}))
 
     def test_cycle_pulls_whole_component(self):
-        from repro.graph import dirty_region
-
         graph = Digraph([("a", "b"), ("b", "a"), ("b", "c")])
-        upstream, downstream = dirty_region(graph, ["a"], ["c"])
-        assert upstream == frozenset({"a", "b"})
-        assert downstream == frozenset({"c"})
+        since = graph.version
+        graph.add_edge("a", "c")
+        _, decoded, definitional = window_region(graph, since)
+        assert decoded == definitional
+        assert decoded == (frozenset({"a", "b"}), frozenset({"c"}))
 
     def test_deleted_seed_included_as_itself(self):
-        from repro.graph import dirty_region
-
-        graph = Digraph([("a", "b")])
-        upstream, downstream = dirty_region(graph, ["gone"], ["gone"])
-        assert upstream == frozenset({"gone"})
-        assert downstream == frozenset({"gone"})
+        graph = Digraph([("x", "gone"), ("gone", "y")])
+        since = graph.version
+        graph.remove_vertex("gone")
+        window, decoded, definitional = window_region(graph, since)
+        assert window.absent_sources == {"gone"}
+        assert window.absent_targets == {"gone"}
+        assert decoded == definitional
+        assert decoded == (frozenset({"x", "gone"}), frozenset({"y", "gone"}))
 
     def test_multi_seed_union(self):
-        from repro.graph import dirty_region
-
         graph = Digraph([("a", "b"), ("c", "d")])
-        upstream, downstream = dirty_region(graph, ["b", "d"], ["b", "d"])
-        assert upstream == frozenset({"a", "b", "c", "d"})
-        assert downstream == frozenset({"b", "d"})
+        since = graph.version
+        graph.add_edge("b", "d")
+        graph.add_edge("d", "b")
+        _, decoded, definitional = window_region(graph, since)
+        assert decoded == definitional
+        assert decoded == (
+            frozenset({"a", "b", "c", "d"}), frozenset({"b", "d"})
+        )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Digraph
+from repro.graph import Digraph, dirty_region
 
 
 def test_empty_graph():
@@ -436,17 +436,20 @@ class TestChangeJournal:
 
 
 class TestJournalCursors:
-    def test_take_advances_and_returns_pending(self):
+    def test_window_at_cursor_returns_pending(self):
         graph = Digraph()
         cursor = graph.journal_cursor()
         assert not cursor.pending
-        assert cursor.take() == ()
+        assert dirty_region(graph, cursor.version).deltas == ()
         graph.add_edge("a", "b")
         assert cursor.pending
-        deltas = cursor.take()
-        assert [d.kind for d in deltas] == ["add-vertex", "add-vertex", "add-edge"]
+        window = dirty_region(graph, cursor.version)
+        assert [d.kind for d in window.deltas] == [
+            "add-vertex", "add-vertex", "add-edge"
+        ]
+        cursor.version = window.version
         assert not cursor.pending
-        assert cursor.take() == ()
+        assert dirty_region(graph, cursor.version).deltas == ()
 
     def test_journal_retained_for_lagging_cursor(self):
         """Without a cursor this burst expires the window (see
@@ -456,16 +459,17 @@ class TestJournalCursors:
         cursor = graph.journal_cursor()
         for index in range(Digraph.JOURNAL_LIMIT + 10):
             graph.add_vertex(index)
-        deltas = cursor.take()
-        assert deltas is not None
-        assert len(deltas) == Digraph.JOURNAL_LIMIT + 10
+        window = dirty_region(graph, cursor.version)
+        assert window is not None
+        assert len(window.deltas) == Digraph.JOURNAL_LIMIT + 10
 
     def test_hard_limit_bounds_retention(self):
         graph = Digraph()
         cursor = graph.journal_cursor()
         for index in range(Digraph.JOURNAL_HARD_LIMIT + 10):
             graph.add_vertex(index)
-        assert cursor.take() is None  # laggard pays the full rebuild
+        # The laggard pays the full rebuild.
+        assert dirty_region(graph, cursor.version) is None
         assert len(graph._journal) <= Digraph.JOURNAL_HARD_LIMIT
 
     def test_dead_cursors_do_not_pin_the_journal(self):
@@ -482,8 +486,65 @@ class TestJournalCursors:
         cursor = graph.journal_cursor()
         for index in range(Digraph.JOURNAL_LIMIT):
             graph.add_vertex(("a", index))
-        cursor.take()
+        cursor.version = graph.version
         for index in range(10):
             graph.add_vertex(("b", index))
         assert len(graph._journal) <= Digraph.JOURNAL_LIMIT
-        assert cursor.take() is not None
+        assert dirty_region(graph, cursor.version) is not None
+
+
+class TestJournalWindowMemo:
+    def test_two_reads_in_one_window_share_the_object(self):
+        graph = Digraph([("a", "b")])
+        since = graph.version
+        graph.add_edge("b", "c")
+        window = dirty_region(graph, since)
+        assert dirty_region(graph, since) is window
+        assert (window.since, window.version) == (since, graph.version)
+        assert window.edge_sources == {"b"} and window.weight == 1
+
+    def test_mutation_gives_a_fresh_window(self):
+        graph = Digraph([("a", "b")])
+        since = graph.version
+        graph.add_edge("b", "c")
+        window = dirty_region(graph, since)
+        graph.add_edge("c", "d")
+        fresh = dirty_region(graph, since)
+        assert fresh is not window
+        assert fresh.edge_sources == {"b", "c"}
+
+    def test_fast_forward_gives_a_fresh_window(self):
+        graph = Digraph([("a", "b")])
+        since = graph.version
+        graph.add_edge("b", "c")
+        window = dirty_region(graph, since)
+        graph.fast_forward_version(graph.version + 5)
+        fresh = dirty_region(graph, since)
+        assert fresh is not window
+        assert fresh.version == graph.version
+        assert fresh.deltas == window.deltas
+
+    def test_copy_never_sees_the_source_memo(self):
+        graph = Digraph([("a", "b")])
+        since = graph.version
+        graph.add_edge("b", "c")
+        window = dirty_region(graph, since)
+        clone = graph.copy()
+        assert clone._window is None
+        # The clone's journal starts at the copy.
+        assert dirty_region(clone, since) is None
+        assert dirty_region(clone, clone.version) is not window
+        assert dirty_region(graph, since) is window
+
+    def test_region_read_after_a_mutation_raises(self):
+        graph = Digraph([("a", "b")])
+        since = graph.version
+        graph.add_edge("b", "c")
+        window = dirty_region(graph, since)
+        assert window.upstream  # swept at the window's version
+        graph.add_edge("c", "d")
+        assert window.upstream  # the swept half stays readable
+        with pytest.raises(RuntimeError):
+            window.downstream
+
+

@@ -8,7 +8,8 @@ from repro.graph import (
     ancestors,
     descendants,
     descendants_bits,
-    reachable_from_any,
+    dirty_region,
+    iter_bits,
     reaches,
 )
 
@@ -47,10 +48,15 @@ def test_ancestors_includes_self():
     assert ancestors(graph, 0) == {0}
 
 
-def test_reachable_from_any():
+def test_dirty_region_unions_reachable_sets():
     graph = Digraph([("a", "x"), ("b", "y")])
-    assert reachable_from_any(graph, ["a", "b"]) == {"a", "b", "x", "y"}
-    assert reachable_from_any(graph, []) == frozenset()
+    since = graph.version
+    graph.add_edge("x", "a")
+    graph.add_edge("y", "b")
+    window = dirty_region(graph, since)
+    downstream = {graph.vertex_of(i) for i in iter_bits(window.downstream)}
+    assert downstream == {"a", "b", "x", "y"}
+    assert dirty_region(graph, graph.version).downstream == 0
 
 
 def test_diamond():

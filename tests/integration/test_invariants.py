@@ -5,8 +5,9 @@ disciplines: Digraph internals are mutated only inside ``repro.graph``,
 no production signature offers a ``compiled`` kernel choice and only
 the differential harnesses import ``repro.oracle``, production code
 reads the policy's own authorization index instead of building its
-own, and every lint rule is fully wired (including its reference
-twin).  The first test keeps the live tree clean; the rest pin
+own, every lint rule is fully wired (including its reference
+twin), and the change journal is read outside ``repro.graph`` only
+through ``dirty_region``.  The first test keeps the live tree clean; the rest pin
 the checker itself against synthetic violations so a silent regression
 of the checker cannot hide a regression of the tree.
 """
@@ -299,3 +300,34 @@ class TestOneIndexPerPolicy:
             def fresh(policy):
                 return AuthorizationIndex(policy)
         """, relpath=relpath) == []
+
+
+class TestOneJournalReadPath:
+    @pytest.mark.parametrize("call", [
+        "policy.graph.changes_since(since)",
+        "summarize_deltas(deltas)",
+        "_sweep_bits(graph._pred_bits, seeds, [0])",
+    ])
+    def test_private_journal_read_flagged(self, call):
+        found = violations_of(f"""
+            def repair(policy, since, deltas, graph, seeds):
+                return {call}
+        """, relpath="serve/cache.py")
+        assert len(found) == 1
+        assert "dirty_region" in found[0] and "cache.py:3" in found[0]
+
+    def test_reading_the_window_allowed(self):
+        assert violations_of("""
+            from repro.graph import dirty_region
+
+            def repair(policy, since):
+                window = dirty_region(policy.graph, since)
+                return window.upstream, window.removed_vertices
+        """, relpath="core/authz_index.py") == []
+
+    def test_graph_module_may_read_the_journal(self):
+        assert violations_of("""
+            def dirty_region(graph, since):
+                deltas = graph.changes_since(since)
+                return _sweep_bits(graph._succ_bits, 1, [0]), deltas
+        """, relpath="graph/digraph.py") == []

@@ -2,15 +2,24 @@
 
 The cross-checks that matter most — cached verdicts staying identical
 to fresh kernel verdicts under random churn — run in the fuzz campaign
-(invariant 14); here each mechanism is pinned deliberately: version
-gating, selective eviction (dirty subjects go, clean entries stay),
-journal-expiry full clear, and the capacity bound.
+(invariant 14) and, with vertex-ID recycling inside one window, in
+:class:`TestVertexChurnDifferential`; here each mechanism is also
+pinned deliberately: version gating, selective eviction (dirty
+subjects go, clean entries stay), journal-expiry full clear, and the
+capacity bound.
 """
+
+import random
+
+import pytest
 
 from repro.core.authz_index import AuthorizationIndex
 from repro.core.commands import Command, CommandAction, grant_cmd, revoke_cmd
-from repro.core.privileges import Grant
+from repro.core.entities import Role, User
+from repro.core.policy import Policy
+from repro.core.privileges import Grant, Revoke
 from repro.graph.digraph import Digraph
+from repro.oracle import ReferenceIndex
 from repro.serve import DecisionCache, cacheable
 
 from .conftest import ADM, ADMIN, OTHER, PEER, R, S, U, serve_policy
@@ -182,3 +191,122 @@ class TestJournalExpiry:
         assert cache.full_clears == 1
         assert cache.entries == 0
         assert cache.get(ADMIN, grant_cmd(ADMIN, U, R)) is None
+
+
+def assert_survivors_exact(policy, cache):
+    """Every verdict the cache still holds equals the reference
+    verdict over the policy at its current version."""
+    reference = ReferenceIndex(policy)
+    for subject, bucket in cache._buckets.items():
+        for (action, source, target), verdict in bucket.items():
+            command = Command(subject, action, source, target)
+            assert verdict == reference.authorizes(subject, command), (
+                subject, command,
+            )
+
+
+class TestVertexChurnDifferential:
+    USERS = [User(f"u{index}") for index in range(6)]
+    ROLES = [Role(f"r{index}") for index in range(6)]
+
+    def churn_policy(self, rng):
+        users, roles = self.USERS, self.ROLES
+        policy = Policy()
+        for user in users:
+            policy.add_user(user)
+        for role in roles:
+            policy.add_role(role)
+        for _ in range(8):
+            policy.assign_user(rng.choice(users), rng.choice(roles))
+        for _ in range(4):
+            senior, junior = rng.sample(roles, 2)
+            policy.add_inheritance(senior, junior)
+        for _ in range(8):
+            policy.assign_privilege(rng.choice(roles), self.privilege(rng))
+        return policy
+
+    def privilege(self, rng):
+        kind = rng.choice((Grant, Grant, Revoke))
+        return kind(rng.choice(self.USERS + self.ROLES), rng.choice(self.ROLES))
+
+    def fill(self, rng, policy, cache):
+        reference = ReferenceIndex(policy)
+        for _ in range(12):
+            subject = rng.choice(self.USERS)
+            command = rng.choice((grant_cmd, revoke_cmd))(
+                subject,
+                rng.choice(self.USERS + self.ROLES),
+                rng.choice(self.ROLES),
+            )
+            cache.put(
+                subject, command, reference.authorizes(subject, command),
+                policy.version,
+            )
+
+    def burst(self, rng, policy):
+        """One to five mutations: edge churn, privilege garbage
+        collection, and users deprovisioned and re-added (the interner
+        hands their freed IDs on within the same window)."""
+        users, roles = self.USERS, self.ROLES
+        for _ in range(rng.randint(1, 5)):
+            op = rng.random()
+            if op < 0.25:
+                policy.assign_user(rng.choice(users), rng.choice(roles))
+            elif op < 0.4:
+                senior, junior = rng.sample(roles, 2)
+                policy.add_inheritance(senior, junior)
+            elif op < 0.55:
+                policy.assign_privilege(rng.choice(roles), self.privilege(rng))
+            elif op < 0.75:
+                # Includes PA edges: a privilege losing its last
+                # assignment is garbage-collected.
+                edges = sorted(policy.graph.edges(), key=str)
+                if edges:
+                    policy.remove_edge(*rng.choice(edges))
+            elif op < 0.88:
+                policy.remove_user(rng.choice(users))
+            else:
+                absent = [user for user in users if user not in policy.graph]
+                if absent:
+                    policy.assign_user(rng.choice(absent), rng.choice(roles))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_bursts_keep_every_surviving_verdict_exact(self, seed):
+        rng = random.Random(seed)
+        policy = self.churn_policy(rng)
+        cache = DecisionCache(policy)
+        for _ in range(40):
+            self.fill(rng, policy, cache)
+            self.burst(rng, policy)
+            cache.advance(policy.version)
+            assert cache.version == policy.version
+            assert_survivors_exact(policy, cache)
+        assert cache.evicted_entries > 0
+        assert cache.full_clears == 0
+
+    def test_deprovisioned_subject_id_handed_on(self, policy):
+        """A cached subject is deprovisioned and its interned ID goes
+        to a new vertex before the next advance: the subject's bucket
+        and every entry naming it go, and every survivor is exact."""
+        cache = DecisionCache(policy)
+        newcomer = User("newcomer")
+        queries = [
+            (ADMIN, grant_cmd(ADMIN, U, R)),
+            (PEER, grant_cmd(PEER, ADMIN, R)),
+            (PEER, revoke_cmd(PEER, U, R)),
+            (OTHER, grant_cmd(OTHER, U, R)),
+        ]
+        for subject, command in queries:
+            cache.put(
+                subject, command, fresh_verdict(policy, subject, command),
+                policy.version,
+            )
+        assert cache.get(ADMIN, grant_cmd(ADMIN, U, R)) == (Grant(U, R),)
+        freed = policy.graph.vid(ADMIN)
+        policy.remove_user(ADMIN)
+        policy.assign_user(newcomer, ADM)
+        assert policy.graph.vid(newcomer) == freed
+        cache.advance(policy.version)
+        assert cache.get(ADMIN, grant_cmd(ADMIN, U, R)) is None
+        assert cache.get(PEER, grant_cmd(PEER, ADMIN, R)) is None
+        assert_survivors_exact(policy, cache)

@@ -15,6 +15,7 @@ import pytest
 from repro.core.authz_index import AuthorizationIndex, ReviewSnapshot
 from repro.core.commands import grant_cmd, revoke_cmd
 from repro.core.policy import Policy
+from repro.graph import JournalWindow
 from repro.serve import PolicyDecisionPoint, WriterFailed, WriterSupervisor
 from repro.workloads.faults import FAULTS
 
@@ -130,3 +131,33 @@ def test_unchanged_version_republishes_without_copying(calls):
     pdp = run(scenario())
     assert pdp.statistics()["writer_failures"] == 1
     assert calls == {}
+
+
+def test_one_command_write_sweeps_each_region_half_once(monkeypatch):
+    """Every journal consumer of a write — the live index, the
+    policy's reachability cache and sort masks, and the decision
+    cache — reads one memoized window, so the write sweeps its
+    upstream and its downstream half once each."""
+    sweeps = Counter()
+    original = JournalWindow._sweep
+
+    def counting(window, seeds, upstream):
+        sweeps["upstream" if upstream else "downstream"] += 1
+        return original(window, seeds, upstream)
+
+    monkeypatch.setattr(JournalWindow, "_sweep", counting)
+
+    async def scenario():
+        pdp = _pdp()
+        async with pdp:
+            # Warm the decision cache, so the advance has entries to
+            # test against the region.
+            await pdp.check(ADMIN, grant_cmd(ADMIN, U, S))
+            assert pdp.cache.entries
+            sweeps.clear()
+            [record] = await pdp.submit_many([grant_cmd(ADMIN, U, R)])
+            assert record.executed
+            assert pdp.cache.advances == 1
+
+    run(scenario())
+    assert sweeps == {"upstream": 1, "downstream": 1}

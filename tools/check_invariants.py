@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase static analysis: machine-enforced repo discipline.
 
-The bitset kernels rest on four conventions that review alone cannot
+The bitset kernels rest on five conventions that review alone cannot
 be trusted to hold:
 
 1. **Graph encapsulation** — ``Digraph``'s private structures
@@ -33,6 +33,14 @@ be trusted to hold:
    ``no_repair`` marker, and has a reference twin in
    :data:`repro.oracle.REFERENCE_RULES` (and every twin a rule).
 
+5. **One journal read path** — outside :mod:`repro.graph`, the change
+   journal is read only through ``dirty_region(graph, since)``, whose
+   memoized window carries the burst classification and the swept
+   region.  A call to ``changes_since``, ``summarize_deltas`` or
+   ``_sweep_bits`` elsewhere in ``src/repro`` is a private journal
+   read or region sweep that the consumers of one write would no
+   longer share.
+
 Run as a script (``python tools/check_invariants.py``) or through
 ``tests/integration/test_invariants.py``; exits non-zero with one line
 per violation.
@@ -62,6 +70,10 @@ MUTATOR_METHODS = frozenset({
 
 #: Modules (relative to src/repro) allowed to mutate graph internals.
 GRAPH_MODULES = ("graph/",)
+
+#: Journal reads and region sweeps confined to repro.graph: everyone
+#: else reads the journal through ``dirty_region``.
+JOURNAL_READS = frozenset({"changes_since", "summarize_deltas", "_sweep_bits"})
 
 #: Modules (relative to src/repro) allowed to import ``repro.oracle``:
 #: the differential harnesses that pin production kernels against it.
@@ -218,6 +230,7 @@ class _Checker(ast.NodeVisitor):
                     f"internal {internal!r} outside repro.graph",
                 )
         self._check_index_construction(node)
+        self._check_journal_read(node)
         self.generic_visit(node)
 
     # -- rule 3: one authorization index per policy --------------------
@@ -235,6 +248,24 @@ class _Checker(ast.NodeVisitor):
                 node,
                 "constructs AuthorizationIndex outside Policy.index and "
                 "the differential modules (read policy.index instead)",
+            )
+
+
+    # -- rule 5: one journal read path ----------------------------------
+    def _check_journal_read(self, node: ast.Call) -> None:
+        if self._in_graph_module():
+            return
+        func = node.func
+        name = (
+            func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute)
+            else None
+        )
+        if name in JOURNAL_READS:
+            self._report(
+                node,
+                f"calls {name}() outside repro.graph (read the journal "
+                "through dirty_region(graph, since))",
             )
 
 
@@ -337,7 +368,7 @@ def main() -> int:
         return 1
     print("repo invariants hold: graph encapsulation, no kernel choice, "
           "one authorization index per policy, lint registry fully "
-          "wired")
+          "wired, one journal read path")
     return 0
 
 
