@@ -51,7 +51,11 @@ one-shot lint and a later session — or an audit — share one build.
 Each re-lint reads the policy's change journal, computes the burst's
 dirty region once, and evaluates ``redundant-delegation`` and
 ``self-escalation`` only over that region, carrying their other
-findings over, while the other six rules re-run in full.  It falls
+findings over, while the other six rules re-run in full.  No rule
+walks the user population: "which users reach X?" and "what does any
+user reach?" are one multi-source sweep each
+(:func:`~repro.graph.ancestors_of_mask`,
+:func:`~repro.graph.descendants_of_mask`).  It falls
 back to a full run when the journal has expired or the burst is
 heavier than :attr:`LintSession.DELTA_LIMIT`.  A re-lint's findings
 equal a fresh full lint's (invariant 11 pins this against the
@@ -72,7 +76,15 @@ from ..core.explore import ExplorationEngine
 from ..core.policy import Policy
 from ..core.privileges import Grant, is_privilege
 from ..errors import AnalysisError
-from ..graph import JournalWindow, ancestors_bits, dirty_region, iter_bits
+from ..graph import (
+    JournalWindow,
+    ancestors_bits,
+    ancestors_of_mask,
+    descendants_of_mask,
+    dirty_region,
+    iter_bits,
+    pack_bits,
+)
 from .constraints import SsdConstraint
 
 
@@ -233,9 +245,9 @@ class LintContext:
         self.constraints = constraints
         #: exploration bound for the ``depth-k-escalation`` rule.
         self.escalation_depth = escalation_depth
-        self.users = sorted(self.policy.users(), key=str)
         self.stats: dict[str, dict[str, int]] = {}
         self.window = window
+        self._users: list | None = None
         self._reach_union = None
         self._index = None
         self._escalation_scope: int | None = None
@@ -306,25 +318,28 @@ class LintContext:
                 index = vid.get(vertex)
                 if index is not None:
                     seeds |= 1 << index & bits.privileges_mask
-            # Ancestor sets are ancestor-closed, so a seed already
-            # covered needs no sweep of its own.
-            holders = self.window.upstream
-            vertex_of = graph._vertex_of
-            for index in iter_bits(seeds):
-                if not holders >> index & 1:
-                    holders |= ancestors_bits(graph, vertex_of[index])
+            holders = self.window.upstream | ancestors_of_mask(graph, seeds)
             self._escalation_scope = holders & bits.users_mask
         return self._escalation_scope
 
     # -- shared aggregates ---------------------------------------------
     @property
+    def users(self) -> list:
+        """Every user of the policy, sorted by ``str`` (read only by
+        the reference twins: the production rules sweep masks)."""
+        if self._users is None:
+            self._users = sorted(self.policy.users(), key=str)
+        return self._users
+
+    @property
     def reach_union(self):
-        """Everything reachable from *some* user, as a mask."""
+        """Everything reachable from *some* user, as a mask: one
+        forward sweep from the policy's users."""
         if self._reach_union is None:
-            mask = 0
-            for user in self.users:
-                mask |= self.policy.descendants_bits(user)
-            self._reach_union = mask
+            policy = self.policy
+            self._reach_union = descendants_of_mask(
+                policy.graph, policy.bits.users_mask
+            )
         return self._reach_union
 
     @property
@@ -712,27 +727,39 @@ def _unassign_findings(
     "SSD separation-set violation or latent role conflict",
 )
 def _constraint_conflict(ctx: LintContext) -> Iterator[Finding]:
+    """One reverse sweep per set role, folded into an at-least counter:
+    ``at_least[j]`` is the mask of vertices reaching ``j`` or more of
+    the set's roles so far (``at_least[0]`` is everything), so after
+    the last role ``at_least[cardinality]`` holds exactly the subjects
+    to flag.  Hit sets are built only for those."""
     policy = ctx.policy
-    vid = policy.graph._vid
+    graph = policy.graph
+    bits = policy.bits
+    vid = graph._vid
     for constraint in sorted(ctx.constraints, key=lambda c: c.name):
-        set_mask = 0
+        cardinality = constraint.cardinality
+        at_least = [-1] + [0] * cardinality
+        reaching: dict[int, int] = {}
         for role in constraint.roles:
             index = vid.get(role)
-            if index is not None:
-                set_mask |= 1 << index
-        for user in ctx.users:
-            hit = policy.descendants_bits(user) & set_mask
-            if hit.bit_count() >= constraint.cardinality:
+            if index is None:
+                continue
+            mask = reaching[index] = ancestors_bits(graph, role)
+            for count in range(cardinality, 0, -1):
+                at_least[count] |= at_least[count - 1] & mask
+        flagged = at_least[cardinality]
+        for subjects, severity, verb in (
+            (bits.users_mask, Severity.ERROR, "is authorized for"),
+            (bits.roles_mask, Severity.WARNING, "reaches"),
+        ):
+            for subject in ctx.decode(flagged & subjects):
+                bit = 1 << vid[subject]
+                hit = 0
+                for index, mask in reaching.items():
+                    if mask & bit:
+                        hit |= 1 << index
                 yield _conflict_finding(
-                    ctx, constraint, user, ctx.decode(hit),
-                    Severity.ERROR, "is authorized for",
-                )
-        for role in sorted(policy.roles(), key=str):
-            hit = policy.descendants_bits(role) & set_mask
-            if hit.bit_count() >= constraint.cardinality:
-                yield _conflict_finding(
-                    ctx, constraint, role, ctx.decode(hit),
-                    Severity.WARNING, "reaches",
+                    ctx, constraint, subject, ctx.decode(hit), severity, verb
                 )
 
 
@@ -828,38 +855,73 @@ def _self_escalation(ctx: LintContext) -> Iterator[Finding]:
     (the new authority flows back to ``u``) and some privilege below
     ``v'`` that ``u`` does not already reach is a one-step
     self-escalation — the depth-1 safety witness ``can_obtain`` would
-    find, read directly off the rectangle masks.  A re-lint checks
-    only the users of :attr:`LintContext.escalation_scope`."""
-    return _escalation_findings(ctx, _user_escalations)
+    find, read directly off the rectangle masks.
+
+    Only the holders of a grant privilege are checked — one reverse
+    sweep from the entity-target and privilege-target grants — since a
+    user reaching neither has no escalation to list.  A re-lint checks
+    only the holders in :attr:`LintContext.escalation_scope`."""
+    policy = ctx.policy
+    graph = policy.graph
+    bits = policy.bits
+    priv_target_grants = _priv_target_grants(policy)
+    grants = bits.grant_entity_mask | pack_bits(graph, priv_target_grants)
+    holders = ancestors_of_mask(graph, grants) & bits.users_mask
+    if ctx.escalation_scope is not None:
+        holders &= ctx.escalation_scope
+    return _escalation_findings(
+        ctx, _user_escalations, ctx.decode(holders), priv_target_grants
+    )
 
 
-def _escalation_findings(ctx: LintContext, user_escalations):
-    """The ``self-escalation`` findings of the users in scope, each
-    user's escalations listed by ``user_escalations(ctx, user,
+def _escalation_findings(
+    ctx: LintContext,
+    user_escalations,
+    users: list | None = None,
+    priv_target_grants: list[Grant] | None = None,
+):
+    """The ``self-escalation`` findings of ``users`` (default: the
+    users in :attr:`LintContext.escalation_scope`, or all of them),
+    each user's escalations listed by ``user_escalations(ctx, user,
     priv_target_grants)``."""
-    priv_target_grants = _priv_target_grants(ctx.policy)
-    scope = ctx.escalation_scope
-    vid = ctx.policy.graph._vid
-    for user in ctx.users:
-        if scope is not None and not scope >> vid[user] & 1:
-            continue
+    if priv_target_grants is None:
+        priv_target_grants = _priv_target_grants(ctx.policy)
+    if users is None:
+        scope = ctx.escalation_scope
+        vid = ctx.policy.graph._vid
+        users = [
+            user for user in ctx.users
+            if scope is None or scope >> vid[user] & 1
+        ]
+    for user in users:
         for privilege, witness in user_escalations(
             ctx, user, priv_target_grants
         ):
             yield _escalation_finding(ctx, user, privilege, witness)
 
 
-def _priv_target_grants(policy: Policy) -> list[Grant]:
-    """Assigned grants whose target is itself a privilege term."""
+def _assigned_grants(policy: Policy) -> list[Grant]:
+    """Every assigned grant privilege, sorted by ``str``."""
+    vertex_of = policy.graph._vertex_of
     return sorted(
         (
             privilege
-            for privilege in policy.admin_privileges()
+            for privilege in (
+                vertex_of[index]
+                for index in iter_bits(policy.bits.privileges_mask)
+            )
             if isinstance(privilege, Grant)
-            and is_privilege(privilege.target)
         ),
         key=str,
     )
+
+
+def _priv_target_grants(policy: Policy) -> list[Grant]:
+    """Assigned grants whose target is itself a privilege term."""
+    return [
+        privilege for privilege in _assigned_grants(policy)
+        if is_privilege(privilege.target)
+    ]
 
 
 def _user_escalations(
@@ -988,17 +1050,14 @@ def _depth_k_escalation(ctx: LintContext) -> Iterator[Finding]:
     if universe is None:
         return
     universe_edges, assigned_grants = universe
-    vid = policy.graph._vid
-    grant_mask = 0
-    for privilege in assigned_grants:
-        index = vid.get(privilege)
-        if index is not None:
-            grant_mask |= 1 << index
-    for user in ctx.users:
-        # A first step needs an initially reachable grant privilege —
-        # prune users who hold none before paying for an engine.
-        if not policy.descendants_bits(user) & grant_mask:
-            continue
+    graph = policy.graph
+    # A first step needs an initially reachable grant privilege, so
+    # only the grants' holders are worth an engine.
+    holders = (
+        ancestors_of_mask(graph, pack_bits(graph, assigned_grants))
+        & policy.bits.users_mask
+    )
+    for user in ctx.decode(holders):
         ctx.count("depth-k-escalation", "users_probed")
         finding = _depth_k_finding(
             ctx, user, _min_grant_escalation(
@@ -1019,14 +1078,7 @@ def _depth_k_universe(ctx: LintContext) -> tuple[list, list] | None:
     universe_edges = _grant_closure_edges(policy)
     if not universe_edges:
         return None
-    assigned_grants = sorted(
-        (
-            privilege
-            for privilege in policy.admin_privileges()
-            if isinstance(privilege, Grant)
-        ),
-        key=str,
-    )
+    assigned_grants = _assigned_grants(policy)
     if not assigned_grants:
         return None
     return universe_edges, assigned_grants

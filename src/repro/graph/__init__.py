@@ -18,8 +18,10 @@ from .reachability import (
     ReachabilityCache,
     ancestors,
     ancestors_bits,
+    ancestors_of_mask,
     descendants,
     descendants_bits,
+    descendants_of_mask,
     iter_bits,
     lowest_bit,
     pack_bits,
@@ -51,8 +53,10 @@ __all__ = [
     "ReachabilityCache",
     "ancestors",
     "ancestors_bits",
+    "ancestors_of_mask",
     "descendants",
     "descendants_bits",
+    "descendants_of_mask",
     "iter_bits",
     "lowest_bit",
     "pack_bits",

@@ -24,11 +24,13 @@ bitmasks over the graph's interned vertex IDs
 (:meth:`~repro.graph.digraph.Digraph.vid`): a BFS step unions whole
 precomputed successor masks with ``|`` instead of hashing vertices one
 by one, and downstream consumers intersect, test and filter masks with
-single integer operations.  A vertex absent from the graph has no ID,
-so the compiled functions return ``0`` for it — callers that need the
-reflexive ``{source}`` semantics of the frozenset variants handle the
-absent seed explicitly (see the rectangle "extras" in
-:mod:`repro.core.authz_index`).
+single integer operations.  :func:`descendants_of_mask` and
+:func:`ancestors_of_mask` sweep from a whole seed mask at once (the
+per-vertex functions are their one-bit case).  A vertex absent from
+the graph has no ID, so the compiled functions return ``0`` for it —
+callers that need the reflexive ``{source}`` semantics of the
+frozenset variants handle the absent seed explicitly (see the
+rectangle "extras" in :mod:`repro.core.authz_index`).
 """
 
 from __future__ import annotations
@@ -141,6 +143,23 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def descendants_of_mask(graph: Digraph, mask: int) -> int:
+    """Bitmask of every vertex reachable from *some* vertex of ``mask``
+    (a mask over the graph's live vertex IDs), including the seeds
+    themselves; ``0`` for an empty mask.
+
+    One multi-source sweep answers a population question — "which
+    vertices does any user reach?" — that the per-vertex form answers
+    only as a union of one walk per member."""
+    return _sweep_bits(graph._succ_bits, mask, list(iter_bits(mask)))
+
+
+def ancestors_of_mask(graph: Digraph, mask: int) -> int:
+    """Bitmask of every vertex that reaches *some* vertex of ``mask``,
+    including the seeds themselves; ``0`` for an empty mask."""
+    return _sweep_bits(graph._pred_bits, mask, list(iter_bits(mask)))
+
+
 def descendants_bits(graph: Digraph, source: Vertex) -> int:
     """Bitmask over interned vertex IDs of every vertex reachable from
     ``source``, including ``source`` itself; ``0`` if ``source`` is not
@@ -148,7 +167,7 @@ def descendants_bits(graph: Digraph, source: Vertex) -> int:
     source_id = graph._vid.get(source)
     if source_id is None:
         return 0
-    return _sweep_bits(graph._succ_bits, 1 << source_id, [source_id])
+    return descendants_of_mask(graph, 1 << source_id)
 
 
 def ancestors_bits(graph: Digraph, target: Vertex) -> int:
@@ -157,7 +176,7 @@ def ancestors_bits(graph: Digraph, target: Vertex) -> int:
     target_id = graph._vid.get(target)
     if target_id is None:
         return 0
-    return _sweep_bits(graph._pred_bits, 1 << target_id, [target_id])
+    return ancestors_of_mask(graph, 1 << target_id)
 
 
 class ReachabilityCache:

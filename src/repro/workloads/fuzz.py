@@ -99,7 +99,9 @@ monitor's global invariants after every step:
     (executed/noop element for element, authorizations re-verified
     the same way) and a value-equal final policy — across
     :func:`_recycling_churn` rounds (which also drive the
-    journal-based cache invalidation over recycled interner IDs)
+    journal-based cache invalidation over recycled interner IDs), each
+    preceded by deprovisioning a subject with a cached allow whose
+    interned ID a newcomer takes before the next publication
     (:func:`fuzz_pdp`).
 15. **Crash-recovery agreement** — a WAL-attached PDP killed at
     *every* named fault-injection point mid-trace
@@ -548,6 +550,17 @@ def _edge_churn(rng: random.Random, policy: Policy, steps: int) -> None:
                 policy.remove_edge(*rng.choice(edges))
 
 
+def _sampled_ssd(name: str, picked: list):
+    """An SSD separation set over ``picked`` roles; three or more
+    picked roles make it a cardinality-3 set, so the rules' at-least
+    counting is exercised above the default cardinality of 2."""
+    from ..analysis.constraints import SsdConstraint
+
+    return SsdConstraint(
+        name, frozenset(picked), cardinality=3 if len(picked) >= 3 else 2
+    )
+
+
 def fuzz_lint(
     seed: int,
     steps: int = 24,
@@ -567,7 +580,8 @@ def fuzz_lint(
     the compiled sweeps are exercised over interners with freed and
     recycled vertex IDs.  Each comparison also declares an SSD
     separation set sampled from the live roles, pinning the
-    ``constraint-conflict`` rule and its twin.
+    ``constraint-conflict`` rule and its twin (cardinality 3 when three
+    roles are picked, see :func:`_sampled_ssd`).
 
     Alongside, a :class:`~repro.analysis.lint.LintSession` and a
     :class:`~repro.oracle.ReferenceLintSession` live across the whole
@@ -580,7 +594,6 @@ def fuzz_lint(
     whose probes mutate and restore the policy, must equal a fresh
     build (:func:`_policy_index_problems`).
     """
-    from ..analysis.constraints import SsdConstraint
     from ..analysis.lint import LintSession, lint_policy
     from ..oracle import ReferenceLintSession, reference_lint_policy
 
@@ -591,9 +604,8 @@ def fuzz_lint(
     roles = sorted(policy.roles(), key=str)
     session_constraints = (
         (
-            SsdConstraint(
-                "fuzz_session",
-                frozenset(session_rng.sample(roles, min(3, len(roles)))),
+            _sampled_ssd(
+                "fuzz_session", session_rng.sample(roles, min(3, len(roles)))
             ),
         )
         if len(roles) >= 2 else ()
@@ -631,9 +643,7 @@ def fuzz_lint(
         constraints = ()
         if len(roles) >= 2:
             picked = rng.sample(roles, min(3, len(roles)))
-            constraints = (
-                SsdConstraint(f"fuzz_sep_{label}", frozenset(picked)),
-            )
+            constraints = (_sampled_ssd(f"fuzz_sep_{label}", picked),)
         fast = lint_policy(policy, constraints=constraints)
         oracle = reference_lint_policy(policy, constraints=constraints)
         if fast.findings != oracle.findings:
@@ -692,7 +702,6 @@ def fuzz_repair(
     must equal fresh builds (:func:`_policy_index_problems`).  Churn
     then continues from the repaired policy into the next round.
     """
-    from ..analysis.constraints import SsdConstraint
     from ..analysis.lint import lint_policy
     from ..analysis.repair import APPLIED, _UndoLog, repair_policy
     from ..core.refinement import granted_pairs, is_refinement
@@ -707,9 +716,7 @@ def fuzz_repair(
         constraints = ()
         if len(roles) >= 2:
             picked = rng.sample(roles, min(3, len(roles)))
-            constraints = (
-                SsdConstraint(f"fuzz_repair_{label}", frozenset(picked)),
-            )
+            constraints = (_sampled_ssd(f"fuzz_repair_{label}", picked),)
         baseline = policy.copy()
         oracle_policy = policy.copy()
         fast = repair_policy(policy, constraints=constraints, in_place=True)
@@ -1038,11 +1045,16 @@ def fuzz_pdp(
     pair (same command checked twice with no writer in flight): the
     second decision must be a cache hit and must equal the first, and
     a campaign that never exercised the rate-limited-retry path is
-    itself a violation.
+    itself a violation.  Before that churn, a subject holding a cached
+    allow is deprovisioned and a newcomer takes its interned ID ahead
+    of the next publication, and the subject's command is checked
+    again, so a cache that misses vertex churn hands out a stale
+    verdict the oracle pass rejects.
     """
     import asyncio
 
     from ..serve import PolicyDecisionPoint, RateLimited, RateLimiter
+    from ..serve.cache import cacheable
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
@@ -1182,6 +1194,43 @@ def fuzz_pdp(
                 f"{first} vs {second}"
             )
 
+    async def deprovision_cached(label):
+        """A subject holding a cached allow is deprovisioned and a
+        newcomer takes its interned ID before the next publication;
+        the subject's command, re-checked after it, must then be
+        denied (the oracle pass below pins every decision), which a
+        cache blind to the window's vertex churn would answer from
+        its stale entry."""
+        tried = set()
+        for subject, command, decision in reversed(observed):
+            if (
+                not decision.allowed or subject in tried
+                or subject not in policy.graph or not cacheable(command)
+            ):
+                continue
+            tried.add(subject)
+            # Twice: the second answer comes from the cache.
+            if (await checked(command)).allowed and (
+                await checked(command)
+            ).cached:
+                break
+        else:
+            return
+        roles = sorted(policy.graph.successors(subject), key=str)
+        freed = policy.graph.vid(subject)
+        policy.remove_user(subject)
+        newcomer = User(f"newcomer_{label}")
+        policy.add_user(newcomer)
+        for role in roles:
+            policy.assign_user(newcomer, role)
+        if policy.graph.vid(newcomer) != freed:
+            report.violations.append(
+                f"newcomer did not take the deprovisioned {subject}'s "
+                f"interned ID ({label})"
+            )
+        await pdp.refresh()
+        await checked(command)
+
     async def campaign():
         async with pdp:
             for round_index in range(rounds):
@@ -1198,6 +1247,7 @@ def fuzz_pdp(
                 )
                 verify_batches(label, mirror, pdp.batch_log[log_start:])
                 await probe_cache(label)
+                await deprovision_cached(label)
                 _recycling_churn(rng, policy, steps)
                 await pdp.refresh()
 

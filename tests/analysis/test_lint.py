@@ -209,6 +209,27 @@ class TestConstraintConflict:
         assert [f.subject for f in warnings] == [Role("funnel")]
 
     @BOTH_KERNELS
+    def test_cardinality_three_counts_to_three(self, kernel):
+        a, b, c = Role("a"), Role("b"), Role("c")
+        two, three = User("two"), User("three")
+        policy = Policy(
+            ua=[(two, a), (two, b), (three, Role("abc"))],
+            rh=[(Role("abc"), a), (Role("abc"), b), (Role("abc"), c),
+                (Role("ab"), a), (Role("ab"), b)],
+        )
+        constraint = SsdConstraint("sep3", frozenset({a, b, c}), 3)
+        findings = by_rule(
+            kernel.lint(policy, constraints=[constraint]),
+            "constraint-conflict",
+        )
+        # Reaching 2 of 3 roles (user ``two``, role ``ab``) is allowed.
+        assert [(f.subject, f.severity, f.witness) for f in findings] == [
+            (Role("abc"), Severity.WARNING, (a, b, c)),
+            (three, Severity.ERROR, (a, b, c)),
+        ]
+        assert findings[1].repair == "revoke(three, abc)"
+
+    @BOTH_KERNELS
     def test_no_constraints_no_findings(self, kernel):
         policy = figures.figure2()
         report = kernel.lint(policy)

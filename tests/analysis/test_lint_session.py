@@ -4,7 +4,8 @@ A :class:`~repro.analysis.lint.LintSession` must re-lint to exactly
 the findings of a fresh full lint, and it must actually use the scope:
 over a whole ``repair_policy`` on an enterprise policy the session
 builds its verification index once, and a single-edge plan's re-lint
-probes far fewer ``redundant-delegation`` candidates than a full lint.
+probes far fewer ``redundant-delegation`` candidates than a full lint,
+and asks no per-user reachability question of a 1,000-user policy.
 """
 
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from repro.analysis.constraints import SsdConstraint
 from repro.analysis.lint import LintSession, lint_policy
 from repro.analysis.repair import APPLIED, repair_policy
 from repro.core.entities import Role, User
+from repro.core.policy import Policy
 from repro.oracle import ReferenceLintSession, reference_lint_policy
 from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
 
@@ -141,3 +143,41 @@ def test_repair_relints_only_the_dirty_region(monkeypatch):
     for outcome in single_edge:
         assert outcome.status == APPLIED
         assert by_findings[outcome.findings] * 4 < full
+
+
+def test_relint_asks_no_per_user_reachability(monkeypatch):
+    """The population rules sweep masks: a re-lint after one edge
+    removal makes far fewer per-vertex reachability reads than there
+    are users (a per-user walk would make one per user per rule)."""
+    shape = EnterpriseShape(
+        departments=2, levels_per_department=4, roles_per_level=3,
+        employees_per_department=500,
+    )
+    policy = enterprise_policy(shape, 0)
+    users = sum(1 for _ in policy.users())
+    assert users >= 1000
+    constraints = (
+        SsdConstraint(
+            "cross_department",
+            frozenset({Role("dept0_L0_r0"), Role("dept1_L0_r0")}),
+        ),
+    )
+    session = LintSession(policy, constraints=constraints)
+    session.lint()
+    calls = []
+    original = Policy.descendants_bits
+
+    def counting(self, source):
+        calls.append(source)
+        return original(self, source)
+
+    monkeypatch.setattr(Policy, "descendants_bits", counting)
+    employee = User("dept0_emp0")
+    [role] = policy.graph.successors(employee)
+    policy.remove_edge(employee, role)
+    relint = session.lint()
+    assert len(calls) * 4 < users
+    monkeypatch.undo()
+    assert relint.findings == lint_policy(
+        policy.copy(), constraints=constraints
+    ).findings

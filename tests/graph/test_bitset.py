@@ -10,10 +10,13 @@ from repro.graph import (
     ReachabilityCache,
     ancestors,
     ancestors_bits,
+    ancestors_of_mask,
     descendants,
     descendants_bits,
+    descendants_of_mask,
     dirty_region,
     iter_bits,
+    pack_bits,
     reaches,
 )
 
@@ -90,6 +93,31 @@ class TestBitsKernelParity:
             assert decode(graph, ancestors_bits(graph, vertex)) == (
                 ancestors(graph, vertex)
             )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mask_sweeps_equal_the_union_of_seed_sweeps(self, seed):
+        graph, rng = random_graph(seed)
+        # Holes from removed vertices, then recycled IDs for newcomers.
+        for victim in rng.sample(range(30), 4):
+            graph.remove_vertex(victim)
+        for newcomer in range(100, 103):
+            graph.add_edge(newcomer, rng.choice(list(graph.vertices())))
+        assert any(graph.vid(v) < 30 for v in range(100, 103))
+        vertices = list(graph.vertices())
+        for size in (1, 2, 5, len(vertices)):
+            seeds = rng.sample(vertices, size)
+            mask = pack_bits(graph, seeds)
+            forward = backward = 0
+            for vertex in seeds:
+                forward |= descendants_bits(graph, vertex)
+                backward |= ancestors_bits(graph, vertex)
+            assert descendants_of_mask(graph, mask) == forward
+            assert ancestors_of_mask(graph, mask) == backward
+
+    def test_empty_mask_sweeps_to_nothing(self):
+        graph = Digraph([("a", "b"), ("b", "c")])
+        assert descendants_of_mask(graph, 0) == 0
+        assert ancestors_of_mask(graph, 0) == 0
 
     def test_absent_vertex_has_no_mask(self):
         graph = Digraph([("a", "b")])

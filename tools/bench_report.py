@@ -108,10 +108,11 @@ BENCHES: dict[str, tuple[str, dict[str, str], str | None]] = {
     "pdp": (
         "benchmarks/bench_pdp.py",
         # Reduced concurrency and population; the serving claim's 3x
-        # p50 floor holds there too (measured ~5x at both scales).  The
-        # p99 speedup is recorded but not asserted: too few samples at
-        # this scale (it swung 1.1x / 0.4x across two runs), while the
-        # full-scale run asserts its >=1x floor.
+        # p50 floor holds there too (measured ~5x at both scales), judged
+        # on each side's median of five alternating runs (min and max
+        # are recorded).  The p99 speedup is recorded but not asserted:
+        # too few samples at this scale (it swung 1.1x / 0.4x across two
+        # runs), while the full-scale run asserts its >=1x floor.
         {
             "PDP_BENCH_PRINCIPALS": "64",
             "PDP_BENCH_ROUNDS": "3",
