@@ -54,7 +54,8 @@ def test_report_theorem1_verification_sweep():
 
 
 def test_report_definition7_quantifier_directions():
-    """The reproduction finding recorded in EXPERIMENTS.md: the
+    """The reproduction finding documented in
+    :mod:`repro.core.admin_refinement`: the
     formula as printed (universal over φ's queues) cannot see an
     administrative strengthening; the prose reading (universal over
     ψ's queues) refutes it."""

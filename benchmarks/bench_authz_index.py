@@ -1,7 +1,7 @@
 """ABLATION — authorization-path implementations for the refined
 monitor.
 
-DESIGN.md calls out the implementation choice Lemma 1's proof hints at
+Lemma 1's proof hints at an implementation choice
 ("the proof indicates how a decision algorithm ... can be implemented
 at an RBAC reference monitor"): decide per query with the structural
 procedure, or precompute grant rectangles per subject.  This bench

@@ -1,12 +1,14 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_*.py`` file regenerates one experiment from DESIGN.md's
-per-experiment index.  Two kinds of artifacts are produced:
+Each ``bench_*.py`` file regenerates one experiment of the
+reproduction; its module docstring names the claim of the paper
+(abstract in ``PAPER.md``) it measures.  Two kinds of artifacts are
+produced:
 
 * pytest-benchmark timings (``pytest benchmarks/ --benchmark-only``);
 * qualitative result tables printed by the ``test_report_*`` items —
   these are the "rows/series" the paper's examples and claims
-  correspond to, and they are what EXPERIMENTS.md records.
+  correspond to.
 """
 
 import pytest

@@ -21,8 +21,8 @@ given enough administrative steps).  The conjecture then reads:
 
 :func:`check_conjecture_instance` checks one (policy, role, seed
 privilege) instance and reports any violating deep terms; the tests
-and the RMK2 benchmark sweep random policies.  Caveat recorded in
-EXPERIMENTS.md: reachability itself must be explored deep enough to
+and the RMK2 benchmark sweep random policies.  Caveat: reachability
+itself must be explored deep enough to
 "unroll" the extra administrative steps, so the reachability depth
 grows with the term depth examined.
 """

@@ -22,9 +22,10 @@ This module explores that direction, clearly marked experimental:
   falsifier actually finds counterexamples.
 
 :func:`falsify_candidate` hunts for counterexamples with the bounded
-Definition-7 checker over a pool of policies; the tests record the
-verdicts (the first two survive the explored bounds, the third is
-refuted) and EXPERIMENTS.md discusses them.
+Definition-7 checker over a pool of policies;
+``tests/analysis/test_revocation.py`` records the verdicts: the first
+two survive the explored bounds, the third is refuted.  Surviving a
+bounded search is evidence, not a proof.
 """
 
 from __future__ import annotations

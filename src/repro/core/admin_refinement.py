@@ -28,8 +28,10 @@ therefore implement both:
 
 Theorem-1 weakenings pass under **both** directions (the tests check
 this); strengthenings are refuted under ``psi-universal`` and pass
-vacuously under ``phi-universal`` — the discrepancy is recorded in
-EXPERIMENTS.md.
+vacuously under ``phi-universal``.  That discrepancy is a finding of
+this reproduction: the formula as printed cannot see an
+administrative strengthening, and ``tests/core/test_admin_refinement.py``
+pins both verdicts.
 
 Soundness of exploring only *effective* commands on the universal
 side: a queue containing disallowed (no-op) commands reaches the same

@@ -337,7 +337,7 @@ class AuthorizationIndex:
                  "users_refreshed", "rectangles_built", "_cursor", "_held",
                  "_rectangles", "_rect_rows", "_rect_users", "_rect_memo",
                  "_rect_pid", "_source_cover", "_target_cover",
-                 "_evicted", "_tables_shared", "_oracle", "_snapshot")
+                 "_evicted", "_tables_shared", "_oracle")
 
     def __init__(self, policy: Policy):
         self.policy = policy
@@ -380,7 +380,6 @@ class AuthorizationIndex:
         #: first mutation after the fork copies them (copy-on-write).
         self._tables_shared = False
         self._oracle = OrderingOracle(policy)
-        self._snapshot: ReviewSnapshot | None = None
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -877,21 +876,12 @@ class AuthorizationIndex:
         vertex_of = self.policy.graph._vertex_of
         return {vertex_of[index].edge for index in iter_bits(held & mask)}
 
-    def grantable_pairs(
-        self, user: User, at_version: int | None = None
-    ) -> frozenset[tuple[object, object]]:
+    def grantable_pairs(self, user: User) -> frozenset[tuple[object, object]]:
         """All entity-pair edges ``(v, v')`` the user may currently
         grant: the union of the rectangles plus exact entity grants.
         Rectangle sources are entity-filtered at build time, so every
-        rectangle pair is a legal grant as-is.
-
-        ``at_version`` answers from the retained
-        :class:`ReviewSnapshot` captured at that policy version (see
-        :meth:`snapshot`) instead of the live policy, so an audit
-        burst interleaved with mutations sees one consistent version;
-        a version with no retained snapshot raises ValueError."""
-        if at_version is not None:
-            return self._snapshot_at(at_version).grantable_pairs(user)
+        rectangle pair is a legal grant as-is.  For the answer at one
+        pinned version, ask a :class:`ReviewSnapshot`."""
         self._validate()
         graph = self.policy.graph
         pairs: set[tuple[object, object]] = set()
@@ -904,7 +894,7 @@ class AuthorizationIndex:
         return frozenset(pairs)
 
     def grantable_pairs_bulk(
-        self, users, at_version: int | None = None
+        self, users
     ) -> dict[User, frozenset[tuple[object, object]]]:
         """Grantable entity-pair edges for a whole population in one
         validation: equal to ``{user: self.grantable_pairs(user)}``
@@ -917,18 +907,12 @@ class AuthorizationIndex:
         and the exact edges, so users sharing a delegation profile
         (the common case — profiles come from role subtrees) expand
         it once, and each distinct rectangle is decoded once across
-        the whole sweep rather than once per holder.  ``at_version``
-        answers from the retained snapshot, as in
-        :meth:`grantable_pairs`.  An empty population returns ``{}``
-        without touching the index.
+        the whole sweep rather than once per holder.  An empty
+        population returns ``{}`` without touching the index.
         """
         users = list(users)
         if not users:
             return {}
-        if at_version is not None:
-            return self._snapshot_at(at_version).grantable_pairs_bulk(
-                users
-            )
         self._validate()
         #: profile key -> expanded frozenset of grantable pairs.  The
         #: key is the held grant-entity mask — exactly the input
@@ -966,58 +950,35 @@ class AuthorizationIndex:
             out[user] = cached
         return out
 
-    def revocable_pairs(
-        self, user: User, at_version: int | None = None
-    ) -> frozenset[tuple[object, object]]:
+    def revocable_pairs(self, user: User) -> frozenset[tuple[object, object]]:
         """All entity-pair edges the user may currently revoke.
 
         Revocations are authorized by exact match only (the ordering
         relates ♦-privileges just reflexively), so this is simply the
         edges of the held entity-target ♦-privileges — kept consistent
-        with :meth:`authorizes` by construction.  ``at_version``
-        answers from the retained snapshot, as in
-        :meth:`grantable_pairs`."""
-        if at_version is not None:
-            return self._snapshot_at(at_version).revocable_pairs(user)
+        with :meth:`authorizes` by construction."""
         self._validate()
         return frozenset(self._entity_grant_edges(user, Revoke))
 
     def effective_authority(
-        self, user: User, at_version: int | None = None
+        self, user: User
     ) -> dict[str, frozenset[tuple[object, object]]]:
         """The review-function view of implicit authorization — what an
         administrator sees as "my effective authority": every entity
         pair the user may grant and every pair they may revoke, exactly
         the pairs :meth:`authorizes` would permit."""
         return {
-            "grant": self.grantable_pairs(user, at_version=at_version),
-            "revoke": self.revocable_pairs(user, at_version=at_version),
+            "grant": self.grantable_pairs(user),
+            "revoke": self.revocable_pairs(user),
         }
 
     # ------------------------------------------------------------------
-    def snapshot(self) -> "ReviewSnapshot":
-        """Capture and retain a review snapshot at the current policy
-        version.  Subsequent ``grantable_pairs(..., at_version=v)``
-        calls answer from it while mutations continue on the live
-        policy; only the most recent snapshot is retained.
-
-        While the policy version has not moved, the retained snapshot
-        is returned unchanged.  Otherwise the capture is a structural
-        policy clone plus a fork of this index (see
-        :class:`ReviewSnapshot`): the index repairs itself
-        incrementally and hands its tables to the snapshot, so no
-        index is ever rebuilt for a snapshot."""
-        snapshot = self._snapshot
-        if snapshot is None or snapshot.version != self.policy.version:
-            snapshot = self._snapshot = ReviewSnapshot(
-                self.policy, index=self
-            )
-        return snapshot
-
     def _fork(self, policy: Policy) -> "AuthorizationIndex":
         """This index, validated, over ``policy`` — a structural clone
         of this index's policy at the current version, so every vertex
-        ID means the same vertex in both.
+        ID means the same vertex in both.  The clone's first
+        :attr:`Policy.index <repro.core.policy.Policy.index>` read is
+        the only caller, and passes the clone as a weak proxy.
 
         The fork allocates nothing per subject or rectangle: held
         masks, rectangle tuples and rows are immutable
@@ -1047,21 +1008,7 @@ class AuthorizationIndex:
         fork._evicted = {}
         fork._tables_shared = self._tables_shared = True
         fork._oracle = OrderingOracle(policy)
-        fork._snapshot = None
         return fork
-
-    def _snapshot_at(self, version: int) -> "ReviewSnapshot":
-        """The retained snapshot if it matches ``version``, else a
-        ValueError telling the auditor what is actually retained."""
-        snapshot = self._snapshot
-        if snapshot is None or snapshot.version != version:
-            retained = "none" if snapshot is None else snapshot.version
-            raise ValueError(
-                f"no review snapshot retained at version {version} "
-                f"(retained: {retained}); call snapshot() at the version "
-                "the audit should see"
-            )
-        return snapshot
 
     def statistics(self) -> dict[str, int]:
         self._validate()
@@ -1086,22 +1033,21 @@ class AuthorizationIndex:
 class ReviewSnapshot:
     """A frozen review-function view of the policy at one version.
 
-    Holds a structural clone of the policy (:meth:`Policy.copy`, which
-    shares the adjacency sets copy-on-write and keeps the vertex-ID
-    layout) and a fork of the live ``index`` over that clone: the live
-    index repairs its dirty region and hands its tables over, sharing
-    every rectangle and row (:meth:`AuthorizationIndex.snapshot`
-    captures this way, once per version).  Answers are immutable:
-    every query sees exactly the captured version, however far the
-    live policy has moved on.
+    A snapshot is a :meth:`Policy.copy` nobody mutates, plus that
+    copy's index.  The copy shares the adjacency sets copy-on-write and
+    keeps the vertex-ID layout, and when ``policy``'s own index is
+    built the copy's index is a fork of it: the live index repairs its
+    dirty region and hands its tables over, sharing every rectangle and
+    row.  Answers are immutable: every query sees exactly the captured
+    version, however far the live policy has moved on.
     """
 
     __slots__ = ("version", "_policy", "_index")
 
-    def __init__(self, policy: Policy, index: AuthorizationIndex):
+    def __init__(self, policy: Policy):
         self.version = policy.version
         self._policy = policy.copy()
-        self._index = index._fork(self._policy)
+        self._index = self._policy.index
 
     def grantable_pairs(self, user: User) -> frozenset:
         return self._index.grantable_pairs(user)

@@ -77,11 +77,6 @@ class ReferenceMonitor:
     mode: Mode = Mode.STRICT
     use_index: bool = False
     audit_trail: list[AccessDecision] = field(default_factory=list)
-    #: review snapshot captured by the most recent
-    #: ``submit_queue(..., batched=True, snapshot=True)`` — pass its
-    #: ``.version`` as ``at_version=`` to the index's review functions
-    #: so an audit burst sees the batch-entry state.
-    last_snapshot: object = field(default=None, repr=False)
     _sessions: dict[int, Session] = field(default_factory=dict)
     _oracle: OrderingOracle | None = field(default=None, repr=False)
     _index: AuthorizationIndex | None = field(default=None, repr=False)
@@ -178,7 +173,6 @@ class ReferenceMonitor:
         self,
         queue: Iterable[Command],
         batched: bool = False,
-        snapshot: bool = False,
     ) -> list[ExecutionRecord]:
         """Execute a command queue.
 
@@ -199,31 +193,14 @@ class ReferenceMonitor:
         for a monitor fronting a transactional DBMS.  Monitors without
         an index (or in strict mode) fall back to the sequential path.
 
-        ``snapshot=True`` (batched path only) additionally captures a
-        review snapshot of the batch-entry state — the same state every
-        command was authorized against — and retains it on the index
-        and as :attr:`last_snapshot`: an audit burst run while or after
-        the batch applies can pass ``at_version=last_snapshot.version``
-        to ``grantable_pairs``/``revocable_pairs`` and see one
-        consistent version.  The capture is the index's
-        :meth:`~repro.core.authz_index.AuthorizationIndex.snapshot`: free
-        when a snapshot at the entry version is already retained (the
-        PDP publishes one after every batch), otherwise one structural
-        policy clone plus an index fork.
+        An audit that must see the batch-entry state — the state every
+        command was authorized against — takes a
+        :class:`~repro.core.authz_index.ReviewSnapshot` of the policy
+        before the batch (the PDP's published snapshot is exactly that).
         """
         commands = list(queue)
         if not batched or self._index is None or self.mode is not Mode.REFINED:
-            if snapshot:
-                # Never silently hand an auditor a stale last_snapshot:
-                # the sequential path has no single entry state to
-                # capture.
-                raise ValueError(
-                    "snapshot=True requires the batched path (an "
-                    "index-backed refined monitor with batched=True)"
-                )
             return [self.submit(command) for command in commands]
-        if snapshot:
-            self.last_snapshot = self._index.snapshot()
         # Pre-authorize the whole read set in one batch call: each
         # distinct edge is decided once from the index's cover table,
         # and its verdicts are pinned element-for-element

@@ -20,6 +20,7 @@ policies whose ``PA`` assigns only user privileges;
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import PolicyError
@@ -183,11 +184,11 @@ class Policy:
     lazily and repaired from the change journal
     (:func:`repro.graph.dirty_region`): the reachability cache, the
     sort masks (:attr:`bits`) and the authorization index
-    (:attr:`index`).  :meth:`copy` never
-    copies the index; the clone builds its own on first read.
+    (:attr:`index`, which a :meth:`copy` forks).
     """
 
-    __slots__ = ("_graph", "_cache", "_bits", "_index")
+    __slots__ = ("_graph", "_cache", "_bits", "_index", "_index_source",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -199,6 +200,8 @@ class Policy:
         self._cache = ReachabilityCache(self._graph)
         self._bits: PolicyBits | None = None
         self._index: AuthorizationIndex | None = None
+        #: (weakref to the copied policy, copy version): see :attr:`index`.
+        self._index_source: tuple | None = None
         for source, target in ua:
             self.assign_user(source, target)
         for source, target in rh:
@@ -400,17 +403,32 @@ class Policy:
         (:class:`~repro.core.authz_index.AuthorizationIndex`): built on
         first read, repaired from its own journal cursor on each later
         read.  Every production reader — the index-backed monitor, the
-        compiled lint's verifier, the repair driver and
-        :func:`~repro.analysis.audit.audit_matrix` — shares this one
-        index, so repeated readers of one policy pay for one build plus
-        the repairs of what changed in between."""
+        compiled lint's verifier, the repair driver,
+        :func:`~repro.analysis.audit.audit_matrix` and
+        :class:`~repro.core.authz_index.ReviewSnapshot` — shares this
+        one index, so repeated readers of one policy pay for one build
+        plus the repairs of what changed in between.  A :meth:`copy`
+        forks its source's index instead of building (every table shared
+        copy-on-write) if the source is still alive and neither policy
+        has moved since the copy, so the vertex-ID layouts still agree.
+        The index refers back through a weak proxy, so the pair is no
+        reference cycle: keep the policy alive while using its index."""
         index = self._index
+        if index is not None:
+            index.refresh()
+            return index
+        owner = weakref.proxy(self)
+        if self._index_source is not None:
+            source_ref, version = self._index_source
+            self._index_source = None
+            source = source_ref()
+            if source is not None and source.version == version == self.version:
+                index = source._index._fork(owner)
         if index is None:
             from .authz_index import AuthorizationIndex
 
-            index = self._index = AuthorizationIndex(self)
-        else:
-            index.refresh()
+            index = AuthorizationIndex(owner)
+        self._index = index
         return index
 
     def authorized_roles(self, user: User) -> frozenset[Role]:
@@ -477,13 +495,17 @@ class Policy:
         (:meth:`Digraph.copy`, copy-on-write adjacency): same version
         and vertex-ID layout, a fresh journal, and a cold reachability
         cache.  Sort masks already built are brought up to date and
-        cloned (:meth:`PolicyBits.clone`) rather than rescanned; the
-        authorization index is not copied, so the clone's stays unbuilt
-        until its first read."""
+        cloned (:meth:`PolicyBits.clone`) rather than rescanned.  A built
+        authorization index is handed over lazily: the clone records
+        this policy weakly, with the version (see :attr:`index`)."""
         clone = Policy.__new__(Policy)
         clone._graph = self._graph.copy()
         clone._cache = ReachabilityCache(clone._graph)
         clone._index = None
+        clone._index_source = (
+            None if self._index is None
+            else (weakref.ref(self), self._graph.version)
+        )
         bits = self._bits
         if bits is None:
             clone._bits = None

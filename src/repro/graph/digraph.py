@@ -627,9 +627,10 @@ class Digraph:
         source's vertex-ID layout and its ``version``, and starts an
         empty journal at that version — ``changes_since`` of any older
         version is None, no journal cursor of the source follows it,
-        and no window the source memoized carries over.  Keeping the layout is what lets a compiled index's masks
-        over the source be handed to a clone unchanged
-        (:meth:`repro.core.authz_index.AuthorizationIndex.snapshot`).
+        and no window the source memoized carries over.  Keeping the
+        layout is what lets a compiled index's masks over the source be
+        handed to a clone unchanged
+        (:meth:`repro.core.authz_index.AuthorizationIndex._fork`).
         """
         clone = Digraph.__new__(Digraph)
         clone._succ = dict(self._succ)

@@ -1,8 +1,8 @@
 """The paper's Figures 1–3 as exact policy values.
 
 The figure drawings in the available text are OCR-garbled; the
-reconstruction below (documented in DESIGN.md) is the unique-ish
-reading consistent with every statement in the prose:
+reconstruction below is the unique-ish reading consistent with every
+statement in the prose:
 
 * Example 1: as *nurse* Diana reads t1 and t2; as *staff* she can
   additionally write t3.
@@ -144,8 +144,9 @@ def revocation_wildcard(policy: Policy, role: Role, target_role: Role) -> None:
     ``role`` a revocation privilege over every currently known user's
     membership of ``target_role``.
 
-    The paper's grammar has no wildcard privileges; this helper is the
-    documented encoding (DESIGN.md, "Reconstruction decisions").
+    The paper's grammar has no wildcard privileges, so the
+    reconstruction encodes one as a revocation privilege per user
+    known at the time of the call; users added later are not covered.
     """
     for user in sorted(policy.users(), key=str):
         policy.assign_privilege(role, Revoke(user, target_role))

@@ -1,8 +1,8 @@
 """The serving layer: an asyncio policy-decision-point over the
 reference monitor.
 
-Single-writer micro-batched mutations (`submit_queue(batched=True,
-snapshot=True)` transactions), lock-free snapshot reads batched
+Single-writer micro-batched mutations (`submit_queue(batched=True)`
+transactions), lock-free snapshot reads batched
 through ``authorizes_batch``, a journal-invalidated decision cache,
 per-principal token-bucket rate limiting and a metrics surface — see
 :mod:`repro.serve.pdp` for the architecture and

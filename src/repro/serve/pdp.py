@@ -13,25 +13,24 @@ Writer side
     empty — no timer holds a lone write back.  Batches still form
     under load, because commands queue up while the previous batch
     applies and fsyncs.  Each batch executes as one
-    ``submit_queue(batched=True, snapshot=True)`` transaction, so one
-    ``authorizes_batch`` call authorizes the whole batch and
-    the audit contract (batch-entry snapshot retained as
-    ``last_snapshot``) is exactly the monitor's.  The per-request
+    ``submit_queue(batched=True)`` transaction, so one
+    ``authorizes_batch`` call authorizes the whole batch against its
+    entry state — which is the snapshot published before the batch
+    (:attr:`PolicyDecisionPoint.last_snapshot`), since the writer
+    publishes after every pass.  The per-request
     futures resolve to the returned :class:`ExecutionRecord`\\ s in
     queue order.
 
 Reader side
     :meth:`check` / :meth:`check_many` never touch the writer's index.
     After each batch the writer *publishes* a fresh
-    :class:`~repro.core.authz_index.ReviewSnapshot` through the index's
-    ``snapshot()``: the live index repairs the batch's dirty region
-    (patching only the rectangle rows of stale privileges), the policy
-    is cloned copy-on-write and the index is forked onto the clone
-    sharing every rectangle, so publication costs what the batch
-    touched, not a policy copy, a replay or an index build.  That
-    published snapshot is also the next
-    batch's entry snapshot, so ``submit_queue(snapshot=True)`` captures
-    nothing new.  Readers decide against whatever snapshot is currently
+    :class:`~repro.core.authz_index.ReviewSnapshot` of the policy: the
+    policy is cloned copy-on-write, and the clone's index is a fork of
+    the live one — the live index repairs the batch's dirty region
+    (patching only the rectangle rows of stale privileges) and shares
+    every rectangle with the fork — so publication costs what the
+    batch touched, not a policy copy, a replay or an index build.
+    Readers decide against whatever snapshot is currently
     published — an immutable object, so no locks — and requests
     arriving within one event-loop tick accumulate into a read window
     answered by a single ``authorizes_batch`` sweep.  A read is
@@ -237,7 +236,7 @@ class PolicyDecisionPoint:
                 # live policy — never from a silently diverged one.
                 wal.append_rebase(monitor.policy)
             self.wal = wal
-        self._snapshot = monitor._index.snapshot()
+        self._snapshot = ReviewSnapshot(monitor.policy)
         self._published_at = self.clock()
         if retain_history:
             self.history[self._snapshot.version] = self._snapshot
@@ -552,9 +551,7 @@ class PolicyDecisionPoint:
             # sees the same batch-entry state the kernel does.
             self.wal.append_rebase(self.monitor.policy)
         if commands:
-            records = self.monitor.submit_queue(
-                commands, batched=True, snapshot=True
-            )
+            records = self.monitor.submit_queue(commands, batched=True)
             self.metrics.observe_write_batch(len(commands), depth)
         else:
             records = []
@@ -670,21 +667,23 @@ class PolicyDecisionPoint:
                 future.set_exception(error)
 
     def _publish(self, fresh: bool = True) -> None:
-        """Publish the index's snapshot of the current policy (retained
-        as is when the version did not move, else a clone and an index
-        fork — see :meth:`AuthorizationIndex.snapshot`), then advance
-        the decision cache to its version by selective journal-driven
-        eviction.
+        """Publish a :class:`ReviewSnapshot` of the current policy (the
+        published one, kept as is, when the version did not move), then
+        advance the decision cache to its version by selective
+        journal-driven eviction.
 
         ``fresh=True`` (every successful pass through the writer,
         batches and refreshes alike) restamps ``_published_at``; the
         failure path passes False so the staleness clock only resets
         when the version actually advanced — a same-version republish
         from a failing writer proves nothing about freshness."""
-        snapshot = self.monitor._index.snapshot()
-        if fresh or snapshot.version != self._snapshot.version:
+        snapshot = self._snapshot
+        policy = self.monitor.policy
+        if snapshot.version != policy.version:
+            snapshot = self._snapshot = ReviewSnapshot(policy)
+            fresh = True
+        if fresh:
             self._published_at = self.clock()
-        self._snapshot = snapshot
         self.cache.advance(snapshot.version)
         if self.retain_history:
             self.history[snapshot.version] = snapshot

@@ -200,6 +200,9 @@ def differential_churn(
       several cover (scan order), so a claimed one must be genuinely
       held.
 
+    Every fifth step, invariant 7 also covers the lazy index fork of
+    :meth:`Policy.copy` (:func:`lazy_fork_problems`).
+
     Each step applies a burst of one to three mutations back-to-back
     and only then calls ``index.refresh()``, so every repair replays a
     multi-delta journal window — including, with ``remove_users``, a
@@ -221,13 +224,16 @@ def differential_churn(
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
-    index = AuthorizationIndex(policy)
+    index = policy.index
     reference = ReferenceIndex(policy)
     violations: list[str] = []
 
     users = sorted(policy.users(), key=str)
     roles = sorted(policy.roles(), key=str)
     privileges = sorted(policy.subterm_closure(), key=str)
+
+    def mutate(target: Policy) -> str:
+        return _random_mutation(rng, target, users, roles, privileges)
 
     for step_number in range(steps):
         burst: list[str] = []
@@ -244,9 +250,7 @@ def differential_churn(
                     policy.assign_user(victim, rng.choice(roles))
                     burst.append(f"re-add {victim}")
             else:
-                burst.append(
-                    _random_mutation(rng, policy, users, roles, privileges)
-                )
+                burst.append(mutate(policy))
         mutation = "; ".join(burst)
         if mutation_log is not None:
             mutation_log.extend(burst)
@@ -335,7 +339,48 @@ def differential_churn(
                     f"step {step_number}: index authorized {probe} by a "
                     f"privilege the reference says {issuer} does not hold"
                 )
+        if step_number % 5 == 0:  # last in the step: it churns on
+            violations.extend(
+                f"step {step_number}: {problem}"
+                for problem in lazy_fork_problems(policy, mutate)
+            )
     return violations
+
+
+def lazy_fork_problems(policy: Policy, mutate) -> list[str]:
+    """Invariant 7 for :meth:`Policy.copy`'s lazy index fork, on a
+    ``policy`` whose index is built (``mutate(p)`` applies one random
+    mutation to ``p``).  Copies read their index at once, after the
+    source moved, or after the clone moved: only an unmoved pair may
+    fork, with no ``AuthorizationIndex.__init__`` call (so no full
+    rebuild counted).  Each clone's index must equal a fresh build —
+    cover table and held sets — and still must, as must the source's,
+    after both sides churn on."""
+    from ..core.authz_index import AuthorizationIndex
+
+    def diverged(side: str, owner: Policy) -> list[str]:
+        index, fresh = owner.index, AuthorizationIndex(owner)
+        held = [] if index._held == fresh._held else ["held sets diverged"]
+        return [f"{side}: {problem}"
+                for problem in cover_table_problems(index, fresh) + held]
+
+    problems: list[str] = []
+    for branch in ("read at once", "source moved", "clone moved"):
+        clone, version = policy.copy(), policy.version
+        moved = {"source moved": policy, "clone moved": clone}.get(branch)
+        for _ in range(8):  # a random mutation may be a no-op
+            if moved is None or moved.version != version:
+                break
+            mutate(moved)
+        forked = clone.index.full_rebuilds == 0
+        if forked != (policy.version == clone.version == version):
+            problems.append(f"copy {branch}: {'forked' if forked else 'built'}")
+        problems += diverged(f"copy {branch}, clone", clone)
+        mutate(policy)
+        mutate(clone)
+        problems += diverged(f"copy {branch}, churned source", policy)
+        problems += diverged(f"copy {branch}, churned clone", clone)
+    return problems
 
 
 def cover_table_problems(index, fresh) -> list[str]:

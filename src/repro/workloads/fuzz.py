@@ -130,7 +130,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..core.authz_index import AuthorizationIndex
+from ..core.authz_index import AuthorizationIndex, ReviewSnapshot
 from ..core.commands import Command, CommandAction, Mode
 from ..core.entities import Role, User
 from ..core.monitor import ReferenceMonitor
@@ -861,7 +861,8 @@ def fuzz_batch_authz(
         ghost = rng.choice(initial_users)
         policy.remove_user(ghost)
 
-    index = AuthorizationIndex(policy)
+    # The policy's own index, so each round's ReviewSnapshot forks it.
+    index = policy.index
     reference = ReferenceIndex(policy)
 
     offgraph_role = Role("fuzz_offgraph_role")
@@ -955,7 +956,7 @@ def fuzz_batch_authz(
 
     compare("initial")
     for round_index in range(rounds):
-        snapshot = index.snapshot()
+        snapshot = ReviewSnapshot(policy)
         pinned_pairs = build_pairs()
         pinned = snapshot.authorizes_batch(pinned_pairs)
         _recycling_churn(rng, policy, steps)

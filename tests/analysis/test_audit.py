@@ -38,12 +38,12 @@ def expected_audit(index, policy: Policy, columns) -> tuple[dict, dict]:
 
 
 def count_index_builds(monkeypatch) -> list:
-    """Record the policy of every AuthorizationIndex built from now on."""
+    """Record every AuthorizationIndex built from now on."""
     built = []
     original = AuthorizationIndex.__init__
 
     def recording(index, policy):
-        built.append(policy)
+        built.append(index)
         original(index, policy)
 
     monkeypatch.setattr(AuthorizationIndex, "__init__", recording)
@@ -156,29 +156,41 @@ class TestAuditMatrix:
         assert first.as_dict() == second.as_dict()
         assert monitor._index is policy.index
         assert policy.index.full_rebuilds == 1
-        assert built == [policy]
+        assert built == [policy.index]
 
-    def test_copy_leaves_the_index_unbuilt(self, monkeypatch):
+    def test_copy_of_a_built_index_forks_it(self, monkeypatch):
         policy = build_policy()
         audit_matrix(policy)
         built = count_index_builds(monkeypatch)
         clone = policy.copy()
-        assert clone._index is None
-        assert built == []
+        assert clone._index is None  # forked on first read, not before
         assert audit_matrix(clone).as_dict() == audit_matrix(policy).as_dict()
+        assert built == []
         assert clone.index is not policy.index
-        assert built == [clone]
+        assert clone.index.full_rebuilds == 0
+        # A copy whose source moved before its first read builds.
+        moved = policy.copy()
+        policy.assign_user(EVE, STAFF)
+        assert audit_matrix(moved).rows[EVE] == frozenset()
+        assert built == [moved.index]
 
     def test_repair_builds_one_index_on_its_work_copy(self, monkeypatch):
         built = count_index_builds(monkeypatch)
         policy = figures.figure2()
         report = repair_policy(policy)
         assert report.applied
-        assert built == [report.policy]
-        assert built[0] is not policy
+        assert built == [report.policy.index]
+        assert policy._index is None
         assert report.policy.index.full_rebuilds == 1
         audit_matrix(report.policy)
-        assert built == [report.policy]
+        assert built == [report.policy.index]
+        # The input's index already built: the work copy forks it.
+        audit_matrix(policy)
+        built.clear()
+        again = repair_policy(policy)
+        assert again.as_dict() == report.as_dict()
+        assert built == []
+        assert again.policy.index.full_rebuilds == 0
 
     def test_as_dict_is_json_ready(self):
         document = json.loads(

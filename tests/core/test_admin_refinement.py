@@ -92,7 +92,8 @@ class TestStrengthenings:
 
     def test_strengthening_passes_printed_direction(self):
         """The Definition-7 formula as printed cannot see admin-only
-        strengthenings (recorded in EXPERIMENTS.md)."""
+        strengthenings (the finding :mod:`repro.core.admin_refinement`
+        documents)."""
         phi = Policy(**base_components())
         phi.add_user(BOB)
         phi.assign_privilege(HR, Grant(BOB, DB))

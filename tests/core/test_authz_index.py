@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from repro.core.authz_index import AuthorizationIndex, BitGrantRectangle
+from repro.core.authz_index import (
+    AuthorizationIndex,
+    BitGrantRectangle,
+    ReviewSnapshot,
+)
 from repro.core.commands import Mode, candidate_commands, grant_cmd, revoke_cmd, step
 from repro.core.entities import Role, User
 from repro.core.ordering import OrderingOracle
@@ -276,8 +280,8 @@ class TestCoverTable:
     snapshot forks, and bounded by the vertex count."""
 
     def test_fork_shares_tables_until_the_live_repair(self, policy):
-        index = AuthorizationIndex(policy)
-        snapshot = index.snapshot()
+        index = policy.index
+        snapshot = ReviewSnapshot(policy)
         fork = snapshot._index
         tables = ("_rect_memo", "_rect_pid", "_source_cover", "_target_cover")
         for name in tables:
@@ -389,7 +393,7 @@ class TestSnapshotFork:
         self, policy, against_reference
     ):
         policy.assign_privilege(ADM, Grant(self.GHOST, HIGH))
-        index = AuthorizationIndex(policy)
+        index = policy.index
         captured = []
         for step_mutation in (
             lambda: None,
@@ -403,8 +407,7 @@ class TestSnapshotFork:
             lambda: (policy.add_user(U), policy.assign_user(U, MID)),
         ):
             step_mutation()
-            snapshot = index.snapshot()
-            assert index.snapshot() is snapshot  # version did not move
+            snapshot = ReviewSnapshot(policy)
             assert snapshot.version == policy.version
             assert snapshot._index.full_rebuilds == 0
             frozen = snapshot.policy_copy()
@@ -450,8 +453,8 @@ class TestRepairFollowsTheDirtyRegion:
     @pytest.mark.parametrize("users", [500, 2000])
     def test_one_toggle_rebuilds_one_rectangle(self, admins, users):
         policy = self._organization(admins, users)
-        index = AuthorizationIndex(policy)
-        previous = index.snapshot()
+        index = policy.index
+        previous = ReviewSnapshot(policy)
         delegated = sorted(
             (
                 privilege for privilege in policy.admin_privileges()
@@ -471,7 +474,7 @@ class TestRepairFollowsTheDirtyRegion:
                 policy.remove_edge(user, senior)
             else:
                 policy.add_edge(user, senior)
-            snapshot = index.snapshot()
+            snapshot = ReviewSnapshot(policy)
             after = index.statistics()
             # The senior role's own rectangle ¤(senior, senior) gained
             # or lost a source; every administrator holds it and is

@@ -7,6 +7,7 @@ import pytest
 from repro.core.authz_index import (
     AuthorizationIndex,
     GrantRectangle,
+    ReviewSnapshot,
     compile_rectangle,
 )
 from repro.core.commands import Mode, grant_cmd, revoke_cmd
@@ -312,61 +313,30 @@ class TestCompiledOrderingMemo:
 
 class TestReviewSnapshots:
     def test_at_version_answers_from_the_frozen_copy(self, policy):
-        index = AuthorizationIndex(policy)
-        snapshot = index.snapshot()
+        index = policy.index
+        snapshot = ReviewSnapshot(policy)
         before = index.grantable_pairs(ADMIN)
         policy.remove_edge(ADM, Grant(U, HIGH))
         assert index.grantable_pairs(ADMIN) != before
-        assert index.grantable_pairs(
-            ADMIN, at_version=snapshot.version
-        ) == before
-        assert index.effective_authority(
-            ADMIN, at_version=snapshot.version
-        )["grant"] == before
-
-    def test_unknown_version_raises(self, policy):
-        index = AuthorizationIndex(policy)
-        with pytest.raises(ValueError):
-            index.grantable_pairs(ADMIN, at_version=policy.version)
-        index.snapshot()
-        with pytest.raises(ValueError):
-            index.revocable_pairs(ADMIN, at_version=policy.version + 1)
+        assert snapshot.version != policy.version
+        assert snapshot.grantable_pairs(ADMIN) == before
+        assert snapshot.effective_authority(ADMIN)["grant"] == before
 
     def test_batched_queue_snapshot_sees_entry_state(self, policy):
         monitor = ReferenceMonitor(
             policy, mode=Mode.REFINED, use_index=True
         )
+        entry = ReviewSnapshot(policy)
+        entry_authority = monitor._index.grantable_pairs(ADMIN)
         records = monitor.submit_queue(
-            [grant_cmd(ADMIN, U, MID)], batched=True, snapshot=True
+            [grant_cmd(ADMIN, U, MID)], batched=True
         )
         assert [r.executed for r in records] == [True]
-        snapshot = monitor.last_snapshot
-        entry_authority = monitor._index.grantable_pairs(
-            ADMIN, at_version=snapshot.version
-        )
+        assert entry.grantable_pairs(ADMIN) == entry_authority
         # Mutate authority after the batch: the snapshot stays put.
         policy.remove_edge(ADM, Grant(U, HIGH))
-        assert monitor._index.grantable_pairs(
-            ADMIN, at_version=snapshot.version
-        ) == entry_authority
+        assert entry.grantable_pairs(ADMIN) == entry_authority
         assert monitor._index.grantable_pairs(ADMIN) != entry_authority
-
-    def test_snapshot_on_sequential_path_raises(self, policy):
-        """The sequential fallback has no batch-entry state to
-        capture; honoring snapshot=True silently would leave a stale
-        last_snapshot for the auditor."""
-        monitor = ReferenceMonitor(
-            policy, mode=Mode.REFINED, use_index=True
-        )
-        with pytest.raises(ValueError):
-            monitor.submit_queue([grant_cmd(ADMIN, U, MID)], snapshot=True)
-        strict = ReferenceMonitor(policy, use_index=True)
-        with pytest.raises(ValueError):
-            strict.submit_queue(
-                [grant_cmd(ADMIN, U, MID)], batched=True, snapshot=True
-            )
-        assert monitor.last_snapshot is None
-        assert strict.last_snapshot is None
 
 
 class TestMonitorKernelKnob:

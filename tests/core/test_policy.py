@@ -1,7 +1,12 @@
 """Unit tests for Policy (Definitions 1 and 3)."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core.authz_index import AuthorizationIndex, ReviewSnapshot
+from repro.core.commands import grant_cmd
 from repro.core.entities import Role, User
 from repro.core.policy import Policy, check_edge_sorts, minus_edge, union_with_edge
 from repro.core.privileges import Grant, perm
@@ -276,6 +281,93 @@ class TestValueSemantics:
         policy = Policy(ua=[(U, R)], pa=[(R, P)])
         text = repr(policy)
         assert "users=1" in text and "roles=1" in text
+
+
+def _delegating_policy() -> Policy:
+    """U holds ¤(V, T) through R: one rectangle-bearing grant."""
+    return Policy(
+        ua=[(U, R), (V, S)], rh=[(R, S)], pa=[(S, P), (R, Grant(V, T))]
+    )
+
+
+class TestCopyForksTheIndex:
+    """``Policy.copy()`` hands a built index over as a lazy fork: the
+    clone's first ``index`` read forks the source's index (no build,
+    every table shared) unless either policy moved since the copy."""
+
+    def test_first_read_forks(self):
+        policy = _delegating_policy()
+        index = policy.index
+        clone = policy.copy()
+        assert clone._index is None
+        assert clone.index.full_rebuilds == 0
+        assert clone.index._rect_memo is index._rect_memo
+        command = grant_cmd(U, V, T)
+        assert clone.index.authorizes(U, command) == Grant(V, T)
+
+    @pytest.mark.parametrize("moved", ["source", "clone"])
+    def test_a_moved_side_builds(self, moved):
+        policy = _delegating_policy()
+        index = policy.index
+        clone = policy.copy()
+        (policy if moved == "source" else clone).assign_user(V, R)
+        assert clone.index.full_rebuilds == 1
+        assert clone.index._rect_memo is not index._rect_memo
+        assert clone.index.held_privileges(V) == (
+            AuthorizationIndex(clone).held_privileges(V)
+        )
+
+    def test_an_unbuilt_source_hands_nothing_over(self):
+        policy = _delegating_policy()
+        clone = policy.copy()
+        assert clone._index_source is None
+        assert clone.index.full_rebuilds == 1
+        assert policy._index is None
+
+
+@pytest.fixture
+def gc_off():
+    """Leave freeing to reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestFreedByRefcount:
+    """A policy and its index form no reference cycle — the index
+    refers back weakly — so with the cyclic collector off, dropping the
+    owner frees the index at once: a weak reference to the index's
+    journal cursor dies with it."""
+
+    def test_dropping_a_policy_frees_its_index(self, gc_off):
+        policy = _delegating_policy()
+        cursor = weakref.ref(policy.index._cursor)
+        del policy
+        assert cursor() is None
+
+    def test_dropping_a_snapshot_frees_its_fork(self, gc_off):
+        policy = _delegating_policy()
+        index = policy.index
+        snapshot = ReviewSnapshot(policy)
+        assert snapshot._index._rect_memo is index._rect_memo  # a fork
+        cursor = weakref.ref(snapshot._index._cursor)
+        del snapshot
+        assert cursor() is None
+        assert index.authorizes(U, grant_cmd(U, V, T)) == Grant(V, T)
+
+    def test_a_copy_does_not_keep_its_source_alive(self, gc_off):
+        policy = _delegating_policy()
+        cursor = weakref.ref(policy.index._cursor)
+        clone = policy.copy()
+        del policy
+        assert cursor() is None
+        assert clone.index.full_rebuilds == 1  # nothing left to fork
+
+    def test_free_standing_index_keeps_its_policy(self, gc_off):
+        index = AuthorizationIndex(_delegating_policy())
+        assert index.authorizes(U, grant_cmd(U, V, T)) == Grant(V, T)
 
 
 class TestChurnSeam:

@@ -3,8 +3,8 @@
 surface the serving layer reads through.
 
 The contract: the bulk sweep is keyed-equal to calling
-``grantable_pairs`` per subject — live or pinned ``at_version`` —
-while subjects sharing an authority profile share one expansion.  Each
+``grantable_pairs`` per subject — on the live index or on a
+:class:`ReviewSnapshot` pinned to one version — while subjects sharing an authority profile share one expansion.  Each
 test checks its answers against two per-subject expectations: the
 index's own scalar surface and the frozenset
 :class:`~repro.oracle.ReferenceIndex` over the same policy version.
@@ -12,7 +12,7 @@ index's own scalar surface and the frozenset
 
 import pytest
 
-from repro.core.authz_index import AuthorizationIndex
+from repro.core.authz_index import AuthorizationIndex, ReviewSnapshot
 from repro.core.commands import grant_cmd
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
@@ -130,33 +130,27 @@ class TestGrantablePairsBulk:
     @BOTH_EXPECTATIONS
     def test_at_version_pins_the_snapshot(self, against_reference):
         policy = build_policy()
-        index = AuthorizationIndex(policy)
-        snapshot = index.snapshot()
-        pinned = index.grantable_pairs_bulk(
-            [ADMIN, OTHER], at_version=snapshot.version
-        )
+        index = policy.index
+        snapshot = ReviewSnapshot(policy)
+        pinned = snapshot.grantable_pairs_bulk([ADMIN, OTHER])
         expected = expectation(
             index, against_reference, snapshot.policy_copy()
         )
         assert pinned[ADMIN] == expected.grantable_pairs(ADMIN)
         policy.assign_user(OTHER, ADM)  # move the live policy on
         assert pinned[OTHER] == frozenset()
-        again = index.grantable_pairs_bulk(
-            [ADMIN, OTHER], at_version=snapshot.version
-        )
+        again = snapshot.grantable_pairs_bulk([ADMIN, OTHER])
         assert again == pinned
         live = index.grantable_pairs_bulk([OTHER])
         assert live[OTHER] == index.grantable_pairs(ADMIN)
-        with pytest.raises(ValueError):
-            index.grantable_pairs_bulk([ADMIN], at_version=-1)
 
 
 class TestReviewSnapshotDecisions:
     @BOTH_EXPECTATIONS
     def test_authorizes_frozen_at_capture(self, against_reference):
         policy = build_policy()
-        live = AuthorizationIndex(policy)
-        snapshot = live.snapshot()
+        live = policy.index
+        snapshot = ReviewSnapshot(policy)
         command = grant_cmd(OTHER, U, R)
         assert snapshot.authorizes(OTHER, command) is None
         policy.assign_user(OTHER, ADM)  # live policy moves on
@@ -167,8 +161,7 @@ class TestReviewSnapshotDecisions:
 
     @BOTH_EXPECTATIONS
     def test_authorizes_batch_matches_scalar(self, against_reference):
-        index = AuthorizationIndex(build_policy())
-        snapshot = index.snapshot()
+        snapshot = ReviewSnapshot(build_policy())
         pairs = [
             (ADMIN, grant_cmd(ADMIN, U, R)),
             (ADMIN, grant_cmd(ADMIN, U, S)),
@@ -187,7 +180,7 @@ class TestReviewSnapshotDecisions:
 
     @BOTH_EXPECTATIONS
     def test_policy_copy_is_detached(self, against_reference):
-        snapshot = AuthorizationIndex(build_policy()).snapshot()
+        snapshot = ReviewSnapshot(build_policy())
         copy = snapshot.policy_copy()
         copy.assign_user(OTHER, ADM)
         # Mutating the copy never leaks into the snapshot's answers.

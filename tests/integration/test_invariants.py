@@ -301,6 +301,23 @@ class TestOneIndexPerPolicy:
                 return AuthorizationIndex(policy)
         """, relpath=relpath) == []
 
+    @pytest.mark.parametrize(
+        "relpath", ["core/authz_index.py", "serve/pdp.py", "workloads/fuzz.py"]
+    )
+    def test_fork_outside_the_policy_flagged(self, relpath):
+        found = violations_of("""
+            def snapshot(policy, clone):
+                return policy.index._fork(clone)
+        """, relpath=relpath)
+        assert len(found) == 1
+        assert "_fork" in found[0] and ":3" in found[0]
+
+    def test_policy_may_fork(self):
+        assert violations_of("""
+            def index(self, source, owner):
+                return source._index._fork(owner)
+        """, relpath="core/policy.py") == []
+
 
 class TestOneJournalReadPath:
     @pytest.mark.parametrize("call", [

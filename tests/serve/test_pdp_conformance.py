@@ -137,10 +137,11 @@ class TestReadConformance:
         assert [(d.allowed, d.authorized_by) for d in many] == [
             (d.allowed, d.authorized_by) for d in one_by_one
         ]
-        verifier = reads(oracle_monitor(definitional))
+        # Keep the monitor: a policy's own index refers to it weakly.
+        oracle = oracle_monitor(definitional)
         requests = [Grant(U, R), Grant(U, S), Revoke(U, R), Grant(U, T)]
         assert [d.authorized_by for d in many] == [
-            verifier.authorizes(ADMIN, as_command(ADMIN, request))
+            reads(oracle).authorizes(ADMIN, as_command(ADMIN, request))
             for request in requests
         ]
 
@@ -260,20 +261,17 @@ class TestWriteConformance:
 
     @BOTH_VERIFIERS
     def test_audit_contract_preserved(self, definitional):
-        """The PDP rides submit_queue(snapshot=True): the monitor's
-        last_snapshot is the batch-entry version, the audit trail grows
-        one entry per command, and its verdicts are the verifier's."""
+        """The snapshot published before a batch is its entry state,
+        the audit trail grows one entry per command, and its verdicts
+        are the verifier's."""
         async def scenario():
             async with PolicyDecisionPoint(
                 policy=serve_policy()
             ) as pdp:
+                entry = pdp.last_snapshot
                 entry_version = pdp.monitor.policy.version
                 await pdp.submit_many(write_trace())
-                return (
-                    pdp.monitor.last_snapshot.version,
-                    entry_version,
-                    pdp.monitor.audit_trail,
-                )
+                return entry.version, entry_version, pdp.monitor.audit_trail
 
         snapshot_version, entry_version, trail = run(scenario())
         assert snapshot_version == entry_version

@@ -1,11 +1,11 @@
 """Snapshot publication accounting: one capture per write batch.
 
-The PDP publishes through the index's ``snapshot()``: after a batch the
-live index repairs itself incrementally and is forked onto a
-structural clone of the policy, and that published snapshot is also
-the next batch's entry snapshot (``submit_queue(snapshot=True)``).  So
-N single-command batches cost N captures, readers never build an
-index, and a republish at an unchanged version copies nothing.
+After a batch the PDP publishes a ``ReviewSnapshot(policy)``: a
+structural clone of the policy whose index is a fork of the live one,
+repaired incrementally first.  That published snapshot is also the
+next batch's entry state.  So N single-command batches cost N
+captures, readers never build an index, and a republish at an
+unchanged version copies nothing.
 """
 
 from collections import Counter
@@ -85,12 +85,12 @@ def test_one_capture_per_batch_and_no_reader_builds(calls, definitional):
         calls.clear()
         async with pdp:
             for command in writes:
+                # The snapshot published before the batch is the
+                # batch-entry state; the batch publishes a new one.
                 published = pdp.last_snapshot
+                assert published.version == pdp.monitor.policy.version
                 record = await pdp.submit(command)
                 assert record.executed and not record.noop
-                # The batch-entry capture is the snapshot published
-                # before the batch; the batch published a new one.
-                assert pdp.monitor.last_snapshot is published
                 assert pdp.last_snapshot is not published
                 assert pdp.version == pdp.monitor.policy.version
                 decision = await pdp.check(ADMIN, probe)

@@ -26,7 +26,11 @@ be trusted to hold:
    the journal.  ``AuthorizationIndex(...)`` is constructed only by
    ``Policy.index`` itself and by the differential modules that build
    fresh indexes as oracles against it; any other construction is a
-   private rebuild of state the policy already maintains.
+   private rebuild of state the policy already maintains.  Likewise
+   ``._fork(`` is called only in ``core/policy.py``: a copy's first
+   ``index`` read is the one way to fork an index, so there is one
+   copy idiom (``policy.copy()``, of which a ``ReviewSnapshot`` is a
+   frozen instance).
 
 4. **Lint registry fully wired** — every lint rule names an existing
    differential test module, has exactly one of a repair planner or a
@@ -94,6 +98,10 @@ INDEX_BUILDERS = frozenset({
     "workloads/fuzz.py",
     "workloads/churn.py",
 })
+
+#: The module allowed to call ``AuthorizationIndex._fork``: the policy,
+#: whose copies fork the source's index on their first ``index`` read.
+FORK_CALLERS = frozenset({"core/policy.py"})
 
 
 def _mentions_internal(node: ast.AST) -> str | None:
@@ -235,19 +243,27 @@ class _Checker(ast.NodeVisitor):
 
     # -- rule 3: one authorization index per policy --------------------
     def _check_index_construction(self, node: ast.Call) -> None:
-        if self.relpath in INDEX_BUILDERS:
-            return
         func = node.func
         name = (
             func.id if isinstance(func, ast.Name)
             else func.attr if isinstance(func, ast.Attribute)
             else None
         )
-        if name == "AuthorizationIndex":
+        if name == "AuthorizationIndex" and self.relpath not in INDEX_BUILDERS:
             self._report(
                 node,
                 "constructs AuthorizationIndex outside Policy.index and "
                 "the differential modules (read policy.index instead)",
+            )
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "_fork"
+            and self.relpath not in FORK_CALLERS
+        ):
+            self._report(
+                node,
+                "calls ._fork() outside Policy.index (fork an index by "
+                "copying its policy and reading the copy's index)",
             )
 
 
