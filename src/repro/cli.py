@@ -423,7 +423,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(
             f"pdp agreement: {len(pdp_reports)} campaigns "
             "(concurrent readers vs. micro-batched writer), "
-            "decisions pinned at snapshot versions"
+            "decisions pinned at WAL-replayed snapshot versions"
         )
     if args.crash_diff:
         crash_reports = [
@@ -867,8 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--pdp-diff", action="store_true",
-        help="additionally pin every async PDP decision to the "
-             "reference index at its snapshot version (invariant 14)",
+        help="additionally pin every async PDP decision and snapshot "
+             "to the state its WAL replays to at that version "
+             "(invariant 14)",
     )
     fuzz.add_argument(
         "--crash-diff", action="store_true",

@@ -71,7 +71,6 @@ from .commands import (
 from .authz_index import AuthorizationIndex, GrantRectangle
 from .explore import ExplorationEngine
 from .diff import PolicyDiff, apply_diff, diff_policies
-from .history import LogEntry, PolicyHistory
 from .monitor import AccessDecision, ReferenceMonitor
 from .sessions import Session
 from .trace import Derivation, OrderingStatistics, ReachPremise
@@ -107,7 +106,6 @@ __all__ = [
     "AuthorizationIndex", "GrantRectangle",
     "ExplorationEngine",
     "PolicyDiff", "apply_diff", "diff_policies",
-    "LogEntry", "PolicyHistory",
     # monitor & sessions
     "AccessDecision", "ReferenceMonitor", "Session",
     # traces

@@ -38,6 +38,7 @@ from .wal import (
     read_wal,
     repair_torn_tail,
     replay_wal,
+    state_at,
     verify_chain,
 )
 
@@ -66,5 +67,6 @@ __all__ = [
     "read_wal",
     "repair_torn_tail",
     "replay_wal",
+    "state_at",
     "verify_chain",
 ]

@@ -68,7 +68,7 @@ Conformance is pinned the repo's established way: the suite in
 a synchronous :class:`ReferenceMonitor` on replayed traces, fuzz
 invariant 14 (:func:`repro.workloads.fuzz.fuzz_pdp`) interleaves
 mutation bursts with concurrent read batches under churn on both
-kernels, and fuzz invariant 15
+kernels, reading every past state from the WAL, and fuzz invariant 15
 (:func:`repro.workloads.fuzz.fuzz_crash_recovery`) kills the PDP at
 every fault-injection point mid-trace and pins the recovered state
 byte-identical to an uninterrupted oracle run.
@@ -98,7 +98,15 @@ from .supervisor import (
     WriterFailed,
     WriterSupervisor,
 )
-from .wal import PolicyWal, iter_wal, repair_torn_tail, replay_wal, verify_chain
+from .wal import (
+    PolicyWal,
+    iter_wal,
+    read_wal,
+    repair_torn_tail,
+    replay_wal,
+    state_at,
+    verify_chain,
+)
 
 __all__ = ["Decision", "PolicyDecisionPoint", "as_command"]
 
@@ -164,15 +172,14 @@ class PolicyDecisionPoint:
     started it.  ``clock`` feeds the rate limiter, the latency
     histograms, the staleness surface and the supervisor's breaker,
     so a manual clock makes the whole surface deterministic.
-    ``retain_history=True`` keeps every published snapshot and the
-    applied batch log — the hooks the differential suites pin
-    decisions with; serving deployments leave it off.
 
     Durability: pass ``wal`` (a :class:`~repro.serve.wal.PolicyWal`
     or a path) to hash-chain every accepted batch to disk.  An empty
     log gets a genesis record of the current policy; a non-empty log
     gets a ``rebase`` anchor, so the chain always resumes from the
-    exact live policy (:meth:`recover` relies on this).  ``queue_limit``
+    exact live policy (:meth:`recover` relies on this).  The log is
+    the only history: :func:`~repro.serve.wal.state_at` rebuilds a
+    logged version and :meth:`rollback` restores one.  ``queue_limit``
     bounds the submit queue (load shedding via
     :class:`~repro.serve.supervisor.QueueFull`); ``max_staleness``
     bounds degraded reads (:class:`SnapshotTooStale` once the
@@ -188,7 +195,6 @@ class PolicyDecisionPoint:
         rate_limiter: RateLimiter | None = None,
         cache_size: int = 65536,
         clock=time.monotonic,
-        retain_history: bool = False,
         wal: PolicyWal | str | None = None,
         queue_limit: int | None = None,
         max_staleness: float | None = None,
@@ -218,9 +224,6 @@ class PolicyDecisionPoint:
         self.clock = clock
         self.metrics = PdpMetrics()
         self.cache = DecisionCache(monitor.policy, max_entries=cache_size)
-        self.retain_history = retain_history
-        self.history: dict[int, ReviewSnapshot] = {}
-        self.batch_log: list[list[Command]] = []
         self.queue_limit = queue_limit
         self.max_staleness = max_staleness
         self.supervisor = supervisor or WriterSupervisor(clock=clock)
@@ -238,8 +241,6 @@ class PolicyDecisionPoint:
             self.wal = wal
         self._snapshot = ReviewSnapshot(monitor.policy)
         self._published_at = self.clock()
-        if retain_history:
-            self.history[self._snapshot.version] = self._snapshot
         #: (command or _REFRESH, future, enqueue clock) entries, plus
         #: the _SHUTDOWN marker.
         self._queue: asyncio.Queue = asyncio.Queue()
@@ -368,14 +369,7 @@ class PolicyDecisionPoint:
         ``timeout`` :class:`DeadlineExceeded` — all ahead of the
         rate-limiter spend and the enqueue."""
         commands = list(commands)
-        if (
-            self._writer is None
-            or self._stopping
-            or self.supervisor.health in ("stopped", "dead")
-        ):
-            raise ServiceStopped(
-                "killed" if self.supervisor.health == "dead" else "stopped"
-            )
+        self._require_running()
         if not self.supervisor.accepting:
             self.metrics.writer_shed += len(commands)
             raise WriterFailed(
@@ -458,6 +452,55 @@ class PolicyDecisionPoint:
         order stays single-writer; with a WAL attached the drifted
         policy is re-anchored with a ``rebase`` record before
         publication.  Returns the published version."""
+        self._require_running()
+        future = asyncio.get_running_loop().create_future()
+        self._queue.put_nowait((_REFRESH, future, None))
+        await future
+        return self._snapshot.version
+
+    async def rollback(self, version: int) -> int:
+        """Restore the live policy, in place, to its logged state at
+        ``version`` (:func:`~repro.serve.wal.state_at` over the verified
+        WAL), then :meth:`refresh`: its drift ``rebase`` makes the
+        rollback durable at a new, higher version, which it returns.
+        Raises :class:`ReproError` with the policy untouched when there
+        is no WAL, the WAL is poisoned, its chain does not verify to
+        the handle's head, or no record lands on ``version``.  Commands
+        queued ahead of the refresh apply on the rolled-back state."""
+        wal = self.wal
+        if wal is None:
+            raise ReproError("rollback needs a WAL: the log is the history")
+        if wal.poisoned is not None:
+            raise ReproError(f"rollback refused: {wal.poisoned}")
+        self._require_running()
+        if not self.supervisor.accepting:
+            raise WriterFailed(
+                "circuit breaker open; rollback refused while degraded",
+                health=self.supervisor.health,
+            )
+        records, _ = read_wal(wal.path)
+        verify_chain(records, expected_head=wal.head)
+        target = state_at(records, version)
+        policy = self.monitor.policy
+        target_edges = target.edge_set()
+        for edge in policy.edge_set() - target_edges:
+            policy.remove_edge(*edge)
+        for edge in target_edges:
+            if not policy.has_edge(*edge):
+                policy.add_edge(*edge)
+        graph = policy.graph
+        target_vertices = target.vertex_set()
+        for vertex in target_vertices:
+            graph.add_vertex(vertex)
+        # Vertices created after ``version`` (a user or role a later
+        # grant introduced) have no edges left by now; drop them too.
+        for vertex in policy.vertex_set() - target_vertices:
+            graph.remove_vertex(vertex)
+        return await self.refresh()
+
+    def _require_running(self) -> None:
+        """Raise :class:`ServiceStopped` unless the writer task runs:
+        before :meth:`start`, and once stopping, stopped or dead."""
         if (
             self._writer is None
             or self._stopping
@@ -466,10 +509,6 @@ class PolicyDecisionPoint:
             raise ServiceStopped(
                 "killed" if self.supervisor.health == "dead" else "stopped"
             )
-        future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait((_REFRESH, future, None))
-        await future
-        return self._snapshot.version
 
     async def _writer_loop(self) -> None:
         try:
@@ -582,8 +621,6 @@ class PolicyDecisionPoint:
         for _, future, _ in refreshes:
             if not future.done():
                 future.set_result(None)
-        if self.retain_history and commands:
-            self.batch_log.append(commands)
 
     def _handle_batch_failure(self, batch, error: Exception) -> float:
         """Per-batch supervision: fail only this batch's futures
@@ -685,8 +722,6 @@ class PolicyDecisionPoint:
         if fresh:
             self._published_at = self.clock()
         self.cache.advance(snapshot.version)
-        if self.retain_history:
-            self.history[snapshot.version] = snapshot
 
     # ------------------------------------------------------------------
     # Reader side

@@ -40,6 +40,9 @@ policy from the genesis document, re-aligns the version counter
 re-executes every batch through ``submit_queue(batched=True)`` —
 byte-identical to the uninterrupted run at the durable prefix, on
 either kernel (fuzz invariant 15 pins exactly this).
+
+The log is also the policy's only history: :func:`state_at` rebuilds
+any logged version, and ``PolicyDecisionPoint.rollback`` restores one.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import os
 
 from ..core.commands import Mode
 from ..core.monitor import ReferenceMonitor
+from ..core.policy import Policy
 from ..core.serialization import (
     command_from_dict,
     command_to_dict,
@@ -68,6 +72,7 @@ __all__ = [
     "read_wal",
     "repair_torn_tail",
     "replay_wal",
+    "state_at",
     "verify_chain",
 ]
 
@@ -75,6 +80,8 @@ __all__ = [
 GENESIS_PREV = "0" * 64
 
 _KINDS = ("genesis", "batch", "rebase")
+#: The record kinds that carry a full policy document.
+_ANCHORS = ("genesis", "rebase")
 
 
 class WalError(ReproError):
@@ -291,7 +298,7 @@ def replay_wal(records) -> ReferenceMonitor:
     decision function and replay must not silently continue."""
     monitor: ReferenceMonitor | None = None
     for record in records:
-        if record.kind in ("genesis", "rebase"):
+        if record.kind in _ANCHORS:
             policy = policy_from_dict(record.payload.get("policy"))
             version = record.payload.get("version")
             if not isinstance(version, int):
@@ -336,6 +343,24 @@ def replay_wal(records) -> ReferenceMonitor:
     if monitor is None:
         raise WalError("empty WAL: nothing to replay")
     return monitor
+
+
+def state_at(records, version: int) -> Policy:
+    """The policy as of ``version``: the first record of ``records``
+    (any iterable) whose payload ``version`` equals it, replayed from
+    the last ``genesis``/``rebase`` anchor at or before it — sound
+    because Definition 5's transition is deterministic.  Raises
+    :class:`WalError` when no record lands on ``version``.  The audit
+    diff of two versions is ``diff_policies(state_at(r, v1),
+    state_at(r, v2))``."""
+    window: list[WalRecord] = []
+    for record in records:
+        if record.kind in _ANCHORS:
+            window = []
+        window.append(record)
+        if record.payload.get("version") == version:
+            return replay_wal(window).policy
+    raise WalError(f"no WAL record lands on policy version {version}")
 
 
 class PolicyWal:

@@ -33,7 +33,9 @@ must be rejected by ``verify_chain``.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -278,6 +280,14 @@ FAIL_POINTS = (
 )
 
 
+def _campaign_dir(workdir: str | None, prefix: str):
+    """``workdir`` as given, or a temporary directory removed when the
+    campaign ends — either way the context yields the path."""
+    if workdir is not None:
+        return contextlib.nullcontext(workdir)
+    return tempfile.TemporaryDirectory(prefix=prefix)
+
+
 async def _scripted_run(
     seed: int,
     batches: int,
@@ -442,7 +452,6 @@ def differential_append_failure(
     state byte-identical to the live service's.
     Returns violation strings; empty means the invariant held."""
     import asyncio
-    import tempfile
 
     from ..core.serialization import policy_to_json
     from ..serve import PolicyDecisionPoint
@@ -464,52 +473,53 @@ def differential_append_failure(
     plan, _ = asyncio.run(
         _scripted_run(seed, batches, batch_size, shape)
     )
-    workdir = workdir or tempfile.mkdtemp(prefix="repro-fail-")
-    for point in points:
-        path = os.path.join(
-            workdir, point.replace(".", "_") + "_fail.wal"
-        )
-        fault, failure, doc, version, head = asyncio.run(
-            _failure_run(seed, plan, shape, path, point, fail_batch)
-        )
-        if fault.fired == 0:
-            violations.append(f"{point}: armed fault never fired")
-            continue
-        if failure is None:
-            violations.append(
-                f"{point}: injected failure surfaced no typed error "
-                "(hang or silent success)"
+    with _campaign_dir(workdir, "repro-fail-") as workdir:
+        for point in points:
+            path = os.path.join(
+                workdir, point.replace(".", "_") + "_fail.wal"
             )
-            continue
-        if not isinstance(failure, WriterFailed):
-            violations.append(
-                f"{point}: doomed batch raised "
-                f"{type(failure).__name__}, expected WriterFailed"
+            fault, failure, doc, version, head = asyncio.run(
+                _failure_run(seed, plan, shape, path, point, fail_batch)
             )
-        try:
-            records, _ = read_wal(path)
-            verify_chain(records, expected_head=head)
-        except WalError as error:
-            violations.append(
-                f"{point}: log corrupt after supervised failure "
-                f"(duplicate seq / broken chain?): {error}"
-            )
-            continue
-        try:
-            recovered = PolicyDecisionPoint.recover(path)
-        except ReproError as error:
-            violations.append(f"{point}: recovery failed: {error}")
-            continue
-        if policy_to_json(recovered.monitor.policy) != doc:
-            violations.append(
-                f"{point}: recovered policy diverges "
-                "from the live post-failure state"
-            )
-        if recovered.monitor.policy.version != version:
-            violations.append(
-                f"{point}: recovered version "
-                f"{recovered.monitor.policy.version} != live {version}"
-            )
+            if fault.fired == 0:
+                violations.append(f"{point}: armed fault never fired")
+                continue
+            if failure is None:
+                violations.append(
+                    f"{point}: injected failure surfaced no typed error "
+                    "(hang or silent success)"
+                )
+                continue
+            if not isinstance(failure, WriterFailed):
+                violations.append(
+                    f"{point}: doomed batch raised "
+                    f"{type(failure).__name__}, expected WriterFailed"
+                )
+            try:
+                records, _ = read_wal(path)
+                verify_chain(records, expected_head=head)
+            except WalError as error:
+                violations.append(
+                    f"{point}: log corrupt after supervised failure "
+                    f"(duplicate seq / broken chain?): {error}"
+                )
+                continue
+            try:
+                recovered = PolicyDecisionPoint.recover(path)
+            except ReproError as error:
+                violations.append(f"{point}: recovery failed: {error}")
+                continue
+            recovered.wal.close()
+            if policy_to_json(recovered.monitor.policy) != doc:
+                violations.append(
+                    f"{point}: recovered policy diverges "
+                    "from the live post-failure state"
+                )
+            if recovered.monitor.policy.version != version:
+                violations.append(
+                    f"{point}: recovered version "
+                    f"{recovered.monitor.policy.version} != live {version}"
+                )
     return violations
 
 
@@ -535,7 +545,6 @@ def differential_crash_recovery(
     actually fired.  Returns violation strings; empty means the
     invariant held."""
     import asyncio
-    import tempfile
 
     from ..core.serialization import policy_to_json
     from ..serve import PolicyDecisionPoint
@@ -555,48 +564,49 @@ def differential_crash_recovery(
     plan, states = asyncio.run(
         _scripted_run(seed, batches, batch_size, shape)
     )
-    workdir = workdir or tempfile.mkdtemp(prefix="repro-crash-")
-    for point in points:
-        if point not in _DURABLE_OFFSET:
-            raise ReproError(f"unknown injection point {point!r}")
-        path = os.path.join(workdir, point.replace(".", "_") + ".wal")
-        fault, failure = asyncio.run(
-            _victim_run(seed, plan, shape, path, point, crash_batch)
-        )
-        if fault.fired == 0:
-            violations.append(f"{point}: armed fault never fired")
-            continue
-        if failure is None:
-            violations.append(
-                f"{point}: crash surfaced no typed error "
-                "(hang or silent success)"
+    with _campaign_dir(workdir, "repro-crash-") as workdir:
+        for point in points:
+            if point not in _DURABLE_OFFSET:
+                raise ReproError(f"unknown injection point {point!r}")
+            path = os.path.join(workdir, point.replace(".", "_") + ".wal")
+            fault, failure = asyncio.run(
+                _victim_run(seed, plan, shape, path, point, crash_batch)
             )
-            continue
-        expected_doc, expected_version = states[
-            crash_batch + _DURABLE_OFFSET[point]
-        ]
-        try:
-            recovered = PolicyDecisionPoint.recover(path)
-        except ReproError as error:
-            violations.append(f"{point}: recovery failed: {error}")
-            continue
-        document = policy_to_json(recovered.monitor.policy)
-        if document != expected_doc:
-            violations.append(
-                f"{point}: recovered policy diverges from oracle at "
-                f"durable batch {crash_batch + _DURABLE_OFFSET[point]}"
-            )
-        if recovered.monitor.policy.version != expected_version:
-            violations.append(
-                f"{point}: recovered version "
-                f"{recovered.monitor.policy.version} != oracle "
-                f"{expected_version}"
-            )
-        if recovered.version != expected_version:
-            violations.append(
-                f"{point}: published snapshot version "
-                f"{recovered.version} != oracle {expected_version}"
-            )
+            if fault.fired == 0:
+                violations.append(f"{point}: armed fault never fired")
+                continue
+            if failure is None:
+                violations.append(
+                    f"{point}: crash surfaced no typed error "
+                    "(hang or silent success)"
+                )
+                continue
+            expected_doc, expected_version = states[
+                crash_batch + _DURABLE_OFFSET[point]
+            ]
+            try:
+                recovered = PolicyDecisionPoint.recover(path)
+            except ReproError as error:
+                violations.append(f"{point}: recovery failed: {error}")
+                continue
+            recovered.wal.close()
+            document = policy_to_json(recovered.monitor.policy)
+            if document != expected_doc:
+                violations.append(
+                    f"{point}: recovered policy diverges from oracle at "
+                    f"durable batch {crash_batch + _DURABLE_OFFSET[point]}"
+                )
+            if recovered.monitor.policy.version != expected_version:
+                violations.append(
+                    f"{point}: recovered version "
+                    f"{recovered.monitor.policy.version} != oracle "
+                    f"{expected_version}"
+                )
+            if recovered.version != expected_version:
+                violations.append(
+                    f"{point}: published snapshot version "
+                    f"{recovered.version} != oracle {expected_version}"
+                )
     return violations
 
 
@@ -618,52 +628,51 @@ def wal_tamper_campaign(
     strings for any tamper that was accepted."""
     import asyncio
     import json
-    import tempfile
 
     from ..serve.wal import WalError, read_wal, verify_chain
     from .generators import PolicyShape
 
     if shape is None:
         shape = PolicyShape()
-    workdir = tempfile.mkdtemp(prefix="repro-tamper-")
-    path = os.path.join(workdir, "healthy.wal")
-    asyncio.run(
-        _scripted_run(seed, batches, batch_size, shape, wal_path=path)
-    )
-    records, _ = read_wal(path)
-    head = verify_chain(records)
-    with open(path, "rb") as handle:
-        lines = handle.read().splitlines()
-
-    def _mutate(line: bytes) -> bytes:
-        document = json.loads(line)
-        version = document["payload"].get("version")
-        document["payload"]["version"] = (
-            version + 1 if isinstance(version, int) else 1
+    with tempfile.TemporaryDirectory(prefix="repro-tamper-") as workdir:
+        path = os.path.join(workdir, "healthy.wal")
+        asyncio.run(
+            _scripted_run(seed, batches, batch_size, shape, wal_path=path)
         )
-        return json.dumps(
-            document, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        records, _ = read_wal(path)
+        head = verify_chain(records)
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()
 
-    violations: list[str] = []
-    tampered_path = os.path.join(workdir, "tampered.wal")
-    for index in range(len(lines)):
-        variants = (
-            ("mutation", lines[:index] + [_mutate(lines[index])]
-             + lines[index + 1:]),
-            ("omission", lines[:index] + lines[index + 1:]),
-            ("truncation", lines[:index]),
-        )
-        for name, tampered in variants:
-            with open(tampered_path, "wb") as handle:
-                for line in tampered:
-                    handle.write(line + b"\n")
-            try:
-                tampered_records, _ = read_wal(tampered_path)
-                verify_chain(tampered_records, expected_head=head)
-            except WalError:
-                continue
-            violations.append(
-                f"record {index}: {name} accepted by verify_chain"
+        def _mutate(line: bytes) -> bytes:
+            document = json.loads(line)
+            version = document["payload"].get("version")
+            document["payload"]["version"] = (
+                version + 1 if isinstance(version, int) else 1
             )
+            return json.dumps(
+                document, sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+
+        violations: list[str] = []
+        tampered_path = os.path.join(workdir, "tampered.wal")
+        for index in range(len(lines)):
+            variants = (
+                ("mutation", lines[:index] + [_mutate(lines[index])]
+                 + lines[index + 1:]),
+                ("omission", lines[:index] + lines[index + 1:]),
+                ("truncation", lines[:index]),
+            )
+            for name, tampered in variants:
+                with open(tampered_path, "wb") as handle:
+                    for line in tampered:
+                        handle.write(line + b"\n")
+                try:
+                    tampered_records, _ = read_wal(tampered_path)
+                    verify_chain(tampered_records, expected_head=head)
+                except WalError:
+                    continue
+                violations.append(
+                    f"record {index}: {name} accepted by verify_chain"
+                )
     return violations

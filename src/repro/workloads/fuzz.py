@@ -1022,20 +1022,20 @@ def fuzz_pdp(
     after advancing the clock.  Every decision (fresh, cached, or
     post-rate-limit retry) is recorded with its pinned snapshot
     version and afterwards checked against a
-    :class:`~repro.oracle.ReferenceIndex` over that version's retained
-    snapshot's ``policy_copy()`` — the synchronous oracle:
-    allowed/denied must agree exactly, and an allowed decision's
-    claimed privilege must be held by the subject and cover the
-    command under the ordering oracle.  (Which of several covering
-    privileges gets reported follows each side's scan order —
-    ascending interned IDs vs frozenset hash order — so the *choice*
-    is deliberately not pinned; its *validity* is.)  Every retained
-    snapshot — each one a fork of the live index onto a policy clone —
-    must also report, for every user, exactly the held privileges
-    that oracle reports.  Every applied
-    micro-batch is replayed through a fresh synchronous
-    ``submit_queue(batched=True)`` monitor starting from the
-    round-entry policy: the :class:`ExecutionRecord`
+    :class:`~repro.oracle.ReferenceIndex` over that version's state
+    as the PDP's WAL replays it (:func:`~repro.serve.wal.state_at`) —
+    the synchronous oracle: allowed/denied must agree exactly, and an
+    allowed decision's claimed privilege must be held by the subject
+    and cover the command under the ordering oracle.  (Which of
+    several covering privileges gets reported follows each side's
+    scan order — ascending interned IDs vs frozenset hash order — so
+    the *choice* is deliberately not pinned; its *validity* is.)
+    Every published snapshot — a fork of the live index onto a policy
+    clone — must hold the logged state and report that oracle's held
+    privileges for every user.  Each round's ``batch`` records must
+    log the submitted commands in order and are replayed through a
+    fresh synchronous ``submit_queue(batched=True)`` monitor starting
+    from the round-entry policy: the :class:`ExecutionRecord`
     sequences must match on executed/noop element for element, the
     claimed authorizations must validate against the replay's
     batch-entry state the same way, and the replayed policy must
@@ -1053,9 +1053,21 @@ def fuzz_pdp(
     verdict the oracle pass rejects.
     """
     import asyncio
+    import os
+    import tempfile
 
-    from ..serve import PolicyDecisionPoint, RateLimited, RateLimiter
+    from ..core.serialization import command_from_dict
+    from ..serve import PolicyDecisionPoint, PolicyWal, RateLimited
+    from ..serve import RateLimiter, WalError, iter_wal, read_wal, state_at
     from ..serve.cache import cacheable
+
+    #: version -> every snapshot the PDP published.
+    published = {}
+
+    class RecordingPdp(PolicyDecisionPoint):
+        def _publish(self, fresh: bool = True) -> None:
+            super()._publish(fresh)
+            published[self.version] = self.last_snapshot
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
@@ -1066,18 +1078,10 @@ def fuzz_pdp(
     def clock() -> float:
         return clock_cell[0]
 
-    monitor = ReferenceMonitor(policy, mode=Mode.REFINED, use_index=True)
-    pdp = PolicyDecisionPoint(
-        monitor,
-        rate_limiter=RateLimiter(capacity=4.0, rate=50.0, clock=clock),
-        clock=clock,
-        max_batch=6,
-        retain_history=True,
-    )
     #: (subject, command, Decision) for every decision handed out.
     observed: list[tuple] = []
-    #: id(command) -> ExecutionRecord the PDP resolved the future with.
-    submitted: dict[int, object] = {}
+    #: (command, ExecutionRecord) in submission order.
+    submitted: list[tuple] = []
     retries = 0
 
     async def checked(command):
@@ -1117,26 +1121,40 @@ def fuzz_pdp(
                         exc.retry_after + len(chunk) / 50.0 + 1e-9
                     )
                     continue
-                for command, record in zip(chunk, records):
-                    submitted[id(command)] = record
+                submitted.extend(zip(chunk, records))
                 break
             await asyncio.sleep(0)
 
-    def verify_batches(label, mirror, batches):
-        """Replay the round's applied batches through a synchronous
-        monitor from the round-entry state; outcomes and final policy
-        must match, and each executed record's claimed authorization
-        must validate against the replay's batch-entry state."""
+    def verify_batches(label, mirror, start_seq, round_submitted):
+        """Replay the round's logged batches (the ``batch`` records
+        from ``start_seq`` on) through a synchronous monitor from the
+        round-entry state.  The log must hold exactly the round's
+        submitted commands in order; outcomes and final policy must
+        match, and each executed record's claimed authorization must
+        validate against the replay's batch-entry state."""
+        batches = [
+            [command_from_dict(doc) for doc in record.payload["commands"]]
+            for record in iter_wal(wal_path)
+            if record.seq >= start_seq and record.kind == "batch"
+        ]
+        logged = [command for batch in batches for command in batch]
+        if logged != [command for command, _ in round_submitted]:
+            report.violations.append(
+                f"WAL batches ({label}) do not log the submitted "
+                "commands in order"
+            )
+            return
+        outcomes = iter(record for _, record in round_submitted)
         oracle_monitor = ReferenceMonitor(
             mirror, mode=Mode.REFINED, use_index=True
         )
         reference = ReferenceIndex(mirror)
         for batch in batches:
+            mine_batch = [next(outcomes) for _ in batch]
             # Validate claimed authorizations at batch entry, before
             # the replay advances the mirror.
-            for command in batch:
-                mine = submitted.get(id(command))
-                if mine is None or not mine.executed:
+            for command, mine in zip(batch, mine_batch):
+                if not mine.executed:
                     continue
                 if not _valid_verdict(
                     reference, command.user, command, mine.authorized_by
@@ -1152,12 +1170,9 @@ def fuzz_pdp(
                         f"inconsistent implicit flag ({label}) on "
                         f"{command}: {mine}"
                     )
-            records = oracle_monitor.submit_queue(
-                list(batch), batched=True
-            )
-            for command, record in zip(batch, records):
-                mine = submitted.get(id(command))
-                if mine is None or (mine.executed, mine.noop) != (
+            records = oracle_monitor.submit_queue(batch, batched=True)
+            for command, mine, record in zip(batch, mine_batch, records):
+                if (mine.executed, mine.noop) != (
                     record.executed, record.noop
                 ):
                     report.violations.append(
@@ -1237,7 +1252,8 @@ def fuzz_pdp(
             for round_index in range(rounds):
                 label = f"round_{round_index}"
                 mirror = policy.copy()
-                log_start = len(pdp.batch_log)
+                start_seq = pdp.wal.next_seq
+                submitted_start = len(submitted)
                 mutations = [
                     _random_command(rng, policy)
                     for _ in range(mutations_per_round)
@@ -1246,28 +1262,67 @@ def fuzz_pdp(
                     writer_task(mutations),
                     *(reader_task() for _ in range(readers)),
                 )
-                verify_batches(label, mirror, pdp.batch_log[log_start:])
+                verify_batches(
+                    label, mirror, start_seq, submitted[submitted_start:]
+                )
                 await probe_cache(label)
                 await deprovision_cached(label)
                 _recycling_churn(rng, policy, steps)
                 await pdp.refresh()
 
-    asyncio.run(campaign())
+    with tempfile.TemporaryDirectory(prefix="repro-pdp-") as workdir:
+        wal_path = os.path.join(workdir, "pdp.wal")
+        pdp = RecordingPdp(
+            ReferenceMonitor(policy, mode=Mode.REFINED, use_index=True),
+            rate_limiter=RateLimiter(capacity=4.0, rate=50.0, clock=clock),
+            clock=clock,
+            max_batch=6,
+            wal=PolicyWal(wal_path, fsync=False),
+        )
+        published[pdp.version] = pdp.last_snapshot
+        asyncio.run(campaign())
+        records, _ = read_wal(wal_path)
 
-    oracle_indexes: dict[int, ReferenceIndex] = {}
-    for subject, command, decision in observed:
-        snapshot = pdp.history.get(decision.version)
-        if snapshot is None:
+    #: version -> ReferenceIndex over the logged state (None: none).
+    oracle_indexes: dict[int, ReferenceIndex | None] = {}
+
+    def logged_oracle(version, what):
+        if version not in oracle_indexes:
+            try:
+                oracle_indexes[version] = ReferenceIndex(
+                    state_at(records, version)
+                )
+            except WalError as error:
+                oracle_indexes[version] = None
+                report.violations.append(
+                    f"{what} at version {version} has no logged "
+                    f"state: {error}"
+                )
+        return oracle_indexes[version]
+
+    for version, snapshot in published.items():
+        oracle = logged_oracle(version, "published snapshot")
+        if oracle is None:
+            continue
+        if snapshot.policy_copy() != oracle.policy:
             report.violations.append(
-                f"decision pinned to unpublished version "
-                f"{decision.version}: {command}"
+                f"published snapshot at version {version} diverges "
+                "from the policy its WAL replays to"
             )
             continue
-        oracle = oracle_indexes.get(decision.version)
-        if oracle is None:
-            oracle = oracle_indexes[decision.version] = ReferenceIndex(
-                snapshot.policy_copy()
+        users = list(oracle.policy.users())
+        if snapshot.held_privileges_bulk(users) != (
+            oracle.held_privileges_bulk(users)
+        ):
+            report.violations.append(
+                f"published snapshot at version {version}: held "
+                "privileges diverge from the reference index"
             )
+
+    for subject, command, decision in observed:
+        oracle = logged_oracle(decision.version, f"decision on {command}")
+        if oracle is None:
+            continue
         verdict = oracle.authorizes(subject, command)
         if decision.allowed != (verdict is not None):
             report.violations.append(
@@ -1289,21 +1344,6 @@ def fuzz_pdp(
                 f"{decision.version}: {command} {decision.authorized_by}"
             )
 
-    for version, snapshot in pdp.history.items():
-        oracle = oracle_indexes.get(version)
-        if oracle is None:
-            oracle = oracle_indexes[version] = ReferenceIndex(
-                snapshot.policy_copy()
-            )
-        users = list(oracle.policy.users())
-        if snapshot.held_privileges_bulk(users) != (
-            oracle.held_privileges_bulk(users)
-        ):
-            report.violations.append(
-                f"retained snapshot at version {version}: held "
-                "privileges diverge from the reference index"
-            )
-
     if retries == 0:
         report.violations.append(
             "campaign never exercised the rate-limited retry path"
@@ -1311,8 +1351,8 @@ def fuzz_pdp(
     if pdp.metrics.cache_hits == 0:
         report.violations.append("campaign never hit the decision cache")
 
-    for record in submitted.values():
-        if record is not None and record.executed:
+    for _, record in submitted:
+        if record.executed:
             report.executed += 1
             if record.implicit:
                 report.implicit += 1

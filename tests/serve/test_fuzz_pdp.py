@@ -1,16 +1,19 @@
 """The PDP fuzzing campaigns (invariant 14 of workloads.fuzz).
 
 Concurrent readers and a chunked writer interleave over an asyncio
-PDP under recycling churn; every decision is pinned against a
-synchronous :class:`~repro.oracle.ReferenceIndex` (the frozenset
-reference) at its snapshot version, every applied micro-batch is
-replayed through a fresh synchronous monitor, and the rate-limited and
+PDP under recycling churn.  The PDP's WAL is the campaign's history:
+every decision is pinned against a synchronous
+:class:`~repro.oracle.ReferenceIndex` (the frozenset reference) over
+its snapshot version's state as the log replays it, every published
+snapshot must hold that state, every logged micro-batch is replayed
+through a fresh synchronous monitor, and the rate-limited and
 cache-hit paths are required to fire.
 """
 
 import pytest
 
 from repro.core.authz_index import ReviewSnapshot
+from repro.serve import PolicyWal
 from repro.workloads.fuzz import fuzz_pdp
 from repro.workloads.generators import PolicyShape
 
@@ -37,6 +40,19 @@ def test_pdp_campaigns_frozenset(seed, monkeypatch):
     report = fuzz_pdp(seed, shape=SHAPE)
     assert any(
         "decision diverges from oracle" in violation
+        for violation in report.violations
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_published_snapshots_must_agree_with_the_log(seed, monkeypatch):
+    """The WAL/snapshot agreement check has teeth: with the drift
+    ``rebase`` records dropped, the snapshots published after
+    out-of-band churn name versions the log cannot replay to."""
+    monkeypatch.setattr(PolicyWal, "append_rebase", lambda self, policy: None)
+    report = fuzz_pdp(seed, shape=SHAPE)
+    assert any(
+        violation.startswith("published snapshot at version")
         for violation in report.violations
     )
 

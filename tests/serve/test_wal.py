@@ -127,6 +127,7 @@ class TestChain:
         wal.append_genesis(serve_policy())
         with pytest.raises(WalError, match="genesis must be record 0"):
             wal.append_genesis(serve_policy())
+        wal.close()
 
     def test_every_single_record_tamper_is_rejected(self, tmp_path):
         """The acceptance matrix: for every record of a healthy log,
@@ -205,6 +206,7 @@ class TestTornTail:
         wal = PolicyWal(str(path))
         assert wal.head == head
         wal.append_rebase(serve_policy())
+        wal.close()
         records, _ = read_wal(str(path))
         verify_chain(records, expected_head=wal.head)
 
@@ -240,6 +242,7 @@ class TestAppendFailure:
         assert path.read_bytes() == clean
         assert wal.next_seq == 1
         record = wal.append_rebase(serve_policy())
+        wal.close()
         assert record.seq == 1
         records, _ = read_wal(str(path))
         verify_chain(records, expected_head=wal.head)
@@ -276,6 +279,7 @@ class TestAppendFailure:
         assert [r.seq for r in records] == list(range(len(records)))
         verify_chain(records, expected_head=head)
         recovered = PolicyDecisionPoint.recover(str(path))
+        recovered.wal.close()
         assert policy_to_json(recovered.monitor.policy) == doc
         assert recovered.monitor.policy.version == version
 
@@ -294,9 +298,11 @@ class TestAppendFailure:
         assert wal.statistics()["poisoned"]
         with pytest.raises(WalError, match="refuses appends"):
             wal.append_rebase(serve_policy())
+        wal.close()
         repair_torn_tail(str(path))
         fresh = PolicyWal(str(path))
         fresh.append_rebase(serve_policy())
+        fresh.close()
         records, _ = read_wal(str(path))
         verify_chain(records, expected_head=fresh.head)
 
@@ -332,6 +338,7 @@ class TestRecover:
         recovered = PolicyDecisionPoint.recover(
             str(path), expected_head=head
         )
+        recovered.wal.close()
         assert policy_to_json(recovered.monitor.policy) == doc
         assert recovered.monitor.policy.version == version
         assert recovered.version == version
@@ -356,6 +363,7 @@ class TestRecover:
         doc, version, _ = _drive(path)
         path.write_bytes(path.read_bytes() + b'{"seq": 3, "ki')
         recovered = PolicyDecisionPoint.recover(str(path))
+        recovered.wal.close()
         assert policy_to_json(recovered.monitor.policy) == doc
         assert recovered.monitor.policy.version == version
 
@@ -459,5 +467,6 @@ class TestAttach:
 
         doc, version = run(scenario())
         recovered = PolicyDecisionPoint.recover(str(path))
+        recovered.wal.close()
         assert policy_to_json(recovered.monitor.policy) == doc
         assert recovered.monitor.policy.version == version

@@ -7,7 +7,10 @@ uninterrupted oracle — and reject every single-record tamper of the
 log.
 """
 
+import gc
 import random
+import tempfile
+import warnings
 
 import pytest
 
@@ -25,12 +28,27 @@ from repro.workloads.faults import (
     wal_tamper_campaign,
 )
 from repro.workloads.faults import _DURABLE_OFFSET, FAIL_POINTS, INJECTION_POINTS
-from repro.workloads.fuzz import _random_command, fuzz_crash_recovery
+from repro.workloads.fuzz import _random_command, fuzz_crash_recovery, fuzz_pdp
 from repro.workloads.generators import PolicyShape
 
 #: small enough that the full every-point campaign stays in CI-smoke
 #: territory, large enough that every batch mutates something.
 SHAPE = PolicyShape(n_users=4, n_roles=5, n_admin_privileges=4)
+
+#: Every campaign that writes WALs to a scratch directory of its own,
+#: as a call returning its violations.
+SCRATCH_CAMPAIGNS = {
+    "crash": lambda: differential_crash_recovery(
+        seed=5, batches=3, batch_size=4, shape=SHAPE
+    ),
+    "append_failure": lambda: differential_append_failure(
+        seed=5, batches=3, batch_size=4, shape=SHAPE
+    ),
+    "tamper": lambda: wal_tamper_campaign(
+        seed=5, batches=3, batch_size=4, shape=SHAPE
+    ),
+    "pdp": lambda: fuzz_pdp(5, shape=SHAPE).violations,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -209,3 +227,21 @@ class TestCampaigns:
         )
         assert not FAULTS.active
         assert FAULTS.armed() == []
+
+    @pytest.mark.parametrize("name", sorted(SCRATCH_CAMPAIGNS))
+    def test_campaign_cleans_up_its_scratch(self, name, tmp_path, monkeypatch):
+        """A campaign removes the directory it made for its logs and
+        closes every WAL handle it opened, recovered services' too."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            violations = SCRATCH_CAMPAIGNS[name]()
+            gc.collect()
+        assert violations == []
+        assert list(tmp_path.iterdir()) == []
+        leaks = [
+            str(warning.message) for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+        assert leaks == []
