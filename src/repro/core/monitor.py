@@ -196,7 +196,8 @@ class ReferenceMonitor:
         An audit that must see the batch-entry state — the state every
         command was authorized against — takes a
         :class:`~repro.core.authz_index.ReviewSnapshot` of the policy
-        before the batch (the PDP's published snapshot is exactly that).
+        before the batch (the PDP's ``last_snapshot``, read before the
+        batch, is exactly that).
         """
         commands = list(queue)
         if not batched or self._index is None or self.mode is not Mode.REFINED:

@@ -498,21 +498,35 @@ class Policy:
         cloned (:meth:`PolicyBits.clone`) rather than rescanned.  A built
         authorization index is handed over lazily: the clone records
         this policy weakly, with the version (see :attr:`index`)."""
-        clone = Policy.__new__(Policy)
-        clone._graph = self._graph.copy()
-        clone._cache = ReachabilityCache(clone._graph)
-        clone._index = None
-        clone._index_source = (
-            None if self._index is None
-            else (weakref.ref(self), self._graph.version)
-        )
+        clone = Policy._over(self._graph.copy())
+        if self._index is not None:
+            clone._index_source = (weakref.ref(self), self._graph.version)
         bits = self._bits
-        if bits is None:
-            clone._bits = None
-        else:
+        if bits is not None:
             bits.validate()
             clone._bits = bits.clone(clone._graph)
         return clone
+
+    def rewound(self, version: int) -> "Policy | None":
+        """An independent copy of this policy as it stood at
+        ``version`` (:meth:`Digraph.rewound`: the journal's deltas since
+        then, undone on a clone), or None when the journal no longer
+        reaches back that far.  The copy equals a :meth:`copy` taken at
+        ``version`` in edges, vertices and version, but not in vertex-ID
+        layout, so its sort masks and index are built on first read."""
+        graph = self._graph.rewound(version)
+        return None if graph is None else Policy._over(graph)
+
+    @staticmethod
+    def _over(graph: Digraph) -> "Policy":
+        """A policy over ``graph`` with every derived structure cold."""
+        policy = Policy.__new__(Policy)
+        policy._graph = graph
+        policy._cache = ReachabilityCache(graph)
+        policy._bits = None
+        policy._index = None
+        policy._index_source = None
+        return policy
 
     def edge_set(self) -> frozenset[PolicyEdge]:
         return self._graph.edge_set()

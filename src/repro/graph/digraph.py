@@ -46,8 +46,9 @@ class JournalWindow:
     (:func:`dirty_region`).
 
     The burst classification is computed on construction.
-    ``deltas`` is the compacted delta sequence
-    (:meth:`Digraph.changes_since`), ``edge_sources`` /
+    ``deltas`` is the delta sequence (:meth:`Digraph.changes_since`,
+    compacted unless :func:`dirty_region` was asked not to),
+    ``edge_sources`` /
     ``edge_targets`` the mutated edges' endpoints and
     ``removed_vertices`` / ``added_vertices`` the vertex churn (a
     vertex both added and removed appears in both).  ``weight`` counts
@@ -511,6 +512,44 @@ class Digraph:
             return _compact_deltas(collected)
         return tuple(collected)
 
+    def rewound(self, version: int) -> "Digraph | None":
+        """A :meth:`copy` of this graph as it stood at ``version``, or
+        None when the journal no longer reaches back that far.
+
+        The uncompacted deltas since ``version`` are undone newest
+        first on the copy.  Each delta is invertible on its own:
+        :meth:`remove_vertex` journals the removal of every incident
+        edge before the vertex itself, so undoing it re-adds the bare
+        vertex and then, one delta at a time, its edges, and a vertex
+        whose addition is undone has by then lost every edge it gained.
+        The copy reports ``version`` and starts an empty journal there.
+        Its vertex-ID layout is whatever the undo produced, not the one
+        the graph had at ``version``, so nothing keyed by this graph's
+        IDs carries over."""
+        if version > self.version:
+            raise ValueError(
+                f"cannot rewind graph version {self.version} forward "
+                f"to {version}"
+            )
+        deltas = self.changes_since(version, compact=False)
+        if deltas is None:
+            return None
+        clone = self.copy()
+        for delta in reversed(deltas):
+            if delta.kind == "add-edge":
+                clone.remove_edge(delta.source, delta.target)
+            elif delta.kind == "remove-edge":
+                clone.add_edge(delta.source, delta.target)
+            elif delta.kind == "add-vertex":
+                clone.remove_vertex(delta.source)
+            else:
+                clone.add_vertex(delta.source)
+        clone.version = version
+        clone._journal.clear()
+        clone._journal_base = version
+        clone._window = None
+        return clone
+
     def journal_cursor(self) -> JournalCursor:
         """Register (weakly) and return a new consumer cursor at the
         current version.  While a cursor is alive the journal retains
@@ -670,7 +709,9 @@ class Digraph:
         )
 
 
-def dirty_region(graph: Digraph, since: int) -> JournalWindow | None:
+def dirty_region(
+    graph: Digraph, since: int, compact: bool = True
+) -> JournalWindow | None:
     """What changed in ``graph`` since version ``since``: the
     :class:`JournalWindow` over the compacted deltas, or None when the
     journal no longer reaches back to ``since`` (the caller rebuilds).
@@ -685,18 +726,31 @@ def dirty_region(graph: Digraph, since: int) -> JournalWindow | None:
     component, as a sweep over the condensation would, without paying
     for a whole-graph Tarjan pass.
 
-    The graph memoizes only its latest window, keyed by ``(since,
-    graph.version)``: every consumer that catches up from the same
-    version after one write reads the same object, and so the same
+    Compaction (:meth:`Digraph.changes_since`) is sound for the
+    window's two end states only: an edge added and removed again
+    inside the window changed the reachable sets of the versions in
+    between.  With ``compact=False`` every delta is kept, and the
+    region then covers what changed between ``since`` and *any* later
+    version up to the graph's (a vertex whose reachable set changed at
+    some step reaches, on the current graph, either that step's edge
+    source or the source of a later-removed edge on its path); a
+    consumer catching up to a version the graph has already moved past
+    reads that window.
+
+    The graph memoizes only its latest compacted window, keyed by
+    ``(since, graph.version)``: every consumer that catches up from the
+    same version after one write reads the same object, and so the same
     once-swept region.  A mutation or :meth:`Digraph.fast_forward_version`
     makes the key miss, and :meth:`Digraph.copy` starts with no memo.
     """
     window = graph._window
-    if window is not None and window.since == since \
+    if compact and window is not None and window.since == since \
             and window.version == graph.version:
         return window
-    deltas = graph.changes_since(since)
+    deltas = graph.changes_since(since, compact)
     if deltas is None:
         return None
-    window = graph._window = JournalWindow(graph, since, deltas)
+    window = JournalWindow(graph, since, deltas)
+    if compact:
+        graph._window = window
     return window

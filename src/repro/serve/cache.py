@@ -1,10 +1,11 @@
 """Version-keyed decision cache with journal-driven invalidation.
 
-The PDP answers reads from the latest published
-:class:`~repro.core.authz_index.ReviewSnapshot`; this cache sits in
-front of it, keyed by subject and requested edge, and is advanced —
-not cleared — on every publication by reading the journal window
-since its own :meth:`~repro.core.policy.Policy.journal_cursor`
+The PDP answers reads from the
+:class:`~repro.core.authz_index.ReviewSnapshot` of its published
+version; this cache sits in front of it, keyed by subject and
+requested edge, and is advanced — not cleared — to each version the
+PDP materializes, by reading the journal window since its own
+:meth:`~repro.core.policy.Policy.journal_cursor`
 (:func:`~repro.graph.dirty_region`): the same window, classification
 and once-swept region the incremental indexes repair themselves with.
 
@@ -62,7 +63,7 @@ class DecisionCache:
     """Subject-bucketed verdict cache pinned to one policy version.
 
     ``get``/``put`` are only meaningful at the cache's current
-    ``version``; ``advance()`` moves it to the policy's version by
+    ``version``; ``advance()`` moves it to a newer policy version by
     selective eviction.  ``max_entries`` bounds memory: once full, new
     verdicts are simply not inserted (the snapshot answers them
     anyway) until eviction makes room.
@@ -119,12 +120,31 @@ class DecisionCache:
     def advance(self, version: int) -> None:
         """Move the cache to ``version`` by consuming the journal and
         evicting exactly the entries the delta burst can have changed
-        (see the module docstring for the soundness argument)."""
+        (see the module docstring for the soundness argument).
+
+        ``version`` may lie behind the policy's head (the PDP serves a
+        published version the live policy has since moved past).  The
+        eviction then reads the uncompacted window up to the head, whose
+        region covers every version in between, so every kept verdict
+        holds at ``version`` (a compacted one would miss an edge added
+        before ``version`` and removed after it).  The cursor stops at
+        ``version``, so the next advance reads the deltas after it
+        again: a cursor moved to the head would let a verdict decided at
+        ``version`` outlive them."""
         if version == self.version:
             return
         self.advances += 1
-        window = dirty_region(self._graph, self._cursor.version)
-        self._cursor.version = self._graph.version
+        if not self._buckets:
+            # Nothing to evict, so no window to read: after a long run
+            # of batches nobody read, it would span all of them.
+            self._cursor.version = version
+            self.version = version
+            return
+        window = dirty_region(
+            self._graph, self._cursor.version,
+            compact=version == self._graph.version,
+        )
+        self._cursor.version = version
         if window is None:
             # Journal expired under us: the one case we cannot evict
             # selectively.

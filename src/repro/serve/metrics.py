@@ -105,6 +105,7 @@ class PdpMetrics:
         "max_batch_size", "decision_latency", "mutation_latency",
         "writer_failures", "writer_shed", "queue_shed",
         "deadline_expired", "wal_appends",
+        "publications", "materializations", "rewinds", "rewind_misses",
         "batch_apply_latency", "wal_append_latency", "queue_wait_latency",
     )
 
@@ -132,6 +133,14 @@ class PdpMetrics:
         self.queue_shed = 0
         self.deadline_expired = 0
         self.wal_appends = 0
+        # Publication on demand: versions the writer published, reader
+        # snapshots captured, captures of a version the live policy had
+        # moved past (rewound through the journal), and captures given
+        # up because the journal no longer reached back.
+        self.publications = 0
+        self.materializations = 0
+        self.rewinds = 0
+        self.rewind_misses = 0
         self.batch_apply_latency = LatencyHistogram()
         self.wal_append_latency = LatencyHistogram()
         # Write-path stage: enqueue to the start of the command's batch.
@@ -168,6 +177,10 @@ class PdpMetrics:
             "queue_shed": self.queue_shed,
             "deadline_expired": self.deadline_expired,
             "wal_appends": self.wal_appends,
+            "publications": self.publications,
+            "materializations": self.materializations,
+            "rewinds": self.rewinds,
+            "rewind_misses": self.rewind_misses,
             "batch_apply_latency": self.batch_apply_latency.snapshot(),
             "wal_append_latency": self.wal_append_latency.snapshot(),
             "queue_wait_latency": self.queue_wait_latency.snapshot(),

@@ -15,27 +15,37 @@ Writer side
     applies and fsyncs.  Each batch executes as one
     ``submit_queue(batched=True)`` transaction, so one
     ``authorizes_batch`` call authorizes the whole batch against its
-    entry state — which is the snapshot published before the batch
-    (:attr:`PolicyDecisionPoint.last_snapshot`), since the writer
-    publishes after every pass.  The per-request
-    futures resolve to the returned :class:`ExecutionRecord`\\ s in
-    queue order.
+    entry state — the policy at the version published before the
+    batch (:attr:`PolicyDecisionPoint.last_snapshot` captures it).
+    After each pass the writer *publishes* the policy's version: it
+    records the number and stamps the time, nothing more.  The
+    per-request futures resolve to the returned
+    :class:`ExecutionRecord`\\ s in queue order.
 
 Reader side
     :meth:`check` / :meth:`check_many` never touch the writer's index.
-    After each batch the writer *publishes* a fresh
-    :class:`~repro.core.authz_index.ReviewSnapshot` of the policy: the
-    policy is cloned copy-on-write, and the clone's index is a fork of
-    the live one — the live index repairs the batch's dirty region
-    (patching only the rectangle rows of stale privileges) and shares
-    every rectangle with the fork — so publication costs what the
-    batch touched, not a policy copy, a replay or an index build.
-    Readers decide against whatever snapshot is currently
-    published — an immutable object, so no locks — and requests
-    arriving within one event-loop tick accumulate into a read window
-    answered by a single ``authorizes_batch`` sweep.  A read is
-    therefore pinned to one policy version, reported on its
-    :class:`Decision` along with the snapshot's age (``staleness``).
+    They decide against a
+    :class:`~repro.core.authz_index.ReviewSnapshot` of the published
+    version, which the first reader of that version *materializes*:
+    the policy is cloned copy-on-write, the clone's index is a fork of
+    the live one (the live index repairs its dirty region, patching
+    only the rectangle rows of stale privileges, and shares every
+    rectangle with the fork), and the decision cache advances over the
+    journal window since the last materialized version.  A run of
+    batches nobody reads therefore costs no capture at all, and the
+    next reader pays one clone, one fork and one cache advance for the
+    whole run.  Should the live policy have moved past the published
+    version without publishing (a writer that died after its apply,
+    out-of-band churn awaiting :meth:`~PolicyDecisionPoint.refresh`,
+    a :meth:`~PolicyDecisionPoint.rollback` in progress), the snapshot
+    is taken of the policy rewound through its change journal
+    (:meth:`~repro.core.policy.Policy.rewound`), so a reader never sees
+    a version that was not published.  A snapshot is an immutable
+    object, so no locks, and requests arriving within one event-loop
+    tick accumulate into a read window answered by a single
+    ``authorizes_batch`` sweep.  A read is therefore pinned to one
+    policy version, reported on its :class:`Decision` along with the
+    age of its publication (``staleness``).
 
 Fault tolerance
     With a :class:`~repro.serve.wal.PolicyWal` attached, every
@@ -239,7 +249,13 @@ class PolicyDecisionPoint:
                 # live policy — never from a silently diverged one.
                 wal.append_rebase(monitor.policy)
             self.wal = wal
+        #: the last materialized reader snapshot (:meth:`_materialize`)
+        #: and the version the writer last published; the snapshot
+        #: lags while nobody reads.
         self._snapshot = ReviewSnapshot(monitor.policy)
+        self._published = self._snapshot.version
+        #: a published version the journal no longer reached back to.
+        self._unreachable: int | None = None
         self._published_at = self.clock()
         #: (command or _REFRESH, future, enqueue clock) entries, plus
         #: the _SHUTDOWN marker.
@@ -273,8 +289,12 @@ class PolicyDecisionPoint:
         Never hangs and never leaks: if the writer already died, the
         queued futures were failed at death; a cleanly stopping writer
         applies everything queued ahead of the shutdown marker and the
-        loop's exit path fails anything that could remain."""
+        loop's exit path fails anything that could remain.  A PDP
+        that was never started (a :meth:`recover`\\ ed one inspected
+        without serving) only closes its WAL handle."""
         if self._writer is None:
+            if self.wal is not None:
+                self.wal.close()
             return
         self._stopping = True
         writer = self._writer
@@ -446,17 +466,18 @@ class PolicyDecisionPoint:
         return list(results)
 
     async def refresh(self) -> int:
-        """Republish the snapshot at the current policy state without
-        mutating — the hook for out-of-band policy churn (tests,
-        migrations).  Routed through the writer queue so publication
-        order stays single-writer; with a WAL attached the drifted
-        policy is re-anchored with a ``rebase`` record before
-        publication.  Returns the published version."""
+        """Publish the current policy state without mutating — the hook
+        for out-of-band policy churn (tests, migrations); until then,
+        readers keep answering at the version published before the
+        churn.  Routed through the writer queue so publication order
+        stays single-writer; with a WAL attached the drifted policy is
+        re-anchored with a ``rebase`` record before publication.
+        Returns the published version."""
         self._require_running()
         future = asyncio.get_running_loop().create_future()
         self._queue.put_nowait((_REFRESH, future, None))
         await future
-        return self._snapshot.version
+        return self._published
 
     async def rollback(self, version: int) -> int:
         """Restore the live policy, in place, to its logged state at
@@ -466,7 +487,9 @@ class PolicyDecisionPoint:
         Raises :class:`ReproError` with the policy untouched when there
         is no WAL, the WAL is poisoned, its chain does not verify to
         the handle's head, or no record lands on ``version``.  Commands
-        queued ahead of the refresh apply on the rolled-back state."""
+        queued ahead of the refresh apply on the rolled-back state;
+        reads answer at the version published before the rollback
+        until the refresh publishes it."""
         wal = self.wal
         if wal is None:
             raise ReproError("rollback needs a WAL: the log is the history")
@@ -566,10 +589,11 @@ class PolicyDecisionPoint:
 
     def _apply_batch(self, batch) -> None:
         """Execute one micro-batch as a submit-queue transaction,
-        make it durable, and publish the post-batch snapshot.
+        make it durable, and publish the post-batch version (the
+        snapshot waits for its first reader, :meth:`_materialize`).
         Synchronous on purpose: the whole apply/log/publish step
         happens within one event-loop tick, so readers see either the
-        old or the new snapshot, never an intermediate — and futures
+        old or the new version, never an intermediate — and futures
         resolve only *after* the fsync, so an acknowledged mutation
         is on disk."""
         depth = self._queue.qsize()
@@ -630,8 +654,8 @@ class PolicyDecisionPoint:
         delay = self.supervisor.record_failure(error)
         self._resync_wal()
         # Publish whatever state exists: a failure after the apply
-        # mutated the policy must still reach readers and advance the
-        # decision cache past the mutation.  fresh=False: unless the
+        # mutated the policy must still reach readers (and the decision
+        # cache, when they materialize it).  fresh=False: unless the
         # version actually advanced, this republish must not reset the
         # staleness clock — a writer stuck failing would otherwise
         # keep reported staleness near zero during exactly the outage
@@ -704,24 +728,53 @@ class PolicyDecisionPoint:
                 future.set_exception(error)
 
     def _publish(self, fresh: bool = True) -> None:
-        """Publish a :class:`ReviewSnapshot` of the current policy (the
-        published one, kept as is, when the version did not move), then
-        advance the decision cache to its version by selective
-        journal-driven eviction.
+        """Publish the current policy version: record it, and stamp the
+        publication time.  No snapshot is captured and the decision
+        cache does not move; the first reader of the version does both
+        (:meth:`_materialize`).
 
         ``fresh=True`` (every successful pass through the writer,
         batches and refreshes alike) restamps ``_published_at``; the
         failure path passes False so the staleness clock only resets
         when the version actually advanced — a same-version republish
         from a failing writer proves nothing about freshness."""
-        snapshot = self._snapshot
-        policy = self.monitor.policy
-        if snapshot.version != policy.version:
-            snapshot = self._snapshot = ReviewSnapshot(policy)
+        version = self.monitor.policy.version
+        if version != self._published:
+            self._published = version
+            self.metrics.publications += 1
             fresh = True
         if fresh:
             self._published_at = self.clock()
-        self.cache.advance(snapshot.version)
+
+    def _materialize(self) -> ReviewSnapshot:
+        """The reader snapshot at the published version, captured on
+        the first read of that version, and the decision cache advanced
+        to it.  Every reader path goes through here.
+
+        The live policy is normally still at the published version, and
+        the snapshot is a :class:`ReviewSnapshot` of it.  When the
+        policy has moved past it without a publication, the snapshot is
+        taken of the policy rewound through its journal
+        (:meth:`~repro.core.policy.Policy.rewound`).  Should the journal
+        no longer reach back, reads keep the last materialized snapshot
+        until the next publication (``rewind_misses`` counts such
+        versions)."""
+        snapshot = self._snapshot
+        version = self._published
+        if snapshot.version == version or version == self._unreachable:
+            return snapshot
+        policy = self.monitor.policy
+        if policy.version != version:
+            policy = policy.rewound(version)
+            if policy is None:
+                self._unreachable = version
+                self.metrics.rewind_misses += 1
+                return snapshot
+            self.metrics.rewinds += 1
+        snapshot = self._snapshot = ReviewSnapshot(policy)
+        self.metrics.materializations += 1
+        self.cache.advance(version)
+        return snapshot
 
     # ------------------------------------------------------------------
     # Reader side
@@ -729,12 +782,13 @@ class PolicyDecisionPoint:
     @property
     def version(self) -> int:
         """The currently published policy version."""
-        return self._snapshot.version
+        return self._published
 
     @property
     def last_snapshot(self) -> ReviewSnapshot:
-        """The currently published reader snapshot."""
-        return self._snapshot
+        """The reader snapshot at the published version, materialized
+        on this read if no reader has captured it yet."""
+        return self._materialize()
 
     @property
     def health(self) -> str:
@@ -743,7 +797,7 @@ class PolicyDecisionPoint:
         return self.supervisor.health
 
     def _staleness(self) -> float:
-        """Clock seconds since the current snapshot was published."""
+        """Clock seconds since the current version was published."""
         return max(0.0, self.clock() - self._published_at)
 
     async def check(
@@ -800,6 +854,7 @@ class PolicyDecisionPoint:
                 self.metrics.rate_limited += 1
                 raise
         started = self.clock()
+        self._materialize()  # the cache answers at the published version
         decisions: list = [None] * len(commands)
         pending: list[asyncio.Future] = []
         positions: list[int] = []
@@ -836,13 +891,13 @@ class PolicyDecisionPoint:
 
     def _drain_reads(self) -> None:
         """Answer the accumulated read window in one batch sweep
-        against the published snapshot.  Runs as a loop callback, so
-        the snapshot cannot be republished mid-sweep."""
+        against the published version's snapshot.  Runs as a loop
+        callback, so no version can be published mid-sweep."""
         self._drain_scheduled = False
         window, self._window = self._window, []
         if not window:
             return
-        snapshot = self._snapshot
+        snapshot = self._materialize()
         verdicts = snapshot.authorizes_batch(
             [(subject, command) for subject, command, _ in window]
         )
@@ -875,14 +930,18 @@ class PolicyDecisionPoint:
                 self.metrics.rate_limited += 1
                 raise
         self.metrics.reviews += 1
-        return self._snapshot.grantable_pairs_bulk(subjects)
+        return self._materialize().grantable_pairs_bulk(subjects)
 
     def statistics(self) -> dict[str, object]:
         """Metrics plus cache, writer-health, queue, staleness, rate
-        limiter and WAL counters — one JSON-able dict."""
+        limiter and WAL counters — one JSON-able dict.  ``version`` is
+        the published version and ``materialized_version`` that of the
+        last snapshot a reader captured (the decision cache's), which
+        lags while nobody reads."""
         stats = self.metrics.snapshot()
         stats["cache"] = self.cache.statistics()
-        stats["version"] = self.version
+        stats["version"] = self._published
+        stats["materialized_version"] = self._snapshot.version
         stats["writer"] = self.supervisor.snapshot()
         stats["staleness"] = self._staleness()
         stats["queue"] = {

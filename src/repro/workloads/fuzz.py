@@ -1030,9 +1030,10 @@ def fuzz_pdp(
     several covering privileges gets reported follows each side's
     scan order — ascending interned IDs vs frozenset hash order — so
     the *choice* is deliberately not pinned; its *validity* is.)
-    Every published snapshot — a fork of the live index onto a policy
-    clone — must hold the logged state and report that oracle's held
-    privileges for every user.  Each round's ``batch`` records must
+    Every snapshot a reader materialized — a fork of the live index
+    onto a policy clone, or a build over the rewound policy — must
+    hold the logged state and report that oracle's held privileges
+    for every user.  Each round's ``batch`` records must
     log the submitted commands in order and are replayed through a
     fresh synchronous ``submit_queue(batched=True)`` monitor starting
     from the round-entry policy: the :class:`ExecutionRecord`
@@ -1042,11 +1043,18 @@ def fuzz_pdp(
     equal the served one.  Between rounds :func:`_recycling_churn` mutates the
     policy out of band and ``refresh()`` republishes — exercising the
     cache's journal-driven eviction over removed and recycled
-    interner IDs.  Each round also ends with a deterministic probe
-    pair (same command checked twice with no writer in flight): the
-    second decision must be a cache hit and must equal the first, and
-    a campaign that never exercised the rate-limited-retry path is
-    itself a violation.  Before that churn, a subject holding a cached
+    interner IDs.  The churn comes in two halves with an unread
+    refresh between them, and the round's commands are read once more
+    while the second half awaits its refresh, and again after it: the
+    first reads must answer at the half-way version from the live
+    policy rewound through its journal, and the second must not be
+    served the verdicts they cached.  No decision may name a version
+    later than the published one, and every snapshot a reader
+    materializes must be the published version's.  Each round also
+    ends with a deterministic probe pair (same command checked twice
+    with no writer in flight): the second decision must be a cache hit
+    and must equal the first, and a campaign that never exercised the
+    rate-limited-retry path is itself a violation.  Before that churn, a subject holding a cached
     allow is deprovisioned and a newcomer takes its interned ID ahead
     of the next publication, and the subject's command is checked
     again, so a cache that misses vertex churn hands out a stale
@@ -1061,13 +1069,19 @@ def fuzz_pdp(
     from ..serve import RateLimiter, WalError, iter_wal, read_wal, state_at
     from ..serve.cache import cacheable
 
-    #: version -> every snapshot the PDP published.
+    #: version -> every snapshot a reader of the PDP materialized.
     published = {}
 
     class RecordingPdp(PolicyDecisionPoint):
-        def _publish(self, fresh: bool = True) -> None:
-            super()._publish(fresh)
-            published[self.version] = self.last_snapshot
+        def _materialize(self):
+            snapshot = super()._materialize()
+            if snapshot.version != self.version:
+                report.violations.append(
+                    f"reader snapshot at version {snapshot.version} while "
+                    f"version {self.version} is published"
+                )
+            published[snapshot.version] = snapshot
+            return snapshot
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
@@ -1095,6 +1109,11 @@ def fuzz_pdp(
                 clock_cell[0] += exc.retry_after + 1e-9
                 continue
             observed.append((command.user, command, decision))
+            if decision.version > pdp.version:
+                report.violations.append(
+                    f"decision at unpublished version {decision.version} "
+                    f"(published {pdp.version}) on {command}"
+                )
             return decision
 
     async def reader_task():
@@ -1247,6 +1266,26 @@ def fuzz_pdp(
         await pdp.refresh()
         await checked(command)
 
+    async def churn_read():
+        """Out-of-band churn in two halves with a publication nobody
+        reads in between, then the round's cacheable commands read
+        while the second half awaits ``refresh()`` — the reader's
+        snapshot is the live policy rewound to the half-way version,
+        and the cache keeps those verdicts — and again after it, when
+        every verdict the second half changed must be evicted."""
+        _recycling_churn(rng, policy, steps // 2)
+        await pdp.refresh()
+        _recycling_churn(rng, policy, steps - steps // 2)
+        commands = list(dict.fromkeys(
+            command for _, command, _ in observed[-4 * readers:]
+            if cacheable(command)
+        ))[:8]
+        for command in commands:
+            await checked(command)
+        await pdp.refresh()
+        for command in commands:
+            await checked(command)
+
     async def campaign():
         async with pdp:
             for round_index in range(rounds):
@@ -1267,8 +1306,7 @@ def fuzz_pdp(
                 )
                 await probe_cache(label)
                 await deprovision_cached(label)
-                _recycling_churn(rng, policy, steps)
-                await pdp.refresh()
+                await churn_read()
 
     with tempfile.TemporaryDirectory(prefix="repro-pdp-") as workdir:
         wal_path = os.path.join(workdir, "pdp.wal")

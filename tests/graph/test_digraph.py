@@ -548,3 +548,68 @@ class TestJournalWindowMemo:
             window.downstream
 
 
+
+
+class TestRewound:
+    def test_undoes_every_delta_kind(self):
+        graph = Digraph([("a", "b"), ("b", "c")])
+        graph.add_vertex("lonely")
+        before = graph.version
+        edges, vertices = graph.edge_set(), set(graph.vertices())
+        graph.remove_vertex("b")        # journals both incident edges
+        graph.add_edge("a", "d")
+        graph.remove_vertex("lonely")
+        graph.add_edge("e", "a")
+        graph.remove_edge("a", "d")
+        rewound = graph.rewound(before)
+        assert rewound.version == before
+        assert rewound.edge_set() == edges
+        assert set(rewound.vertices()) == vertices
+        # The source is untouched and the copy starts its own journal.
+        assert "b" not in graph and graph.has_edge("e", "a")
+        assert rewound.changes_since(before) == ()
+        assert rewound.changes_since(before - 1) is None
+        rewound.add_edge("x", "y")
+        assert "x" not in graph
+
+    def test_current_version_is_a_plain_copy(self):
+        graph = Digraph([("a", "b")])
+        rewound = graph.rewound(graph.version)
+        assert rewound == graph and rewound is not graph
+        assert rewound.version == graph.version
+
+    def test_fast_forward_gap_holds_no_deltas(self):
+        graph = Digraph([("a", "b")])
+        graph.fast_forward_version(graph.version + 10)
+        jumped = graph.version
+        graph.add_edge("b", "c")
+        assert graph.rewound(jumped - 5).edge_set() == {("a", "b")}
+
+    def test_beyond_the_journal_is_none(self):
+        graph = Digraph()
+        before = graph.version
+        for index in range(Digraph.JOURNAL_LIMIT + 10):
+            graph.add_vertex(index)
+        assert graph.rewound(before) is None
+        assert graph.rewound(graph.version - 5) is not None
+
+    def test_future_version_is_refused(self):
+        graph = Digraph([("a", "b")])
+        with pytest.raises(ValueError):
+            graph.rewound(graph.version + 1)
+
+
+def test_uncompacted_window_keeps_an_edge_added_and_removed_again():
+    graph = Digraph([("a", "b")])
+    graph.add_vertex("c")
+    since = graph.version
+    graph.add_edge("b", "c")
+    graph.remove_edge("b", "c")
+    compacted = dirty_region(graph, since)
+    assert compacted.weight == 0 and compacted.edge_sources == frozenset()
+    full = dirty_region(graph, since, compact=False)
+    assert full.edge_sources == {"b"} and full.weight == 2
+    assert full.upstream  # "a" and "b" reach the edge's source
+    # Only the compacted window is memoized.
+    assert dirty_region(graph, since) is compacted
+    assert dirty_region(graph, since, compact=False) is not full

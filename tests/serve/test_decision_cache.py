@@ -157,10 +157,50 @@ class TestSelectiveEviction:
                 policy, OTHER, grant_cmd(OTHER, U, R)
             )
 
+    def test_empty_cache_advances_without_reading_the_journal(
+        self, policy, monkeypatch
+    ):
+        cache = DecisionCache(policy)
+        for _ in range(3):
+            policy.remove_edge(R, S)
+            policy.add_inheritance(R, S)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an empty cache read the journal")
+
+        monkeypatch.setattr("repro.serve.cache.dirty_region", unread)
+        cache.advance(policy.version - 1)
+        assert (cache.version, cache.advances) == (policy.version - 1, 1)
+        assert cache._cursor.version == policy.version - 1
+
     def test_advance_is_idempotent_at_version(self, policy):
         cache = DecisionCache(policy)
         cache.advance(policy.version)
         assert cache.advances == 0  # same version: nothing to consume
+
+    def test_advance_behind_the_head_evicts_what_changed_up_to_it(
+        self, policy
+    ):
+        """A version the policy has moved past: an edge removed before
+        it and restored after it nets to nothing up to the head, but
+        the verdicts it changed at that version must still go, and the
+        cursor stops there, so the restore is evicted again on the next
+        advance."""
+        cache = DecisionCache(policy)
+        self.fill(policy, cache)
+        policy.remove_edge(ADMIN, ADM)
+        behind = policy.version
+        policy.assign_user(ADMIN, ADM)
+        cache.advance(behind)
+        assert cache.version == behind
+        assert cache.get(ADMIN, grant_cmd(ADMIN, U, R)) is None
+        cache.put(ADMIN, grant_cmd(ADMIN, U, R), None, behind)
+        cache.advance(policy.version)
+        assert cache.get(ADMIN, grant_cmd(ADMIN, U, R)) is None
+        # Untouched subjects ride through both advances.
+        hit = cache.get(PEER, grant_cmd(PEER, U, R))
+        assert hit is not None
+        assert hit[0] == fresh_verdict(policy, PEER, grant_cmd(PEER, U, R))
 
     def test_never_full_clear_on_ordinary_churn(self, policy):
         cache = DecisionCache(policy)

@@ -13,7 +13,8 @@ cache-hit paths are required to fire.
 import pytest
 
 from repro.core.authz_index import ReviewSnapshot
-from repro.serve import PolicyWal
+from repro.core.policy import Policy
+from repro.serve import DecisionCache, PolicyWal
 from repro.workloads.fuzz import fuzz_pdp
 from repro.workloads.generators import PolicyShape
 
@@ -53,6 +54,45 @@ def test_published_snapshots_must_agree_with_the_log(seed, monkeypatch):
     report = fuzz_pdp(seed, shape=SHAPE)
     assert any(
         violation.startswith("published snapshot at version")
+        for violation in report.violations
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_readers_must_not_see_the_live_policy_ahead_of_publication(
+    seed, monkeypatch
+):
+    """The rewind has teeth: with the live policy copied instead of
+    rewound, the reads across out-of-band churn materialize and answer
+    at a version nobody published."""
+    monkeypatch.setattr(Policy, "rewound", lambda self, version: self.copy())
+    report = fuzz_pdp(seed, shape=SHAPE)
+    assert any(
+        violation.startswith("reader snapshot at version")
+        for violation in report.violations
+    )
+    assert any(
+        violation.startswith("decision at unpublished version")
+        for violation in report.violations
+    )
+
+
+def test_cache_cursor_must_stop_at_the_materialized_version(monkeypatch):
+    """The cache cursor has teeth: moved to the live head when the
+    cache advances to a rewound version, the verdicts read across
+    churn outlive the refresh that changes them."""
+    advance = DecisionCache.advance
+
+    def to_the_head(self, version):
+        advance(self, version)
+        self._cursor.version = self._graph.version
+
+    monkeypatch.setattr(DecisionCache, "advance", to_the_head)
+    reports = [fuzz_pdp(seed, shape=SHAPE) for seed in range(6)]
+    assert any(
+        violation.startswith("decision diverges from oracle")
+        and "(cached=True)" in violation
+        for report in reports
         for violation in report.violations
     )
 

@@ -507,7 +507,11 @@ class TestLifecycle:
         stats = run(scenario())
         assert stats["decisions"] == 1
         assert stats["mutations"] == 1
-        assert stats["cache"]["version"] == stats["version"]
+        # The write published a version no reader has materialized yet:
+        # the decision cache stays at the materialized one.
+        assert stats["cache"]["version"] == stats["materialized_version"]
+        assert stats["materialized_version"] < stats["version"]
+        assert (stats["publications"], stats["materializations"]) == (1, 0)
         assert set(stats["decision_latency"]) == {
             "count", "mean", "p50", "p99", "max"
         }

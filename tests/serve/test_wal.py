@@ -11,7 +11,9 @@ index and snapshot byte-identical to the uninterrupted service, on
 both kernels.
 """
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -366,6 +368,23 @@ class TestRecover:
         recovered.wal.close()
         assert policy_to_json(recovered.monitor.policy) == doc
         assert recovered.monitor.policy.version == version
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_stop_closes_the_log_of_a_never_started_pdp(self, tmp_path):
+        """A recovered PDP inspected without serving holds its WAL
+        handle open (the reattach wrote a rebase); ``stop()`` closes it
+        like it does for a served one, so nothing leaks a file."""
+        path = tmp_path / "p.wal"
+        _drive(path)
+        recovered = PolicyDecisionPoint.recover(str(path))
+        assert recovered.wal._handle is not None
+        run(recovered.stop())
+        assert recovered.wal._handle is None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del recovered
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_recovered_pdp_serves_and_continues_the_log(self, tmp_path):
         path = tmp_path / "p.wal"
