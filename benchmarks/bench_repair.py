@@ -5,8 +5,8 @@ on the compiled kernel (``repair_policy``) beats the same driver over
 the frozenset reference session (``repro.oracle.reference_repair_policy``)
 by >=2x at enterprise scale.  Repair is lint in a
 loop — one full lint, then, per applied plan, a re-lint in the
-driver's :class:`~repro.analysis.lint.LintSession` (the two rules
-scoped to the plan's dirty region, the other six in full) plus a
+driver's :class:`~repro.analysis.lint.LintSession` (the three rules
+scoped to the plan's dirty region, the other five in full) plus a
 refinement check — so the sweep speedup compounds across iterations
 and the gap is the honest cost of running ``--fix`` without the
 bitset kernel.

@@ -49,9 +49,10 @@ verifies against the policy's own index (:attr:`Policy.index
 <repro.core.policy.Policy.index>`), which outlives the session, so a
 one-shot lint and a later session — or an audit — share one build.
 Each re-lint reads the policy's change journal, computes the burst's
-dirty region once, and evaluates ``redundant-delegation`` and
-``self-escalation`` only over that region, carrying their other
-findings over, while the other six rules re-run in full.  No rule
+dirty region once, and evaluates ``redundant-delegation``,
+``self-escalation`` and ``depth-k-escalation`` only over that region,
+carrying their other findings over, while the other five rules re-run
+in full.  No rule
 walks the user population: "which users reach X?" and "what does any
 user reach?" are one multi-source sweep each
 (:func:`~repro.graph.ancestors_of_mask`,
@@ -293,8 +294,9 @@ class LintContext:
 
     @property
     def escalation_scope(self) -> int | None:
-        """The users the ``self-escalation`` rule re-checks on a
-        re-lint, as a mask over user vertex IDs (None on a full run).
+        """The users the ``self-escalation`` and ``depth-k-escalation``
+        rules re-check on a re-lint, as a mask over user vertex IDs
+        (None on a full run).
 
         A user's one-step escalations are a function of its reach, the
         rectangles of the grants it holds, and the assigners of those
@@ -304,7 +306,10 @@ class LintContext:
         (:func:`~repro.core.authz_index.stale_grants`: rectangle), and
         the holders of every privilege that is a mutated edge's
         target (assigners).  Any other user holds the same grants, with
-        the same rectangles and assigners, as at the last lint.
+        the same rectangles and assigners, as at the last lint.  Its
+        grant-only search (``depth-k-escalation``) reads the same
+        three: its reach, the reach of its held grants' targets (the
+        target half of a stale grant) and the first step's assigners.
         """
         if self.window is None:
             return None
@@ -514,11 +519,13 @@ class LintSession:
 
     The first :meth:`lint` is a full run.  Each later one reads the
     journal window since the cursor (:func:`~repro.graph.dirty_region`)
-    and evaluates the rules
-    with a ``carries`` predicate (``redundant-delegation``,
-    ``self-escalation``) only over that region — see :meth:`LintContext.delegation_edges` and
+    and evaluates the rules with a ``carries`` predicate
+    (``redundant-delegation``, ``self-escalation``,
+    ``depth-k-escalation``) only over that region — see
+    :meth:`LintContext.delegation_edges` and
     :attr:`LintContext.escalation_scope` — carrying their other
-    findings over; every other rule re-runs in full.  A re-lint runs
+    findings over (:attr:`carried` counts them per rule); every other
+    rule re-runs in full.  A re-lint runs
     the same rule code as a full lint, and its findings equal a fresh
     full lint of the same state (fuzz invariant 11 pins this against
     the reference oracle).
@@ -560,6 +567,9 @@ class LintSession:
         self.escalation_depth = escalation_depth
         self._cursor = policy.journal_cursor()
         self._findings: dict[str, list[Finding]] | None = None
+        #: per scoped rule, how many findings the last lint carried
+        #: over from the one before it (empty after a full run).
+        self.carried: dict[str, int] = {}
         if baseline is not None:
             self._findings = {
                 name: list(found)
@@ -593,15 +603,19 @@ class LintSession:
         context = self.context(window)
         previous = self._findings
         by_rule: dict[str, list[Finding]] = {}
+        carried: dict[str, int] = {}
         for rule in self.rules:
             found = list(rule.check(context))
             if window is not None and rule.carries is not None:
-                found.extend(
+                kept = [
                     finding for finding in previous.get(rule.name, ())
                     if rule.carries(context, finding)
-                )
+                ]
+                carried[rule.name] = len(kept)
+                found.extend(kept)
             by_rule[rule.name] = found
         self._findings = by_rule
+        self.carried = carried
         # The redundancy probes restored the policy exactly, so the
         # journal entries they left are not a change to re-lint.
         self._cursor.version = self.policy.version
@@ -1035,6 +1049,7 @@ def _unreachable_under_ssd(ctx: LintContext) -> Iterator[Finding]:
 @_rule(
     "depth-k-escalation", Severity.ERROR,
     "multi-step self-escalation within the exploration depth bound",
+    carries=_carries_escalation,
 )
 def _depth_k_escalation(ctx: LintContext) -> Iterator[Finding]:
     """A user who can obtain an unheld privilege by chaining *several*
@@ -1044,44 +1059,34 @@ def _depth_k_escalation(ctx: LintContext) -> Iterator[Finding]:
     not per-state copies).  Users whose shallowest escalation is one
     step are reported by ``self-escalation`` and skipped here; the
     depth bound is ``LintContext.escalation_depth`` (default 2).
+
+    A user's search reads its own reach, the reach of its held grants'
+    targets (a granted edge routes the user into them) and, for the
+    finding's ``repair``, the assigners of the first step's privilege
+    — the three dependencies :attr:`LintContext.escalation_scope`
+    covers, so a re-lint probes only the holders in that scope.
     """
-    policy = ctx.policy
-    universe = _depth_k_universe(ctx)
-    if universe is None:
+    if ctx.escalation_depth < 2:
         return
-    universe_edges, assigned_grants = universe
+    policy = ctx.policy
     graph = policy.graph
     # A first step needs an initially reachable grant privilege, so
     # only the grants' holders are worth an engine.
     holders = (
-        ancestors_of_mask(graph, pack_bits(graph, assigned_grants))
+        ancestors_of_mask(graph, pack_bits(graph, _assigned_grants(policy)))
         & policy.bits.users_mask
     )
+    if ctx.escalation_scope is not None:
+        holders &= ctx.escalation_scope
     for user in ctx.decode(holders):
         ctx.count("depth-k-escalation", "users_probed")
         finding = _depth_k_finding(
             ctx, user, _min_grant_escalation(
-                policy, user, ctx.escalation_depth, universe_edges
+                policy, user, ctx.escalation_depth
             ),
         )
         if finding is not None:
             yield finding
-
-
-def _depth_k_universe(ctx: LintContext) -> tuple[list, list] | None:
-    """``(grant-closure edges, assigned grants sorted by str)`` for the
-    ``depth-k-escalation`` rule, or None when it has nothing to
-    explore."""
-    policy = ctx.policy
-    if ctx.escalation_depth < 2:
-        return None
-    universe_edges = _grant_closure_edges(policy)
-    if not universe_edges:
-        return None
-    assigned_grants = _assigned_grants(policy)
-    if not assigned_grants:
-        return None
-    return universe_edges, assigned_grants
 
 
 def _depth_k_finding(ctx: LintContext, user: User, found) -> Finding | None:
@@ -1110,18 +1115,25 @@ def _depth_k_finding(ctx: LintContext, user: User, found) -> Finding | None:
     )
 
 
-def _grant_closure_edges(policy: Policy) -> list[tuple]:
-    """Edges of every Grant subterm in the policy's closure — the
-    state-independent grant-command universe for depth-k exploration
-    (grant commands can only introduce privileges from this set, see
-    :meth:`~repro.core.policy.Policy.subterm_closure`)."""
+def _grant_edges(grants: Iterable[Grant]) -> list[tuple]:
+    """The grants' edges in depth-k universe order: by ``str`` of the
+    source, then of the target."""
     return sorted(
-        {
-            privilege.edge
-            for privilege in policy.subterm_closure()
-            if isinstance(privilege, Grant)
-        },
+        {privilege.edge for privilege in grants},
         key=lambda edge: (str(edge[0]), str(edge[1])),
+    )
+
+
+def _held_grant_edges(policy: Policy, user: User) -> list[tuple]:
+    """The edges of the grant privileges ``user`` reaches, in universe
+    order: the only grant commands of ``user`` that can take effect
+    before its first escalating state (see :func:`_min_grant_escalation`)."""
+    vertex_of = policy.graph._vertex_of
+    held = policy.descendants_bits(user) & policy.bits.privileges_mask
+    return _grant_edges(
+        privilege
+        for privilege in (vertex_of[index] for index in iter_bits(held))
+        if isinstance(privilege, Grant)
     )
 
 
@@ -1134,10 +1146,7 @@ def _grant_commands(user: User, universe_edges: list[tuple]) -> list[Command]:
 
 
 def _min_grant_escalation(
-    policy: Policy,
-    user: User,
-    depth: int,
-    universe_edges: list[tuple] | None = None,
+    policy: Policy, user: User, depth: int
 ) -> tuple[tuple, object] | None:
     """Breadth-first search of the grant-only transition system for
     the shallowest state where ``user`` reaches a privilege it cannot
@@ -1147,17 +1156,22 @@ def _min_grant_escalation(
 
     Grant-only exploration is sound for minimality: privilege reach is
     monotone in the edge set, so a revoke can never *create* an
-    escalation that a grant-only prefix would miss.  The search
-    explores one mutable engine via push/pop; the reference twin
-    (:mod:`repro.oracle.lint`) re-derives the same frontier with
-    per-state copies, in the same candidate order and with the same
-    value-keyed state dedup, so both return the same witness (fuzz
-    invariant 13).
+    escalation that a grant-only prefix would miss.  The candidate
+    commands are ``user``'s grants of the edges of the grant privileges
+    it holds (:func:`_held_grant_edges`), not of every grant term in
+    the policy's closure: until the first escalating state ``user``'s
+    privileges are its initial ones, so (STRICT mode) no other grant
+    is authorized before it, and dropping commands that are never
+    effective leaves the breadth-first order, and with it the
+    witness, unchanged.  The search explores one mutable engine via
+    push/pop; the reference twin (:mod:`repro.oracle.lint`) searches
+    the full grant-closure universe with per-state copies, in the same
+    candidate order and with the same value-keyed state dedup, so both
+    return the same witness (fuzz invariant 13).
     """
-    if universe_edges is None:
-        universe_edges = _grant_closure_edges(policy)
     engine = ExplorationEngine(
-        policy, Mode.STRICT, universe=_grant_commands(user, universe_edges)
+        policy, Mode.STRICT,
+        universe=_grant_commands(user, _held_grant_edges(policy, user)),
     )
     state = engine.policy
     initial = state.descendants_bits(user) & engine.privileges_mask

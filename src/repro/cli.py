@@ -407,6 +407,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             "reference twins, session re-lints pinned to fresh full "
             "lints, policy index to a fresh build"
         )
+        compared, carried = (
+            sum(r.counts.get(name, 0) for r in lint_reports)
+            for name in ("depth_k_compared", "depth_k_carried_compiled")
+        )
+        print(
+            f"depth-k-escalation in re-lints: {compared} finding(s) "
+            f"compared, {carried} carried"
+        )
     if args.repair_diff:
         repair_reports = [
             fuzz_repair(seed, steps=args.steps) for seed in range(args.seeds)

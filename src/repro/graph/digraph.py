@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter, deque
+from itertools import compress
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
 Vertex = Hashable
@@ -147,6 +148,28 @@ class JournalWindow:
         return self._downstream[1]
 
 
+#: ``bin()`` digits -> bytes 0/1, for :func:`_dense_bits`.
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _is_dense(mask: int) -> bool:
+    """Whether ``mask`` decodes faster by one scan of its binary digits
+    than by peeling its low bits: each peel is a big-int operation over
+    the whole mask, so the peel loop is quadratic in a dense mask and
+    the linear scan wins once more than an eighth of a few hundred or
+    more bits are set.  A sparse or short mask keeps the peel loop,
+    which the scan's fixed cost would slow down."""
+    length = mask.bit_length()
+    return length >= 256 and mask.bit_count() * 8 > length
+
+
+def _dense_bits(mask: int) -> Iterator[int]:
+    """The set-bit indices of ``mask``, lowest first, by one C-level
+    pass over its binary digits (least significant first)."""
+    digits = bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)
+    return compress(range(len(digits)), digits)
+
+
 def _sweep_bits(adjacency: list[int], seen: int, frontier: list[int]) -> int:
     """Multi-source BFS over per-vertex adjacency masks: each round ORs
     whole neighbour masks together (word-parallel), then expands only
@@ -157,6 +180,9 @@ def _sweep_bits(adjacency: list[int], seen: int, frontier: list[int]) -> int:
             gathered |= adjacency[index]
         gathered &= ~seen
         seen |= gathered
+        if _is_dense(gathered):
+            frontier = list(_dense_bits(gathered))
+            continue
         frontier = []
         while gathered:
             low = gathered & -gathered

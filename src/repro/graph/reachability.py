@@ -38,7 +38,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .digraph import Digraph, Vertex, _sweep_bits, dirty_region
+from .digraph import (
+    Digraph,
+    Vertex,
+    _dense_bits,
+    _is_dense,
+    _sweep_bits,
+    dirty_region,
+)
 
 
 def descendants(graph: Digraph, source: Vertex) -> frozenset[Vertex]:
@@ -105,8 +112,13 @@ def iter_bits(mask: int):
     """Yield the set-bit indices of ``mask``, lowest first.
 
     The workhorse for decoding kernel bitmasks back into vertices:
-    ``(graph.vertex_of(i) for i in iter_bits(mask))``.
+    ``(graph.vertex_of(i) for i in iter_bits(mask))``.  A dense mask
+    (a population such as ``users_mask``) is decoded by one scan of its
+    binary digits, a sparse one by peeling low bits.
     """
+    if _is_dense(mask):
+        yield from _dense_bits(mask)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -28,13 +28,13 @@ from ..analysis.lint import (
     LintRule,
     LintSession,
     Severity,
+    _assigned_grants,
     _conflict_finding,
     _dead_role_findings,
     _depth_k_finding,
-    _depth_k_universe,
     _escalation_findings,
-    _grant_closure_edges,
     _grant_commands,
+    _grant_edges,
     _irrevocable_findings,
     _priv_target_grants,
     _probe_redundancy,
@@ -261,7 +261,11 @@ def _depth_k_escalation(ctx: ReferenceLintContext):
     if universe is None:
         return
     universe_edges, assigned_grants = universe
+    scope = ctx.escalation_scope
+    vid = ctx.policy.graph._vid
     for user in ctx.users:
+        if scope is not None and not scope >> vid[user] & 1:
+            continue
         reach = ctx.policy.descendants(user)
         if not any(privilege in reach for privilege in assigned_grants):
             continue
@@ -271,6 +275,34 @@ def _depth_k_escalation(ctx: ReferenceLintContext):
         ))
         if finding is not None:
             yield finding
+
+
+def _depth_k_universe(ctx: ReferenceLintContext) -> tuple[list, list] | None:
+    """``(grant-closure edges, assigned grants sorted by str)`` for the
+    ``depth-k-escalation`` twin, or None when it has nothing to
+    explore."""
+    policy = ctx.policy
+    if ctx.escalation_depth < 2:
+        return None
+    universe_edges = _grant_closure_edges(policy)
+    if not universe_edges:
+        return None
+    assigned_grants = _assigned_grants(policy)
+    if not assigned_grants:
+        return None
+    return universe_edges, assigned_grants
+
+
+def _grant_closure_edges(policy: Policy) -> list[tuple]:
+    """Edges of every Grant subterm in the policy's closure — the
+    state-independent grant-command universe (grant commands can only
+    introduce privileges from this set, see
+    :meth:`~repro.core.policy.Policy.subterm_closure`), a superset of
+    the held grants the production search explores."""
+    return _grant_edges(
+        privilege for privilege in policy.subterm_closure()
+        if isinstance(privilege, Grant)
+    )
 
 
 def _min_grant_escalation(policy, user, depth, universe_edges=None):

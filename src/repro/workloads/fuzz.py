@@ -136,7 +136,7 @@ from ..core.entities import Role, User
 from ..core.monitor import ReferenceMonitor
 from ..core.ordering import is_weaker
 from ..core.policy import Policy, check_edge_sorts
-from ..core.privileges import Grant, Revoke, is_privilege
+from ..core.privileges import Grant, Revoke, is_privilege, perm
 from ..errors import PolicyError
 from ..oracle import ReferenceIndex
 from .generators import PolicyShape, random_policy
@@ -152,6 +152,12 @@ class FuzzReport:
     denied: int = 0
     implicit: int = 0
     violations: list[str] = field(default_factory=list)
+    #: coverage counters a campaign reports, by name (e.g. the
+    #: ``depth-k-escalation`` findings its lint re-lints compared).
+    counts: dict[str, int] = field(default_factory=dict)
+
+    def count(self, name: str, value: int = 1) -> None:
+        self.counts[name] = self.counts.get(name, 0) + value
 
     @property
     def ok(self) -> bool:
@@ -550,6 +556,24 @@ def _edge_churn(rng: random.Random, policy: Policy, steps: int) -> None:
                 policy.remove_edge(*rng.choice(edges))
 
 
+def _plant_grant_chain(policy: Policy) -> None:
+    """A two-step grant escalation the campaign's churn can carry,
+    break and restore: ``chain_eve`` holds, through ``chain_admin``,
+    ``¤(chain_eve, chain_stage)`` and ``¤(chain_stage, chain_vault)``,
+    and ``chain_vault`` holds a user privilege — so granting both edges
+    in turn brings it into ``chain_eve``'s reach, a
+    ``depth-k-escalation`` finding no one-step grant shows.  The chain's
+    roles join the churned population, so a burst can change what the
+    grants' targets reach without touching ``chain_eve``'s own reach."""
+    eve, admin = User("chain_eve"), Role("chain_admin")
+    stage, vault = Role("chain_stage"), Role("chain_vault")
+    policy.assign_user(eve, admin)
+    policy.add_role(stage)
+    policy.assign_privilege(admin, Grant(eve, stage))
+    policy.assign_privilege(admin, Grant(stage, vault))
+    policy.assign_privilege(vault, perm("open", "chain_vault"))
+
+
 def _sampled_ssd(name: str, picked: list):
     """An SSD separation set over ``picked`` roles; three or more
     picked roles make it a cardinality-3 set, so the rules' at-least
@@ -593,12 +617,19 @@ def fuzz_lint(
     policy's own index, which the compiled lints verify against and
     whose probes mutate and restore the policy, must equal a fresh
     build (:func:`_policy_index_problems`).
+
+    The generated policy gets a two-step grant chain
+    (:func:`_plant_grant_chain`), planted again after each churn chunk,
+    so the re-lints see ``depth-k-escalation`` findings; ``counts``
+    records how many each re-lint compared (``depth_k_compared``) and
+    each session carried over (``depth_k_carried_<kernel>``).
     """
     from ..analysis.lint import LintSession, lint_policy
     from ..oracle import ReferenceLintSession, reference_lint_policy
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
+    _plant_grant_chain(policy)
     report = FuzzReport(seed=seed, steps=steps)
     session_rng = random.Random(f"lint-session-{seed}")
     roles = sorted(policy.roles(), key=str)
@@ -623,8 +654,15 @@ def fuzz_lint(
         fresh = reference_lint_policy(
             policy.copy(), constraints=session_constraints
         )
+        report.count("depth_k_compared", sum(
+            finding.rule == "depth-k-escalation" for finding in fresh.findings
+        ))
         for kernel, session in sessions.items():
             found = session.lint()
+            report.count(
+                f"depth_k_carried_{kernel}",
+                session.carried.get("depth-k-escalation", 0),
+            )
             if found.findings != fresh.findings:
                 stale = set(found.findings) - set(fresh.findings)
                 missed = set(fresh.findings) - set(found.findings)
@@ -663,6 +701,7 @@ def fuzz_lint(
     compare("initial")
     for round_index in range(rounds):
         _recycling_churn(rng, policy, steps)
+        _plant_grant_chain(policy)
         relint(f"round_{round_index}")
         compare(f"round_{round_index}")
         for burst in range(4):
@@ -700,7 +739,10 @@ def fuzz_repair(
     run's and the re-repair's work copy's), which every re-lint
     verified against while the undo log applied and rolled back plans,
     must equal fresh builds (:func:`_policy_index_problems`).  Churn
-    then continues from the repaired policy into the next round.
+    then continues from the repaired policy into the next round.  Every
+    round starts with a two-step grant chain planted
+    (:func:`_plant_grant_chain`), so the runs plan, apply and re-lint
+    ``depth-k-escalation`` repairs.
     """
     from ..analysis.lint import lint_policy
     from ..analysis.repair import APPLIED, _UndoLog, repair_policy
@@ -709,6 +751,7 @@ def fuzz_repair(
 
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
+    _plant_grant_chain(policy)
     report = FuzzReport(seed=seed, steps=steps)
 
     def run_round(label: str) -> None:
@@ -812,6 +855,7 @@ def fuzz_repair(
     run_round("initial")
     for round_index in range(rounds):
         _recycling_churn(rng, policy, steps)
+        _plant_grant_chain(policy)
         run_round(f"round_{round_index}")
     return report
 

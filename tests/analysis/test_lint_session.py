@@ -18,6 +18,8 @@ from repro.analysis.lint import LintSession, lint_policy
 from repro.analysis.repair import APPLIED, repair_policy
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
+from repro.core.privileges import Grant, perm
+from repro.graph import dirty_region
 from repro.oracle import ReferenceLintSession, reference_lint_policy
 from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
 
@@ -177,6 +179,80 @@ def test_relint_asks_no_per_user_reachability(monkeypatch):
     policy.remove_edge(employee, role)
     relint = session.lint()
     assert len(calls) * 4 < users
+    monkeypatch.undo()
+    assert relint.findings == lint_policy(
+        policy.copy(), constraints=constraints
+    ).findings
+
+
+@BOTH_KERNELS
+def test_depth_k_relint_follows_a_held_grant_target(kernel):
+    """``eve`` holds, through ``admin``, ``grant(eve, stage)`` and
+    ``grant(stage, vault)``: granting both in turn routes her into
+    ``vault``.  Bursts that give ``vault`` a privilege, or take it
+    away, make a depth-2 escalation appear or disappear while ``eve``
+    stays upstream of no mutated edge — the re-lint must re-probe her
+    because a held grant's target changed what it reaches.  A burst
+    that touches neither her reach nor her grants carries her finding
+    over unprobed."""
+    eve, admin = User("eve"), Role("admin")
+    stage, vault = Role("stage"), Role("vault")
+    policy = Policy(
+        ua=[(eve, admin)],
+        pa=[(admin, Grant(eve, stage)), (admin, Grant(stage, vault))],
+    )
+    session = kernel.session(policy)
+    assert not session.lint().by_rule().get("depth-k-escalation")
+    wards, keys = Role("wards"), perm("open", "vault")
+    # (burst, depth-k findings after it, of which carried over)
+    steps = [
+        (lambda: policy.assign_privilege(vault, keys), 1, 0),
+        (lambda: policy.assign_user(User("bob"), wards), 1, 1),
+        (lambda: policy.remove_edge(vault, keys), 0, 0),
+        (lambda: policy.assign_privilege(wards, keys), 0, 0),
+        (lambda: policy.add_inheritance(vault, wards), 1, 0),
+        (lambda: policy.remove_edge(vault, wards), 0, 0),
+    ]
+    for mutate, expected, carried in steps:
+        mutate()
+        assert not policy.reaches(eve, vault)
+        relint = session.lint()
+        assert relint.findings == reference_lint_policy(
+            policy.copy()
+        ).findings
+        assert len(relint.by_rule().get("depth-k-escalation", ())) == expected
+        assert session.carried["depth-k-escalation"] == carried
+
+
+def test_depth_k_relint_probes_only_the_escalation_scope(monkeypatch):
+    """A one-edge re-lint explores the depth-k search only for users
+    in :attr:`LintContext.escalation_scope`, not for every holder of
+    a grant privilege."""
+    policy, constraints = audited_enterprise()
+    session = LintSession(policy, constraints=constraints)
+    full = session.lint()
+    employee = User("dept0_emp0")
+    [role] = policy.graph.successors(employee)
+    since = policy.version
+    policy.remove_edge(employee, role)
+    scope = lint_module.LintContext(
+        policy, constraints, window=dirty_region(policy.graph, since)
+    ).escalation_scope
+    vid = policy.graph._vid
+    probed = []
+    original = lint_module._min_grant_escalation
+
+    def recording(state, user, *args):
+        probed.append(user)
+        return original(state, user, *args)
+
+    monkeypatch.setattr(lint_module, "_min_grant_escalation", recording)
+    relint = session.lint()
+    assert full.stats["depth-k-escalation"]["users_probed"] > len(probed)
+    assert all(scope >> vid[user] & 1 for user in probed)
+    assert relint.stats.get("depth-k-escalation", {}).get(
+        "users_probed", 0
+    ) == len(probed)
     monkeypatch.undo()
     assert relint.findings == lint_policy(
         policy.copy(), constraints=constraints

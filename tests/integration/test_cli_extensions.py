@@ -151,6 +151,7 @@ def test_fuzz_lint_differential(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "lint agreement: 2 campaigns" in out
+    assert "depth-k-escalation in re-lints: " in out
     assert "invariants: all hold" in out
 
 

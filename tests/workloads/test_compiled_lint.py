@@ -44,8 +44,25 @@ def test_session_campaigns_on_wider_policies(seed):
     assert report.ok, report.violations[:5]
 
 
+def test_session_relints_compare_and_carry_depth_k_findings():
+    """Each campaign plants a two-step grant chain, so the session
+    differential sees ``depth-k-escalation`` findings: over seeds 0-4
+    at CI's churn length its re-lints compare some and carry some
+    across bursts that leave the chain alone, on both kernels."""
+    reports = [fuzz_lint(seed, steps=40) for seed in range(5)]
+    assert all(report.ok for report in reports)
+
+    def total(name):
+        return sum(report.counts.get(name, 0) for report in reports)
+
+    assert total("depth_k_compared") > 0
+    assert total("depth_k_carried_compiled") > 0
+    assert total("depth_k_carried_frozenset") > 0
+
+
 def test_campaign_deterministic_in_seed():
     first = fuzz_lint(3)
     second = fuzz_lint(3)
     assert first.violations == second.violations
+    assert first.counts == second.counts
     assert first.ok
