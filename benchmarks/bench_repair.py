@@ -27,7 +27,10 @@ of the workload.
 Run under pytest (``pytest benchmarks/bench_repair.py -s``) or
 directly (``PYTHONPATH=src python benchmarks/bench_repair.py``).
 ``REPAIR_BENCH_DEPARTMENTS`` / ``REPAIR_BENCH_LEVELS`` /
-``REPAIR_BENCH_EMPLOYEES`` shrink the workload for CI smoke runs;
+``REPAIR_BENCH_EMPLOYEES`` shrink the workload; 3 / 3 / 120, the size
+``tools/bench_report.py`` runs, is the smallest supported shrink (below
+it a run takes a few milliseconds, too short for the >=2x ratio:
+2 / 2 / 4 reads 1.3-1.8x and fails the gate);
 ``REPAIR_SPEEDUP_TARGET`` adjusts the assertion bar;
 ``tools/bench_report.py`` sets ``REPAIR_METRICS_OUT`` to collect the
 numbers into the ``BENCH_kernel.json`` trajectory.

@@ -78,12 +78,6 @@ from .repair import (
     plan_repair,
     repair_policy,
 )
-from .minimization import (
-    LoweringOpportunity,
-    canonicalize,
-    lowering_opportunities,
-    redundant_edges,
-)
 from .expressiveness import (
     CascadedDelegation,
     EncodingCost,
@@ -134,9 +128,7 @@ __all__ = [
     # repair
     "PLANNERS", "RepairAction", "RepairOutcome", "RepairPlan",
     "RepairReport", "apply_plan", "plan_repair", "repair_policy",
-    # minimization & expressiveness
-    "LoweringOpportunity", "canonicalize", "lowering_opportunities",
-    "redundant_edges",
+    # expressiveness
     "CascadedDelegation", "EncodingCost", "encode_as_nested_grant",
     "encode_as_pbdm_roles", "encoding_cost", "encodings_equi_obtainable",
     "run_nested_cascade", "run_pbdm_cascade",

@@ -12,9 +12,10 @@ so populations with heavy role sharing audit in close to ``O(U)``.
 ``audit_matrix`` is the library entry point (the ``repro audit-matrix``
 CLI subcommand renders it).  It reads the policy's own index
 (:attr:`Policy.index <repro.core.policy.Policy.index>`), so repeated
-audits of one policy — or an audit after a lint, a repair or a
-monitor over it — pay for one build plus the repairs of what changed
-in between, not a build per call.  Rows are intersected once per
+audits of one policy — or an audit after a monitor over it — pay for
+one build plus the repairs of what changed in between, not a build
+per call (lint and repair build no index: the first audit after a
+repair builds the repaired policy's).  Rows are intersected once per
 distinct authority profile.  The test suite pins the audit against
 :class:`repro.oracle.ReferenceIndex`.
 """

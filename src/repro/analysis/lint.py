@@ -16,9 +16,9 @@ Rules (see the registry below):
 * ``dormant-privilege`` — an assigned privilege no user reaches and
   no single currently-authorized grant can bring into reach;
 * ``redundant-delegation`` — an edge implied by the transitive
-  closure: removing it provably preserves every authorization
-  (verified against the policy's own :class:`AuthorizationIndex`, not
-  just claimed from reachability);
+  closure: its target stays reachable from its source without it, so
+  removing it preserves the whole reachability relation and with it
+  every authorization;
 * ``irrevocable-authority`` — a reachable grant privilege covering
   pairs for which no reachable revocation privilege exists;
 * ``self-escalation`` — a subject that can grant *itself* a privilege
@@ -42,17 +42,20 @@ findings under churn and vertex-ID recycling.
 per rule and applies the plans under a refinement gate with a
 monotone-shrink proof.
 
+Lint reads, never writes: no rule mutates the linted policy, so a
+lint leaves its version, its change journal and its authorization
+index (built or not) exactly as it found them.  Verification that
+needs a mutation — the remove/test/re-add probe of a redundant edge,
+checked against an authorization index — lives in the reference twin
+(:mod:`repro.oracle.lint`), where the differential harnesses run it.
+
 Repeated lints of one policy go through a :class:`LintSession`
 (:func:`lint_policy` is a fresh session's first lint).  The session
-keeps a journal cursor and its last findings; the redundancy rule
-verifies against the policy's own index (:attr:`Policy.index
-<repro.core.policy.Policy.index>`), which outlives the session, so a
-one-shot lint and a later session — or an audit — share one build.
-Each re-lint reads the policy's change journal, computes the burst's
-dirty region once, and evaluates ``redundant-delegation``,
-``self-escalation`` and ``depth-k-escalation`` only over that region,
-carrying their other findings over, while the other five rules re-run
-in full.  No rule
+keeps a journal cursor and its last findings.  Each re-lint reads
+the policy's change journal, computes the burst's dirty region once,
+and evaluates ``redundant-delegation``, ``self-escalation`` and
+``depth-k-escalation`` only over that region, carrying their other
+findings over, while the other five rules re-run in full.  No rule
 walks the user population: "which users reach X?" and "what does any
 user reach?" are one multi-source sweep each
 (:func:`~repro.graph.ancestors_of_mask`,
@@ -70,7 +73,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from ..core.authz_index import AuthorizationIndex, stale_grants
+from ..core.authz_index import stale_grants
 from ..core.commands import Command, CommandAction, Mode
 from ..core.entities import Role, User
 from ..core.explore import ExplorationEngine
@@ -185,8 +188,7 @@ class LintRule:
     carries: Callable[["LintContext", Finding], bool] | None = None
 
 
-#: registry in execution order — the mutation-probing rule runs last
-#: so the cheap mask sweeps work over an untouched cache.
+#: registry in execution order.
 RULES: dict[str, LintRule] = {}
 
 
@@ -214,19 +216,15 @@ class LintContext:
 
     Lint works on the caller's policy directly, so the mask sweeps
     run over the caller's real interner layout (holes, recycled IDs
-    and all — the layouts fuzz invariant 11 must exercise).  The
-    redundancy rule's probes restore the policy exactly (edges whose
-    removal would garbage-collect a vertex are never probed); the
-    observable side effects of a lint run are version advancement from
-    those probes and, once a redundancy candidate is probed, a built
-    :attr:`Policy.index <repro.core.policy.Policy.index>`, which the
-    probes' journal entries repair on its next read.
+    and all — the layouts fuzz invariant 11 must exercise).  It only
+    reads it: the rules call no mutator, so the policy's version,
+    journal and :attr:`Policy.index <repro.core.policy.Policy.index>`
+    slot are unchanged by a lint.
 
     ``window`` is the re-lint's journal window
-    (:func:`~repro.graph.dirty_region`, both halves already swept), or
-    None on a full run; rules read their domain through
-    :meth:`delegation_edges` and :attr:`escalation_scope`, never from
-    the window directly.
+    (:func:`~repro.graph.dirty_region`), or None on a full run; rules
+    read their domain through :meth:`delegation_edges` and
+    :attr:`escalation_scope`, never from the window directly.
 
     The aggregates and the planner queries (:meth:`reaches` and the
     three after it) are the kernel surface a reference context
@@ -250,7 +248,6 @@ class LintContext:
         self.window = window
         self._users: list | None = None
         self._reach_union = None
-        self._index = None
         self._escalation_scope: int | None = None
         self._rect_memo: dict = {}
         self._priv_reach_memo: dict = {}
@@ -347,15 +344,6 @@ class LintContext:
             )
         return self._reach_union
 
-    @property
-    def index(self) -> AuthorizationIndex:
-        """The redundancy rule's verification oracle over the work
-        policy: the policy's own authorization index
-        (:attr:`Policy.index <repro.core.policy.Policy.index>`)."""
-        if self._index is None:
-            self._index = self.policy.index
-        return self._index
-
     def decode(self, mask: int) -> list:
         """Mask -> vertices, deterministically ordered by ``str``."""
         vertex_of = self.policy.graph._vertex_of
@@ -441,8 +429,9 @@ class LintContext:
 @dataclass(frozen=True)
 class LintReport:
     """The outcome of one lint run: deterministically ordered findings
-    plus per-rule counters (candidates probed, findings verified or
-    refuted by the index oracle)."""
+    plus per-rule counters (e.g. redundancy candidates past the
+    prefilter and findings verified; the reference twin alone can
+    count ``refuted``)."""
 
     findings: tuple[Finding, ...]
     stats: dict = field(default_factory=dict)
@@ -511,11 +500,9 @@ class LintSession:
     """Repeated lints of one policy that pay for what changed.
 
     The session keeps, across lints, a journal cursor and its last
-    findings per rule — nothing else.  The redundancy rule verifies
-    against the policy's own index (:attr:`Policy.index
-    <repro.core.policy.Policy.index>`), which lives as long as the
-    policy and repairs itself from its own cursor, so every session
-    and one-shot lint of a policy shares one build.
+    findings per rule — nothing else.  Like every lint it never
+    mutates the policy, so the journal since the cursor holds exactly
+    the changes made by others.
 
     The first :meth:`lint` is a full run.  Each later one reads the
     journal window since the cursor (:func:`~repro.graph.dirty_region`)
@@ -538,8 +525,7 @@ class LintSession:
     ``baseline`` adopts a full lint of ``policy`` at its current
     state, made with the same rules, constraints and depth, as the
     session's first lint: the repair driver lints through
-    :func:`lint_policy` first and then continues in a session, both
-    over one build of its work policy's index.
+    :func:`lint_policy` first and then continues in a session.
 
     The session is also the repair driver's seam: planners run on
     :meth:`context`, so :class:`repro.oracle.ReferenceLintSession`,
@@ -584,9 +570,6 @@ class LintSession:
         window = dirty_region(self.policy.graph, self._cursor.version)
         if window is None or window.weight > self.DELTA_LIMIT:
             return None
-        # The redundancy probes mutate the policy while the rules run,
-        # so both halves are swept now, at the window's version.
-        window.upstream, window.downstream
         return window
 
     def context(self, window: JournalWindow | None = None) -> LintContext:
@@ -616,8 +599,6 @@ class LintSession:
             by_rule[rule.name] = found
         self._findings = by_rule
         self.carried = carried
-        # The redundancy probes restored the policy exactly, so the
-        # journal entries they left are not a change to re-lint.
         self._cursor.version = self.policy.version
         findings = [finding for found in by_rule.values() for finding in found]
         findings.sort(key=lambda finding: finding.sort_key)
@@ -1201,22 +1182,23 @@ def _carries_delegation(ctx: LintContext, finding: Finding) -> bool:
     carries=_carries_delegation,
 )
 def _redundant_delegation(ctx: LintContext) -> Iterator[Finding]:
-    """An edge ``(a, b)`` with ``b`` still reachable from ``a`` after
-    the edge's removal is implied by the rest of the policy: every
-    path through it reroutes, so the *entire* reachability relation —
-    and with it every authorization — is preserved.  Each candidate is
-    probed exactly (remove, test, re-add — the policy is restored
-    verbatim) and then verified against the authorization index:
-    the held-privilege sets of every user upstream of ``a``, and the
-    effective authority of a bounded sample of them, must be
-    unchanged by the removal.  Findings that fail verification are
-    dropped and counted as refuted (none should ever be).  A re-lint
-    probes only the edges of :meth:`LintContext.delegation_edges`."""
+    """An edge ``(a, b)`` with ``b`` still reachable from ``a`` without
+    it is implied by the rest of the policy: every path through it
+    reroutes, so the *entire* reachability relation — and with it every
+    authorization — is preserved.
+
+    Decided without touching the policy: one sweep from ``a``'s other
+    successors that never enters ``a`` reaches ``b`` exactly when the
+    edge is redundant (a simple ``a ⇝ b`` path avoiding the edge leaves
+    ``a`` through another successor and never returns to it), and a
+    self-loop ``(a, a)`` is implied by reflexive reach once the
+    prefilter holds.  The reference twin (:mod:`repro.oracle.lint`)
+    keeps the literal remove/test/re-add probe and verifies every
+    finding against a :class:`~repro.oracle.ReferenceIndex`.  A re-lint
+    evaluates only the edges of :meth:`LintContext.delegation_edges`."""
     policy = ctx.policy
     graph = policy.graph
-    # A snapshot: each probe below removes and re-adds its edge.  The
-    # order is immaterial — every probe restores the policy exactly,
-    # and the session sorts the findings.
+    vid = graph._vid
     for source, target in ctx.delegation_edges():
         if is_privilege(target) and graph.in_degree(target) == 1:
             # Sole assignment: removal would garbage-collect the
@@ -1224,58 +1206,36 @@ def _redundant_delegation(ctx: LintContext) -> Iterator[Finding]:
             continue
         # Cheap necessary condition: some other out-edge of ``source``
         # already reaches ``target`` (possibly via a cycle through the
-        # candidate edge, hence the exact probe below).
-        target_id = graph._vid[target]
+        # candidate edge, hence the avoiding sweep below).
+        target_id = vid[target]
+        others = graph.successors(source) - {target}
         if not any(
             policy.descendants_bits(successor) >> target_id & 1
-            for successor in graph.successors(source)
-            if successor != target
+            for successor in others
         ):
             continue
-        finding = _probe_redundancy(
-            ctx, source, target,
-            ctx.decode(ancestors_bits(graph, source) & policy.bits.users_mask),
-            lambda: policy.descendants_bits(source) >> target_id & 1,
-        )
-        if finding is not None:
-            yield finding
+        ctx.count("redundant-delegation", "candidates")
+        source_bit = 1 << vid[source]
+        if source != target and not descendants_of_mask(
+            graph, pack_bits(graph, others) & ~source_bit, blocked=source_bit
+        ) >> target_id & 1:
+            continue
+        yield _redundancy_finding(ctx, source, target)
 
 
-def _probe_redundancy(
-    ctx: LintContext, source, target, upstream: list, still_reaches
-) -> Finding | None:
-    """Probe one candidate edge exactly: remove it, require
-    ``still_reaches()`` and, in ``ctx.index``, unchanged held privileges
-    for every ``upstream`` user and unchanged effective authority for a
-    sample of them, then re-add it.  Returns the finding, or None."""
-    ctx.count("redundant-delegation", "candidates")
-    policy, index = ctx.policy, ctx.index
-    before_held = {user: index.held_privileges(user) for user in upstream}
-    before_authority = {
-        user: index.effective_authority(user) for user in upstream[:8]
-    }
-    policy.remove_edge(source, target)
-    try:
-        if not still_reaches():
-            return None
-        verified = all(
-            index.held_privileges(user) == before_held[user]
-            for user in upstream
-        ) and all(
-            index.effective_authority(user) == before_authority[user]
-            for user in before_authority
-        )
-        if not verified:
-            ctx.count("redundant-delegation", "refuted")
-            return None
-        ctx.count("redundant-delegation", "verified")
-        reroute = next(
-            successor
-            for successor in sorted(policy.graph.successors(source), key=str)
-            if policy.reaches(successor, target)
-        )
-    finally:
-        policy.add_edge(source, target)
+def _redundancy_finding(ctx: LintContext, source, target) -> Finding:
+    """The finding for the redundant edge ``(source, target)``, counted
+    as verified.  Its reroute is the first other successor of
+    ``source``, by ``str``, that reaches ``target``; reading reach with
+    or without the edge picks the same one, because a successor whose
+    path uses the edge reaches ``source``, which reaches ``target``
+    without it."""
+    ctx.count("redundant-delegation", "verified")
+    reroute = next(
+        successor
+        for successor in sorted(ctx.policy.graph.successors(source), key=str)
+        if successor != target and ctx.reaches(successor, target)
+    )
     return Finding(
         "redundant-delegation", Severity.INFO, source,
         (source, target, reroute),

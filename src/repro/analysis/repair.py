@@ -326,8 +326,10 @@ def _plan_self_escalation(ctx: LintContext, finding: Finding):
 
 @_planner("redundant-delegation")
 def _plan_redundant_delegation(ctx: LintContext, finding: Finding):
-    """Drop the implied edge — the rule already verified against the
-    authorization index that removal preserves every authorization."""
+    """Drop the implied edge: the rule found its target reachable from
+    its source without it, so removal preserves the whole reachability
+    relation and with it every authorization (the refinement gate
+    still checks the result)."""
     source, target, _reroute = finding.witness
     if not ctx.policy.has_edge(source, target):
         return None

@@ -402,12 +402,12 @@ class Policy:
         """The policy's authorization index
         (:class:`~repro.core.authz_index.AuthorizationIndex`): built on
         first read, repaired from its own journal cursor on each later
-        read.  Every production reader — the index-backed monitor, the
-        compiled lint's verifier, the repair driver,
+        read.  Every production reader — the index-backed monitor,
         :func:`~repro.analysis.audit.audit_matrix` and
         :class:`~repro.core.authz_index.ReviewSnapshot` — shares this
-        one index, so repeated readers of one policy pay for one build
-        plus the repairs of what changed in between.  A :meth:`copy`
+        one index (lint and repair read none), so repeated readers of
+        one policy pay for one build plus the repairs of what changed
+        in between.  A :meth:`copy`
         forks its source's index instead of building (every table shared
         copy-on-write) if the source is still alive and neither policy
         has moved since the copy, so the vertex-ID layouts still agree.

@@ -155,15 +155,20 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def descendants_of_mask(graph: Digraph, mask: int) -> int:
+def descendants_of_mask(graph: Digraph, mask: int, blocked: int = 0) -> int:
     """Bitmask of every vertex reachable from *some* vertex of ``mask``
     (a mask over the graph's live vertex IDs), including the seeds
     themselves; ``0`` for an empty mask.
 
     One multi-source sweep answers a population question — "which
     vertices does any user reach?" — that the per-vertex form answers
-    only as a union of one walk per member."""
-    return _sweep_bits(graph._succ_bits, mask, list(iter_bits(mask)))
+    only as a union of one walk per member.
+
+    ``blocked`` vertices are never entered: the answer is what the
+    seeds reach in the graph with those vertices deleted (they are
+    absent from it).  The seeds must avoid ``blocked``."""
+    seen = _sweep_bits(graph._succ_bits, mask | blocked, list(iter_bits(mask)))
+    return seen & ~blocked
 
 
 def ancestors_of_mask(graph: Digraph, mask: int) -> int:

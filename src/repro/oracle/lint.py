@@ -5,18 +5,27 @@ body that answers from ``descendants`` / ``ancestors`` frozensets
 instead of :class:`~repro.core.policy.PolicyBits` masks; the twins
 share each rule's severity, ``carries`` predicate, finding builders and
 ``ctx.count`` statistics.  :class:`ReferenceLintContext` overrides the
-context's kernel surface (aggregates, rectangles, a private
-:class:`~repro.oracle.index.ReferenceIndex` verifier and the planner
-queries), and :class:`ReferenceLintSession` lints with the twins over
+context's kernel surface (aggregates, rectangles and the planner
+queries) and adds a private :class:`~repro.oracle.index.ReferenceIndex`
+verifier, and :class:`ReferenceLintSession` lints with the twins over
 it — so :func:`reference_repair_policy` is the production repair loop
 run over a reference session.  Fuzz invariants 11 and 13 pin the
 production rules and driver to these twins.
+
+Unlike the production rules, which never write, the
+``redundant-delegation`` twin decides each candidate by the literal
+probe — remove the edge, re-test reachability, re-read every upstream
+user's held privileges in the reference index, re-add the edge — so
+it also verifies the rule's premise that reachability preserved means
+every authorization preserved (``refuted`` counts the findings that
+premise would lose; there must be none).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from functools import cached_property
 from typing import Iterable
 
 from ..analysis.constraints import SsdConstraint
@@ -37,7 +46,7 @@ from ..analysis.lint import (
     _grant_edges,
     _irrevocable_findings,
     _priv_target_grants,
-    _probe_redundancy,
+    _redundancy_finding,
     _unassign_findings,
 )
 from ..analysis.repair import RepairPlan, RepairReport, _plan, _repair_loop
@@ -65,8 +74,8 @@ def _entity_target(item, connective) -> bool:
 
 class ReferenceLintContext(LintContext):
     """A :class:`~repro.analysis.lint.LintContext` answering from
-    frozensets, verifying redundancy against a private
-    :class:`ReferenceIndex`."""
+    frozensets, verifying redundancy probes against a private
+    :class:`ReferenceIndex` (:attr:`index`)."""
 
     @property
     def reach_union(self) -> frozenset:
@@ -77,11 +86,11 @@ class ReferenceLintContext(LintContext):
             self._reach_union = frozenset(reached)
         return self._reach_union
 
-    @property
+    @cached_property
     def index(self) -> ReferenceIndex:
-        if self._index is None:
-            self._index = ReferenceIndex(self.policy)
-        return self._index
+        """The redundancy probes' verifier, built on first use and
+        journal-repaired across the probes."""
+        return ReferenceIndex(self.policy)
 
     def _rectangle(self, privilege: Grant) -> tuple:
         source, target = privilege.source, privilege.target
@@ -342,6 +351,9 @@ def _min_grant_escalation(policy, user, depth, universe_edges=None):
 def _redundant_delegation(ctx: ReferenceLintContext):
     policy = ctx.policy
     graph = policy.graph
+    # A snapshot: each probe below removes and re-adds its edge.  The
+    # order is immaterial — every probe restores the policy exactly,
+    # and the session sorts the findings.
     for source, target in ctx.delegation_edges():
         if is_privilege(target) and graph.in_degree(target) == 1:
             continue
@@ -352,19 +364,64 @@ def _redundant_delegation(ctx: ReferenceLintContext):
         ):
             continue
         finding = _probe_redundancy(
-            ctx, source, target, _sorted(ancestors(graph, source), User),
-            lambda: target in policy.descendants(source),
+            ctx, source, target, _sorted(ancestors(graph, source), User)
         )
         if finding is not None:
             yield finding
 
 
+def _probe_redundancy(
+    ctx: ReferenceLintContext, source, target, upstream: list
+) -> Finding | None:
+    """Probe one candidate edge exactly: remove it, require that
+    ``source`` still reaches ``target`` and, in ``ctx.index``, unchanged
+    held privileges for every ``upstream`` user and unchanged effective
+    authority for a sample of them, then re-add it.  Returns the
+    finding, or None."""
+    ctx.count("redundant-delegation", "candidates")
+    policy, index = ctx.policy, ctx.index
+    before_held = {user: index.held_privileges(user) for user in upstream}
+    before_authority = {
+        user: index.effective_authority(user) for user in upstream[:8]
+    }
+    policy.remove_edge(source, target)
+    try:
+        if target not in policy.descendants(source):
+            return None
+        verified = all(
+            index.held_privileges(user) == before_held[user]
+            for user in upstream
+        ) and all(
+            index.effective_authority(user) == before_authority[user]
+            for user in before_authority
+        )
+        if not verified:
+            ctx.count("redundant-delegation", "refuted")
+            return None
+        # The reroute read in the probed state, where the edge is gone.
+        return _redundancy_finding(ctx, source, target)
+    finally:
+        policy.add_edge(source, target)
+
+
 class ReferenceLintSession(LintSession):
     """A :class:`~repro.analysis.lint.LintSession` linting with
-    :data:`REFERENCE_RULES` over :class:`ReferenceLintContext`."""
+    :data:`REFERENCE_RULES` over :class:`ReferenceLintContext`.
+
+    The redundancy twin's probes mutate the policy while the rules run
+    and restore it exactly, so a re-lint's window has both halves swept
+    before the rules start, at the window's version, and the journal
+    entries the probes leave are not a change to re-lint (the session
+    moves its cursor past them after each lint)."""
 
     registry = REFERENCE_RULES
     context_class = ReferenceLintContext
+
+    def _dirty(self):
+        window = super()._dirty()
+        if window is not None:
+            window.upstream, window.downstream
+        return window
 
 
 def reference_lint_policy(

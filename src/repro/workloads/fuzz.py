@@ -512,9 +512,9 @@ def _policy_index_problems(policy: Policy) -> list[str]:
     """The policy's own index (:attr:`Policy.index`) against a fresh
     build: equal held sets for every user, and a cover table that is
     the inversion of its memo with every memoized rectangle current
-    (:func:`~repro.workloads.churn.cover_table_problems`).  Lint probes
-    and repair's undo log mutate the policy and restore it; the shared
-    index must follow both."""
+    (:func:`~repro.workloads.churn.cover_table_problems`).  The
+    reference lint's redundancy probes and repair's undo log mutate the
+    policy and restore it; the shared index must follow both."""
     from .churn import cover_table_problems
 
     index = policy.index
@@ -574,6 +574,24 @@ def _plant_grant_chain(policy: Policy) -> None:
     policy.assign_privilege(vault, perm("open", "chain_vault"))
 
 
+def _plant_delegation_cycle(policy: Policy) -> None:
+    """Two delegation edges whose redundancy turns on a cycle through
+    their source ``cycle_a`` (``cycle_a -> cycle_c -> cycle_a``):
+    ``(cycle_a, cycle_b)`` passes the closure prefilter only through
+    the cycle (``cycle_c`` reaches ``cycle_b`` back through
+    ``cycle_a``), so it is *not* redundant; ``(cycle_a, cycle_d)`` is
+    redundant, but its one witness ``cycle_c`` also reaches the
+    source.  A redundancy test that lets the reroute pass through the
+    source, or one that trusts only witnesses avoiding it, gets one of
+    the two wrong."""
+    a, b, c, d = (Role(f"cycle_{name}") for name in "abcd")
+    policy.assign_user(User("cycle_user"), a)
+    for senior, junior in ((a, b), (a, c), (c, a), (c, d), (a, d)):
+        policy.add_inheritance(senior, junior)
+    policy.assign_privilege(b, perm("read", "cycle_b"))
+    policy.assign_privilege(d, perm("read", "cycle_d"))
+
+
 def _sampled_ssd(name: str, picked: list):
     """An SSD separation set over ``picked`` roles; three or more
     picked roles make it a cardinality-3 set, so the rules' at-least
@@ -614,15 +632,20 @@ def fuzz_lint(
     exactly what a fresh full reference lint of a copy finds.  Session churn draws from its own
     seeded stream, so the kernel comparisons see the policies they
     always did until the first burst.  After every re-lint the
-    policy's own index, which the compiled lints verify against and
-    whose probes mutate and restore the policy, must equal a fresh
-    build (:func:`_policy_index_problems`).
+    policy's own index, built by the first check and then repaired
+    across the reference session's redundancy probes (which mutate and
+    restore the policy), must equal a fresh build
+    (:func:`_policy_index_problems`).
 
     The generated policy gets a two-step grant chain
-    (:func:`_plant_grant_chain`), planted again after each churn chunk,
-    so the re-lints see ``depth-k-escalation`` findings; ``counts``
-    records how many each re-lint compared (``depth_k_compared``) and
-    each session carried over (``depth_k_carried_<kernel>``).
+    (:func:`_plant_grant_chain`) and two delegation edges whose
+    redundancy turns on a cycle through their source
+    (:func:`_plant_delegation_cycle`), planted again after each churn
+    chunk, so the re-lints see ``depth-k-escalation`` findings and the
+    redundancy rule meets both sides of its cycle case; ``counts``
+    records how many depth-k findings each re-lint compared
+    (``depth_k_compared``) and each session carried over
+    (``depth_k_carried_<kernel>``).
     """
     from ..analysis.lint import LintSession, lint_policy
     from ..oracle import ReferenceLintSession, reference_lint_policy
@@ -630,6 +653,7 @@ def fuzz_lint(
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
     _plant_grant_chain(policy)
+    _plant_delegation_cycle(policy)
     report = FuzzReport(seed=seed, steps=steps)
     session_rng = random.Random(f"lint-session-{seed}")
     roles = sorted(policy.roles(), key=str)
@@ -702,6 +726,7 @@ def fuzz_lint(
     for round_index in range(rounds):
         _recycling_churn(rng, policy, steps)
         _plant_grant_chain(policy)
+        _plant_delegation_cycle(policy)
         relint(f"round_{round_index}")
         compare(f"round_{round_index}")
         for burst in range(4):
@@ -736,13 +761,15 @@ def fuzz_repair(
     plan, applied to the replayed state through the undo log and
     rolled back, must leave it value-equal with an index that equals a
     fresh build.  The repaired policies' own indexes (the in-place
-    run's and the re-repair's work copy's), which every re-lint
-    verified against while the undo log applied and rolled back plans,
-    must equal fresh builds (:func:`_policy_index_problems`).  Churn
+    run's, repaired across every plan the undo log applied and rolled
+    back since the previous round's check, and the re-repair's work
+    copy's) must equal fresh builds (:func:`_policy_index_problems`).  Churn
     then continues from the repaired policy into the next round.  Every
-    round starts with a two-step grant chain planted
-    (:func:`_plant_grant_chain`), so the runs plan, apply and re-lint
-    ``depth-k-escalation`` repairs.
+    round starts with a two-step grant chain
+    (:func:`_plant_grant_chain`) and the cycle-through-source
+    delegations (:func:`_plant_delegation_cycle`) planted, so the runs
+    plan, apply and re-lint ``depth-k-escalation`` and
+    ``redundant-delegation`` repairs on those shapes.
     """
     from ..analysis.lint import lint_policy
     from ..analysis.repair import APPLIED, _UndoLog, repair_policy
@@ -752,6 +779,7 @@ def fuzz_repair(
     rng = random.Random(seed)
     policy = random_policy(seed, shape)
     _plant_grant_chain(policy)
+    _plant_delegation_cycle(policy)
     report = FuzzReport(seed=seed, steps=steps)
 
     def run_round(label: str) -> None:
@@ -856,6 +884,7 @@ def fuzz_repair(
     for round_index in range(rounds):
         _recycling_churn(rng, policy, steps)
         _plant_grant_chain(policy)
+        _plant_delegation_cycle(policy)
         run_round(f"round_{round_index}")
     return report
 

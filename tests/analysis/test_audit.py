@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.audit import AuditReport, audit_matrix
+from repro.analysis.lint import lint_policy
 from repro.analysis.repair import repair_policy
 from repro.core.authz_index import AuthorizationIndex
 from repro.core.commands import Mode
@@ -175,22 +176,32 @@ class TestAuditMatrix:
         assert built == [moved.index]
 
     def test_repair_builds_one_index_on_its_work_copy(self, monkeypatch):
+        """Lint and repair read no index: the repaired policy's first
+        audit builds its one, so a lint -> fix -> audits cycle builds
+        one, and a warm input's index is left untouched."""
         built = count_index_builds(monkeypatch)
         policy = figures.figure2()
+        lint_policy(policy)
         report = repair_policy(policy)
         assert report.applied
-        assert built == [report.policy.index]
+        assert built == []
         assert policy._index is None
-        assert report.policy.index.full_rebuilds == 1
+        assert report.policy._index is None
+        audit_matrix(report.policy)
         audit_matrix(report.policy)
         assert built == [report.policy.index]
-        # The input's index already built: the work copy forks it.
+        assert report.policy.index.full_rebuilds == 1
         audit_matrix(policy)
+        warm = policy.index
+        before = (warm.statistics(), warm._cursor.version, policy.version)
         built.clear()
+        lint_policy(policy)
         again = repair_policy(policy)
         assert again.as_dict() == report.as_dict()
         assert built == []
-        assert again.policy.index.full_rebuilds == 0
+        assert policy._index is warm
+        assert again.policy._index is None
+        assert (warm.statistics(), warm._cursor.version, policy.version) == before
 
     def test_as_dict_is_json_ready(self):
         document = json.loads(

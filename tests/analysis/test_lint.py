@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,10 +19,13 @@ from repro.analysis.lint import (
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke, perm
+from repro.core.serialization import policy_from_json
 from repro.errors import AnalysisError
 from repro.oracle import reference_lint_policy
 from repro.papercases import figures
 from repro.workloads.generators import PolicyShape, random_policy
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: each case runs on the production rules and on their frozenset twins.
 BOTH_KERNELS = pytest.mark.parametrize(
@@ -402,6 +407,27 @@ class TestRedundantDelegation:
         )
 
     @BOTH_KERNELS
+    def test_cycle_through_the_source(self, kernel):
+        """A prefilter witness that reaches the target only back through
+        the source is no reroute; a witness that also reaches the source
+        is one; a self-loop on a cycle is implied by reflexive reach."""
+        a, c, d = Role("a"), Role("c"), Role("d")
+        policy = _cycle_through_source()
+        report = kernel.lint(policy)
+        assert [f.witness for f in by_rule(report, "redundant-delegation")] == [
+            (a, d, c), (c, d, a),
+        ]
+        assert report.stats["redundant-delegation"] == {
+            "candidates": 3, "verified": 2,
+        }
+        policy.add_inheritance(a, a)
+        policy.add_inheritance(d, d)
+        report = kernel.lint(policy)
+        assert [f.witness for f in by_rule(report, "redundant-delegation")] == [
+            (a, a, c), (a, d, a), (c, d, a),
+        ]
+
+    @BOTH_KERNELS
     def test_probing_restores_policy_exactly(self, kernel):
         policy = figures.figure1()
         edges = policy.edge_set()
@@ -411,6 +437,49 @@ class TestRedundantDelegation:
         assert policy.vertex_set() == vertices
         again = kernel.lint(policy)
         assert again.findings == first.findings
+
+
+def _cycle_through_source() -> Policy:
+    """``a -> c -> a`` is a cycle through ``a``: ``(a, b)`` passes the
+    closure prefilter only through it (not redundant), and ``(a, d)``
+    is redundant with its one witness ``c`` also reaching ``a``."""
+    a, b, c, d = (Role(name) for name in "abcd")
+    return Policy(
+        ua=[(User("u"), a)],
+        rh=[(a, b), (a, c), (c, a), (c, d), (a, d)],
+        pa=[(b, perm("read", "doc")), (d, perm("write", "doc"))],
+    )
+
+
+def _audit_policy() -> Policy:
+    """The benchmark's ``audit_offline`` policy (``audit_inputs(1)``)."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
+    try:
+        from e2e_workloads import audit_inputs
+    finally:
+        sys.path.pop(0)
+    return policy_from_json(audit_inputs(1)[0])
+
+
+@pytest.mark.parametrize("make_policy", [
+    figures.figure1, figures.figure2, figures.figure3, _audit_policy,
+    _cycle_through_source,
+], ids=["figure1", "figure2", "figure3", "audit_inputs_1", "cycle"])
+def test_lint_never_mutates_the_policy(make_policy):
+    """Lint reads, never writes: the policy's version, change journal
+    and index slot are as the lint found them, with or without a
+    built index."""
+    policy = make_policy()
+    for _ in range(2):
+        state = (
+            policy.version, list(policy.graph._journal), policy._index,
+        )
+        report = lint_policy(policy)
+        assert by_rule(report, "redundant-delegation")
+        assert (
+            policy.version, list(policy.graph._journal), policy._index,
+        ) == state
+        policy.index  # the second pass lints over a built index
 
 
 # ----------------------------------------------------------------------

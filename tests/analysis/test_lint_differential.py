@@ -27,7 +27,11 @@ from repro.analysis.lint import lint_policy
 from repro.analysis.safety import can_obtain
 from repro.core.commands import Mode
 from repro.core.entities import User
-from repro.oracle import ReferenceIndex, reference_can_obtain
+from repro.oracle import (
+    ReferenceIndex,
+    reference_can_obtain,
+    reference_lint_policy,
+)
 from repro.papercases import figures
 from repro.workloads.fuzz import _recycling_churn
 from repro.workloads.generators import PolicyShape, random_policy
@@ -47,7 +51,7 @@ def churned_policy(seed):
 def confirm_redundant(policy, finding):
     """Removing the witnessed edge must leave every user's held set
     and effective authority untouched (full check — stronger than the
-    bounded sample the rule itself verifies)."""
+    bounded sample the reference twin's probe verifies)."""
     source, target, reroute = finding.witness
     oracle = ReferenceIndex(policy)
     before_held = {
@@ -119,9 +123,11 @@ CONFIRMERS = {
 def test_campaign_findings_confirmed_by_oracles(seed):
     policy = churned_policy(seed)
     report = lint_policy(policy)
-    # The probing rule's own verification must never have refuted a
-    # candidate that passed the reachability test.
-    assert "refuted" not in report.stats.get("redundant-delegation", {})
+    # The reference twin probes each candidate against its index; that
+    # verification must never have refuted a candidate that passed the
+    # reachability test.
+    oracle = reference_lint_policy(policy)
+    assert "refuted" not in oracle.stats.get("redundant-delegation", {})
     for finding in report.findings:
         confirmer = CONFIRMERS.get(finding.rule)
         if confirmer is not None:

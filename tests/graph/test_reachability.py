@@ -8,8 +8,10 @@ from repro.graph import (
     ancestors,
     descendants,
     descendants_bits,
+    descendants_of_mask,
     dirty_region,
     iter_bits,
+    pack_bits,
     reaches,
 )
 
@@ -63,6 +65,32 @@ def test_diamond():
     graph = Digraph([("top", "l"), ("top", "r"), ("l", "bot"), ("r", "bot")])
     assert descendants(graph, "top") == {"top", "l", "r", "bot"}
     assert ancestors(graph, "bot") == {"top", "l", "r", "bot"}
+
+
+def test_blocked_sweep_is_reach_in_the_graph_without_the_vertex():
+    """A sweep from a vertex's other successors with the vertex
+    blocked equals a frozenset BFS on the graph with it deleted; cycles
+    back into the vertex and self-loops (its own and others') cannot
+    re-open it."""
+    rng = random.Random(7)
+    for _ in range(60):
+        size = rng.randint(2, 9)
+        edges = [
+            (rng.randrange(size), rng.randrange(size))
+            for _ in range(rng.randint(1, 3 * size))
+        ]
+        graph = Digraph(edges)
+        for vertex in list(graph.vertices()):
+            without = Digraph(edges)
+            without.remove_vertex(vertex)
+            seeds = graph.successors(vertex) - {vertex}
+            expected = set()
+            for seed in seeds:
+                expected |= descendants(without, seed)
+            swept = descendants_of_mask(
+                graph, pack_bits(graph, seeds), blocked=1 << graph.vid(vertex)
+            )
+            assert {graph.vertex_of(i) for i in iter_bits(swept)} == expected
 
 
 def test_cache_answers_match_direct_queries():

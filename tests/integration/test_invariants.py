@@ -6,10 +6,11 @@ no production signature offers a ``compiled`` kernel choice and only
 the differential harnesses import ``repro.oracle``, production code
 reads the policy's own authorization index instead of building its
 own, every lint rule is fully wired (including its reference
-twin), and the change journal is read outside ``repro.graph`` only
-through ``dirty_region``.  The first test keeps the live tree clean; the rest pin
-the checker itself against synthetic violations so a silent regression
-of the checker cannot hide a regression of the tree.
+twin), the change journal is read outside ``repro.graph`` only
+through ``dirty_region``, and lint calls no policy mutator.  The
+first test keeps the live tree clean; the rest pin the checker
+itself against synthetic violations so a silent regression of the
+checker cannot hide a regression of the tree.
 """
 
 import sys
@@ -348,3 +349,35 @@ class TestOneJournalReadPath:
                 deltas = graph.changes_since(since)
                 return _sweep_bits(graph._succ_bits, 1, [0]), deltas
         """, relpath="graph/digraph.py") == []
+
+
+class TestLintReadsOnly:
+    @pytest.mark.parametrize("call", [
+        "policy.remove_edge(source, target)",
+        "policy.add_edge(source, target)",
+        "policy.graph.add_vertex(source)",
+        "policy.assign_privilege(source, target)",
+        "policy.remove_role(source)",
+    ])
+    def test_mutator_call_in_lint_flagged(self, call):
+        found = violations_of(f"""
+            def probe(policy, source, target):
+                {call}
+        """, relpath="analysis/lint.py")
+        assert len(found) == 1
+        assert "read-only module" in found[0] and "lint.py:3" in found[0]
+
+    def test_reads_in_lint_allowed(self):
+        assert violations_of("""
+            def probe(policy, source, target, found):
+                found.append(policy.has_edge(source, target))
+                found.remove(source)
+                return policy.descendants_bits(source), policy.graph.successors(source)
+        """, relpath="analysis/lint.py") == []
+
+    def test_other_modules_may_mutate(self):
+        assert violations_of("""
+            def probe(policy, source, target):
+                policy.remove_edge(source, target)
+                policy.add_edge(source, target)
+        """, relpath="oracle/lint.py") == []

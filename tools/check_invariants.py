@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase static analysis: machine-enforced repo discipline.
 
-The bitset kernels rest on five conventions that review alone cannot
+The bitset kernels rest on six conventions that review alone cannot
 be trusted to hold:
 
 1. **Graph encapsulation** — ``Digraph``'s private structures
@@ -44,6 +44,13 @@ be trusted to hold:
    ``_sweep_bits`` elsewhere in ``src/repro`` is a private journal
    read or region sweep that the consumers of one write would no
    longer share.
+
+6. **Lint reads, never writes** — ``analysis/lint.py`` calls no policy
+   or graph mutator (``add_edge``, ``remove_edge``, ``add_vertex``,
+   ``assign_*``, ``remove_*``, ...).  A lint leaves its policy's
+   version, journal and index as it found them; a check that needs to
+   mutate, such as the redundancy probe, belongs to the reference twin
+   in :mod:`repro.oracle.lint`.
 
 Run as a script (``python tools/check_invariants.py``) or through
 ``tests/integration/test_invariants.py``; exits non-zero with one line
@@ -102,6 +109,16 @@ INDEX_BUILDERS = frozenset({
 #: The module allowed to call ``AuthorizationIndex._fork``: the policy,
 #: whose copies fork the source's index on their first ``index`` read.
 FORK_CALLERS = frozenset({"core/policy.py"})
+
+#: Modules (relative to src/repro) that only read the policy they get.
+READ_ONLY_MODULES = frozenset({"analysis/lint.py"})
+
+#: Policy and Digraph methods that change the policy graph, besides
+#: every ``assign_*`` and ``remove_*`` method.
+POLICY_MUTATORS = frozenset({
+    "add_edge", "add_inheritance", "add_role", "add_user", "add_vertex",
+    "fast_forward_version",
+})
 
 
 def _mentions_internal(node: ast.AST) -> str | None:
@@ -239,6 +256,7 @@ class _Checker(ast.NodeVisitor):
                 )
         self._check_index_construction(node)
         self._check_journal_read(node)
+        self._check_policy_mutation(node)
         self.generic_visit(node)
 
     # -- rule 3: one authorization index per policy --------------------
@@ -282,6 +300,23 @@ class _Checker(ast.NodeVisitor):
                 node,
                 f"calls {name}() outside repro.graph (read the journal "
                 "through dirty_region(graph, since))",
+            )
+
+
+    # -- rule 6: lint reads, never writes -------------------------------
+    def _check_policy_mutation(self, node: ast.Call) -> None:
+        if self.relpath not in READ_ONLY_MODULES:
+            return
+        func = node.func
+        if not isinstance(func, ast.Attribute):
+            return
+        name = func.attr
+        if name in POLICY_MUTATORS or name.startswith(("assign_", "remove_")):
+            self._report(
+                node,
+                f"calls policy mutator .{name}() in a read-only module "
+                "(lint never mutates its policy; a mutating check "
+                "belongs to the reference twin in repro.oracle)",
             )
 
 
@@ -384,7 +419,7 @@ def main() -> int:
         return 1
     print("repo invariants hold: graph encapsulation, no kernel choice, "
           "one authorization index per policy, lint registry fully "
-          "wired, one journal read path")
+          "wired, one journal read path, lint reads only")
     return 0
 
 
