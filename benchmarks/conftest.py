@@ -1,17 +1,14 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the benchmark scripts.
 
-Each ``bench_*.py`` file regenerates one experiment of the
-reproduction; its module docstring names the claim of the paper
-(abstract in ``PAPER.md``) it measures.  Two kinds of artifacts are
-produced:
-
-* pytest-benchmark timings (``pytest benchmarks/ --benchmark-only``);
-* qualitative result tables printed by the ``test_report_*`` items —
-  these are the "rows/series" the paper's examples and claims
-  correspond to.
+Each ``bench_*.py`` file is a standalone script (``python
+benchmarks/bench_NAME.py``) that times one layer of the reproduction
+against a baseline and asserts a gate: the exit code is non-zero when
+the gate fails.  Every script is run by ``tools/bench_report.py``
+(reduced configurations, CI ``bench-smoke`` job) or by a CI step of
+its own; ``tests/integration/test_bench_report.py`` keeps it so.  The
+paper's claims themselves are asserted by the tier-1 tests
+(``tests/papercases/`` and the tests they name), not here.
 """
-
-import pytest
 
 
 def built_reference(policy):

@@ -11,9 +11,8 @@ The library implements:
   the Theorem-1 weakening transformation, and a bounded Definition-7
   model checker;
 * baselines from the paper's related-work section (ARBAC97,
-  administrative scope, administrative domains, HRU) and analysis
-  tooling (safety/reachability, the Remark-2 conjecture, experimental
-  revocation orderings);
+  administrative scope, HRU, the PBDM encoding) and analysis tooling
+  (safety/reachability, the Remark-2 conjecture);
 * a small RBAC-guarded in-memory DBMS matching the paper's hospital
   scenario, workload generators, and the paper's figures/examples as
   executable artifacts.

@@ -1,10 +1,9 @@
 """Analyses and related-work baselines.
 
 Implements the models the paper compares against (§5 and footnote 5)
-— ARBAC97, administrative scope, administrative domains, HRU — plus
-safety/reachability analysis, the cross-model comparison harness, the
-Remark-2 conjecture tester, and the experimental revocation orderings
-of the paper's future-work section.
+— ARBAC97, administrative scope, HRU and the PBDM encoding — plus
+safety/reachability analysis, the cross-model comparison harness and
+the Remark-2 conjecture tester.
 """
 
 from .arbac import (
@@ -24,7 +23,6 @@ from .scope import (
     seniors,
     strict_administrative_scope,
 )
-from .domains import Domain, DomainPartition
 from .hru import (
     AccessMatrix,
     HruCommand,
@@ -88,15 +86,6 @@ from .expressiveness import (
     run_nested_cascade,
     run_pbdm_cascade,
 )
-from .revocation import (
-    CandidateOrdering,
-    FalsificationOutcome,
-    candidate_substitutions,
-    cross_connective_unsafe,
-    dual_grant_ordering,
-    falsify_candidate,
-    revoke_always_weaker,
-)
 
 __all__ = [
     # arbac
@@ -105,8 +94,6 @@ __all__ = [
     "administrative_scope", "is_within_scope", "juniors",
     "may_assign_under_scope", "scope_administrators", "seniors",
     "strict_administrative_scope",
-    # domains
-    "Domain", "DomainPartition",
     # hru
     "AccessMatrix", "HruCommand", "HruOp", "SafetyResult",
     "check_safety", "encode_rbac_grants", "enter_self_markers",
@@ -132,9 +119,6 @@ __all__ = [
     "CascadedDelegation", "EncodingCost", "encode_as_nested_grant",
     "encode_as_pbdm_roles", "encoding_cost", "encodings_equi_obtainable",
     "run_nested_cascade", "run_pbdm_cascade",
-    # conjecture & revocation
+    # conjecture
     "ConjectureReport", "check_conjecture_instance",
-    "CandidateOrdering", "FalsificationOutcome", "candidate_substitutions",
-    "cross_connective_unsafe", "dual_grant_ordering", "falsify_candidate",
-    "revoke_always_weaker",
 ]

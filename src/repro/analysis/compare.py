@@ -5,14 +5,15 @@ same time safe*.  This module turns that claim into numbers:
 
 * **Flexibility** — how many administrative operations are permitted
   right now?  Counted for the paper's model in strict and refined
-  modes, and for the ARBAC97 / administrative-scope / domain baselines
-  over the same policy.
+  modes, and for the ARBAC97 / administrative-scope baselines over
+  the same policy.
 * **Safety** — does the extra flexibility change what is ultimately
   obtainable?  Compared via the admin-reachability analysis and the
   bounded mode-safety check.
 
-The harness is policy-generic; the BASE benchmark runs it over the
-hospital policy and synthetic enterprises.
+The harness is policy-generic; the tests run it over Figure 2 and
+the hospital policy (``tests/analysis/test_compare.py``,
+``tests/integration/test_end_to_end.py``).
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ given enough administrative steps).  The conjecture then reads:
     not already make obtainable.
 
 :func:`check_conjecture_instance` checks one (policy, role, seed
-privilege) instance and reports any violating deep terms; the tests
-and the RMK2 benchmark sweep random policies.  Caveat: reachability
+privilege) instance and reports any violating deep terms;
+``tests/analysis/test_conjecture.py`` asserts it on Example 6 and on a
+two-role chain.  Caveat: reachability
 itself must be explored deep enough to
 "unroll" the extra administrative steps, so the reachability depth
 grows with the term depth examined.

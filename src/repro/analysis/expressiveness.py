@@ -24,7 +24,8 @@ spec* (delegate membership of role R to u1, who may re-delegate to u2,
 Both encodings are executable against the Definition-5 semantics and
 the tests verify they authorize the same end-to-end delegation chain;
 :func:`encoding_cost` counts the artifacts each needs (the quantified
-§5 comparison reported by the BASE benchmark).
+§5 comparison, asserted by ``TestEncodingCost::test_the_papers_claim``
+in ``tests/analysis/test_expressiveness.py``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ order- and subject-sensitive refinement can.  This module implements:
   by breadth-first exploration of matrix states; and
 * :func:`encode_rbac_grants`, a translation of an RBAC policy's
   top-level grant privileges into HRU commands, used by the
-  footnote-5 demonstration in the tests and the SAFE benchmark.
+  footnote-5 demonstration in the tests.
 
 HRU safety is undecidable in general; the checker is explicitly
 bounded (``max_steps``) and does not model subject/object creation —

@@ -12,7 +12,7 @@ bound.  On top of the raw exploration two questions are answered:
 
 These are the primitives behind the safety checker
 (:mod:`repro.analysis.safety`), the Remark-2 conjecture tests, and the
-strict-vs-refined flexibility benchmarks.
+strict-vs-refined safety comparison (:mod:`repro.analysis.compare`).
 
 Exploration runs on the :class:`~repro.core.explore.ExplorationEngine`
 — apply/undo log, bitmask candidate pruning, canonical fingerprint

@@ -96,11 +96,10 @@ def safety_matrix(
 ) -> dict[tuple[User, UserPrivilege], SafetyVerdict]:
     """The full user × user-privilege safety table for a policy.
 
-    Used by the SAFE benchmark to contrast strict and refined modes:
-    refined mode must not make any *unsafe* cell reachable that strict
-    mode keeps safe beyond what Theorem 1 predicts (it cannot — the
-    tests assert equality of the obtainable sets on the paper's
-    policies).
+    Contrasts strict and refined modes: refined mode must not make
+    any *unsafe* cell reachable that strict mode keeps safe beyond
+    what Theorem 1 predicts (it cannot — the tests assert equality of
+    the obtainable sets on the paper's policies).
 
     The whole table shares one :class:`ExplorationEngine` — the candidate universe, issuer masks,
     and undo log are built once and every cell runs its own BFS with a

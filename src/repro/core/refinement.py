@@ -187,7 +187,7 @@ def enumerate_weakenings(
     assigned administrative privilege and every strictly weaker
     privilege enumerable within ``max_depth`` (see
     :func:`repro.core.weaker.weaker_set`).  Used by the Theorem-1
-    property tests and the refinement benchmarks.
+    property tests.
     """
     from .weaker import weaker_set
 

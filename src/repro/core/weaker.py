@@ -15,7 +15,7 @@ q with p Ã q" — which the paper discusses in §4.2:
   :mod:`repro.analysis.conjecture` tests the conjecture empirically.
 
 ``naive forward search does not necessarily terminate`` (§4.2) — the
-benchmarks contrast :func:`enumerate_weaker` (diverging, must be
+Example-6 tests contrast :func:`enumerate_weaker` (diverging, must be
 truncated) against the Lemma-1 backward decision (always terminating).
 """
 
@@ -162,8 +162,8 @@ def frontier_sizes(
 ) -> list[int]:
     """``|weaker_set(depth d)|`` for d = 0..max_depth.
 
-    Used by the Example-6 benchmark to exhibit the unbounded growth of
-    the weaker set, and by the Remark-2 conjecture tests.
+    Exhibits the unbounded growth of the weaker set on Example 6
+    (``tests/core/test_weaker.py::TestExample6``).
     """
     memo: dict = {}
     return [

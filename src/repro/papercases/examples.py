@@ -210,7 +210,8 @@ def example6(chain_length: int = 4) -> Example6Result:
 
 
 def example6_policy() -> tuple[Policy, Grant]:
-    """The Example 6 policy and its seed privilege (for benchmarks)."""
+    """The Example 6 policy and its seed privilege (for the Example-6
+    and Remark-2 tests)."""
     r1, r2 = Role("r1"), Role("r2")
     seed = Grant(r1, r2)
     policy = Policy(pa=[(r2, seed)])

@@ -729,9 +729,11 @@ class PolicyDecisionPoint:
 
     def _publish(self, fresh: bool = True) -> None:
         """Publish the current policy version: record it, and stamp the
-        publication time.  No snapshot is captured and the decision
-        cache does not move; the first reader of the version does both
-        (:meth:`_materialize`).
+        publication time.  No snapshot is captured; the first reader of
+        the version captures it and advances the decision cache
+        (:meth:`_materialize`).  An empty cache has nothing to evict,
+        so it follows the publication at once: a run of batches nobody
+        reads then leaves no cursor pinning the journal behind it.
 
         ``fresh=True`` (every successful pass through the writer,
         batches and refreshes alike) restamps ``_published_at``; the
@@ -743,6 +745,8 @@ class PolicyDecisionPoint:
             self._published = version
             self.metrics.publications += 1
             fresh = True
+            if not self.cache.entries:
+                self.cache.advance(version)
         if fresh:
             self._published_at = self.clock()
 

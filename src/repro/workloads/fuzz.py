@@ -339,7 +339,9 @@ def fuzz_compiled_kernel(
     return report
 
 
-def _recycling_churn(rng: random.Random, policy: Policy, steps: int) -> None:
+def _recycling_churn(
+    rng: random.Random, policy: Policy, steps: int, spare=frozenset()
+) -> None:
     """Random pre-analysis churn that exercises interner ID recycling.
 
     Mixes UA grant/revoke mutations with full deprovision/re-provision
@@ -347,12 +349,14 @@ def _recycling_churn(rng: random.Random, policy: Policy, steps: int) -> None:
     (consuming the freed IDs), and the user is re-added — so the
     analyzed policy's interner has recycled IDs and the compiled
     explorers' vid-keyed state cannot silently alias the frozenset
-    semantics."""
-    roles = sorted(policy.roles(), key=str)
+    semantics.  Users and roles in ``spare`` are left untouched."""
+    roles = sorted((r for r in policy.roles() if r not in spare), key=str)
     if not roles:
         return
     for index in range(steps):
-        users = sorted(policy.users(), key=str)
+        users = sorted(
+            (u for u in policy.users() if u not in spare), key=str
+        )
         if not users:
             break
         draw = rng.random()
@@ -1121,7 +1125,11 @@ def fuzz_pdp(
     while the second half awaits its refresh, and again after it: the
     first reads must answer at the half-way version from the live
     policy rewound through its journal, and the second must not be
-    served the verdicts they cached.  No decision may name a version
+    served the verdicts they cached.  An edge planted across the halves
+    (added in the first, removed in the second) allows, at the
+    half-way version, a grant whose denial was cached before the churn,
+    so a cache that reads that window compacted serves the stale
+    denial.  No decision may name a version
     later than the published one, and every snapshot a reader
     materializes must be the published version's.  Each round also
     ends with a deterministic probe pair (same command checked twice
@@ -1339,20 +1347,44 @@ def fuzz_pdp(
         await pdp.refresh()
         await checked(command)
 
-    async def churn_read():
+    async def churn_read(label):
         """Out-of-band churn in two halves with a publication nobody
         reads in between, then the round's cacheable commands read
         while the second half awaits ``refresh()`` — the reader's
         snapshot is the live policy rewound to the half-way version,
         and the cache keeps those verdicts — and again after it, when
-        every verdict the second half changed must be evicted."""
-        _recycling_churn(rng, policy, steps // 2)
+        every verdict the second half changed must be evicted.
+
+        A planted edge rides the two halves: ``holder`` joins the role
+        holding ``¤(holder, target)`` in the first half and leaves it
+        in the second, and a denial of ``holder``'s grant, cached before
+        the churn, is read again at the half-way version, which allows
+        it.  The window up to the head must keep both deltas: compacted,
+        they cancel and the cache serves its stale denial.  The random
+        churn spares the planted vertices, so no other delta evicts the
+        denial by chance."""
+        holder = User(f"planted_{label}")
+        grantor = Role(f"planted_grantor_{label}")
+        target = Role(f"planted_target_{label}")
+        policy.add_user(holder)
+        policy.add_role(target)
+        policy.assign_privilege(grantor, Grant(holder, target))
+        planted = Command(holder, CommandAction.GRANT, holder, target)
         await pdp.refresh()
-        _recycling_churn(rng, policy, steps - steps // 2)
+        for _ in range(2):
+            await checked(planted)
+        spare = {holder, grantor, target}
+        _recycling_churn(rng, policy, steps // 2, spare)
+        policy.assign_user(holder, grantor)
+        await pdp.refresh()
+        policy.remove_edge(holder, grantor)
+        _recycling_churn(rng, policy, steps - steps // 2, spare)
         commands = list(dict.fromkeys(
-            command for _, command, _ in observed[-4 * readers:]
-            if cacheable(command)
-        ))[:8]
+            [planted] + [
+                command for _, command, _ in observed[-4 * readers:]
+                if cacheable(command)
+            ]
+        ))[:9]
         for command in commands:
             await checked(command)
         await pdp.refresh()
@@ -1379,7 +1411,7 @@ def fuzz_pdp(
                 )
                 await probe_cache(label)
                 await deprovision_cached(label)
-                await churn_read()
+                await churn_read(label)
 
     with tempfile.TemporaryDirectory(prefix="repro-pdp-") as workdir:
         wal_path = os.path.join(workdir, "pdp.wal")

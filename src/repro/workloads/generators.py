@@ -1,7 +1,7 @@
 """Seeded random policy generators.
 
 Used by the property-based tests (as a complement to the hypothesis
-strategies), the scaling benchmarks, and the falsification harnesses.
+strategies), the stress tests and the differential fuzz campaigns.
 All generators take an explicit seed and are fully deterministic.
 """
 
@@ -105,9 +105,9 @@ def layered_hierarchy(
     """A layered role hierarchy (the shape of large organizations).
 
     Roles in layer ``i`` inherit roles in layer ``i+1``; the bottom
-    layer holds the user privileges.  This is the workload of the
-    Lemma-1 scaling benchmark: the longest RH chain equals
-    ``layers - 1``.
+    layer holds the user privileges.  The Lemma-1 cases of
+    ``tests/integration/test_stress.py`` decide over it: the longest
+    RH chain equals ``layers - 1``.
     """
     rng = random.Random(seed)
     policy = Policy()
@@ -138,7 +138,7 @@ def nested_grant(
     roles: list[Role], user: User, depth: int
 ) -> Privilege:
     """``¤(r_{d-1}, ¤(r_{d-2}, ... ¤(user, r_0)))`` — a deterministic
-    deeply nested grant used by the ordering-scaling benchmark."""
+    deeply nested grant used by the Lemma-1 stress tests."""
     term: Privilege = Grant(user, roles[0])
     for level in range(1, depth):
         term = Grant(roles[level % len(roles)], term)

@@ -2,8 +2,8 @@
 
 :mod:`repro.papercases.figures` holds the exact figures; this module
 scales the same shape up — multiple wards, nurses, flexworkers, and an
-HR department with delegation privileges — for the benchmarks and the
-examples.  :func:`guarded_hospital_database` and
+HR department with delegation privileges — for the tests, the
+storage-backend bench and the examples.  :func:`guarded_hospital_database` and
 :func:`hospital_query_trace` make the same shape runnable as a guarded
 DBMS workload against any storage backend (the differential suite's
 primary trace).

@@ -10,7 +10,7 @@ from repro.analysis.hru import (
     encode_rbac_grants,
     enter_self_markers,
 )
-from repro.core.admin_refinement import check_admin_refinement
+from repro.core.admin_refinement import check_admin_refinement, check_mode_safety
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, perm
@@ -172,3 +172,6 @@ class TestFootnote5:
         # ... but not conversely: lowuser can fire the grant under the
         # low policy and the high policy cannot match it with lowuser.
         assert not check_admin_refinement(high_policy, low_policy, depth=1).holds
+
+    def test_refined_mode_adds_nothing_to_the_high_policy(self):
+        assert check_mode_safety(self._policy(self.HIGHROLE), depth=1).holds

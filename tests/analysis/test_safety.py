@@ -57,6 +57,18 @@ class TestCanObtain:
         assert can_obtain(policy, U, P, depth=1)
         assert not can_obtain(policy, OUTSIDER, P, depth=1)
 
+    def test_figure2_bob_obtains_db_work_in_one_step(self):
+        """HR's ``grant(bob, staff)`` (Example 2) reaches the ``write
+        t3`` of Example 4's database job in one command."""
+        from repro.papercases import figures
+
+        verdict = can_obtain(
+            figures.figure2(), figures.BOB, perm("write", "t3"), depth=1
+        )
+        assert verdict.reachable
+        [command] = verdict.witness
+        assert (command.source, command.target) == (figures.BOB, figures.STAFF)
+
 
 class TestSafetyMatrix:
     def test_matrix_covers_all_cells(self, policy):

@@ -11,7 +11,7 @@ from repro.core.commands import Mode, grant_cmd
 from repro.core.entities import Role, User
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, Revoke, perm
-from repro.core.refinement import weaken_assignment
+from repro.core.refinement import enumerate_weakenings, weaken_assignment
 from repro.errors import AnalysisError
 from repro.oracle import reference_check_admin_refinement
 from repro.papercases import figures
@@ -73,6 +73,16 @@ class TestTheorem1Instances:
             Grant(figures.BOB, figures.DBUSR2),
         )
         assert check_admin_refinement(fig2, psi, depth=1).holds
+        assert check_admin_refinement(fig2, psi, depth=2).holds
+
+    def test_every_figure2_weakening(self, fig2):
+        """Every single-assignment weakening of Figure 2 enumerable
+        within one rule-(3) step refines it."""
+        weakenings = list(enumerate_weakenings(fig2, max_depth=1))
+        assert len(weakenings) >= 6
+        for _role, stronger, weaker, psi in weakenings:
+            result = check_admin_refinement(fig2, psi, depth=1)
+            assert result.holds, (stronger, weaker)
 
 
 class TestStrengthenings:

@@ -20,6 +20,7 @@ from repro.papercases import figures
 from repro.workloads.churn import cover_table_problems
 from repro.workloads.fuzz import _recycling_churn
 from repro.workloads.generators import PolicyShape, random_policy
+from repro.workloads.hospital import HospitalShape, hospital_policy
 
 U, ADMIN = User("u"), User("admin")
 HIGH, MID, LOW, ADM = Role("high"), Role("mid"), Role("low"), Role("adm")
@@ -112,6 +113,9 @@ class TestDifferentialAgainstOracle:
 
     def test_figure2(self):
         self.check_policy(figures.figure2())
+
+    def test_hospital(self):
+        self.check_policy(hospital_policy(HospitalShape(wards=2, flexworkers=2)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_policies(self, seed):

@@ -15,6 +15,7 @@ from repro.core.weaker import (
     weaker_set,
 )
 from repro.papercases.examples import example6_policy
+from repro.workloads.generators import layered_hierarchy
 
 U = User("u")
 HIGH, MID, LOW = Role("high"), Role("mid"), Role("low")
@@ -139,3 +140,20 @@ class TestRemark2Bound:
     def test_cycle_collapsed(self):
         policy = Policy(rh=[(HIGH, MID), (MID, HIGH), (MID, LOW)])
         assert remark2_bound(policy) == 1
+
+    def test_layered_hierarchy(self):
+        policy = layered_hierarchy(seed=3, layers=8, roles_per_layer=6)
+        assert remark2_bound(policy) == 7
+
+    def test_weaker_set_grows_past_the_bound(self):
+        """A self-referential assignment at the bottom of a chain: the
+        weaker set keeps growing past the bound, which is why the
+        enumeration needs a cutoff at all."""
+        chain = [Role(f"c{i}") for i in range(4)]
+        policy = Policy(rh=list(zip(chain, chain[1:])))
+        seed = Grant(chain[0], chain[-1])
+        policy.assign_privilege(chain[-1], seed)
+        bound = remark2_bound(policy)
+        sizes = frontier_sizes(policy, seed, bound + 2)
+        assert sizes == sorted(sizes)
+        assert sizes[-1] > sizes[bound]

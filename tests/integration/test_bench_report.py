@@ -186,10 +186,43 @@ class TestListMode:
         assert "no recorded runs" in capsys.readouterr().out
 
 
+def ci_run_steps() -> str:
+    """The text of every ``run:`` step in the CI workflow, block
+    scalars included (the lines indented deeper than their key)."""
+    steps = []
+    block_indent = None
+    for line in (REPO_ROOT / ".github/workflows/ci.yml").read_text().splitlines():
+        indent = len(line) - len(line.lstrip())
+        if block_indent is not None and (not line.strip() or indent > block_indent):
+            steps.append(line)
+            continue
+        block_indent = None
+        key = line.strip().removeprefix("- ")
+        if key.startswith("run:"):
+            steps.append(key.removeprefix("run:"))
+            block_indent = indent
+    return "\n".join(steps)
+
+
 class TestRegistry:
     def test_every_registered_script_exists(self):
         for name, (script, _, _) in BENCHES.items():
             assert (REPO_ROOT / script).is_file(), (name, script)
+
+    def test_every_script_is_registered_or_run_by_ci(self):
+        """The converse: a bench script nothing runs gates nothing."""
+        registered = {script for script, _, _ in BENCHES.values()}
+        steps = ci_run_steps()
+        orphans = sorted(
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "benchmarks").glob("bench_*.py")
+            if path.relative_to(REPO_ROOT).as_posix() not in registered
+            and path.name not in steps
+        )
+        assert not orphans, (
+            "no tools/bench_report.py entry or CI step runs "
+            + ", ".join(orphans)
+        )
 
     def test_pdp_bench_is_registered_reduced(self):
         script, reduced, metrics_var = BENCHES["pdp"]

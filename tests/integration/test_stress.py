@@ -24,6 +24,20 @@ class TestDeepNesting:
         assert is_weaker(policy, stronger, weaker)
         assert not is_weaker(policy, weaker, stronger)
 
+    @pytest.mark.parametrize("depth", [1, 8, 32])
+    def test_nested_terms_over_a_layered_hierarchy(self, depth):
+        """Lemma 1 through a whole hierarchy: the terms differ only in
+        the innermost target, the top role against the bottom one, so
+        the decision must cross every layer at every nesting level."""
+        layers = 6
+        policy = layered_hierarchy(seed=1, layers=layers, roles_per_layer=6)
+        wrappers = [Role(f"L{layer % layers}_r0") for layer in range(depth)]
+        top, bottom = Role("L0_r0"), Role(f"L{layers - 1}_r0")
+        stronger = nested_grant([top] + wrappers, User("user0"), depth)
+        weaker = nested_grant([bottom] + wrappers, User("user0"), depth)
+        assert OrderingOracle(policy).is_weaker(stronger, weaker)
+        assert not OrderingOracle(policy).is_weaker(weaker, stronger)
+
     def test_depth_200_serialization_roundtrip(self):
         u = User("u")
         r = Role("r")

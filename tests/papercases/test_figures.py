@@ -21,6 +21,17 @@ class TestFigure1:
         assert fig1.reaches(figures.DIANA, figures.NURSE)
         assert fig1.reaches(figures.DIANA, figures.STAFF)
 
+    def test_staff_session_privileges(self, fig1):
+        from repro.core.monitor import ReferenceMonitor
+
+        monitor = ReferenceMonitor(fig1)
+        session = monitor.create_session(figures.DIANA)
+        monitor.add_active_role(session, figures.STAFF)
+        assert monitor.session_privileges(session) == {
+            perm("read", "t1"), perm("read", "t2"), perm("write", "t3"),
+            perm("print", "black"), perm("print", "color"),
+        }
+
     def test_printing_privileges(self, fig1):
         assert fig1.reaches(figures.NURSE, perm("print", "black"))
         assert not fig1.reaches(figures.NURSE, perm("print", "color"))

@@ -177,9 +177,10 @@ def test_one_command_write_sweeps_each_region_half_once(monkeypatch):
 
 
 def test_unread_batches_capture_nothing_until_the_first_read(calls):
-    """N batches nobody reads make no capture, no copy and no cache
-    advance; the first read after them makes one of each, at the live
-    version."""
+    """N batches nobody reads make no capture and no copy, and the
+    empty decision cache follows each publication (it has nothing to
+    evict); the first read after them makes one capture and one copy,
+    at the live version, and finds the cache already there."""
     writes = [
         grant_cmd(ADMIN, U, R), revoke_cmd(ADMIN, U, R),
         grant_cmd(ADMIN, U, S), grant_cmd(PEER, U, R),
@@ -193,7 +194,8 @@ def test_unread_batches_capture_nothing_until_the_first_read(calls):
                 record = await pdp.submit(command)
                 assert record.executed and not record.noop
             assert calls == {}
-            assert pdp.cache.advances == 0
+            assert pdp.cache.advances == len(writes)
+            assert pdp.cache.version == pdp.version
             stats = pdp.statistics()
             assert stats["publications"] == len(writes)
             assert stats["materializations"] == 0
@@ -203,10 +205,32 @@ def test_unread_batches_capture_nothing_until_the_first_read(calls):
             assert decision.version == pdp.version
             assert decision.version == pdp.monitor.policy.version
             assert calls == {"captures": 1, "copies": 1}
-            assert pdp.cache.advances == 1
+            assert pdp.cache.advances == len(writes)
             stats = pdp.statistics()
             assert (stats["materializations"], stats["rewinds"]) == (1, 0)
             assert stats["materialized_version"] == stats["version"]
+
+    run(scenario())
+
+
+def test_unread_batches_on_an_empty_cache_pin_no_journal(monkeypatch):
+    """The empty cache's cursor follows each publication, so a run of
+    batches nobody reads leaves the live journal within
+    ``JOURNAL_LIMIT`` instead of pinning it up to the hard limit."""
+    monkeypatch.setattr(Digraph, "JOURNAL_LIMIT", 16)
+    monkeypatch.setattr(Digraph, "JOURNAL_HARD_LIMIT", 64)
+
+    async def scenario():
+        pdp = _pdp()
+        async with pdp:
+            for index in range(40):
+                command = (revoke_cmd if index % 2 else grant_cmd)(ADMIN, U, R)
+                [record] = await pdp.submit_many([command])
+                assert record.executed
+            graph = pdp.monitor.policy.graph
+            assert len(graph._journal) <= Digraph.JOURNAL_LIMIT
+            assert not pdp.cache.entries
+            assert pdp.cache.version == pdp.version
 
     run(scenario())
 
